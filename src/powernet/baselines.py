@@ -1,10 +1,16 @@
 """Comparison forecasters: a seasonal persistence baseline and from-scratch
 gradient-boosted regression trees over the flattened example features.
 
-Trees are exact CART on small data: split candidates are midpoints between
-consecutive sorted unique feature values, chosen by summed-squared-error
-reduction with deterministic tie-breaking (lowest feature index, then lowest
-threshold).
+Trees are exact CART: split candidates are midpoints between consecutive
+sorted unique feature values, chosen by summed-squared-error reduction. The
+rows are sorted by every feature once per fit and each node keeps that order
+(the presorted exact-greedy search of XGBoost, arXiv:1603.02754), so a node
+scores all its candidates in one pass over all features.
+
+The choice is deterministic: the largest float64 gain wins, and among equal
+float64 gains the lowest feature index, then the lowest threshold. Gains that
+are equal in exact arithmetic can round differently, so two splits that tie
+mathematically may resolve to the higher feature index.
 """
 
 from __future__ import annotations
@@ -70,37 +76,103 @@ class TreeNode:
                    left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
 
 
-def best_split(X: np.ndarray, y: np.ndarray):
-    """Best (feature, threshold, gain) by SSE reduction, or None.
+def _presort(X: np.ndarray) -> np.ndarray:
+    """(F, n) row order: row j lists the rows of X sorted by feature j,
+    equal values in ascending row order."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
-    Candidates are midpoints between consecutive sorted unique values;
-    ties keep the lowest feature index, then the lowest threshold.
+
+def _split_search(XT, y, order, rows):
+    """The split engine behind best_split and fit_tree.
+
+    ``order`` holds the node's rows sorted by each feature (from _presort,
+    filtered), ``rows`` the same rows in ascending order. Returns the best
+    (feature, threshold, gain) or None, exactly as the per-boundary scalar
+    formula below picks it.
     """
-    n, n_features = X.shape
-    if n < 2:
+    n = len(rows)
+    if n < 2 or len(order) == 0:
         return None
-    total_sse = float(np.sum((y - y.mean()) ** 2))
+    node_y = y[rows]
+    total_sse = float(np.sum((node_y - node_y.mean()) ** 2))
+    xs = np.take_along_axis(XT, order, axis=1)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys ** 2, axis=1)
+    cl, ql = csum[:, :-1], csq[:, :-1]
+    nl = np.arange(1, n, dtype=np.float64)
+    gain = total_sse - ((ql - cl ** 2 / nl)
+                        + ((csq[:, -1:] - ql) - (csum[:, -1:] - cl) ** 2 / (n - nl)))
+    # split after position i (left = 0..i) only where the value changes
+    gain[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    top = gain.max()
+    if top == -np.inf:
+        return None
+    # Array ** 2 rounds x*x while the scalar ** 2 below calls libm pow; the
+    # two differ in the last bit for a few values, which can flip near-ties.
+    # The vector gains only shortlist: every gain within a few ulps of the
+    # top is recomputed with the scalar formula, in (feature, position)
+    # order, so the pick is the one the scalar formula makes.
+    tol = 64 * np.finfo(np.float64).eps * (float(csq[:, -1].max()) + total_sse)
     best = None
-    for j in range(n_features):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys ** 2)
-        total_sum, total_sq = csum[-1], csq[-1]
-        # split after position i (left = 0..i) only where the value changes
-        boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-        for i in boundary:
-            nl = i + 1
-            nr = n - nl
-            sse_l = csq[i] - csum[i] ** 2 / nl
-            sse_r = (total_sq - csq[i]) - (total_sum - csum[i]) ** 2 / nr
-            gain = total_sse - (sse_l + sse_r)
-            if best is None or gain > best[2]:
-                best = (j, (xs[i] + xs[i + 1]) / 2.0, float(gain))
+    for k in np.flatnonzero(gain >= top - tol):
+        j, i = divmod(int(k), n - 1)
+        nl_i = i + 1
+        sse_l = csq[j, i] - csum[j, i] ** 2 / nl_i
+        sse_r = ((csq[j, -1] - csq[j, i])
+                 - (csum[j, -1] - csum[j, i]) ** 2 / (n - nl_i))
+        g = total_sse - (sse_l + sse_r)
+        if best is None or g > best[2]:
+            best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(g))
     if best is None or best[2] <= 0.0:
         return None
     return best
+
+
+def best_split(X: np.ndarray, y: np.ndarray):
+    """Best (feature, threshold, gain) by SSE reduction, or None.
+
+    Candidates are midpoints between consecutive sorted unique values.
+    The largest float64 gain wins; equal float64 gains keep the lowest
+    feature index, then the lowest threshold. Splits that tie in exact
+    arithmetic can round to different gains, so the winner among them need
+    not be the lowest feature.
+    """
+    if len(y) < 2:
+        return None
+    return _split_search(np.asarray(X).T, y, _presort(X), np.arange(len(y)))
+
+
+def _grow_tree(X, order, y, max_depth: int):
+    """Grow one tree on rows presorted by _presort(X); returns (tree, the
+    value of the leaf each training row lands in)."""
+    XT = X.T
+    fitted = np.empty(len(y))
+    go_left = np.zeros(len(y), dtype=bool)
+
+    def grow(order, rows, depth):
+        split = None
+        if depth < max_depth:
+            split = _split_search(XT, y, order, rows)
+        if split is None:
+            value = float(y[rows].mean())
+            fitted[rows] = value
+            return TreeNode(value=value)
+        j, thr, _ = split
+        left = X[rows, j] <= thr
+        go_left[rows] = left
+        # boolean selection keeps each feature's order, and every feature
+        # sends the same rows left, so the rows stay an (F, n_left) array
+        to_left = go_left[order]
+        n_features = len(order)
+        return TreeNode(feature=j, threshold=thr,
+                        left=grow(order[to_left].reshape(n_features, -1),
+                                  rows[left], depth + 1),
+                        right=grow(order[~to_left].reshape(n_features, -1),
+                                   rows[~left], depth + 1))
+
+    tree = grow(order, np.arange(len(y)), 0)
+    return tree, fitted
 
 
 def fit_tree(X, y, max_depth: int) -> TreeNode:
@@ -109,21 +181,7 @@ def fit_tree(X, y, max_depth: int) -> TreeNode:
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
         raise BaselineError("need at least one row")
-
-    def grow(rows, depth):
-        node_y = y[rows]
-        if depth >= max_depth or len(rows) < 2:
-            return TreeNode(value=float(node_y.mean()))
-        split = best_split(X[rows], node_y)
-        if split is None:
-            return TreeNode(value=float(node_y.mean()))
-        j, thr, _ = split
-        go_left = X[rows, j] <= thr
-        return TreeNode(feature=j, threshold=thr,
-                        left=grow(rows[go_left], depth + 1),
-                        right=grow(rows[~go_left], depth + 1))
-
-    return grow(np.arange(len(y)), 0)
+    return _grow_tree(X, _presort(X), y, max_depth)[0]
 
 
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -185,7 +243,10 @@ class GbtModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GbtModel":
-        doc = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "GbtModel":
         if doc.get("format_version") != GBT_FORMAT_VERSION:
             raise BaselineError(f"unsupported GBT checkpoint version {doc.get('format_version')}")
         return cls(initial_prediction=doc["initial_prediction"],
@@ -205,9 +266,10 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     model = GbtModel(initial_prediction=float(y.mean()),
                      learning_rate=learning_rate, max_depth=max_depth)
     pred = np.full(len(y), model.initial_prediction)
+    order = _presort(X)
     for _ in range(n_estimators):
-        tree = fit_tree(X, y - pred, max_depth)
-        pred += learning_rate * tree_predict(tree, X)
+        tree, fitted = _grow_tree(X, order, y - pred, max_depth)
+        pred += learning_rate * fitted
         model.trees.append(tree)
     return model
 

@@ -26,7 +26,7 @@ from .forecast_anomaly import (DetectorConfig, ForecastError,
                                retraining_analysis, theft_sweep,
                                write_sweep_csv)
 from .metrics import MetricError, mape, mse
-from .model import checkpoint_from_json, checkpoint_to_json, forward_batch
+from .model import checkpoint_from_dict, checkpoint_to_json, forward_batch
 from .training import TrainConfig, TrainingError, grid_search, train
 
 USAGE_ERROR = 2
@@ -54,11 +54,28 @@ def _write(path, text):
         fh.write(text)
 
 
+def _parse_file(path, what: str, parse):
+    """``parse`` applied to the text of the file at ``path``, read once; an
+    unreadable or malformed file is a usage error."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except KeyError as exc:
+        raise UsageError(f"malformed {what} {path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {what} {path}: {exc}") from exc
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _parse_file(args.config, "config", json.loads)
+        if not isinstance(doc, dict):
+            raise UsageError(f"config {args.config} must be a JSON object")
         unknown = set(doc) - CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -81,11 +98,7 @@ def _parse_splits(text: str):
 
 
 def _load_dataset(path):
-    try:
-        with open(path) as fh:
-            return dataio.dataset_from_json(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read dataset {path}: {exc}") from exc
+    return _parse_file(path, "dataset", dataio.dataset_from_json)
 
 
 def _prepare_examples(d, cfg: dict):
@@ -100,9 +113,12 @@ def _prepare_examples(d, cfg: dict):
 def _train_config(cfg: dict) -> TrainConfig:
     fields = {k: v for k, v in cfg.items()
               if k in TrainConfig.__dataclass_fields__}
-    if "memory_size_grid" in fields:
-        fields["memory_size_grid"] = tuple(fields["memory_size_grid"])
-    return TrainConfig(**fields)
+    try:
+        if "memory_size_grid" in fields:
+            fields["memory_size_grid"] = tuple(fields["memory_size_grid"])
+        return TrainConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config: {exc}") from exc
 
 
 def cmd_synth(args):
@@ -194,19 +210,18 @@ def cmd_grid_search(args):
     return _train_common(args, use_grid=True)
 
 
-def _load_checkpoint(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read checkpoint {path}: {exc}") from exc
-    spec = FeatureSpec.from_json(json.dumps(doc["feature_spec"]))
+def _checkpoint_from_json(text: str):
+    """(kind, model, spec, doc) of a GBT or powernet checkpoint."""
+    doc = json.loads(text)
+    spec = FeatureSpec.from_dict(doc["feature_spec"])
     if doc.get("model_type") == "gbt":
-        model = baselines.GbtModel.from_json(json.dumps(doc))
-        return "gbt", model, spec, doc
-    with open(path) as fh:
-        params, hyper, _, _ = checkpoint_from_json(fh.read())
+        return "gbt", baselines.GbtModel.from_dict(doc), spec, doc
+    params, _, _, _ = checkpoint_from_dict(doc)
     return "powernet", params, spec, doc
+
+
+def _load_checkpoint(path):
+    return _parse_file(path, "checkpoint", _checkpoint_from_json)
 
 
 def _split_predictions(kind, model, spec, data, split_name):

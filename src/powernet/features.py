@@ -110,7 +110,10 @@ class FeatureSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSpec":
-        doc = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "FeatureSpec":
         if doc.get("format_version") != SPEC_FORMAT_VERSION:
             raise FeatureError(f"unsupported FeatureSpec version {doc.get('format_version')}")
         return cls(

@@ -402,7 +402,11 @@ def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec_doc,
 
 def checkpoint_from_json(text: str):
     """Returns (params, hyperparameters, feature_spec_doc, seed)."""
-    doc = json.loads(text)
+    return checkpoint_from_dict(json.loads(text))
+
+
+def checkpoint_from_dict(doc: dict):
+    """checkpoint_from_json on an already parsed document."""
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
     raw = doc["params"]

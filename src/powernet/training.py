@@ -47,8 +47,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if not 0 <= self.dropout_rate < 1:
+            raise ValueError("dropout_rate must be in [0, 1)")
         if not self.memory_size_grid:
             raise ValueError("memory_size_grid must be non-empty")
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from powernet.baselines import (
-    BaselineError, GbtModel, best_split, fit_gbt, fit_gbt_examples, fit_tree,
-    flatten_features, gbt_grid_search, persistence_forecast, tree_predict,
+    BaselineError, GbtModel, TreeNode, best_split, fit_gbt, fit_gbt_examples,
+    fit_tree, flatten_features, gbt_grid_search, persistence_forecast,
+    tree_predict,
 )
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.metrics import mse
@@ -45,6 +46,132 @@ def all_splits(X, y):
             sse = (np.sum((left - left.mean()) ** 2)
                    + np.sum((right - right.mean()) ** 2))
             out.append((j, thr, total - float(sse)))
+    return out
+
+
+def reference_best_split(X: np.ndarray, y: np.ndarray):
+    """The per-boundary scalar loop, the exact oracle for the split engine:
+    its choice, threshold and gain, bit for bit."""
+    n, n_features = X.shape
+    if n < 2:
+        return None
+    total_sse = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    for j in range(n_features):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys ** 2)
+        total_sum, total_sq = csum[-1], csq[-1]
+        # split after position i (left = 0..i) only where the value changes
+        boundary = np.nonzero(xs[:-1] < xs[1:])[0]
+        for i in boundary:
+            nl = i + 1
+            nr = n - nl
+            sse_l = csq[i] - csum[i] ** 2 / nl
+            sse_r = (total_sq - csq[i]) - (total_sum - csum[i]) ** 2 / nr
+            gain = total_sse - (sse_l + sse_r)
+            if best is None or gain > best[2]:
+                best = (j, (xs[i] + xs[i + 1]) / 2.0, float(gain))
+    if best is None or best[2] <= 0.0:
+        return None
+    return best
+
+
+def reference_fit_tree(X, y, max_depth: int) -> TreeNode:
+    """Greedy CART on reference_best_split, re-sorting every node."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def grow(rows, depth):
+        node_y = y[rows]
+        if depth >= max_depth or len(rows) < 2:
+            return TreeNode(value=float(node_y.mean()))
+        split = reference_best_split(X[rows], node_y)
+        if split is None:
+            return TreeNode(value=float(node_y.mean()))
+        j, thr, _ = split
+        go_left = X[rows, j] <= thr
+        return TreeNode(feature=j, threshold=thr,
+                        left=grow(rows[go_left], depth + 1),
+                        right=grow(rows[~go_left], depth + 1))
+
+    return grow(np.arange(len(y)), 0)
+
+
+def reference_fit_gbt(X, y, n_estimators, max_depth, learning_rate) -> GbtModel:
+    """Boosting on reference_fit_tree, training predictions by tree_predict."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    model = GbtModel(initial_prediction=float(y.mean()),
+                     learning_rate=learning_rate, max_depth=max_depth)
+    pred = np.full(len(y), model.initial_prediction)
+    for _ in range(n_estimators):
+        tree = reference_fit_tree(X, y - pred, max_depth)
+        pred += learning_rate * tree_predict(tree, X)
+        model.trees.append(tree)
+    return model
+
+
+def vector_argmax_feature(X, y):
+    """Feature of the first largest gain when every boundary's gain is
+    computed in one array expression (array ** 2 is x*x, not libm pow)."""
+    n = len(y)
+    order = np.argsort(X, axis=0, kind="stable").T
+    xs = np.take_along_axis(X.T, order, axis=1)
+    csum = np.cumsum(y[order], axis=1)
+    csq = np.cumsum(y[order] ** 2, axis=1)
+    cl, ql = csum[:, :-1], csq[:, :-1]
+    nl = np.arange(1, n, dtype=np.float64)
+    gain = float(np.sum((y - y.mean()) ** 2)) - (
+        (ql - cl ** 2 / nl)
+        + ((csq[:, -1:] - ql) - (csum[:, -1:] - cl) ** 2 / (n - nl)))
+    gain[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    return int(np.argmax(gain)) // (n - 1)
+
+
+# two rows, feature 1 sorted the other way round from features 0 and 2:
+# every split separates the same two rows, so all gains tie exactly and
+# only rounding tells them apart
+TWO_ROWS = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+
+
+def two_row_target(rng, accept):
+    """First seeded 2-row target y for which ``accept(y)`` holds."""
+    for _ in range(200_000):
+        y = rng.normal(size=2)
+        if accept(y):
+            return y
+    raise AssertionError("seeded search found no fixture")
+
+
+def pow_flip_target():
+    """A 2-row target on TWO_ROWS where scalar pow and array x*x pick
+    different features."""
+    def flips(y):
+        want = reference_best_split(TWO_ROWS, y)
+        return want is not None and vector_argmax_feature(TWO_ROWS, y) != want[0]
+    return two_row_target(np.random.default_rng(0), flips)
+
+
+def oracle_fixtures():
+    """Seeded (X, y) fixtures for the exact-equality tests."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in (2, 3, 5, 17, 60):
+        out.append((rng.normal(size=(n, 3)), rng.normal(size=n)))
+        # integer-valued features: many equal values, few boundaries
+        out.append((rng.integers(0, 4, size=(n, 4)).astype(float),
+                    rng.normal(size=n)))
+        # duplicated columns tie exactly
+        X = rng.normal(size=(n, 2)).round(1)
+        out.append((np.column_stack([X, X[:, ::-1], X[:, :1]]),
+                    rng.normal(size=n).round(2)))
+        # constant target: every gain is 0 up to rounding
+        out.append((rng.normal(size=(n, 3)), np.full(n, 0.7)))
+    out.append((np.zeros((4, 0)), rng.normal(size=4)))   # no features
+    out.append((TWO_ROWS, pow_flip_target()))
     return out
 
 
@@ -107,6 +234,26 @@ class TestBestSplit:
         X = np.ones((8, 1))
         assert best_split(X, np.arange(8.0)) is None
 
+    def test_equals_scalar_reference(self):
+        for X, y in oracle_fixtures():
+            assert best_split(X, y) == reference_best_split(X, y)
+
+    def test_pow_rounding_fixture(self):
+        # picking the vector argmax would change this split; the engine
+        # keeps the scalar formula's choice
+        y = pow_flip_target()
+        want = reference_best_split(TWO_ROWS, y)
+        assert vector_argmax_feature(TWO_ROWS, y) != want[0]
+        assert best_split(TWO_ROWS, y) == want
+
+    def test_exact_tie_can_resolve_to_higher_feature(self):
+        # all three splits tie in exact arithmetic; rounding decides
+        def higher(y):
+            got = best_split(TWO_ROWS, y)
+            return got is not None and got[0] > 0
+        y = two_row_target(np.random.default_rng(1), higher)
+        assert best_split(TWO_ROWS, y) == reference_best_split(TWO_ROWS, y)
+
     def test_tie_prefers_lowest_feature(self):
         # identical columns: gain ties exactly, feature 0 must win
         col = np.array([0.0, 0.0, 1.0, 1.0])
@@ -117,6 +264,12 @@ class TestBestSplit:
 
 
 class TestFitTree:
+    def test_equals_scalar_reference(self):
+        for X, y in oracle_fixtures():
+            for depth in (1, 3, 6):
+                assert (fit_tree(X, y, depth).to_dict()
+                        == reference_fit_tree(X, y, depth).to_dict())
+
     def test_depth_zero_is_mean_leaf(self):
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -152,6 +305,16 @@ class TestGbt:
         X = rng.uniform(-2, 2, size=(n, 3))
         y = np.sin(X[:, 0]) + 0.5 * X[:, 1] + rng.normal(0, 0.05, n)
         return X, y
+
+    def test_equals_scalar_reference(self):
+        # training predictions come from the leaves, not tree_predict
+        for X, y in oracle_fixtures():
+            for depth in (1, 3, 6):
+                got = fit_gbt(X, y, n_estimators=4, max_depth=depth,
+                              learning_rate=0.5)
+                want = reference_fit_gbt(X, y, n_estimators=4,
+                                         max_depth=depth, learning_rate=0.5)
+                assert got.to_json() == want.to_json()
 
     def test_staged_train_mse_non_increasing(self):
         X, y = self.small_problem()

@@ -29,6 +29,23 @@ def checkpoint_dir(tmp_path_factory, dataset_path):
     return out
 
 
+@pytest.fixture(scope="module")
+def gbt_checkpoint(tmp_path_factory, dataset_path):
+    out = tmp_path_factory.mktemp("gbt")
+    assert main(["train", "--dataset", dataset_path, "--model", "gbt",
+                 "--out", str(out), "--splits", "96:48:48",
+                 "--window-len", "6"]) == 0
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+def assert_usage_error(rc, capsys):
+    """Exit 2 with a one-line ``error:`` message and no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
 class TestSynthIngest:
     def test_full_pipeline(self, tmp_path):
         fx = tmp_path / "fx"
@@ -112,6 +129,31 @@ class TestTrain:
                    "--splits", "banana"])
         assert rc == 2
 
+    def test_missing_config_file(self, dataset_path, tmp_path, capsys):
+        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path),
+                   "--config", str(tmp_path / "nope.json")])
+        assert "cannot read config" in assert_usage_error(rc, capsys)
+
+    def test_zero_batch_size_rejected(self, dataset_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 0}))
+        rc = main(["train", "--dataset", dataset_path, "--config", str(cfg),
+                   "--out", str(tmp_path)] + FAST)
+        assert "batch_size" in assert_usage_error(rc, capsys)
+
+    def test_dropout_rate_out_of_range(self, dataset_path, tmp_path, capsys):
+        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path),
+                   "--dropout-rate", "1.5"] + FAST)
+        assert "dropout_rate" in assert_usage_error(rc, capsys)
+
+    def test_truncated_dataset(self, dataset_path, tmp_path, capsys):
+        text = open(dataset_path).read()
+        bad = tmp_path / "dataset.json"
+        bad.write_text(text[:len(text) // 2])
+        rc = main(["train", "--dataset", str(bad), "--out", str(tmp_path)]
+                  + FAST)
+        assert_usage_error(rc, capsys)
+
     def test_env_out_dir(self, dataset_path, tmp_path, monkeypatch):
         monkeypatch.setenv("POWERNET_OUT", str(tmp_path / "envout"))
         assert main(["train", "--dataset", dataset_path, "--seed", "1"] + FAST) == 0
@@ -149,6 +191,33 @@ class TestEvaluate:
         rc = main(["evaluate", "--checkpoint", "nope.json",
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_truncated_checkpoint(self, dataset_path, checkpoint_dir,
+                                  tmp_path, capsys):
+        text = (checkpoint_dir / "checkpoint.json").read_text()
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(text[:len(text) // 2])
+        rc = main(["evaluate", "--checkpoint", str(bad),
+                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        assert_usage_error(rc, capsys)
+
+    def test_gbt_checkpoint(self, dataset_path, gbt_checkpoint, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(gbt_checkpoint))
+        rc = main(["evaluate", "--checkpoint", str(path),
+                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "evaluate_test.json").read_text())["n"] == 48
+
+    @pytest.mark.parametrize("key", ["trees", "feature_spec"])
+    def test_gbt_checkpoint_missing_key(self, dataset_path, gbt_checkpoint,
+                                        tmp_path, capsys, key):
+        doc = {k: v for k, v in gbt_checkpoint.items() if k != key}
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--checkpoint", str(path),
+                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        assert key in assert_usage_error(rc, capsys)
 
 
 class TestForecast:
