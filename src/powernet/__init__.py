@@ -2,10 +2,11 @@
 
 Subpackages:
 
-- ``numcore``: dense array helpers and finite-difference gradient checking
+- ``numcore``: activations and finite-difference gradient checking
 - ``dataio``: CSV ingestion, hourly resampling, aggregation, alignment
 - ``features``: ACF window selection, weather/calendar vectors, example sets
-- ``model``: stacked-LSTM + MLP network with exact hand-derived gradients
+- ``model``: stacked-LSTM + MLP network with exact hand-derived gradients,
+  its weights held in one flat vector
 - ``training``: Adam, early stopping, memory-size grid search
 - ``metrics``: MSE, MAPE, error curves
 - ``baselines``: persistence and gradient-boosted regression trees

@@ -230,8 +230,8 @@ class GbtModel:
             curve.append(mse(y, pred))
         return curve
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "format_version": GBT_FORMAT_VERSION,
             "model_type": "gbt",
             "initial_prediction": self.initial_prediction,
@@ -239,7 +239,9 @@ class GbtModel:
             "max_depth": self.max_depth,
             "trees": [t.to_dict() for t in self.trees],
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "GbtModel":

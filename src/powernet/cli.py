@@ -160,8 +160,9 @@ def cmd_ingest(args):
 
 
 def _train_common(args, use_grid: bool):
-    d = _load_dataset(args.dataset)
     cfg = _load_config(args)
+    tcfg = _train_config(cfg) if args.model == "powernet" else None
+    d = _load_dataset(args.dataset)
     data, bounds = _prepare_examples(d, cfg)
     out = _out_dir(args)
     if args.model == "gbt":
@@ -170,8 +171,8 @@ def _train_common(args, use_grid: bool):
         else:
             model = baselines.fit_gbt_examples(data)
             report = []
-        doc = json.loads(model.to_json())
-        doc["feature_spec"] = json.loads(data.spec.to_json())
+        doc = model.to_dict()
+        doc["feature_spec"] = data.spec.to_dict()
         doc["splits"] = [list(b) for b in bounds]
         _write(os.path.join(out, "checkpoint.json"),
                json.dumps(doc, indent=1, sort_keys=True))
@@ -179,7 +180,6 @@ def _train_common(args, use_grid: bool):
                json.dumps(report, indent=1, sort_keys=True))
         print(f"gbt model written to {out}/checkpoint.json")
         return 0
-    tcfg = _train_config(cfg)
     if use_grid:
         params, report, cell_reports = grid_search(data, tcfg)
         _write(os.path.join(out, "grid_report.json"), json.dumps(
@@ -194,7 +194,7 @@ def _train_common(args, use_grid: bool):
              "stack": len(params.lstm),
              "splits": [list(b) for b in bounds]}
     _write(os.path.join(out, "checkpoint.json"),
-           checkpoint_to_json(params, hyper, data.spec.to_json(), cfg.get("seed", 0)))
+           checkpoint_to_json(params, hyper, data.spec.to_dict(), cfg.get("seed", 0)))
     _write(os.path.join(out, "report.json"), report.to_json())
     report.write_curves_csv(os.path.join(out, "curves.csv"))
     print(f"best val MSE {report.best_val_mse:.6g} (epoch {report.best_epoch}) "

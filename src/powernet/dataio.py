@@ -89,7 +89,6 @@ class IngestReport:
     rows_parsed: int = 0
     rows_malformed: int = 0
     negatives_dropped: int = 0
-    hours_dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,8 @@ def load_consumption(path, fmt: str = "per_minute",
                      report: IngestReport | None = None) -> TimeSeries:
     """Load a two-column ``timestamp,power_kW`` CSV at its native resolution.
 
-    Malformed rows are counted and skipped (>50% malformed is a hard error);
-    negative readings become gaps.
+    Malformed rows, including non-finite readings, are counted and skipped
+    (>50% malformed is a hard error); negative readings become gaps.
     """
     if fmt not in STEP_OF_FORMAT:
         raise DataError(f"unknown consumption format {fmt!r}")
@@ -204,8 +203,11 @@ def load_consumption(path, fmt: str = "per_minute",
             try:
                 ts = parse_timestamp(line[0], utc_offset_hours)
                 power = float(line[1])
-            except (ValueError, IndexError):
+            except (ValueError, IndexError, OverflowError):
                 # header line or junk
+                bad += 1
+                continue
+            if not math.isfinite(power):
                 bad += 1
                 continue
             rows.append((ts, power))

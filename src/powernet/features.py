@@ -93,8 +93,8 @@ class FeatureSpec:
     def denormalize_kw(self, v):
         return np.asarray(v, dtype=np.float64) * self.cons_std + self.cons_mean
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "format_version": SPEC_FORMAT_VERSION,
             "window_len": self.window_len,
             "summary_vocab": self.summary_vocab,
@@ -106,7 +106,9 @@ class FeatureSpec:
             "daytime_range": list(self.daytime_range),
             "utc_offset_hours": self.utc_offset_hours,
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSpec":
@@ -174,6 +176,9 @@ def fit_feature_spec(d: AlignedDataset, train_slice: slice,
         raise FeatureError("empty training slice")
     if window_len is None:
         window_len = select_window(acf(kw, min(max_lag, len(kw) - 1)), acf_threshold)
+    window_len = int(window_len)
+    if window_len < 1:
+        raise FeatureError(f"window_len must be >= 1, got {window_len}")
 
     numeric = d.weather.numeric[train_slice]
     with warnings.catch_warnings():
@@ -194,7 +199,7 @@ def fit_feature_spec(d: AlignedDataset, train_slice: slice,
     idx = range(*train_slice.indices(len(d)))
     cons_std = float(kw.std())
     return FeatureSpec(
-        window_len=int(window_len),
+        window_len=window_len,
         summary_vocab=build_vocab(d.weather.summary[i] for i in idx),
         icon_vocab=build_vocab(d.weather.icon[i] for i in idx),
         weather_mean=mean,

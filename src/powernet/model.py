@@ -5,18 +5,23 @@ head over the concatenated encodings.
 Forward and backward passes are hand-derived (backpropagation through time
 for the recurrence) and operate on batches; gradients are exact and checked
 against central finite differences in the test suite.
+
+All weights live in one contiguous float64 vector, and every weight array is
+a view into it. Gradients use the same layout, so the optimizer and the
+finite-difference checker work on plain vectors; ``to_vector`` returns the
+vector itself and ``from_vector`` wraps a vector without copying, so the
+new parameters share its memory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numcore import sigmoid, relu, relu_grad, ShapeError
-
-GATE_ORDER = "ifgo"   # input, forget, candidate, output blocks of the 4m rows
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -33,107 +38,96 @@ class LstmLayerParams:
     def m(self) -> int:
         return self.w_h.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[1]
+
+def param_layout(m: int, d1: int, d2: int, d3: int, stack: int = 2,
+                 n_aux_features: int = 18) -> tuple:
+    """(name, start, stop, shape) of every parameter in the flat vector:
+    the stacked LSTM layers bottom first, then w1, b1, ..., w4, b4."""
+    shapes = []
+    input_dim = 1
+    for k in range(stack):
+        shapes += [(f"lstm{k}.w_x", (4 * m, input_dim)),
+                   (f"lstm{k}.w_h", (4 * m, m)), (f"lstm{k}.b", (4 * m,))]
+        input_dim = m
+    shapes += [("w1", (d1, n_aux_features)), ("b1", (d1,)),
+               ("w2", (d2, d1)), ("b2", (d2,)),
+               ("w3", (d3, m + d2)), ("b3", (d3,)), ("w4", (d3,)), ("b4", (1,))]
+    layout = []
+    start = 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((name, start, stop, shape))
+        start = stop
+    return tuple(layout)
 
 
-@dataclass
 class PowerNetParams:
-    """All trainable weights of the network."""
+    """All trainable weights: ``vec`` laid out by ``layout``, with every
+    weight array a view into it. Write into the views (``p.w1[:] = ...``);
+    rebinding an attribute detaches it from ``vec``."""
 
-    lstm: list            # stacked LstmLayerParams, bottom first
-    w1: np.ndarray        # (d1, 18)
-    b1: np.ndarray
-    w2: np.ndarray        # (d2, d1)
-    b2: np.ndarray
-    w3: np.ndarray        # (d3, m + d2)
-    b3: np.ndarray
-    w4: np.ndarray        # (d3,)
-    b4: float
+    def __init__(self, vec: np.ndarray, layout: tuple):
+        self.vec = vec
+        self.layout = layout
+        self._views = [vec[start:stop].reshape(shape)
+                       for _, start, stop, shape in layout]
+        n = len(self._views) - 8
+        self.lstm = [LstmLayerParams(*self._views[k:k + 3])
+                     for k in range(0, n, 3)]
+        (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4,
+         self._b4) = self._views[n:]
+
+    @property
+    def b4(self) -> float:
+        return float(self._b4[0])
+
+    @b4.setter
+    def b4(self, value: float):
+        self._b4[0] = value
 
     @property
     def m(self) -> int:
         return self.lstm[-1].m
 
     def arrays(self):
-        """(name, array) pairs in a fixed order; b4 is exposed as a 1-vector."""
-        out = []
-        for k, layer in enumerate(self.lstm):
-            out += [(f"lstm{k}.w_x", layer.w_x), (f"lstm{k}.w_h", layer.w_h),
-                    (f"lstm{k}.b", layer.b)]
-        out += [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
-                ("w3", self.w3), ("b3", self.b3), ("w4", self.w4),
-                ("b4", np.array([self.b4]))]
-        return out
+        """(name, view) pairs in layout order; b4 is a 1-vector."""
+        return [(entry[0], view) for entry, view in zip(self.layout, self._views)]
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.arrays()])
+        """The parameter vector itself, not a copy."""
+        return self.vec
 
     def from_vector(self, vec: np.ndarray) -> "PowerNetParams":
-        """New params with the same shapes, values taken from a flat vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        pieces = {}
-        offset = 0
-        for name, a in self.arrays():
-            pieces[name] = vec[offset:offset + a.size].reshape(a.shape).copy()
-            offset += a.size
-        if offset != vec.size:
-            raise ShapeError(f"vector has {vec.size} entries, params need {offset}")
-        lstm = [LstmLayerParams(w_x=pieces[f"lstm{k}.w_x"],
-                                w_h=pieces[f"lstm{k}.w_h"],
-                                b=pieces[f"lstm{k}.b"])
-                for k in range(len(self.lstm))]
-        return PowerNetParams(lstm=lstm, w1=pieces["w1"], b1=pieces["b1"],
-                              w2=pieces["w2"], b2=pieces["b2"],
-                              w3=pieces["w3"], b3=pieces["b3"],
-                              w4=pieces["w4"], b4=float(pieces["b4"][0]))
+        """Params with the same layout whose views share ``vec``'s memory."""
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+        if vec.shape != self.vec.shape:
+            raise ShapeError(f"vector has shape {vec.shape}, params need {self.vec.shape}")
+        return PowerNetParams(vec, self.layout)
 
     def zeros_like(self) -> "PowerNetParams":
-        return self.from_vector(np.zeros(self.to_vector().size))
+        return PowerNetParams(np.zeros(self.vec.size), self.layout)
 
 
-def _xavier(rng, rows, cols):
+def _xavier(rng, w):
+    """Fill the 2-D view ``w`` with Xavier-uniform draws."""
+    rows, cols = w.shape
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+    w[:] = rng.uniform(-bound, bound, size=(rows, cols))
 
 
 def init_params(m: int, d1: int, d2: int, d3: int, seed: int = 0,
                 stack: int = 2, n_aux_features: int = 18) -> PowerNetParams:
     """Xavier-uniform weights, zero biases except forget-gate bias = 1."""
     rng = np.random.default_rng(seed)
-    lstm = []
-    input_dim = 1
-    for _ in range(stack):
-        b = np.zeros(4 * m)
-        b[m:2 * m] = 1.0   # forget-gate block
-        lstm.append(LstmLayerParams(
-            w_x=_xavier(rng, 4 * m, input_dim),
-            w_h=_xavier(rng, 4 * m, m),
-            b=b,
-        ))
-        input_dim = m
-    return PowerNetParams(
-        lstm=lstm,
-        w1=_xavier(rng, d1, n_aux_features), b1=np.zeros(d1),
-        w2=_xavier(rng, d2, d1), b2=np.zeros(d2),
-        w3=_xavier(rng, d3, m + d2), b3=np.zeros(d3),
-        w4=_xavier(rng, 1, d3)[0], b4=0.0,
-    )
-
-
-def lstm_step(x_t, h_prev, c_prev, p: LstmLayerParams):
-    """Single-example LSTM cell update; returns (h_t, c_t)."""
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
-    z = p.w_x @ x_t + p.w_h @ h_prev + p.b
-    m = p.m
-    i = sigmoid(z[:m])
-    f = sigmoid(z[m:2 * m])
-    g = np.tanh(z[2 * m:3 * m])
-    o = sigmoid(z[3 * m:])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
+    layout = param_layout(m, d1, d2, d3, stack, n_aux_features)
+    p = PowerNetParams(np.zeros(layout[-1][2]), layout)
+    for layer in p.lstm:
+        _xavier(rng, layer.w_x)
+        _xavier(rng, layer.w_h)
+        layer.b[m:2 * m] = 1.0   # forget-gate block
+    for w in (p.w1, p.w2, p.w3, p.w4[None, :]):
+        _xavier(rng, w)
+    return p
 
 
 @dataclass
@@ -197,17 +191,16 @@ def _lstm_forward(X: np.ndarray, p: LstmLayerParams):
     return H, tr
 
 
-def _lstm_backward(tr: _LstmTrace, p: LstmLayerParams, dH_ext: np.ndarray):
+def _lstm_backward(tr: _LstmTrace, p: LstmLayerParams, dH_ext: np.ndarray,
+                   grad: LstmLayerParams) -> np.ndarray:
     """BPTT for one layer; dH_ext is (B, T, m) upstream gradient on each h_t.
 
-    Returns (dw_x, dw_h, db, dX) with dX shaped like the layer input.
+    Accumulates the weight gradients into ``grad`` (zero on entry) and
+    returns dX, shaped like the layer input.
     """
     T = len(tr.x)
     B, _, m = dH_ext.shape
-    dw_x = np.zeros_like(p.w_x)
-    dw_h = np.zeros_like(p.w_h)
-    db = np.zeros_like(p.b)
-    dX = np.empty((B, T, p.input_dim))
+    dX = np.empty((B, T, p.w_x.shape[1]))
     dh_rec = np.zeros((B, m))
     dc_rec = np.zeros((B, m))
     for t in range(T - 1, -1, -1):
@@ -225,12 +218,12 @@ def _lstm_backward(tr: _LstmTrace, p: LstmLayerParams, dH_ext: np.ndarray):
             dg * (1.0 - g ** 2),
             do * o * (1.0 - o),
         ], axis=1)
-        dw_x += dz.T @ tr.x[t]
-        dw_h += dz.T @ tr.h_prev[t]
-        db += dz.sum(axis=0)
+        grad.w_x += dz.T @ tr.x[t]
+        grad.w_h += dz.T @ tr.h_prev[t]
+        grad.b += dz.sum(axis=0)
         dX[:, t, :] = dz @ p.w_x
         dh_rec = dz @ p.w_h
-    return dw_x, dw_h, db, dX
+    return dX
 
 
 def _dropout_mask(rng, shape, rate):
@@ -267,6 +260,8 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
 
     u = np.concatenate([np.asarray(fw, dtype=np.float64),
                         np.asarray(fc, dtype=np.float64)], axis=1)
+    if u.shape != (B, p.w1.shape[1]):
+        raise ShapeError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
     s1 = u @ p.w1.T + p.b1
     a1 = relu(s1)
     mask2 = _dropout_mask(rng, a1.shape, dropout_rate) if use_dropout else None
@@ -295,15 +290,16 @@ def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
     dyhat = np.asarray(dyhat, dtype=np.float64)
     B = dyhat.shape[0]
     m = p.m
+    grads = p.zeros_like()
 
-    dw4 = trace.rd.T @ dyhat
-    db4 = float(dyhat.sum())
+    grads.w4[:] = trace.rd.T @ dyhat
+    grads.b4 = dyhat.sum()
     dr = dyhat[:, None] * p.w4[None, :]
     if trace.mask4 is not None:
         dr = dr * trace.mask4
     ds3 = dr * relu_grad(trace.s3)
-    dw3 = ds3.T @ trace.zd
-    db3 = ds3.sum(axis=0)
+    grads.w3[:] = ds3.T @ trace.zd
+    grads.b3[:] = ds3.sum(axis=0)
     dz = ds3 @ p.w3
     if trace.mask3 is not None:
         dz = dz * trace.mask3
@@ -311,88 +307,34 @@ def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
     do = dz[:, m:]
 
     ds2 = do * relu_grad(trace.s2)
-    dw2 = ds2.T @ trace.a1d
-    db2 = ds2.sum(axis=0)
+    grads.w2[:] = ds2.T @ trace.a1d
+    grads.b2[:] = ds2.sum(axis=0)
     da1 = ds2 @ p.w2
     if trace.mask2 is not None:
         da1 = da1 * trace.mask2
     ds1 = da1 * relu_grad(trace.s1)
-    dw1 = ds1.T @ trace.u
-    db1 = ds1.sum(axis=0)
+    grads.w1[:] = ds1.T @ trace.u
+    grads.b1[:] = ds1.sum(axis=0)
 
     T = len(trace.layers[0].x)
     dH_ext = np.zeros((B, T, m))
     dH_ext[:, -1, :] = dh_final
-    lstm_grads = [None] * len(p.lstm)
     for k in range(len(p.lstm) - 1, -1, -1):
-        dwx, dwh, dbv, dX = _lstm_backward(trace.layers[k], p.lstm[k], dH_ext)
-        lstm_grads[k] = LstmLayerParams(w_x=dwx, w_h=dwh, b=dbv)
-        dH_ext = dX
-
-    return PowerNetParams(lstm=lstm_grads, w1=dw1, b1=db1, w2=dw2, b2=db2,
-                          w3=dw3, b3=db3, w4=dw4, b4=db4)
-
-
-# single-example conveniences ------------------------------------------------
-
-def encode(E, p: PowerNetParams):
-    """Encode one consumption window; returns (h_final (m,), trace)."""
-    E = np.asarray(E, dtype=np.float64)
-    if E.ndim != 1 or len(E) < 1:
-        raise ShapeError("encode expects a non-empty 1-D sequence")
-    X = E[None, :, None]
-    traces = []
-    for layer in p.lstm:
-        X, tr = _lstm_forward(X, layer)
-        traces.append(tr)
-    return X[0, -1, :], traces
-
-
-def fuse(f_w, f_c, p: PowerNetParams):
-    """Weather/calendar fusion MLP; returns (o (d2,), trace)."""
-    u = np.concatenate([np.asarray(f_w, dtype=np.float64),
-                        np.asarray(f_c, dtype=np.float64)])
-    if len(u) != p.w1.shape[1]:
-        raise ShapeError(f"fusion input has {len(u)} features, expected {p.w1.shape[1]}")
-    s1 = p.w1 @ u + p.b1
-    a1 = relu(s1)
-    s2 = p.w2 @ a1 + p.b2
-    return relu(s2), (s1, s2)
-
-
-def predict_head(h_final, o, p: PowerNetParams) -> float:
-    """Regression head on the concatenated encodings."""
-    z = np.concatenate([h_final, o])
-    if len(z) != p.w3.shape[1]:
-        raise ShapeError(f"head input has {len(z)} entries, expected {p.w3.shape[1]}")
-    r = relu(p.w3 @ z + p.b3)
-    return float(p.w4 @ r + p.b4)
-
-
-def forward(E, f_w, f_c, p: PowerNetParams, dropout_rate: float = 0.0,
-            mode: str = "infer", rng_seed: int = 0):
-    """Single-example forward; deterministic given rng_seed in train mode."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(rng_seed) if mode == "train" else None
-    yhat, trace = forward_batch(
-        np.asarray(E, dtype=np.float64)[None, :],
-        np.asarray(f_w, dtype=np.float64)[None, :],
-        np.asarray(f_c, dtype=np.float64)[None, :],
-        p, dropout_rate=dropout_rate, train=(mode == "train"), rng=rng)
-    return float(yhat[0]), trace
+        dH_ext = _lstm_backward(trace.layers[k], p.lstm[k], dH_ext,
+                                grads.lstm[k])
+    return grads
 
 
 # checkpoint serialization ---------------------------------------------------
 
-def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec_doc,
+def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
                        seed: int) -> str:
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_type": "powernet",
         "hyperparameters": hyper,
         "seed": seed,
-        "feature_spec": json.loads(feature_spec_doc) if isinstance(feature_spec_doc, str) else feature_spec_doc,
+        "feature_spec": feature_spec,
         "params": {name: {"shape": list(a.shape), "data": a.ravel().tolist()}
                    for name, a in p.arrays()},
         "stack": len(p.lstm),
@@ -410,17 +352,21 @@ def checkpoint_from_dict(doc: dict):
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
     raw = doc["params"]
-
-    def arr(name):
-        entry = raw[name]
-        return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-
-    lstm = []
-    for k in range(doc["stack"]):
-        lstm.append(LstmLayerParams(w_x=arr(f"lstm{k}.w_x"),
-                                    w_h=arr(f"lstm{k}.w_h"),
-                                    b=arr(f"lstm{k}.b")))
-    p = PowerNetParams(lstm=lstm, w1=arr("w1"), b1=arr("b1"),
-                       w2=arr("w2"), b2=arr("b2"), w3=arr("w3"), b3=arr("b3"),
-                       w4=arr("w4"), b4=float(arr("b4")[0]))
-    return p, doc["hyperparameters"], doc["feature_spec"], doc["seed"]
+    shapes = {name: tuple(entry["shape"]) for name, entry in raw.items()}
+    _, m = shapes["lstm0.w_h"]
+    (d1, _), (d2, _), (d3, _) = shapes["w1"], shapes["w2"], shapes["w3"]
+    stack = doc["stack"]
+    if len(shapes) != 3 * stack + 8:
+        raise ValueError(f"stack {stack} does not fit {len(shapes)} parameters")
+    layout = param_layout(m, d1, d2, d3, stack)
+    expected = {name: shape for name, _, _, shape in layout}
+    if shapes != expected:
+        name = min(set(shapes) ^ set(expected)
+                   or {n for n in expected if shapes[n] != expected[n]})
+        raise ValueError(f"parameter {name} does not fit a {stack}-layer network "
+                         f"with m={m}, d1={d1}, d2={d2}, d3={d3}")
+    vec = np.concatenate([
+        np.asarray(raw[name]["data"], dtype=np.float64).reshape(stop - start)
+        for name, start, stop, _ in layout])
+    return (PowerNetParams(vec, layout), doc["hyperparameters"],
+            doc["feature_spec"], doc["seed"])

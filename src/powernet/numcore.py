@@ -1,8 +1,7 @@
-"""Dense vector/matrix helpers and a finite-difference gradient checker.
+"""Activations, their gradient and a finite-difference gradient checker.
 
-All numeric state lives in float64 numpy arrays: vectors are 1-D, matrices
-are 2-D row-major. Functions allocate fresh outputs and never mutate their
-inputs, so values can be shared freely between threads.
+All numeric state lives in float64 numpy arrays. Functions allocate fresh
+outputs and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -16,27 +15,11 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def as_matrix(data) -> np.ndarray:
-    a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
 def as_vector(data) -> np.ndarray:
     a = np.asarray(data, dtype=np.float64)
     if a.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def sigmoid(x):
@@ -50,26 +33,6 @@ def relu(x):
 def relu_grad(pre_activation):
     # Subgradient at exactly 0 is taken as 0, matching the forward pass.
     return (np.asarray(pre_activation) > 0.0).astype(np.float64)
-
-
-_ELEMENTWISE: dict[str, Callable] = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "relu": relu,
-    "identity": lambda x: np.asarray(x, dtype=np.float64).copy(),
-}
-
-
-def elementwise(x, fn: str) -> np.ndarray:
-    """Apply a named activation entrywise; output has the input's shape."""
-    if fn not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise fn {fn!r}")
-    return _ELEMENTWISE[fn](np.asarray(x, dtype=np.float64))
-
-
-def concat(a, b) -> np.ndarray:
-    """Concatenate two vectors, a's entries first."""
-    return np.concatenate([as_vector(a), as_vector(b)])
 
 
 def grad_check(f: Callable[[np.ndarray], float], p, analytic_grad,

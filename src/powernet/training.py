@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -45,8 +46,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError("l2_lambda must be non-negative and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
@@ -57,6 +60,11 @@ class TrainConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not self.memory_size_grid:
             raise ValueError("memory_size_grid must be non-empty")
+        if min(self.memory_size_grid) < 1:
+            raise ValueError("memory_size_grid entries must be >= 1")
+        for name in ("memory_size", "d1", "d2", "d3", "stack"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def to_dict(self):
         d = self.__dict__.copy()
@@ -72,8 +80,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, p: PowerNetParams) -> "AdamState":
-        n = p.to_vector().size
-        return cls(m=np.zeros(n), v=np.zeros(n))
+        return cls(m=np.zeros(p.vec.size), v=np.zeros(p.vec.size))
 
 
 @dataclass
@@ -127,20 +134,19 @@ def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
     value = float(np.mean(resid ** 2))
     grads = backward_batch(trace, 2.0 * resid / len(y), p)
     if l2_lambda > 0.0:
-        for w in (p.w1, p.w2, p.w3, p.w4):
+        for w, g in ((p.w1, grads.w1), (p.w2, grads.w2), (p.w3, grads.w3),
+                     (p.w4, grads.w4)):
             value += l2_lambda * float(np.sum(w ** 2))
-        grads.w1 = grads.w1 + 2.0 * l2_lambda * p.w1
-        grads.w2 = grads.w2 + 2.0 * l2_lambda * p.w2
-        grads.w3 = grads.w3 + 2.0 * l2_lambda * p.w3
-        grads.w4 = grads.w4 + 2.0 * l2_lambda * p.w4
+            g += 2.0 * l2_lambda * w
     return value, grads
 
 
 def adam_step(p: PowerNetParams, grads: PowerNetParams, state: AdamState,
               lr: float) -> PowerNetParams:
-    """One Adam update; mutates state, returns updated parameters."""
-    theta = p.to_vector()
-    g = grads.to_vector()
+    """One Adam update; mutates state, returns new parameters and leaves
+    ``p`` unchanged."""
+    theta = p.vec
+    g = grads.vec
     state.t += 1
     state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g

@@ -47,6 +47,22 @@ def assert_usage_error(rc, capsys):
 
 
 class TestSynthIngest:
+    def test_non_finite_readings_are_malformed(self, tmp_path):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / "Apt1.csv").read_text().splitlines()
+        for i, token in ((5, "inf"), (40, "-inf"), (90, "nan")):
+            lines[i] = lines[i].split(",")[0] + "," + token
+        (fx / "Apt1.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                     "--weather", str(fx / "weather.csv"), "--out", str(out)]) == 0
+        text = (out / "dataset.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["rows_malformed"] == 3
+
     def test_full_pipeline(self, tmp_path):
         fx = tmp_path / "fx"
         assert main(["synth", "--out", str(fx), "--days", "3",
@@ -141,6 +157,32 @@ class TestTrain:
                    "--out", str(tmp_path)] + FAST)
         assert "batch_size" in assert_usage_error(rc, capsys)
 
+    @pytest.mark.parametrize("flags, config, field", [
+        (["--memory-size", "0"], {}, "memory_size"),
+        (["--window-len", "0"], {}, "window_len"),
+        ([], {"stack": 0}, "stack"),
+        (["--learning-rate", "nan"], {}, "learning_rate"),
+        (["--learning-rate", "inf"], {}, "learning_rate"),
+        (["--l2-lambda", "-1"], {}, "l2_lambda"),
+        ([], {"d1": 0}, "d1"),
+    ], ids=["memory_size", "window_len", "stack", "learning_rate_nan",
+            "learning_rate_inf", "l2_lambda", "d1"])
+    def test_bad_training_setting(self, dataset_path, tmp_path, capsys,
+                                  flags, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["train", "--dataset", dataset_path, "--config", str(cfg),
+                   "--out", str(tmp_path)] + FAST + flags)
+        assert field in assert_usage_error(rc, capsys)
+
+    def test_config_checked_before_data(self, dataset_path, tmp_path, capsys):
+        # the dataset is too short for these splits; the config error wins
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 0}))
+        rc = main(["train", "--dataset", dataset_path, "--config", str(cfg),
+                   "--out", str(tmp_path), "--splits", "900:48:48"])
+        assert "batch_size" in assert_usage_error(rc, capsys)
+
     def test_dropout_rate_out_of_range(self, dataset_path, tmp_path, capsys):
         rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path),
                    "--dropout-rate", "1.5"] + FAST)
@@ -200,6 +242,22 @@ class TestEvaluate:
         rc = main(["evaluate", "--checkpoint", str(bad),
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert_usage_error(rc, capsys)
+
+    @pytest.mark.parametrize("case, name", [("w1_17_columns", "w1"),
+                                            ("stack_1", "stack")])
+    def test_checkpoint_params_must_fit_layout(self, dataset_path, checkpoint_dir,
+                                               tmp_path, capsys, case, name):
+        doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+        if case == "w1_17_columns":
+            d1 = doc["params"]["w1"]["shape"][0]
+            doc["params"]["w1"] = {"shape": [d1, 17], "data": [0.0] * (d1 * 17)}
+        else:   # a 2-layer network recorded as 1 layer
+            doc["stack"] = 1
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--checkpoint", str(bad),
+                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        assert name in assert_usage_error(rc, capsys)
 
     def test_gbt_checkpoint(self, dataset_path, gbt_checkpoint, tmp_path):
         path = tmp_path / "checkpoint.json"

@@ -48,6 +48,16 @@ class TestLoadConsumption:
         assert report.rows_malformed == 1
         assert report.rows_parsed == 2
 
+    def test_non_finite_readings_are_malformed(self, tmp_path):
+        report = dataio.IngestReport()
+        rows = ["0,1.0", "60,inf", "120,-inf", "180,nan", "240,2.0", "inf,3.0",
+                "300,4.0", "360,5.0"]
+        s = load_consumption(write_csv(tmp_path / "a.csv", rows), "per_minute",
+                             report=report)
+        assert report.rows_malformed == 4 and report.rows_parsed == 4
+        assert np.all(np.isfinite(s.values[[0, 4, 5, 6]]))
+        assert np.isnan(s.values[[1, 2, 3]]).all()
+
     def test_negative_becomes_gap(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["0,1.0", "60,-0.5"])
         s = load_consumption(path, "per_minute")

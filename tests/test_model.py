@@ -1,17 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from powernet.numcore import ShapeError, grad_check, sigmoid
 from powernet.model import (
-    LstmLayerParams, checkpoint_from_json, checkpoint_to_json, encode,
-    forward, forward_batch, backward_batch, fuse, init_params, lstm_step,
-    predict_head,
+    checkpoint_from_dict, checkpoint_from_json, checkpoint_to_json,
+    forward_batch, backward_batch, init_params, param_layout,
 )
 from powernet.training import loss
 
 
-def small_params(m=4, d1=5, d2=3, d3=6, seed=0):
-    return init_params(m, d1, d2, d3, seed=seed)
+def small_params(m=4, d1=5, d2=3, d3=6, seed=0, stack=2):
+    return init_params(m, d1, d2, d3, seed=seed, stack=stack)
 
 
 def zero_params(m=3, d1=4, d2=3, d3=5):
@@ -19,60 +20,125 @@ def zero_params(m=3, d1=4, d2=3, d3=5):
     return p.from_vector(np.zeros(p.to_vector().size))
 
 
+def reference_lstm_step(x_t, h_prev, c_prev, layer):
+    """Single-example LSTM cell update, the oracle for the batched layer;
+    returns (h_t, c_t)."""
+    x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
+    z = layer.w_x @ x_t + layer.w_h @ h_prev + layer.b
+    m = layer.m
+    i = sigmoid(z[:m])
+    f = sigmoid(z[m:2 * m])
+    g = np.tanh(z[2 * m:3 * m])
+    o = sigmoid(z[3 * m:])
+    c_t = f * c_prev + i * g
+    h_t = o * np.tanh(c_t)
+    return h_t, c_t
+
+
+def forward_one(E, fw, fc, p, **kwargs):
+    """forward_batch on one example (B=1); returns (yhat, trace)."""
+    yhat, trace = forward_batch(np.asarray(E, dtype=np.float64)[None, :],
+                                np.asarray(fw, dtype=np.float64)[None, :],
+                                np.asarray(fc, dtype=np.float64)[None, :],
+                                p, **kwargs)
+    return float(yhat[0]), trace
+
+
+def encode_one(E, p):
+    """Final hidden state of the top LSTM layer for one window."""
+    return forward_one(E, np.zeros(13), np.zeros(5), p)[1].h_final[0]
+
+
+def fuse_one(fw, fc, p):
+    """Output of the weather/calendar MLP for one example."""
+    trace = forward_one(np.zeros(1), fw, fc, p)[1]
+    return trace.z[0, p.m:]
+
+
 class TestLstmStep:
     def test_zero_weights_algebra(self):
-        # sigma(0)=0.5, tanh(0)=0: c = 0.5*c_prev, h = 0.5*tanh(0.5*c_prev)
-        m = 3
-        p = LstmLayerParams(w_x=np.zeros((4 * m, 1)), w_h=np.zeros((4 * m, m)),
-                            b=np.zeros(4 * m))
-        c_prev = np.array([1.0, -2.0, 0.5])
-        h, c = lstm_step([0.7], np.zeros(m), c_prev, p)
-        assert np.allclose(c, 0.5 * c_prev, atol=1e-12)
-        assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-12)
+        # zero weights, bias only on the candidate block: i = f = o = 0.5 and
+        # g = tanh(b_g) at every step, so c_t = 0.5*c_prev + 0.5*g and
+        # h_t = 0.5*tanh(c_t), with c_prev taken from the trace
+        p = zero_params()
+        m = p.m
+        layer = p.lstm[0]
+        layer.b[2 * m:3 * m] = [1.0, -2.0, 0.5]
+        g = np.tanh(layer.b[2 * m:3 * m])
+        _, trace = forward_one([0.7, -0.3, 0.2], np.zeros(13), np.zeros(5), p)
+        tr0 = trace.layers[0]
+        for t in range(3):
+            c_prev = tr0.c_prev[t][0]
+            assert np.allclose(tr0.c[t][0], 0.5 * c_prev + 0.5 * g, atol=1e-12)
+            assert np.allclose(tr0.o[t][0] * tr0.tanh_c[t][0],
+                               0.5 * np.tanh(tr0.c[t][0]), atol=1e-12)
+        assert np.any(tr0.c_prev[2][0] != 0)
 
     def test_scalar_oracle_all_ones(self):
         # m=1, all weights and bias 1, x=0, h_prev=0, c_prev=0
-        p = LstmLayerParams(w_x=np.ones((4, 1)), w_h=np.ones((4, 1)),
-                            b=np.ones(4))
-        h, c = lstm_step([0.0], np.zeros(1), np.zeros(1), p)
+        p = small_params(m=1, stack=1)
+        layer = p.lstm[0]
+        for a in (layer.w_x, layer.w_h, layer.b):
+            a[:] = 1.0
+        _, trace = forward_one([0.0], np.zeros(13), np.zeros(5), p)
         s1 = sigmoid(np.array([1.0]))[0]
         g = np.tanh(1.0)
         c_expected = s1 * g
         h_expected = s1 * np.tanh(c_expected)
-        assert abs(c[0] - c_expected) < 1e-12
-        assert abs(h[0] - h_expected) < 1e-12
+        assert abs(trace.layers[0].c[0][0, 0] - c_expected) < 1e-12
+        assert abs(trace.h_final[0, 0] - h_expected) < 1e-12
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(1)
-        p = LstmLayerParams(w_x=rng.normal(size=(8, 1)) * 5,
-                            w_h=rng.normal(size=(8, 2)) * 5,
-                            b=rng.normal(size=8) * 5)
-        h, _ = lstm_step(rng.normal(size=1) * 100, rng.normal(size=2),
-                         rng.normal(size=2) * 10, p)
-        assert np.all(np.abs(h) < 1.0)
+        p = small_params(m=2, stack=1)
+        layer = p.lstm[0]
+        for a in (layer.w_x, layer.w_h, layer.b):
+            a[:] = rng.normal(size=a.shape) * 5
+        with np.errstate(over="ignore"):   # saturated gates overflow exp
+            _, trace = forward_one(rng.normal(size=4) * 100, np.zeros(13),
+                                   np.zeros(5), p)
+        tr0 = trace.layers[0]
+        for t in range(4):
+            assert np.all(np.abs(tr0.o[t] * tr0.tanh_c[t]) < 1.0)
 
 
 class TestEncode:
     def test_single_step_base_case(self):
         p = small_params()
         E = np.array([0.4])
-        h_final, _ = encode(E, p)
-        h1, c1 = lstm_step(E, np.zeros(p.m), np.zeros(p.m), p.lstm[0])
-        h2, _ = lstm_step(h1, np.zeros(p.m), np.zeros(p.m), p.lstm[1])
+        h_final = encode_one(E, p)
+        h1, c1 = reference_lstm_step(E, np.zeros(p.m), np.zeros(p.m), p.lstm[0])
+        h2, _ = reference_lstm_step(h1, np.zeros(p.m), np.zeros(p.m), p.lstm[1])
         assert np.allclose(h_final, h2, atol=1e-12)
+
+    def test_matches_reference_cell_over_time_and_batch(self):
+        p = small_params(stack=3, seed=3)
+        rng = np.random.default_rng(3)
+        E = rng.normal(size=(3, 7))
+        _, trace = forward_batch(E, np.zeros((3, 13)), np.zeros((3, 5)), p)
+        for b in range(3):
+            xs = list(E[b])
+            for layer in p.lstm:
+                h, c = np.zeros(p.m), np.zeros(p.m)
+                hs = []
+                for x in xs:
+                    h, c = reference_lstm_step(x, h, c, layer)
+                    hs.append(h)
+                xs = hs
+            assert np.allclose(trace.h_final[b], xs[-1], atol=1e-12)
 
     def test_order_sensitivity(self):
         p = small_params()
         E = np.array([0.1, 0.9, -0.4, 0.3])
-        a, _ = encode(E, p)
-        b, _ = encode(E[::-1], p)
+        a = encode_one(E, p)
+        b = encode_one(E[::-1], p)
         assert not np.allclose(a, b)
 
     def test_zero_weight_fixed_point(self):
         # zero params: every step gives c=0.5*c_prev, with c_0=0 -> h stays
         # at 0.5*tanh(0) = 0 for all t
         p = zero_params()
-        h_final, _ = encode(np.zeros(6), p)
+        h_final = encode_one(np.zeros(6), p)
         assert np.allclose(h_final, 0.0, atol=1e-15)
 
     def test_causality(self):
@@ -89,19 +155,20 @@ class TestEncode:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ShapeError):
-            encode(np.array([]), small_params())
+            forward_batch(np.zeros((1, 0)), np.zeros((1, 13)), np.zeros((1, 5)),
+                          small_params())
 
 
 class TestFuse:
     def test_zero_input_zero_bias(self):
         p = zero_params()
-        o, _ = fuse(np.zeros(13), np.zeros(5), p)
+        o = fuse_one(np.zeros(13), np.zeros(5), p)
         assert np.array_equal(o, np.zeros_like(o))
 
     def test_nonnegative_output(self):
         p = small_params()
         rng = np.random.default_rng(3)
-        o, _ = fuse(rng.normal(size=13), rng.normal(size=5), p)
+        o = fuse_one(rng.normal(size=13), rng.normal(size=5), p)
         assert np.all(o >= 0)
 
     def test_matches_loop_oracle(self):
@@ -113,55 +180,61 @@ class TestFuse:
                            for i in range(p.w1.shape[0])])
         expected = np.array([max(sum(p.w2[i, j] * hidden[j] for j in range(len(hidden))) + p.b2[i], 0)
                              for i in range(p.w2.shape[0])])
-        o, _ = fuse(f_w, f_c, p)
+        o = fuse_one(f_w, f_c, p)
         assert np.allclose(o, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            fuse(np.zeros(10), np.zeros(5), small_params())
+            forward_one(np.zeros(3), np.zeros(10), np.zeros(5), small_params())
 
 
 class TestPredictHead:
     def test_zero_weights_collapse_to_bias(self):
-        p = zero_params()
-        q = p.from_vector(p.to_vector())
+        q = zero_params()
         q.b4 = 1.75
-        assert predict_head(np.zeros(q.m), np.zeros(q.w2.shape[0]), q) == 1.75
+        rng = np.random.default_rng(5)
+        y, _ = forward_one(rng.normal(size=4), rng.normal(size=13),
+                           rng.normal(size=5), q)
+        assert y == 1.75
 
     def test_outer_layer_linearity(self):
         p = small_params()
         rng = np.random.default_rng(5)
-        h = rng.normal(size=p.m)
-        o = np.abs(rng.normal(size=p.w2.shape[0]))
-        y1 = predict_head(h, o, p)
-        q = p.from_vector(p.to_vector())
-        q.w4 = 2 * q.w4
-        y2 = predict_head(h, o, q)
+        E, fw, fc = rng.normal(size=4), rng.normal(size=13), rng.normal(size=5)
+        y1, _ = forward_one(E, fw, fc, p)
+        q = p.from_vector(p.to_vector().copy())
+        q.w4[:] = 2 * q.w4
+        y2, _ = forward_one(E, fw, fc, q)
         assert y2 - p.b4 == pytest.approx(2 * (y1 - p.b4))
 
     def test_matches_loop_oracle(self):
         p = small_params()
         rng = np.random.default_rng(6)
-        h = rng.normal(size=p.m)
-        o = rng.normal(size=p.w2.shape[0])
-        z = np.concatenate([h, o])
+        y, trace = forward_one(rng.normal(size=4), rng.normal(size=13),
+                               rng.normal(size=5), p)
+        z = trace.z[0]
+        assert np.array_equal(z[:p.m], trace.h_final[0])
         r = [max(sum(p.w3[i, j] * z[j] for j in range(len(z))) + p.b3[i], 0)
              for i in range(p.w3.shape[0])]
         expected = sum(p.w4[i] * r[i] for i in range(len(r))) + p.b4
-        assert predict_head(h, o, p) == pytest.approx(expected, abs=1e-12)
+        assert y == pytest.approx(expected, abs=1e-12)
 
     def test_piecewise_affine_on_stable_relu_pattern(self):
+        # with the window fixed, the output is piecewise affine in the
+        # weather/calendar input; a tiny step keeps every ReLU pattern
         p = small_params()
         rng = np.random.default_rng(7)
-        h1 = rng.normal(size=p.m)
-        h2 = h1 + 1e-4 * rng.normal(size=p.m)
-        o = np.abs(rng.normal(size=p.w2.shape[0]))
-        pattern1 = (p.w3 @ np.concatenate([h1, o]) + p.b3) > 0
-        pattern2 = (p.w3 @ np.concatenate([h2, o]) + p.b3) > 0
-        assert np.array_equal(pattern1, pattern2)   # tiny perturbation, same cell
-        mid = predict_head((h1 + h2) / 2, o, p)
-        assert mid == pytest.approx((predict_head(h1, o, p) + predict_head(h2, o, p)) / 2,
-                                    abs=1e-10)
+        E, fc = rng.normal(size=4), rng.normal(size=5)
+        fw1 = rng.normal(size=13)
+        fw2 = fw1 + 1e-4 * rng.normal(size=13)
+        y1, tr1 = forward_one(E, fw1, fc, p)
+        y2, tr2 = forward_one(E, fw2, fc, p)
+        mid, tr_mid = forward_one(E, (fw1 + fw2) / 2, fc, p)
+        for s in ("s1", "s2", "s3"):
+            pattern = getattr(tr1, s) > 0
+            assert np.array_equal(pattern, getattr(tr2, s) > 0)
+            assert np.array_equal(pattern, getattr(tr_mid, s) > 0)
+        assert mid == pytest.approx((y1 + y2) / 2, abs=1e-10)
 
 
 class TestForward:
@@ -169,19 +242,22 @@ class TestForward:
         p = small_params()
         rng = np.random.default_rng(8)
         E, fw, fc = rng.normal(size=24), rng.normal(size=13), rng.normal(size=5)
-        y_train, _ = forward(E, fw, fc, p, dropout_rate=0.0, mode="train")
-        y_infer, _ = forward(E, fw, fc, p, mode="infer")
+        y_train, _ = forward_one(E, fw, fc, p, dropout_rate=0.0, train=True,
+                                 rng=np.random.default_rng(0))
+        y_infer, _ = forward_one(E, fw, fc, p)
         assert y_train == y_infer
 
     def test_seeded_determinism(self):
         p = small_params()
         rng = np.random.default_rng(9)
         E, fw, fc = rng.normal(size=12), rng.normal(size=13), rng.normal(size=5)
-        a, _ = forward(E, fw, fc, p, dropout_rate=0.4, mode="train", rng_seed=7)
-        b, _ = forward(E, fw, fc, p, dropout_rate=0.4, mode="train", rng_seed=7)
-        assert a == b
-        c, _ = forward(E, fw, fc, p, dropout_rate=0.4, mode="train", rng_seed=8)
-        assert a != c
+
+        def draw(seed):
+            return forward_one(E, fw, fc, p, dropout_rate=0.4, train=True,
+                               rng=np.random.default_rng(seed))[0]
+        a = draw(7)
+        assert a == draw(7)
+        assert a != draw(8)
 
     def test_inverted_dropout_expectation(self):
         # With every ReLU unit firmly active for any mask draw, the output is
@@ -196,20 +272,16 @@ class TestForward:
         for b in (p.b1, p.b2, p.b3):
             b[:] = 10.0
         E, fw, fc = rng.normal(size=6), rng.normal(size=13), rng.normal(size=5)
-        y_infer, _ = forward(E, fw, fc, p, mode="infer")
-        draws = [forward(E, fw, fc, p, dropout_rate=0.2, mode="train", rng_seed=s)[0]
+        y_infer, _ = forward_one(E, fw, fc, p)
+        draws = [forward_one(E, fw, fc, p, dropout_rate=0.2, train=True,
+                             rng=np.random.default_rng(s))[0]
                  for s in range(10_000)]
         assert np.mean(draws) == pytest.approx(y_infer, rel=0.02)
 
     def test_invalid_dropout(self):
         with pytest.raises(ValueError):
-            forward(np.zeros(3), np.zeros(13), np.zeros(5), small_params(),
-                    dropout_rate=1.0, mode="train")
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            forward(np.zeros(3), np.zeros(13), np.zeros(5), small_params(),
-                    mode="sample")
+            forward_one(np.zeros(3), np.zeros(13), np.zeros(5), small_params(),
+                        dropout_rate=1.0, train=True, rng=np.random.default_rng(0))
 
 
 class TestBackward:
@@ -298,6 +370,66 @@ class TestInitParams:
         sigma_mean = (2 * a / np.sqrt(12)) / np.sqrt(w.size)
         assert abs(w.mean()) < 3 * sigma_mean
 
+    def test_draws_in_layout_order(self):
+        # one Xavier draw per weight matrix, LSTM layers first, then w1..w4
+        m, d1, d2, d3 = 3, 4, 2, 5
+        p = init_params(m, d1, d2, d3, seed=7, stack=2)
+        rng = np.random.default_rng(7)
+
+        def xavier(rows, cols):
+            bound = np.sqrt(6.0 / (rows + cols))
+            return rng.uniform(-bound, bound, size=(rows, cols)).ravel()
+        forget = np.zeros(4 * m)
+        forget[m:2 * m] = 1.0
+        expected = np.concatenate([
+            xavier(4 * m, 1), xavier(4 * m, m), forget,
+            xavier(4 * m, m), xavier(4 * m, m), forget,
+            xavier(d1, 18), np.zeros(d1), xavier(d2, d1), np.zeros(d2),
+            xavier(d3, m + d2), np.zeros(d3), xavier(1, d3), [0.0]])
+        assert np.array_equal(p.to_vector(), expected)
+
+
+class TestParamsBuffer:
+    def test_views_tile_the_vector(self):
+        p = small_params(stack=3)
+        stop = 0
+        for (name, start, stop_, shape), (name_, a) in zip(p.layout, p.arrays()):
+            assert name == name_ and a.shape == shape and start == stop
+            assert np.shares_memory(a, p.vec)
+            assert np.array_equal(a.ravel(), p.vec[start:stop_])
+            stop = stop_
+        assert stop == p.vec.size
+        assert p.layout == param_layout(4, 5, 3, 6, stack=3)
+        assert [n for n, *_ in p.layout][-2:] == ["w4", "b4"]
+
+    def test_from_vector_shares_memory(self):
+        p = small_params()
+        vec = np.arange(p.vec.size, dtype=np.float64)
+        q = p.from_vector(vec)
+        assert q.to_vector() is vec and q.layout is p.layout
+        vec[0] = -7.0
+        assert q.lstm[0].w_x[0, 0] == -7.0
+        assert q.b4 == vec[-1]
+
+    def test_from_vector_size_mismatch(self):
+        p = small_params()
+        with pytest.raises(ShapeError):
+            p.from_vector(np.zeros(p.vec.size + 1))
+
+    def test_b4_setter_writes_the_vector(self):
+        p = small_params()
+        p.b4 = 2.5
+        assert p.vec[-1] == 2.5 and p.b4 == 2.5
+
+    def test_gradients_share_the_layout(self):
+        p = small_params()
+        rng = np.random.default_rng(17)
+        _, trace = forward_batch(rng.normal(size=(2, 3)), rng.normal(size=(2, 13)),
+                                 rng.normal(size=(2, 5)), p)
+        grads = backward_batch(trace, np.ones(2), p)
+        assert grads.layout is p.layout
+        assert not np.shares_memory(grads.vec, p.vec)
+
 
 class TestCheckpoint:
     def test_round_trip(self):
@@ -306,16 +438,17 @@ class TestCheckpoint:
         spec = FeatureSpec(window_len=24, summary_vocab={"Clear": 1},
                            icon_vocab={"rain": 1},
                            weather_mean=np.zeros(11), weather_std=np.ones(11))
-        text = checkpoint_to_json(p, {"memory_size": p.m}, spec.to_json(), seed=21)
+        text = checkpoint_to_json(p, {"memory_size": p.m}, spec.to_dict(), seed=21)
         q, hyper, spec_doc, seed = checkpoint_from_json(text)
         assert np.array_equal(q.to_vector(), p.to_vector())
+        assert q.layout == p.layout
         assert hyper["memory_size"] == p.m
+        assert spec_doc == spec.to_dict()
         assert seed == 21
 
     def test_version_guard(self):
-        import json
         p = small_params()
-        text = checkpoint_to_json(p, {}, "{}", seed=0)
+        text = checkpoint_to_json(p, {}, {}, seed=0)
         doc = json.loads(text)
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
@@ -323,6 +456,32 @@ class TestCheckpoint:
 
     def test_byte_identical_for_same_params(self):
         p = small_params(seed=5)
-        a = checkpoint_to_json(p, {"x": 1}, "{}", seed=5)
-        b = checkpoint_to_json(small_params(seed=5), {"x": 1}, "{}", seed=5)
+        a = checkpoint_to_json(p, {"x": 1}, {}, seed=5)
+        b = checkpoint_to_json(small_params(seed=5), {"x": 1}, {}, seed=5)
         assert a == b
+
+    def test_mis_shaped_parameter_rejected(self):
+        doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
+        doc["params"]["w1"] = {"shape": [5, 17], "data": [0.0] * 85}
+        with pytest.raises(ValueError, match="w1"):
+            checkpoint_from_dict(doc)
+
+    def test_stack_must_match_parameters(self):
+        doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
+        doc["stack"] = 1
+        with pytest.raises(ValueError, match="stack"):
+            checkpoint_from_dict(doc)
+
+    def test_recorded_shapes_must_agree(self):
+        # m, d1, d2, d3 are read from lstm0.w_h and w1..w3; every other
+        # shape must follow from them
+        doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
+        doc["params"]["w3"]["shape"] = [6, 8]
+        with pytest.raises(ValueError, match="w3"):
+            checkpoint_from_dict(doc)
+
+    def test_data_length_must_match_shape(self):
+        doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
+        doc["params"]["b2"]["data"] = [1.0]
+        with pytest.raises(ValueError):
+            checkpoint_from_dict(doc)

@@ -1,85 +1,24 @@
 import numpy as np
 import pytest
 
-from powernet.numcore import (
-    ShapeError, concat, elementwise, grad_check, matmul, relu, sigmoid,
-)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = [[1, 2], [3, 4]]
-        assert np.array_equal(matmul(a, np.eye(2)), np.array(a))
-
-    def test_dot_product(self):
-        assert matmul([[1, 2]], [[3], [4]]) == np.array([[11]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        expected = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(matmul(a, b), expected, atol=1e-12)
-
-    def test_dimension_mismatch_reports_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, atol=1e-10)
+from powernet.numcore import grad_check, relu, sigmoid
 
 
 class TestElementwise:
+    """The activations the network applies entrywise."""
+
     def test_relu_definition(self):
-        assert np.array_equal(elementwise([-1, 0, 2], "relu"), [0, 0, 2])
+        assert np.array_equal(relu([-1, 0, 2]), [0, 0, 2])
 
     def test_sigmoid_symmetry_point(self):
-        assert elementwise([0.0], "sigmoid")[0] == 0.5
-
-    def test_tanh_saturation(self):
-        assert abs(elementwise([1e3], "tanh")[0] - 1.0) < 1e-12
+        assert sigmoid([0.0])[0] == 0.5
 
     def test_ranges(self):
         x = np.random.default_rng(2).normal(scale=3, size=100)
-        s = elementwise(x, "sigmoid")
-        t = elementwise(x, "tanh")
-        r = elementwise(x, "relu")
+        s = sigmoid(x)
+        r = relu(x)
         assert np.all((s > 0) & (s < 1))
-        assert np.all((t > -1) & (t < 1))
         assert np.all(r >= 0)
-
-    def test_identity_copies(self):
-        x = np.array([1.0, 2.0])
-        out = elementwise(x, "identity")
-        out[0] = 99
-        assert x[0] == 1.0
-
-    def test_unknown_fn(self):
-        with pytest.raises(ValueError):
-            elementwise([1.0], "softplus")
-
-
-class TestConcat:
-    def test_order(self):
-        assert np.array_equal(concat([1], [2, 3]), [1, 2, 3])
-
-    def test_empty_left(self):
-        assert np.array_equal(concat([], [5]), [5])
-
-    def test_feature_lengths(self):
-        # 13 weather + 5 calendar = 18 fused features
-        assert len(concat(np.zeros(13), np.zeros(5))) == 18
 
 
 class TestGradCheck:

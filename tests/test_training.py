@@ -36,6 +36,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(memory_size_grid=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("l2_lambda", -1.0), ("l2_lambda", float("nan")),
+        ("memory_size", 0), ("memory_size_grid", (4, 0)),
+        ("d1", 0), ("d2", 0), ("d3", 0), ("stack", 0),
+    ])
+    def test_rejects_out_of_range_setting(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_to_dict_round_trips_through_kwargs(self):
         cfg = TrainConfig(memory_size=7, seed=3)
         d = cfg.to_dict()
