@@ -291,7 +291,11 @@ def fill_gaps(s: TimeSeries, max_run: int = 3) -> TimeSeries:
 
 
 def load_weather(path) -> WeatherTable:
-    """Load the hourly weather CSV; the exact header row is required."""
+    """Load the hourly weather CSV; the exact header row is required.
+
+    A ``time`` cell that is not a timestamp is a hard error naming the row;
+    an unparseable or non-finite numeric cell is stored as NaN (missing).
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -304,16 +308,21 @@ def load_weather(path) -> WeatherTable:
             raise DataError(f"{path}: missing weather columns {missing}")
         times, summary, icon, numeric = [], [], [], []
         for row in reader:
-            times.append(parse_timestamp(row["time"]))
+            try:
+                times.append(parse_timestamp(row["time"]))
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}: row {reader.line_num}: bad time "
+                                f"{row['time']!r}") from exc
             summary.append(row["summary"].strip())
             icon.append(row["icon"].strip())
             vals = []
             for col in WEATHER_NUMERIC_COLUMNS:
                 raw = (row[col] or "").strip()
                 try:
-                    vals.append(float(raw))
+                    value = float(raw)
                 except ValueError:
-                    vals.append(np.nan)
+                    value = np.nan
+                vals.append(value if math.isfinite(value) else np.nan)
             numeric.append(vals)
     if not times:
         raise DataError(f"{path}: empty weather file")

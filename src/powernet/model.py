@@ -6,6 +6,14 @@ Forward and backward passes are hand-derived (backpropagation through time
 for the recurrence) and operate on batches; gradients are exact and checked
 against central finite differences in the test suite.
 
+``forward_batch`` has two modes that share one LSTM gate cell. With
+``train=True`` it records the per-step trace that ``backward_batch`` reads
+and applies dropout; only this mode returns a trace. With ``train=False``
+(inference) it returns ``(yhat, None)`` and steps all layers together,
+holding one (B, m) hidden and cell state per layer, so its memory does
+not grow with the window length. Both give bitwise equal outputs at
+dropout 0.
+
 All weights live in one contiguous float64 vector, and every weight array is
 a view into it. Gradients use the same layout, so the optimizer and the
 finite-difference checker work on plain vectors; ``to_vector`` returns the
@@ -162,6 +170,20 @@ class ForwardTrace:
     mask4: np.ndarray | None
 
 
+def _cell(z: np.ndarray, c: np.ndarray, m: int):
+    """One LSTM gate cell on the (B, 4m) pre-activation ``z`` and the
+    previous cell state ``c``; returns (i, f, g, o, c_t, tanh(c_t), h_t).
+
+    One sigmoid covers the whole block; i, f and o are views into it.
+    """
+    s = sigmoid(z)
+    i, f, o = s[:, :m], s[:, m:2 * m], s[:, 3 * m:]
+    g = np.tanh(z[:, 2 * m:3 * m])
+    c_t = f * c + i * g
+    tanh_c = np.tanh(c_t)
+    return i, f, g, o, c_t, tanh_c, o * tanh_c
+
+
 def _lstm_forward(X: np.ndarray, p: LstmLayerParams):
     """Run one layer over (B, T, in) input; returns (H (B,T,m), trace)."""
     B, T, _ = X.shape
@@ -174,21 +196,34 @@ def _lstm_forward(X: np.ndarray, p: LstmLayerParams):
     wh_t = p.w_h.T
     for t in range(T):
         x_t = X[:, t, :]
-        z = x_t @ wx_t + h @ wh_t + p.b
-        i = sigmoid(z[:, :m])
-        f = sigmoid(z[:, m:2 * m])
-        g = np.tanh(z[:, 2 * m:3 * m])
-        o = sigmoid(z[:, 3 * m:])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        i, f, g, o, c_new, tanh_c, h_new = _cell(x_t @ wx_t + h @ wh_t + p.b, c, m)
         tr.x.append(x_t)
-        tr.i.append(i); tr.f.append(f); tr.g.append(g); tr.o.append(o)
+        # contiguous gate copies keep the backward pass fast
+        tr.i.append(i.copy()); tr.f.append(f.copy()); tr.g.append(g)
+        tr.o.append(o.copy())
         tr.c.append(c_new); tr.c_prev.append(c); tr.h_prev.append(h)
         tr.tanh_c.append(tanh_c)
         H[:, t, :] = h_new
         h, c = h_new, c_new
     return H, tr
+
+
+def _lstm_infer(E: np.ndarray, layers: list) -> np.ndarray:
+    """Final top-layer hidden state (B, m) for the (B, T) windows ``E``.
+
+    Steps every layer at each time step, so it holds one (B, m) pair of
+    h and c per layer and no trace.
+    """
+    B = E.shape[0]
+    weights = [(layer.w_x.T, layer.w_h.T, layer.b, layer.m) for layer in layers]
+    h = [np.zeros((B, layer.m)) for layer in layers]
+    c = [np.zeros((B, layer.m)) for layer in layers]
+    for t in range(E.shape[1]):
+        x = E[:, t:t + 1]
+        for k, (wx_t, wh_t, b, m) in enumerate(weights):
+            *_, c[k], _, h[k] = _cell(x @ wx_t + h[k] @ wh_t + b, c[k], m)
+            x = h[k]
+    return h[-1]
 
 
 def _lstm_backward(tr: _LstmTrace, p: LstmLayerParams, dH_ext: np.ndarray,
@@ -236,10 +271,13 @@ def _dropout_mask(rng, shape, rate):
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
                   p: PowerNetParams, dropout_rate: float = 0.0,
                   train: bool = False, rng=None):
-    """Batched forward pass; returns (yhat (B,), ForwardTrace).
+    """Batched forward pass; returns (yhat (B,), trace).
 
-    In train mode inverted-dropout masks are applied to the inputs of the
-    w2, w3 and w4 layers; inference applies no masks and needs no rng.
+    ``train=True`` records the ForwardTrace that ``backward_batch`` needs
+    and applies inverted-dropout masks to the inputs of the w2, w3 and w4
+    layers when ``dropout_rate > 0``. ``train=False`` is inference: no
+    masks, no rng, no trace (None), and the LSTM keeps only its current
+    state. Both modes give bitwise equal ``yhat`` at dropout 0.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must be in [0, 1)")
@@ -250,18 +288,21 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     use_dropout = train and dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-
-    X = E[:, :, None]
-    layer_traces = []
-    for layer in p.lstm:
-        X, tr = _lstm_forward(X, layer)
-        layer_traces.append(tr)
-    h_final = X[:, -1, :]
-
     u = np.concatenate([np.asarray(fw, dtype=np.float64),
                         np.asarray(fc, dtype=np.float64)], axis=1)
     if u.shape != (B, p.w1.shape[1]):
         raise ShapeError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
+
+    if train:
+        X = E[:, :, None]
+        layer_traces = []
+        for layer in p.lstm:
+            X, tr = _lstm_forward(X, layer)
+            layer_traces.append(tr)
+        h_final = X[:, -1, :]
+    else:
+        h_final = _lstm_infer(E, p.lstm)
+
     s1 = u @ p.w1.T + p.b1
     a1 = relu(s1)
     mask2 = _dropout_mask(rng, a1.shape, dropout_rate) if use_dropout else None
@@ -277,7 +318,8 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     mask4 = _dropout_mask(rng, r.shape, dropout_rate) if use_dropout else None
     rd = r * mask4 if mask4 is not None else r
     yhat = rd @ p.w4 + p.b4
-
+    if not train:
+        return yhat, None
     trace = ForwardTrace(layers=layer_traces, h_final=h_final, u=u, s1=s1,
                          a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
                          mask2=mask2, mask3=mask3, mask4=mask4)

@@ -129,7 +129,7 @@ def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
     if len(y) == 0:
         raise TrainingError("empty batch")
     yhat, trace = forward_batch(E, fw, fc, p, dropout_rate=dropout_rate,
-                                train=dropout_rate > 0.0, rng=rng)
+                                train=True, rng=rng)
     resid = yhat - y
     value = float(np.mean(resid ** 2))
     grads = backward_batch(trace, 2.0 * resid / len(y), p)

@@ -63,6 +63,40 @@ class TestSynthIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["rows_malformed"] == 3
 
+    @pytest.mark.parametrize("token", ["garbage", "nan", "inf"])
+    def test_junk_weather_time_is_usage_error(self, tmp_path, capsys, token):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / "weather.csv").read_text().splitlines()
+        lines[7] = token + lines[7][lines[7].index(","):]
+        (fx / "weather.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                   "--weather", str(fx / "weather.csv"),
+                   "--out", str(tmp_path / "out")])
+        err = assert_usage_error(rc, capsys)
+        assert "weather.csv" in err and "row 8" in err and token in err
+
+    def test_non_finite_weather_cells_are_missing(self, tmp_path):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / "weather.csv").read_text().splitlines()
+        for i, token in ((5, "inf"), (9, "-inf")):
+            cells = lines[i].split(",")
+            cells[3] = token   # temperature
+            lines[i] = ",".join(cells)
+        (fx / "weather.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                     "--weather", str(fx / "weather.csv"), "--out", str(out)]) == 0
+        text = (out / "dataset.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        doc = json.loads(text)
+        temperatures = [row[0] for row in doc["numeric"]]
+        assert temperatures.count(None) == 2
+
     def test_full_pipeline(self, tmp_path):
         fx = tmp_path / "fx"
         assert main(["synth", "--out", str(fx), "--days", "3",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,12 +36,13 @@ def reference_lstm_step(x_t, h_prev, c_prev, layer):
     return h_t, c_t
 
 
-def forward_one(E, fw, fc, p, **kwargs):
-    """forward_batch on one example (B=1); returns (yhat, trace)."""
+def forward_one(E, fw, fc, p, train=True, **kwargs):
+    """forward_batch on one example (B=1); returns (yhat, trace). Train
+    mode by default, so that the trace is recorded."""
     yhat, trace = forward_batch(np.asarray(E, dtype=np.float64)[None, :],
                                 np.asarray(fw, dtype=np.float64)[None, :],
                                 np.asarray(fc, dtype=np.float64)[None, :],
-                                p, **kwargs)
+                                p, train=train, **kwargs)
     return float(yhat[0]), trace
 
 
@@ -115,7 +117,8 @@ class TestEncode:
         p = small_params(stack=3, seed=3)
         rng = np.random.default_rng(3)
         E = rng.normal(size=(3, 7))
-        _, trace = forward_batch(E, np.zeros((3, 13)), np.zeros((3, 5)), p)
+        _, trace = forward_batch(E, np.zeros((3, 13)), np.zeros((3, 5)), p,
+                                 train=True)
         for b in range(3):
             xs = list(E[b])
             for layer in p.lstm:
@@ -145,10 +148,12 @@ class TestEncode:
         p = small_params()
         rng = np.random.default_rng(2)
         E = rng.normal(size=8)
-        _, tr1 = forward_batch(E[None, :], np.zeros((1, 13)), np.zeros((1, 5)), p)
+        _, tr1 = forward_batch(E[None, :], np.zeros((1, 13)), np.zeros((1, 5)), p,
+                               train=True)
         E2 = E.copy()
         E2[5] += 1.0
-        _, tr2 = forward_batch(E2[None, :], np.zeros((1, 13)), np.zeros((1, 5)), p)
+        _, tr2 = forward_batch(E2[None, :], np.zeros((1, 13)), np.zeros((1, 5)), p,
+                               train=True)
         for layer in range(2):
             for t in range(5):
                 assert np.allclose(tr1.layers[layer].c[t], tr2.layers[layer].c[t])
@@ -244,7 +249,7 @@ class TestForward:
         E, fw, fc = rng.normal(size=24), rng.normal(size=13), rng.normal(size=5)
         y_train, _ = forward_one(E, fw, fc, p, dropout_rate=0.0, train=True,
                                  rng=np.random.default_rng(0))
-        y_infer, _ = forward_one(E, fw, fc, p)
+        y_infer, _ = forward_one(E, fw, fc, p, train=False)
         assert y_train == y_infer
 
     def test_seeded_determinism(self):
@@ -272,11 +277,46 @@ class TestForward:
         for b in (p.b1, p.b2, p.b3):
             b[:] = 10.0
         E, fw, fc = rng.normal(size=6), rng.normal(size=13), rng.normal(size=5)
-        y_infer, _ = forward_one(E, fw, fc, p)
+        y_infer, _ = forward_one(E, fw, fc, p, train=False)
         draws = [forward_one(E, fw, fc, p, dropout_rate=0.2, train=True,
                              rng=np.random.default_rng(s))[0]
                  for s in range(10_000)]
         assert np.mean(draws) == pytest.approx(y_infer, rel=0.02)
+
+    def test_inference_returns_no_trace(self):
+        rng = np.random.default_rng(18)
+        yhat, trace = forward_batch(rng.normal(size=(2, 5)), rng.normal(size=(2, 13)),
+                                    rng.normal(size=(2, 5)), small_params())
+        assert yhat.shape == (2,) and trace is None
+
+    @pytest.mark.parametrize("stack", [1, 2, 3])
+    def test_inference_bitwise_equals_train_mode(self, stack):
+        p = small_params(stack=stack, seed=stack)
+        rng = np.random.default_rng(19)
+        for B in (1, 4):
+            for T in (1, 5, 24):
+                E = rng.normal(size=(B, T))
+                FW, FC = rng.normal(size=(B, 13)), rng.normal(size=(B, 5))
+                y_train, _ = forward_batch(E, FW, FC, p, train=True)
+                y_infer, _ = forward_batch(E, FW, FC, p, train=False)
+                assert np.array_equal(y_train, y_infer), (B, T)
+
+    def test_inference_memory_is_independent_of_the_window(self):
+        # the training trace grows as T*B*m; inference holds one (B, m)
+        # state per layer, so its peak is far below one trace
+        p = small_params(m=16, seed=20)
+        rng = np.random.default_rng(20)
+        args = (rng.normal(size=(64, 168)), rng.normal(size=(64, 13)),
+                rng.normal(size=(64, 5)), p)
+
+        def peak_bytes(train):
+            tracemalloc.start()
+            try:
+                forward_batch(*args, train=train)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak_bytes(False) < peak_bytes(True) / 10
 
     def test_invalid_dropout(self):
         with pytest.raises(ValueError):
@@ -319,7 +359,7 @@ class TestBackward:
         p = small_params()
         rng = np.random.default_rng(14)
         _, trace = forward_batch(rng.normal(size=(2, 4)), rng.normal(size=(2, 13)),
-                                 rng.normal(size=(2, 5)), p)
+                                 rng.normal(size=(2, 5)), p, train=True)
         grads = backward_batch(trace, np.zeros(2), p)
         assert np.array_equal(grads.to_vector(), np.zeros_like(grads.to_vector()))
 
@@ -327,7 +367,7 @@ class TestBackward:
         p = small_params()
         rng = np.random.default_rng(15)
         _, trace = forward_batch(rng.normal(size=(3, 4)), rng.normal(size=(3, 13)),
-                                 rng.normal(size=(3, 5)), p)
+                                 rng.normal(size=(3, 5)), p, train=True)
         dy = np.array([0.3, -1.2, 2.0])
         grads = backward_batch(trace, dy, p)
         assert grads.b4 == pytest.approx(dy.sum(), abs=1e-12)
@@ -425,7 +465,7 @@ class TestParamsBuffer:
         p = small_params()
         rng = np.random.default_rng(17)
         _, trace = forward_batch(rng.normal(size=(2, 3)), rng.normal(size=(2, 13)),
-                                 rng.normal(size=(2, 5)), p)
+                                 rng.normal(size=(2, 5)), p, train=True)
         grads = backward_batch(trace, np.ones(2), p)
         assert grads.layout is p.layout
         assert not np.shares_memory(grads.vec, p.vec)
