@@ -241,7 +241,8 @@ class GbtModel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "GbtModel":

@@ -54,6 +54,12 @@ def _write(path, text):
         fh.write(text)
 
 
+def _write_json(path, doc):
+    """Write ``doc`` as JSON; a non-finite float raises ValueError before
+    the file is opened."""
+    _write(path, json.dumps(doc, indent=1, sort_keys=True, allow_nan=False))
+
+
 def _parse_file(path, what: str, parse):
     """``parse`` applied to the text of the file at ``path``, read once; an
     unreadable or malformed file is a usage error."""
@@ -151,10 +157,9 @@ def cmd_ingest(args):
         "negatives_dropped": report.negatives_dropped,
         "aligned_hours": len(aligned),
         "dropped_hours": aligned.dropped_hours,
-        "remaining_gaps": 0,
+        "remaining_gaps": hourly.gap_count(),
     }
-    _write(os.path.join(out, "ingest_report.json"),
-           json.dumps(ingest_doc, indent=1, sort_keys=True))
+    _write_json(os.path.join(out, "ingest_report.json"), ingest_doc)
     print(f"aligned {len(aligned)} hours -> {out}/dataset.json")
     return 0
 
@@ -174,17 +179,15 @@ def _train_common(args, use_grid: bool):
         doc = model.to_dict()
         doc["feature_spec"] = data.spec.to_dict()
         doc["splits"] = [list(b) for b in bounds]
-        _write(os.path.join(out, "checkpoint.json"),
-               json.dumps(doc, indent=1, sort_keys=True))
-        _write(os.path.join(out, "report.json"),
-               json.dumps(report, indent=1, sort_keys=True))
+        _write_json(os.path.join(out, "checkpoint.json"), doc)
+        _write_json(os.path.join(out, "report.json"), report)
         print(f"gbt model written to {out}/checkpoint.json")
         return 0
     if use_grid:
         params, report, cell_reports = grid_search(data, tcfg)
-        _write(os.path.join(out, "grid_report.json"), json.dumps(
-            {str(m): (None if r is None else json.loads(r.to_json()))
-             for m, r in cell_reports.items()}, indent=1, sort_keys=True))
+        _write_json(os.path.join(out, "grid_report.json"),
+                    {str(m): (None if r is None else json.loads(r.to_json()))
+                     for m, r in cell_reports.items()})
         memory_size = report.memory_size
     else:
         memory_size = tcfg.memory_size
@@ -245,8 +248,7 @@ def cmd_evaluate(args):
     out = _out_dir(args)
     doc = {"split": args.split, "mse": mse(actual, pred),
            "mape": mape(actual, pred), "n": len(actual)}
-    _write(os.path.join(out, f"evaluate_{args.split}.json"),
-           json.dumps(doc, indent=1, sort_keys=True))
+    _write_json(os.path.join(out, f"evaluate_{args.split}.json"), doc)
     print(f"{args.split}: MSE {doc['mse']:.6g}  MAPE {doc['mape']:.3f}%")
     return 0
 
@@ -265,8 +267,7 @@ def cmd_forecast(args):
     _write(os.path.join(out, f"forecast_{args.mode}.json"), report.to_json())
     if args.thresholds:
         table = retraining_analysis(report, args.thresholds)
-        _write(os.path.join(out, "retraining.json"),
-               json.dumps(table, indent=1, sort_keys=True))
+        _write_json(os.path.join(out, "retraining.json"), table)
     print(f"{args.mode} horizon {args.horizon}: "
           f"MAPE {mape(report.actuals, report.predictions):.3f}%")
     return 0
@@ -295,8 +296,7 @@ def cmd_anomaly(args):
         result["detection"] = {"theta": args.detect_theta,
                                "alarms": alarms,
                                "windows": int(horizon - cfg.window + 1)}
-    _write(os.path.join(out, "anomaly.json"),
-           json.dumps(result, indent=1, sort_keys=True))
+    _write_json(os.path.join(out, "anomaly.json"), result)
     print(f"theft sweep over {len(rows)} thetas -> {out}/theft_sweep.csv")
     return 0
 

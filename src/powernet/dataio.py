@@ -110,8 +110,10 @@ class WeatherTable:
     def __len__(self):
         return len(self.times)
 
-    def row(self, i: int):
-        return self.summary[i], self.icon[i], self.numeric[i]
+    def rows(self, idx: np.ndarray):
+        """(summaries, icons, numeric (N, 11)) of the rows ``idx``."""
+        return ([self.summary[i] for i in idx], [self.icon[i] for i in idx],
+                self.numeric[idx])
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def dataset_to_json(d: AlignedDataset) -> str:
                     for row in d.weather.numeric],
         "dropped_hours": d.dropped_hours,
     }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 def dataset_from_json(text: str) -> AlignedDataset:
@@ -294,7 +296,8 @@ def load_weather(path) -> WeatherTable:
     """Load the hourly weather CSV; the exact header row is required.
 
     A ``time`` cell that is not a timestamp is a hard error naming the row;
-    an unparseable or non-finite numeric cell is stored as NaN (missing).
+    an unparseable, non-finite or absent numeric cell is stored as NaN
+    (missing), and an absent ``summary`` or ``icon`` cell as empty.
     """
     try:
         fh = open(path, newline="")
@@ -313,8 +316,9 @@ def load_weather(path) -> WeatherTable:
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: row {reader.line_num}: bad time "
                                 f"{row['time']!r}") from exc
-            summary.append(row["summary"].strip())
-            icon.append(row["icon"].strip())
+            # a short row leaves its missing cells None
+            summary.append((row["summary"] or "").strip())
+            icon.append((row["icon"] or "").strip())
             vals = []
             for col in WEATHER_NUMERIC_COLUMNS:
                 raw = (row[col] or "").strip()

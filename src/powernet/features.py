@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .dataio import (
 )
 
 N_WEATHER = 13
-N_CALENDAR = 5
 
 SPEC_FORMAT_VERSION = 1
 
@@ -108,7 +107,8 @@ class FeatureSpec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSpec":
@@ -131,34 +131,48 @@ class FeatureSpec:
         )
 
 
-def calendar_features(t: int, spec: FeatureSpec) -> np.ndarray:
-    """[day_of_month, day_of_week (Mon=0), hour, in_daytime, is_weekend]."""
-    local = datetime.fromtimestamp(
-        t, timezone(timedelta(hours=spec.utc_offset_hours)))
+def _day_of_month(days: np.ndarray) -> np.ndarray:
+    """Day of the month (1-31) of each count of days since 1970-01-01 in
+    the proleptic Gregorian calendar (H. Hinnant's ``civil_from_days``)."""
+    z = days + 719468                   # days since 0000-03-01
+    doe = z - (z // 146097) * 146097    # day of the 400-year era
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)   # day of the March year
+    return doy - (153 * ((5 * doy + 2) // 153) + 2) // 5 + 1
+
+
+def calendar_features(t, spec: FeatureSpec) -> np.ndarray:
+    """[day_of_month, day_of_week (Mon=0), hour, in_daytime, is_weekend] in
+    local time at ``spec.utc_offset_hours`` for epoch seconds ``t``.
+
+    ``t`` is one timestamp (a 5-vector out) or an array of them (one row
+    each). Integer arithmetic on the local epoch seconds; no ``datetime``.
+    """
+    offset = timedelta(hours=spec.utc_offset_hours) // timedelta(seconds=1)
+    days, seconds = np.divmod(np.asarray(t, dtype=np.int64) + offset, 86400)
+    hour = seconds // HOUR
+    weekday = (days + 3) % 7             # 1970-01-01 was a Thursday
     lo, hi = spec.daytime_range
-    return np.array([
-        float(local.day),
-        float(local.weekday()),
-        float(local.hour),
-        1.0 if lo <= local.hour < hi else 0.0,
-        1.0 if local.weekday() >= 5 else 0.0,
-    ])
+    return np.stack([_day_of_month(days), weekday, hour,
+                     (lo <= hour) & (hour < hi), weekday >= 5],
+                    axis=-1).astype(np.float64)
 
 
-def weather_features(row, spec: FeatureSpec) -> np.ndarray:
-    """13-vector: [summary_idx, icon_idx, 11 z-scored numeric fields].
+def weather_features(rows, spec: FeatureSpec) -> np.ndarray:
+    """(N, 13) array of [summary_idx, icon_idx, 11 z-scored numeric fields]
+    for ``rows = (summaries, icons, numeric (N, 11))``, as
+    ``WeatherTable.rows`` gives them.
 
     Unseen categories map to index 0; missing numerics become the training
     mean (z-score 0).
     """
-    summary, icon, numeric = row
+    summary, icon, numeric = rows
     z = (np.asarray(numeric, dtype=np.float64) - spec.weather_mean) / spec.weather_std
-    z = np.where(np.isnan(z), 0.0, z)
-    return np.concatenate([
-        [float(spec.summary_vocab.get(summary, 0)),
-         float(spec.icon_vocab.get(icon, 0))],
-        z,
-    ])
+    out = np.empty((len(z), N_WEATHER))
+    out[:, 0] = [spec.summary_vocab.get(s, 0) for s in summary]
+    out[:, 1] = [spec.icon_vocab.get(s, 0) for s in icon]
+    out[:, 2:] = np.where(np.isnan(z), 0.0, z)
+    return out
 
 
 def fit_feature_spec(d: AlignedDataset, train_slice: slice,
@@ -234,34 +248,27 @@ class ExampleSet:
     skipped: int = 0
 
 
+def window_features(d: AlignedDataset, spec: FeatureSpec, rows: np.ndarray):
+    """(E, FW, FC) for the target rows ``rows``: normalized consumption
+    windows (N, n) over the n rows before each target, and its weather and
+    calendar features. Every target needs n rows of history."""
+    n = spec.window_len
+    E = spec.normalize_kw(d.kw[rows[:, None] - n + np.arange(n)])
+    FW = weather_features(d.weather.rows(rows), spec)
+    FC = calendar_features(d.hours[rows], spec)
+    return E, FW, FC
+
+
 def _build_split(d: AlignedDataset, spec: FeatureSpec, lo: int, hi: int):
     """Examples for target rows in [lo, hi); windows must be contiguous."""
     n = spec.window_len
-    E, FW, FC, y, t = [], [], [], [], []
-    skipped = 0
-    hours = d.hours
-    for i in range(lo, hi):
-        if i - n < 0:
-            skipped += 1
-            continue
-        # window rows i-n .. i-1 plus target i must be consecutive hours
-        if hours[i] - hours[i - n] != n * HOUR:
-            skipped += 1
-            continue
-        E.append(spec.normalize_kw(d.kw[i - n:i]))
-        FW.append(weather_features(d.weather.row(i), spec))
-        FC.append(calendar_features(int(hours[i]), spec))
-        y.append(float(spec.normalize_kw(d.kw[i])))
-        t.append(int(hours[i]))
-    shape_e = (len(E), n)
-    split = Split(
-        E=np.asarray(E).reshape(shape_e),
-        FW=np.asarray(FW).reshape(len(E), N_WEATHER),
-        FC=np.asarray(FC).reshape(len(E), N_CALENDAR),
-        y=np.asarray(y, dtype=np.float64),
-        t=np.asarray(t, dtype=np.int64),
-    )
-    return split, skipped
+    rows = np.arange(max(lo, n), hi)
+    # window rows r-n .. r-1 plus the target row r must be consecutive hours
+    rows = rows[d.hours[rows] - d.hours[rows - n] == n * HOUR]
+    E, FW, FC = window_features(d, spec, rows)
+    split = Split(E=E, FW=FW, FC=FC, y=spec.normalize_kw(d.kw[rows]),
+                  t=d.hours[rows].astype(np.int64))
+    return split, (hi - lo) - len(rows)
 
 
 def build_examples(d: AlignedDataset, spec: FeatureSpec,

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import HOUR, AlignedDataset, TimeSeries
-from .features import FeatureSpec, calendar_features, weather_features
+from .features import (FeatureSpec, calendar_features, weather_features,
+                       window_features)
 from .metrics import ErrorCurve, error_curve, mape, mse
-from .model import PowerNetParams, forward_batch
+from .model import (PowerNetParams, _fusion, _head, _layer_weights,
+                    _lstm_step, forward_batch)
 from .training import TrainConfig, train
 
 
@@ -46,7 +48,7 @@ class ForecastReport:
             "mse": mse(self.actuals, self.predictions),
             "mape": mape(self.actuals, self.predictions),
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -56,15 +58,29 @@ class ForecastReport:
                 writer.writerow([h, repr(float(a)), repr(float(p))])
 
 
-def _check_contiguous(hours: np.ndarray, lo: int, hi: int):
-    if hours[hi - 1] - hours[lo] != (hi - 1 - lo) * HOUR:
+def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
+                 horizon: int, what: str) -> np.ndarray:
+    """The rows start_row .. start_row + horizon - 1, checked to have one
+    window of history and to form, with it, a contiguous hourly span."""
+    n = spec.window_len
+    if horizon < 1:
+        raise ForecastError(f"horizon must be >= 1, got {horizon}")
+    if start_row < n:
+        raise ForecastError("history does not cover one window")
+    if start_row + horizon > len(d):
+        raise ForecastError(what)
+    lo, hi = start_row - n, start_row + horizon
+    if d.hours[hi - 1] - d.hours[lo] != (hi - 1 - lo) * HOUR:
         raise ForecastError(f"rows {lo}..{hi} are not a contiguous hourly span")
+    return np.arange(start_row, hi)
 
 
-def _predict_one(p: PowerNetParams, window_norm, fw, fc) -> float:
-    yhat, _ = forward_batch(np.asarray(window_norm)[None, :],
-                            np.asarray(fw)[None, :], np.asarray(fc)[None, :], p)
-    return float(yhat[0])
+def _report(mode: str, d: AlignedDataset, rows: np.ndarray,
+            preds: np.ndarray) -> ForecastReport:
+    actuals = d.kw[rows]
+    return ForecastReport(mode=mode, horizon=len(rows), predictions=preds,
+                          actuals=actuals, curves=error_curve(actuals, preds),
+                          start_ts=int(d.hours[rows[0]]))
 
 
 def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
@@ -72,28 +88,46 @@ def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
                        horizon: int) -> ForecastReport:
     """Forecast ``horizon`` hours from start_row, feeding predictions back
     as history; weather features come from the recorded future rows
-    (perfect weather foresight), calendar from the target timestamps."""
+    (perfect weather foresight), calendar from the target timestamps.
+
+    Hour j is predicted from the window of inputs j .. j+n-1, where the
+    first n inputs are the recorded history and input n+j is the clamped
+    prediction of hour j. All windows in flight at a step read the same
+    input, so the n of them advance together as the rows of one (n, m)
+    state per layer, used as a ring: window j lives in row j mod n. Each
+    step advances every row, the window that has read its n inputs goes
+    to the head, and its row is zeroed to start window j+n. The fusion MLP
+    runs once over the whole horizon.
+    """
+    rows = _target_rows(spec, d, start_row, horizon,
+                        "future weather does not cover the horizon")
     n = spec.window_len
-    if start_row < n:
-        raise ForecastError("history does not cover one window")
-    if start_row + horizon > len(d):
-        raise ForecastError("future weather does not cover the horizon")
-    _check_contiguous(d.hours, start_row - n, start_row + horizon)
-    history = list(spec.normalize_kw(d.kw[start_row - n:start_row]))
+    fw = weather_features(d.weather.rows(rows), spec)
+    fc = calendar_features(d.hours[rows], spec)
+    o = _fusion(np.concatenate([fw, fc], axis=1), p)[-1]
+    inputs = np.empty(n + horizon)
+    inputs[:n] = spec.normalize_kw(d.kw[start_row - n:start_row])
     preds = np.empty(horizon)
-    for h in range(horizon):
-        row = start_row + h
-        fw = weather_features(d.weather.row(row), spec)
-        fc = calendar_features(int(d.hours[row]), spec)
-        yhat_norm = _predict_one(p, history[-n:], fw, fc)
-        kw = max(float(spec.denormalize_kw(yhat_norm)), 0.0)
-        preds[h] = kw
-        history.append(float(spec.normalize_kw(kw)))
-    actuals = d.kw[start_row:start_row + horizon]
-    return ForecastReport(mode="recursive", horizon=horizon, predictions=preds,
-                          actuals=actuals.copy(),
-                          curves=error_curve(actuals, preds),
-                          start_ts=int(d.hours[start_row]))
+    weights = _layer_weights(p.lstm)
+    ring = min(n, horizon)   # windows h >= horizon are never started
+    h = [np.zeros((0, layer.m)) for layer in p.lstm]
+    c = [np.zeros((0, layer.m)) for layer in p.lstm]
+    for step in range(n + horizon - 1):
+        if step < ring:   # warm-up: window `step` starts in a new zero row
+            h = [np.concatenate([hk, np.zeros((1, hk.shape[1]))]) for hk in h]
+            c = [np.concatenate([ck, np.zeros((1, ck.shape[1]))]) for ck in c]
+        _lstm_step(inputs[step:step + 1, None], h, c, weights)
+        done = step - n + 1          # the window that has read n inputs
+        if done < 0:
+            continue
+        r = done % n
+        yhat = _head(h[-1][r:r + 1], o[done:done + 1], p)[-1]
+        preds[done] = max(float(spec.denormalize_kw(yhat[0])), 0.0)
+        inputs[n + done] = spec.normalize_kw(preds[done])
+        for hk, ck in zip(h, c):
+            hk[r] = 0.0
+            ck[r] = 0.0
+    return _report("recursive", d, rows, preds)
 
 
 def forecast_with_actuals(p: PowerNetParams, spec: FeatureSpec,
@@ -101,23 +135,10 @@ def forecast_with_actuals(p: PowerNetParams, spec: FeatureSpec,
                           horizon: int) -> ForecastReport:
     """One-step-ahead prediction for each hour in the range, always using
     the true history (no error accumulation)."""
-    n = spec.window_len
-    if start_row < n:
-        raise ForecastError("history does not cover one window")
-    if start_row + horizon > len(d):
-        raise ForecastError("range exceeds the dataset")
-    _check_contiguous(d.hours, start_row - n, start_row + horizon)
-    rows = np.arange(start_row, start_row + horizon)
-    E = np.stack([spec.normalize_kw(d.kw[r - n:r]) for r in rows])
-    FW = np.stack([weather_features(d.weather.row(int(r)), spec) for r in rows])
-    FC = np.stack([calendar_features(int(d.hours[r]), spec) for r in rows])
-    yhat, _ = forward_batch(E, FW, FC, p)
-    preds = np.maximum(spec.denormalize_kw(yhat), 0.0)
-    actuals = d.kw[rows]
-    return ForecastReport(mode="actual_history", horizon=horizon,
-                          predictions=preds, actuals=actuals.copy(),
-                          curves=error_curve(actuals, preds),
-                          start_ts=int(d.hours[start_row]))
+    rows = _target_rows(spec, d, start_row, horizon, "range exceeds the dataset")
+    yhat, _ = forward_batch(*window_features(d, spec, rows), p)
+    return _report("actual_history", d, rows,
+                   np.maximum(spec.denormalize_kw(yhat), 0.0))
 
 
 def retraining_analysis(report: ForecastReport, thresholds) -> list:

@@ -10,6 +10,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class MetricError(ValueError):
@@ -83,11 +84,19 @@ def error_curve(actual, forecast, window: int = 24,
 
     roll_mape = np.empty(n)
     roll_mse = np.empty(n)
-    for i in range(n):
+    if n >= window:
+        roll_mse[window - 1:] = sliding_window_view(sq, window).mean(axis=1)
+        roll_mape[window - 1:] = sliding_window_view(pct, window).mean(axis=1)
+    # the first window-1 prefixes, and full windows that hold an excluded
+    # hour, average fewer terms
+    excluded = np.concatenate([[0], np.cumsum(~keep)])
+    partial = np.nonzero(excluded[window:] > excluded[:-window])[0] + window - 1
+    for i in [*range(min(window - 1, n)), *partial]:
         lo = max(0, i - window + 1)
-        roll_mse[i] = sq[lo:i + 1].mean()
-        k = keep[lo:i + 1]
-        roll_mape[i] = pct[lo:i + 1][k].mean() if k.any() else np.nan
+        # sum / count is what ndarray.mean computes, without its overhead
+        roll_mse[i] = sq[lo:i + 1].sum() / (i + 1 - lo)
+        kept = pct[lo:i + 1][keep[lo:i + 1]]
+        roll_mape[i] = kept.sum() / len(kept) if len(kept) else np.nan
     return ErrorCurve(hours=np.arange(1, n + 1), cum_mape=cum_mape,
                       cum_mse=cum_mse, roll_mape=roll_mape, roll_mse=roll_mse,
                       window=window)

@@ -6,13 +6,14 @@ Forward and backward passes are hand-derived (backpropagation through time
 for the recurrence) and operate on batches; gradients are exact and checked
 against central finite differences in the test suite.
 
-``forward_batch`` has two modes that share one LSTM gate cell. With
-``train=True`` it records the per-step trace that ``backward_batch`` reads
-and applies dropout; only this mode returns a trace. With ``train=False``
-(inference) it returns ``(yhat, None)`` and steps all layers together,
-holding one (B, m) hidden and cell state per layer, so its memory does
-not grow with the window length. Both give bitwise equal outputs at
-dropout 0.
+``forward_batch`` has two modes that share one LSTM gate cell, one fusion
+MLP and one head. With ``train=True`` it records the per-step trace that
+``backward_batch`` reads and applies dropout; only this mode returns a
+trace. With ``train=False`` (inference) it returns ``(yhat, None)`` and
+steps all layers together, holding one (B, m) hidden and cell state per
+layer, so its memory does not grow with the window length. Both give
+bitwise equal outputs at dropout 0. The inference step, the fusion MLP and
+the head are also what recursive forecasting runs, one hour at a time.
 
 All weights live in one contiguous float64 vector, and every weight array is
 a view into it. Gradients use the same layout, so the optimizer and the
@@ -208,6 +209,20 @@ def _lstm_forward(X: np.ndarray, p: LstmLayerParams):
     return H, tr
 
 
+def _layer_weights(layers: list) -> list:
+    """(w_x.T, w_h.T, b, m) per layer, as ``_lstm_step`` takes them."""
+    return [(layer.w_x.T, layer.w_h.T, layer.b, layer.m) for layer in layers]
+
+
+def _lstm_step(x: np.ndarray, h: list, c: list, weights: list):
+    """Advance every layer one time step on the layer-0 input ``x`` (B, 1)
+    or (1, 1), which broadcasts over the rows. ``h`` and ``c`` hold each
+    layer's (B, m) state and are rebound in place to the new state."""
+    for k, (wx_t, wh_t, b, m) in enumerate(weights):
+        *_, c[k], _, h[k] = _cell(x @ wx_t + h[k] @ wh_t + b, c[k], m)
+        x = h[k]
+
+
 def _lstm_infer(E: np.ndarray, layers: list) -> np.ndarray:
     """Final top-layer hidden state (B, m) for the (B, T) windows ``E``.
 
@@ -215,14 +230,11 @@ def _lstm_infer(E: np.ndarray, layers: list) -> np.ndarray:
     h and c per layer and no trace.
     """
     B = E.shape[0]
-    weights = [(layer.w_x.T, layer.w_h.T, layer.b, layer.m) for layer in layers]
+    weights = _layer_weights(layers)
     h = [np.zeros((B, layer.m)) for layer in layers]
     c = [np.zeros((B, layer.m)) for layer in layers]
     for t in range(E.shape[1]):
-        x = E[:, t:t + 1]
-        for k, (wx_t, wh_t, b, m) in enumerate(weights):
-            *_, c[k], _, h[k] = _cell(x @ wx_t + h[k] @ wh_t + b, c[k], m)
-            x = h[k]
+        _lstm_step(E[:, t:t + 1], h, c, weights)
     return h[-1]
 
 
@@ -268,6 +280,30 @@ def _dropout_mask(rng, shape, rate):
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+def _fusion(u: np.ndarray, p: PowerNetParams, mask2=None):
+    """The MLP over the (B, 18) weather/calendar input ``u``; returns
+    (s1, a1d, s2, o) with ``o`` its (B, d2) encoding. ``mask2`` is the
+    dropout mask on the input of w2, or None."""
+    s1 = u @ p.w1.T + p.b1
+    a1 = relu(s1)
+    a1d = a1 * mask2 if mask2 is not None else a1
+    s2 = a1d @ p.w2.T + p.b2
+    return s1, a1d, s2, relu(s2)
+
+
+def _head(h_final: np.ndarray, o: np.ndarray, p: PowerNetParams,
+          mask3=None, mask4=None):
+    """The regression head over the LSTM state (B, m) and the fusion
+    encoding (B, d2); returns (z, zd, s3, rd, yhat (B,)). ``mask3`` and
+    ``mask4`` are the dropout masks on the inputs of w3 and w4, or None."""
+    z = np.concatenate([h_final, o], axis=1)
+    zd = z * mask3 if mask3 is not None else z
+    s3 = zd @ p.w3.T + p.b3
+    r = relu(s3)
+    rd = r * mask4 if mask4 is not None else r
+    return z, zd, s3, rd, rd @ p.w4 + p.b4
+
+
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
                   p: PowerNetParams, dropout_rate: float = 0.0,
                   train: bool = False, rng=None):
@@ -293,33 +329,21 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     if u.shape != (B, p.w1.shape[1]):
         raise ShapeError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
 
-    if train:
-        X = E[:, :, None]
-        layer_traces = []
-        for layer in p.lstm:
-            X, tr = _lstm_forward(X, layer)
-            layer_traces.append(tr)
-        h_final = X[:, -1, :]
-    else:
-        h_final = _lstm_infer(E, p.lstm)
-
-    s1 = u @ p.w1.T + p.b1
-    a1 = relu(s1)
-    mask2 = _dropout_mask(rng, a1.shape, dropout_rate) if use_dropout else None
-    a1d = a1 * mask2 if mask2 is not None else a1
-    s2 = a1d @ p.w2.T + p.b2
-    o = relu(s2)
-
-    z = np.concatenate([h_final, o], axis=1)
-    mask3 = _dropout_mask(rng, z.shape, dropout_rate) if use_dropout else None
-    zd = z * mask3 if mask3 is not None else z
-    s3 = zd @ p.w3.T + p.b3
-    r = relu(s3)
-    mask4 = _dropout_mask(rng, r.shape, dropout_rate) if use_dropout else None
-    rd = r * mask4 if mask4 is not None else r
-    yhat = rd @ p.w4 + p.b4
+    # masks on the inputs of w2, w3 and w4, drawn in that order
+    shapes = ((B, p.w1.shape[0]), (B, p.w3.shape[1]), (B, p.w3.shape[0]))
+    mask2, mask3, mask4 = ([_dropout_mask(rng, s, dropout_rate) for s in shapes]
+                           if use_dropout else [None] * 3)
+    s1, a1d, s2, o = _fusion(u, p, mask2)
     if not train:
-        return yhat, None
+        return _head(_lstm_infer(E, p.lstm), o, p)[-1], None
+
+    X = E[:, :, None]
+    layer_traces = []
+    for layer in p.lstm:
+        X, tr = _lstm_forward(X, layer)
+        layer_traces.append(tr)
+    h_final = X[:, -1, :]
+    z, zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
     trace = ForwardTrace(layers=layer_traces, h_final=h_final, u=u, s1=s1,
                          a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
                          mask2=mask2, mask3=mask3, mask4=mask4)
@@ -381,7 +405,7 @@ def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
                    for name, a in p.arrays()},
         "stack": len(p.lstm),
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
 def checkpoint_from_json(text: str):

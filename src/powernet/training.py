@@ -107,7 +107,7 @@ class TrainReport:
             "stopped_early": self.stopped_early,
             "memory_size": self.memory_size,
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
     def write_curves_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -97,6 +97,42 @@ class TestSynthIngest:
         temperatures = [row[0] for row in doc["numeric"]]
         assert temperatures.count(None) == 2
 
+    def test_short_weather_row_is_missing_data(self, tmp_path):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / "weather.csv").read_text().splitlines()
+        lines[7] = lines[7].split(",")[0]   # only the time cell is left
+        (fx / "weather.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                     "--weather", str(fx / "weather.csv"), "--out", str(out)]) == 0
+        doc = json.loads((out / "dataset.json").read_text())
+        assert doc["summary"][6] == "" and doc["icon"][6] == ""
+        assert doc["numeric"][6] == [None] * 11
+        assert doc["summary"][5] != ""
+
+    def test_remaining_gaps_counts_unfilled_hours(self, tmp_path):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / "Apt1.csv").read_text().splitlines()
+        # quarter-hour readings: hours 10-14 (5 h) and hour 30 (1 h) go missing
+        del lines[120:124]
+        del lines[40:60]
+        (fx / "Apt1.csv").write_text("\n".join(lines) + "\n")
+        reports = {}
+        for run in (2, 5):
+            out = tmp_path / f"run{run}"
+            assert main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                         "--weather", str(fx / "weather.csv"), "--out", str(out),
+                         "--fill-max-run", str(run)]) == 0
+            reports[run] = json.loads((out / "ingest_report.json").read_text())
+        assert reports[2]["remaining_gaps"] == 5
+        assert reports[2]["aligned_hours"] == 72 - 5
+        assert reports[5]["remaining_gaps"] == 0
+        assert reports[5]["aligned_hours"] == 72
+
     def test_full_pipeline(self, tmp_path):
         fx = tmp_path / "fx"
         assert main(["synth", "--out", str(fx), "--days", "3",
@@ -345,6 +381,17 @@ class TestForecast:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["recursive", "actual"])
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_empty_horizon_is_usage_error(self, dataset_path, checkpoint_dir,
+                                          tmp_path, capsys, mode, horizon):
+        rc = main(["forecast", "--checkpoint",
+                   str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--mode", mode,
+                   "--horizon", horizon, "--start-row", "100",
+                   "--out", str(tmp_path)])
+        assert "horizon must be >= 1" in assert_usage_error(rc, capsys)
+
 
 class TestAnomaly:
     def test_sweep_and_detection(self, dataset_path, checkpoint_dir, tmp_path):
@@ -382,3 +429,42 @@ class TestParser:
         names = set(sub.choices)
         assert {"ingest", "train", "evaluate", "forecast", "anomaly",
                 "grid-search", "synth"} <= names
+
+
+class TestJsonWriters:
+    """Every JSON writer raises on a non-finite float instead of writing
+    the non-standard tokens NaN or Infinity."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, tmp_path, value):
+        from powernet import cli
+        from powernet.baselines import GbtModel
+        from powernet.features import fit_feature_spec
+        from powernet.forecast_anomaly import ForecastReport
+        from powernet.metrics import error_curve
+        from powernet.model import checkpoint_to_json, init_params
+        from powernet.training import TrainReport
+
+        d = make_aligned_dataset(days=2, seed=0)
+        spec = fit_feature_spec(d, slice(0, 24), window_len=3)
+        spec.cons_mean = value
+        p = init_params(2, 2, 2, 2)
+        p.vec[3] = value
+        d.kw[4] = value
+        actual = np.array([1.0, value])
+        writers = [
+            lambda: cli._write_json(tmp_path / "doc.json", {"a": [1.0, value]}),
+            lambda: checkpoint_to_json(p, {}, {}, 0),
+            spec.to_json,
+            lambda: dataset_to_json(d),
+            TrainReport(train_loss=[value], val_mse=[1.0], best_epoch=0).to_json,
+            GbtModel(initial_prediction=value).to_json,
+            ForecastReport(mode="recursive", horizon=2, predictions=np.ones(2),
+                           actuals=actual,
+                           curves=error_curve(np.ones(2), np.ones(2))).to_json,
+        ]
+        for write in writers:
+            with pytest.raises(ValueError, match="JSON compliant"), \
+                    np.errstate(invalid="ignore"):
+                write()
+        assert not (tmp_path / "doc.json").exists()

@@ -1,3 +1,6 @@
+import dataclasses
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,20 @@ def default_spec(**kwargs):
     return FeatureSpec(**base)
 
 
+def reference_calendar_features(t: int, spec) -> np.ndarray:
+    """Calendar oracle: one ``datetime`` per timestamp."""
+    local = datetime.fromtimestamp(
+        t, timezone(timedelta(hours=spec.utc_offset_hours)))
+    lo, hi = spec.daytime_range
+    return np.array([
+        float(local.day),
+        float(local.weekday()),
+        float(local.hour),
+        1.0 if lo <= local.hour < hi else 0.0,
+        1.0 if local.weekday() >= 5 else 0.0,
+    ])
+
+
 class TestCalendarFeatures:
     def test_friday_afternoon(self):
         spec = default_spec()
@@ -107,17 +124,54 @@ class TestCalendarFeatures:
         t = parse_timestamp("2016-04-29T13:00:00")
         assert np.array_equal(calendar_features(t, spec), calendar_features(t, spec))
 
+    @pytest.mark.parametrize("offset", [-7.0, 0.0, 5.5, -3.5, 13.0])
+    def test_array_matches_datetime_oracle_across_boundaries(self, offset):
+        spec = default_spec(utc_offset_hours=offset, daytime_range=(6, 20))
+        # two days either side of month, year and leap-day boundaries, in
+        # half-hour steps so half-hour offsets cross hours and midnights too
+        edges = ["1969-12-31", "1970-01-01", "1999-12-31", "2000-02-28",
+                 "2000-02-29", "2000-03-01", "2015-12-31", "2016-02-29",
+                 "2016-04-30", "2017-02-28", "2100-02-28", "2100-03-01"]
+        t = np.concatenate([
+            parse_timestamp(e + "T00:00:00", 0.0) + np.arange(-48, 48) * 1800
+            for e in edges])
+        t = np.concatenate([t, np.random.default_rng(0).integers(
+            -10 ** 9, 4 * 10 ** 9, 500)])
+        got = calendar_features(t, spec)
+        assert got.shape == (len(t), 5) and got.dtype == np.float64
+        expected = np.stack([reference_calendar_features(int(v), spec) for v in t])
+        assert np.array_equal(got, expected)
+        assert np.array_equal(calendar_features(int(t[7]), spec), expected[7])
+
+
+def weather_one(row, spec) -> np.ndarray:
+    """``weather_features`` of one (summary, icon, numeric) row."""
+    summary, icon, numeric = row
+    return weather_features(([summary], [icon], np.asarray(numeric)[None]), spec)[0]
+
+
+def reference_weather_features(row, spec) -> np.ndarray:
+    """Single-row oracle of ``weather_features``."""
+    summary, icon, numeric = row
+    z = (np.asarray(numeric, dtype=np.float64) - spec.weather_mean) / spec.weather_std
+    z = np.where(np.isnan(z), 0.0, z)
+    return np.concatenate([
+        [float(spec.summary_vocab.get(summary, 0)),
+         float(spec.icon_vocab.get(icon, 0))],
+        z,
+    ])
+
 
 class TestWeatherFeatures:
     def test_mean_value_maps_to_zero(self):
         spec = default_spec(weather_mean=np.full(11, 5.0))
         row = ("Clear", "clear-day", np.full(11, 5.0))
-        vec = weather_features(row, spec)
+        vec = weather_one(row, spec)
         assert np.array_equal(vec[2:], np.zeros(11))
         assert len(vec) == 13
 
     def test_unseen_category_maps_to_reserved_index(self):
-        vec = weather_features(("Sleet", "sleet", np.zeros(11)), default_spec())
+        vec = weather_one(("Sleet", "sleet", np.zeros(11)), default_spec())
         assert vec[0] == 0 and vec[1] == 0
 
     def test_hand_computed_z_scores(self):
@@ -125,14 +179,26 @@ class TestWeatherFeatures:
         std = np.arange(1, 12, dtype=float)
         spec = default_spec(weather_mean=mean, weather_std=std)
         numeric = np.arange(11, dtype=float) * 3 + 1
-        vec = weather_features(("Clear", "clear-day", numeric), spec)
+        vec = weather_one(("Clear", "clear-day", numeric), spec)
         expected = (numeric - mean) / std
         assert np.allclose(vec[2:], expected, atol=1e-12)
+
+    def test_rows_match_per_row_oracle(self):
+        d = make_aligned_dataset(days=3, seed=4)
+        spec = fit_feature_spec(d, slice(0, 30), window_len=3)
+        w = d.weather
+        w.numeric[5, 2] = np.nan
+        idx = np.array([40, 5, 0, 71, 5])
+        got = weather_features(w.rows(idx), spec)
+        expected = np.stack([reference_weather_features(
+            (w.summary[i], w.icon[i], w.numeric[i]), spec) for i in idx])
+        assert np.array_equal(got, expected)
+        assert weather_features(w.rows(idx[:0]), spec).shape == (0, 13)
 
     def test_missing_numeric_becomes_training_mean(self):
         numeric = np.zeros(11)
         numeric[4] = np.nan
-        vec = weather_features(("Clear", "clear-day", numeric), default_spec())
+        vec = weather_one(("Clear", "clear-day", numeric), default_spec())
         assert vec[2 + 4] == 0.0
 
 
@@ -159,6 +225,41 @@ class TestFitFeatureSpec:
         assert back.cons_std == spec.cons_std
 
 
+def reference_build_split(d, spec, lo, hi):
+    """Per-row oracle of ``_build_split``: (E, FW, FC, y, t, skipped)."""
+    n = spec.window_len
+    w = d.weather
+    E, FW, FC, y, t = [], [], [], [], []
+    skipped = 0
+    for i in range(lo, hi):
+        if i - n < 0 or d.hours[i] - d.hours[i - n] != n * HOUR:
+            skipped += 1
+            continue
+        E.append(spec.normalize_kw(d.kw[i - n:i]))
+        FW.append(reference_weather_features((w.summary[i], w.icon[i], w.numeric[i]),
+                                             spec))
+        FC.append(reference_calendar_features(int(d.hours[i]), spec))
+        y.append(float(spec.normalize_kw(d.kw[i])))
+        t.append(int(d.hours[i]))
+    return (np.asarray(E).reshape(len(E), n), np.asarray(FW).reshape(len(E), 13),
+            np.asarray(FC).reshape(len(E), 5), np.asarray(y, dtype=np.float64),
+            np.asarray(t, dtype=np.int64), skipped)
+
+
+def drop_rows(d, drop):
+    """``d`` without the rows in ``drop``: a dataset with holes."""
+    keep = np.ones(len(d), dtype=bool)
+    keep[drop] = False
+    w = d.weather
+    return dataclasses.replace(
+        d, hours=d.hours[keep], kw=d.kw[keep],
+        weather=dataclasses.replace(
+            w, times=w.times[keep],
+            summary=tuple(s for s, k in zip(w.summary, keep) if k),
+            icon=tuple(s for s, k in zip(w.icon, keep) if k),
+            numeric=w.numeric[keep]))
+
+
 class TestBuildExamples:
     def setup_method(self):
         self.d = make_aligned_dataset(days=32, seed=2)
@@ -180,25 +281,30 @@ class TestBuildExamples:
         assert data.skipped == 24
 
     def test_gap_skips_window_crossings(self):
-        d = self.d
         # remove a 5-hour stretch from the aligned rows to fake an unfilled gap
-        import dataclasses
-        keep = np.ones(len(d), dtype=bool)
-        keep[300:305] = False
-        w = d.weather
-        d2 = dataclasses.replace(
-            d, hours=d.hours[keep], kw=d.kw[keep],
-            weather=dataclasses.replace(
-                w, times=w.times[keep],
-                summary=tuple(s for s, k in zip(w.summary, keep) if k),
-                icon=tuple(s for s, k in zip(w.icon, keep) if k),
-                numeric=w.numeric[keep]))
+        d2 = drop_rows(self.d, np.arange(300, 305))
         n = self.spec.window_len
         data = build_examples(d2, self.spec, ((100, 500), (500, 550), (550, 600)))
         # aligned rows drop the 5 gap hours entirely, so exactly the n
         # targets whose history window crosses the hole are skipped
         assert data.skipped == n
         assert len(data.train) == 400 - n
+
+    @pytest.mark.parametrize("window_len", [1, 3, 24])
+    def test_equals_per_row_oracle_with_holes(self, window_len):
+        d = drop_rows(self.d, np.r_[2, 300:305, 420, 500:530, 650])
+        d.weather.numeric[[30, 31], 4] = np.nan
+        spec = fit_feature_spec(d, slice(0, 400), window_len=window_len)
+        bounds = ((0, 400), (400, 560), (560, len(d)))
+        data = build_examples(d, spec, bounds)
+        skipped = 0
+        for split, (lo, hi) in zip((data.train, data.validation, data.test), bounds):
+            *arrays, k = reference_build_split(d, spec, lo, hi)
+            for name, want in zip("E FW FC y t".split(), arrays):
+                got = getattr(split, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            skipped += k
+        assert data.skipped == skipped > window_len
 
     def test_target_values_normalized(self):
         data = build_examples(self.d, self.spec, self.bounds)

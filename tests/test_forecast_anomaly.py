@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from powernet.dataio import HOUR, TimeSeries
-from powernet.features import build_examples, fit_feature_spec
+from powernet.features import (build_examples, calendar_features,
+                               fit_feature_spec, weather_features)
 from powernet.forecast_anomaly import (
     DetectorConfig, ForecastError, ForecastReport, ResidualStats,
     TheftScenario, apply_theft, detect_consumer, detect_substation,
@@ -11,8 +12,34 @@ from powernet.forecast_anomaly import (
     simulate_substation, theft_sweep, write_sweep_csv,
 )
 from powernet.metrics import error_curve, mape
-from powernet.synth import make_sinusoid_dataset
+from powernet.model import forward_batch, init_params
+from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
 from powernet.training import TrainConfig, train
+
+
+def predict_one(p, window_norm, fw, fc) -> float:
+    """Single-row oracle: one batch-1 forward pass."""
+    yhat, _ = forward_batch(np.asarray(window_norm)[None, :],
+                            np.asarray(fw)[None, :], np.asarray(fc)[None, :], p)
+    return float(yhat[0])
+
+
+def weather_row(d, row, spec):
+    return weather_features(d.weather.rows([row]), spec)[0]
+
+
+def reference_forecast_recursive(p, spec, d, start_row, horizon):
+    """Per-hour oracle: each hour re-runs its whole window at batch 1."""
+    n = spec.window_len
+    history = list(spec.normalize_kw(d.kw[start_row - n:start_row]))
+    preds = np.empty(horizon)
+    for h in range(horizon):
+        row = start_row + h
+        yhat = predict_one(p, history[-n:], weather_row(d, row, spec),
+                           calendar_features(int(d.hours[row]), spec))
+        preds[h] = max(float(spec.denormalize_kw(yhat)), 0.0)
+        history.append(float(spec.normalize_kw(preds[h])))
+    return preds
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +63,12 @@ class TestForecastWithActuals:
         p, spec, d, bounds = sinusoid_model
         start = bounds[2][0]
         rep = forecast_with_actuals(p, spec, d, start, 6)
-        from powernet.forecast_anomaly import _predict_one
-        from powernet.features import calendar_features, weather_features
         n = spec.window_len
         for h in range(6):
             row = start + h
-            yhat = _predict_one(p, spec.normalize_kw(d.kw[row - n:row]),
-                                weather_features(d.weather.row(row), spec),
-                                calendar_features(int(d.hours[row]), spec))
+            yhat = predict_one(p, spec.normalize_kw(d.kw[row - n:row]),
+                               weather_row(d, row, spec),
+                               calendar_features(int(d.hours[row]), spec))
             expected = max(float(spec.denormalize_kw(yhat)), 0.0)
             assert rep.predictions[h] == pytest.approx(expected, abs=1e-12)
 
@@ -87,6 +112,28 @@ class TestForecastRecursive:
         p, spec, d, _ = sinusoid_model
         with pytest.raises(ForecastError, match="weather"):
             forecast_recursive(p, spec, d, len(d) - 10, 20)
+
+    @pytest.mark.parametrize("fn", [forecast_recursive, forecast_with_actuals])
+    def test_empty_horizon_rejected(self, sinusoid_model, fn):
+        p, spec, d, bounds = sinusoid_model
+        with pytest.raises(ForecastError, match="horizon"):
+            fn(p, spec, d, bounds[2][0], 0)
+
+    @pytest.mark.parametrize("stack", [1, 2, 3])
+    @pytest.mark.parametrize("window_len", [1, 3, 24])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_wavefront_equals_per_hour_oracle(self, stack, window_len, clamp):
+        d = make_aligned_dataset(days=5, seed=stack)
+        spec = fit_feature_spec(d, slice(0, 96), window_len=window_len)
+        p = init_params(6, 5, 4, 5, seed=window_len, stack=stack)
+        if clamp:
+            p.b4 = -50.0   # every hour clamps, and 0 kW is fed back
+        n = window_len
+        for horizon in sorted({1, n - 1, n, 3 * n + 1} - {0}):
+            got = forecast_recursive(p, spec, d, n, horizon).predictions
+            want = reference_forecast_recursive(p, spec, d, n, horizon)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+        assert not clamp or (want == 0.0).all()
 
 
 class TestRetrainingAnalysis:

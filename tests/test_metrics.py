@@ -78,6 +78,23 @@ class TestMape:
             mape([1.0], [1.0], zero_floor=-1.0)
 
 
+def reference_rolling(a, f, window, zero_floor):
+    """Loop oracle of the rolling series: (roll_mape, roll_mse)."""
+    n = len(a)
+    sq = (a - f) ** 2
+    keep = np.abs(a) > zero_floor
+    pct = np.zeros(n)
+    pct[keep] = 100.0 * np.abs((a[keep] - f[keep]) / a[keep])
+    roll_mape = np.empty(n)
+    roll_mse = np.empty(n)
+    for i in range(n):
+        lo = max(0, i - window + 1)
+        roll_mse[i] = sq[lo:i + 1].mean()
+        k = keep[lo:i + 1]
+        roll_mape[i] = pct[lo:i + 1][k].mean() if k.any() else np.nan
+    return roll_mape, roll_mse
+
+
 class TestErrorCurve:
     def test_cumulative_prefix_definition(self):
         rng = np.random.default_rng(3)
@@ -97,6 +114,19 @@ class TestErrorCurve:
             lo = max(0, i - 23)
             assert c.roll_mse[i] == pytest.approx(mse(a[lo:i + 1], f[lo:i + 1]), abs=1e-12)
             assert c.roll_mape[i] == pytest.approx(mape(a[lo:i + 1], f[lo:i + 1]), abs=1e-12)
+
+    def test_rolling_equals_loop_oracle(self):
+        rng = np.random.default_rng(6)
+        for trial in range(200):
+            n = int(rng.integers(1, 120))
+            window = int(rng.choice([1, 2, 5, 24, 30, 200]))
+            a = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3, n)
+            a[rng.random(n) < rng.choice([0.0, 0.05, 0.5, 1.0])] = 0.0
+            f = a + rng.normal(0, 0.3, n)
+            c = error_curve(a, f, window=window)
+            roll_mape, roll_mse = reference_rolling(a, f, window, 1e-6)
+            assert np.array_equal(c.roll_mse, roll_mse)
+            assert np.array_equal(c.roll_mape, roll_mape, equal_nan=True)
 
     def test_hours_one_based(self):
         c = error_curve([1.0, 1.0], [1.0, 1.0], window=2)
