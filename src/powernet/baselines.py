@@ -43,11 +43,7 @@ def persistence_forecast(history, horizon: int, period: int = 24) -> np.ndarray:
     values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
     if len(values) < period:
         raise BaselineError(f"need at least {period} history values, have {len(values)}")
-    last = list(values[-period:])
-    out = []
-    for h in range(horizon):
-        out.append(last[h % period])
-    return np.asarray(out)
+    return np.resize(values[-period:], horizon)
 
 
 @dataclass

@@ -20,11 +20,11 @@ from . import baselines, dataio, synth
 from .dataio import DataError
 from .features import (FeatureError, FeatureSpec, build_examples,
                        fit_feature_spec, tail_splits)
-from .forecast_anomaly import (DetectorConfig, ForecastError,
-                               detect_consumer, forecast_recursive,
-                               forecast_with_actuals, residual_stats,
-                               retraining_analysis, theft_sweep,
-                               write_sweep_csv)
+from .forecast_anomaly import (DetectorConfig, ForecastError, TheftScenario,
+                               apply_theft, detect_consumer,
+                               forecast_recursive, forecast_with_actuals,
+                               residual_stats, retraining_analysis,
+                               theft_sweep, write_sweep_csv)
 from .metrics import MetricError, mape, mse
 from .model import checkpoint_from_dict, checkpoint_to_json, forward_batch
 from .training import TrainConfig, TrainingError, grid_search, train
@@ -32,11 +32,11 @@ from .training import TrainConfig, TrainingError, grid_search, train
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 
-CONFIG_KEYS = {
-    "learning_rate", "batch_size", "max_epochs", "patience", "dropout_rate",
-    "l2_lambda", "memory_size_grid", "memory_size", "d1", "d2", "d3",
-    "stack", "seed", "window_len", "acf_threshold", "splits",
-}
+#: Config keys that shape the examples, with their defaults; every other
+#: config key is a TrainConfig field.
+EXAMPLE_DEFAULTS = {"splits": "624:48:48", "window_len": None,
+                    "acf_threshold": 0.5}
+CONFIG_KEYS = set(TrainConfig.__dataclass_fields__) | set(EXAMPLE_DEFAULTS)
 
 
 class UsageError(ValueError):
@@ -63,11 +63,7 @@ def _write_json(path, doc):
 def _parse_file(path, what: str, parse):
     """``parse`` applied to the text of the file at ``path``, read once; an
     unreadable or malformed file is a usage error."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    text = dataio.read_text(path, what)
     try:
         return parse(text)
     except KeyError as exc:
@@ -78,7 +74,7 @@ def _parse_file(path, what: str, parse):
 
 def _load_config(args) -> dict:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = _parse_file(args.config, "config", json.loads)
         if not isinstance(doc, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
@@ -86,12 +82,9 @@ def _load_config(args) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
-    # flags take precedence over file values
-    for key in ("seed", "memory_size", "window_len", "max_epochs", "splits",
-                "patience", "learning_rate", "dropout_rate", "l2_lambda"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    # flags whose dest is a config key take precedence over file values
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in CONFIG_KEYS and value is not None)
     return cfg
 
 
@@ -108,11 +101,10 @@ def _load_dataset(path):
 
 
 def _prepare_examples(d, cfg: dict):
-    split_hours = _parse_splits(cfg.get("splits", "624:48:48"))
-    bounds = tail_splits(len(d), *split_hours)
-    spec = fit_feature_spec(d, slice(*bounds[0]),
-                            window_len=cfg.get("window_len"),
-                            acf_threshold=cfg.get("acf_threshold", 0.5))
+    cfg = {**EXAMPLE_DEFAULTS, **cfg}
+    bounds = tail_splits(len(d), *_parse_splits(cfg["splits"]))
+    spec = fit_feature_spec(d, slice(*bounds[0]), window_len=cfg["window_len"],
+                            acf_threshold=cfg["acf_threshold"])
     return build_examples(d, spec, bounds), bounds
 
 
@@ -128,6 +120,8 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def cmd_synth(args):
+    if args.days < 1 or args.apartments < 1:
+        raise UsageError("--days and --apartments must be >= 1")
     out = _out_dir(args)
     synth.write_fixture_dir(out, days=args.days, apartments=args.apartments,
                             seed=args.seed, fmt=args.format)
@@ -136,9 +130,6 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
-    for path in list(args.consumption) + [args.weather]:
-        if not os.path.exists(path):
-            raise UsageError(f"input file not found: {path}")
     report = dataio.IngestReport()
     series = [dataio.resample_hourly(
                   dataio.load_consumption(p, args.format, report=report))
@@ -186,7 +177,7 @@ def _train_common(args, use_grid: bool):
     if use_grid:
         params, report, cell_reports = grid_search(data, tcfg)
         _write_json(os.path.join(out, "grid_report.json"),
-                    {str(m): (None if r is None else json.loads(r.to_json()))
+                    {str(m): (None if r is None else r.to_dict())
                      for m, r in cell_reports.items()})
         memory_size = report.memory_size
     else:
@@ -213,18 +204,26 @@ def cmd_grid_search(args):
     return _train_common(args, use_grid=True)
 
 
-def _checkpoint_from_json(text: str):
-    """(kind, model, spec, doc) of a GBT or powernet checkpoint."""
-    doc = json.loads(text)
-    spec = FeatureSpec.from_dict(doc["feature_spec"])
-    if doc.get("model_type") == "gbt":
-        return "gbt", baselines.GbtModel.from_dict(doc), spec, doc
-    params, _, _, _ = checkpoint_from_dict(doc)
-    return "powernet", params, spec, doc
+def _model_inputs(args):
+    """(kind, model, spec, doc, d) from ``--checkpoint`` and ``--dataset``.
 
+    Commands with a ``--horizon`` need a powernet checkpoint, and their
+    ``start_row`` defaults to ``len(d) - horizon``."""
+    def parse(text):
+        doc = json.loads(text)
+        spec = FeatureSpec.from_dict(doc["feature_spec"])
+        if doc.get("model_type") == "gbt":
+            return "gbt", baselines.GbtModel.from_dict(doc), spec, doc
+        return "powernet", checkpoint_from_dict(doc)[0], spec, doc
 
-def _load_checkpoint(path):
-    return _parse_file(path, "checkpoint", _checkpoint_from_json)
+    kind, model, spec, doc = _parse_file(args.checkpoint, "checkpoint", parse)
+    forecasting = hasattr(args, "horizon")
+    if forecasting and kind != "powernet":
+        raise UsageError(f"{args.command} requires a powernet checkpoint")
+    d = _load_dataset(args.dataset)
+    if forecasting and args.start_row is None:
+        args.start_row = len(d) - args.horizon
+    return kind, model, spec, doc, d
 
 
 def _split_predictions(kind, model, spec, data, split_name):
@@ -237,8 +236,7 @@ def _split_predictions(kind, model, spec, data, split_name):
 
 
 def cmd_evaluate(args):
-    kind, model, spec, doc = _load_checkpoint(args.checkpoint)
-    d = _load_dataset(args.dataset)
+    kind, model, spec, doc, d = _model_inputs(args)
     splits = doc.get("splits") or doc.get("hyperparameters", {}).get("splits")
     if splits is None:
         raise UsageError("checkpoint does not record split boundaries")
@@ -254,13 +252,9 @@ def cmd_evaluate(args):
 
 
 def cmd_forecast(args):
-    kind, model, spec, _ = _load_checkpoint(args.checkpoint)
-    if kind != "powernet":
-        raise UsageError("forecast requires a powernet checkpoint")
-    d = _load_dataset(args.dataset)
-    start_row = args.start_row if args.start_row is not None else len(d) - args.horizon
+    _, model, spec, _, d = _model_inputs(args)
     fn = forecast_recursive if args.mode == "recursive" else forecast_with_actuals
-    report = fn(model, spec, d, start_row, args.horizon)
+    report = fn(model, spec, d, args.start_row, args.horizon)
     out = _out_dir(args)
     report.write_csv(os.path.join(out, f"forecast_{args.mode}.csv"))
     report.curves.write_csv(os.path.join(out, f"forecast_{args.mode}_curve.csv"))
@@ -274,22 +268,19 @@ def cmd_forecast(args):
 
 
 def cmd_anomaly(args):
-    kind, model, spec, _ = _load_checkpoint(args.checkpoint)
-    if kind != "powernet":
-        raise UsageError("anomaly requires a powernet checkpoint")
-    d = _load_dataset(args.dataset)
-    horizon = args.horizon
-    start_row = args.start_row if args.start_row is not None else len(d) - horizon
+    detect = args.detect_theta is not None
+    if detect:   # detector settings are checked before any work
+        cfg = DetectorConfig(window=args.detector_window, k=args.detector_k)
+    _, model, spec, _, d = _model_inputs(args)
+    horizon, start_row = args.horizon, args.start_row
     rows = theft_sweep(model, spec, d, start_row, horizon, args.thetas)
     out = _out_dir(args)
     write_sweep_csv(os.path.join(out, "theft_sweep.csv"), rows)
     result = {"sweep": rows}
-    if args.detect_theta is not None:
-        cfg = DetectorConfig(window=args.detector_window, k=args.detector_k)
+    if detect:
         clean = forecast_with_actuals(model, spec, d, start_row - horizon, horizon)
         stats = residual_stats(clean.predictions, clean.actuals, cfg)
         test = forecast_with_actuals(model, spec, d, start_row, horizon)
-        from .forecast_anomaly import TheftScenario, apply_theft
         reported = apply_theft(test.actuals,
                                TheftScenario(args.detect_theta, 0, horizon))
         alarms = detect_consumer(test.predictions, reported, cfg, stats)
@@ -301,7 +292,8 @@ def cmd_anomaly(args):
     return 0
 
 
-def _thetas(text: str):
+def _floats(text: str):
+    """A comma-separated list of floats; empty entries are skipped."""
     return [float(x) for x in text.split(",") if x.strip()]
 
 
@@ -357,32 +349,30 @@ def build_parser() -> argparse.ArgumentParser:
     train_args(p)
     p.set_defaults(fn=cmd_grid_search)
 
+    def model_args(p, horizon=None):
+        common(p)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--dataset", required=True)
+        if horizon is not None:
+            p.add_argument("--horizon", type=int, default=horizon)
+            p.add_argument("--start-row", dest="start_row", type=int)
+
     p = sub.add_parser("evaluate", help="metrics of a checkpoint on a split")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
+    model_args(p)
     p.add_argument("--split", choices=["train", "validation", "test"],
                    default="test")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("forecast", help="multi-horizon forecast")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
+    model_args(p, horizon=720)
     p.add_argument("--mode", choices=["recursive", "actual"], default="recursive")
-    p.add_argument("--horizon", type=int, default=720)
-    p.add_argument("--start-row", dest="start_row", type=int)
-    p.add_argument("--thresholds", type=lambda s: [float(x) for x in s.split(",")],
+    p.add_argument("--thresholds", type=_floats,
                    help="cumulative-MAPE thresholds for the retraining table")
     p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("anomaly", help="theft sweep and detection")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--horizon", type=int, default=336)
-    p.add_argument("--start-row", dest="start_row", type=int)
-    p.add_argument("--thetas", type=_thetas,
+    model_args(p, horizon=336)
+    p.add_argument("--thetas", type=_floats,
                    default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     p.add_argument("--detect-theta", dest="detect_theta", type=float)
     p.add_argument("--detector-window", dest="detector_window", type=int, default=24)

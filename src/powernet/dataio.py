@@ -12,9 +12,10 @@ standard time for the source region, no DST) and stored as UTC epoch seconds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -34,6 +35,17 @@ WEATHER_COLUMNS = ["time", "summary", "icon"] + WEATHER_NUMERIC_COLUMNS
 
 class DataError(ValueError):
     """Unrecoverable ingestion problem (bad file, misaligned series...)."""
+
+
+def read_text(path, what: str) -> str:
+    """The whole text of the input file at ``path``, line endings kept as
+    on disk. An unreadable or undecodable file is a DataError naming
+    ``what``; this is the one place input files are opened."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> int:
@@ -193,26 +205,22 @@ def load_consumption(path, fmt: str = "per_minute",
     rows: list[tuple[int, float]] = []
     bad = 0
     total = 0
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line in csv.reader(fh):
-            if not line or not "".join(line).strip():
-                continue
-            total += 1
-            try:
-                ts = parse_timestamp(line[0], utc_offset_hours)
-                power = float(line[1])
-            except (ValueError, IndexError, OverflowError):
-                # header line or junk
-                bad += 1
-                continue
-            if not math.isfinite(power):
-                bad += 1
-                continue
-            rows.append((ts, power))
+    text = read_text(path, "consumption CSV")
+    for line in csv.reader(io.StringIO(text, newline="")):
+        if not line or not "".join(line).strip():
+            continue
+        total += 1
+        try:
+            ts = parse_timestamp(line[0], utc_offset_hours)
+            power = float(line[1])
+        except (ValueError, IndexError, OverflowError):
+            # header line or junk
+            bad += 1
+            continue
+        if not math.isfinite(power):
+            bad += 1
+            continue
+        rows.append((ts, power))
     if report is not None:
         report.rows_parsed += len(rows)
         report.rows_malformed += bad
@@ -272,6 +280,8 @@ def aggregate(series: list[TimeSeries]) -> TimeSeries:
 
 def fill_gaps(s: TimeSeries, max_run: int = 3) -> TimeSeries:
     """Linearly interpolate interior gap runs of length <= max_run."""
+    if max_run < 0:
+        raise DataError(f"fill max run must be >= 0, got {max_run}")
     values = s.values.copy()
     n = len(values)
     i = 0
@@ -299,35 +309,31 @@ def load_weather(path) -> WeatherTable:
     an unparseable, non-finite or absent numeric cell is stored as NaN
     (missing), and an absent ``summary`` or ``icon`` cell as empty.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in WEATHER_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing weather columns {missing}")
-        times, summary, icon, numeric = [], [], [], []
-        for row in reader:
+    text = read_text(path, "weather CSV")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    missing = [c for c in WEATHER_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing weather columns {missing}")
+    times, summary, icon, numeric = [], [], [], []
+    for row in reader:
+        try:
+            times.append(parse_timestamp(row["time"]))
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: row {reader.line_num}: bad time "
+                            f"{row['time']!r}") from exc
+        # a short row leaves its missing cells None
+        summary.append((row["summary"] or "").strip())
+        icon.append((row["icon"] or "").strip())
+        vals = []
+        for col in WEATHER_NUMERIC_COLUMNS:
+            raw = (row[col] or "").strip()
             try:
-                times.append(parse_timestamp(row["time"]))
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}: row {reader.line_num}: bad time "
-                                f"{row['time']!r}") from exc
-            # a short row leaves its missing cells None
-            summary.append((row["summary"] or "").strip())
-            icon.append((row["icon"] or "").strip())
-            vals = []
-            for col in WEATHER_NUMERIC_COLUMNS:
-                raw = (row[col] or "").strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = np.nan
-                vals.append(value if math.isfinite(value) else np.nan)
-            numeric.append(vals)
+                value = float(raw)
+            except ValueError:
+                value = np.nan
+            vals.append(value if math.isfinite(value) else np.nan)
+        numeric.append(vals)
     if not times:
         raise DataError(f"{path}: empty weather file")
     order = np.argsort(times)

@@ -20,7 +20,6 @@ from .dataio import (
     HOUR,
     DEFAULT_UTC_OFFSET_HOURS,
     AlignedDataset,
-    WEATHER_NUMERIC_COLUMNS,
 )
 
 N_WEATHER = 13

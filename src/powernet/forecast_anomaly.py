@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .features import (FeatureSpec, calendar_features, weather_features,
 from .metrics import ErrorCurve, error_curve, mape, mse
 from .model import (PowerNetParams, _fusion, _head, _layer_weights,
                     _lstm_step, forward_batch)
-from .training import TrainConfig, train
 
 
 class ForecastError(ValueError):
@@ -208,8 +208,8 @@ class DetectorConfig:
     floor_kw: float = 0.05    # denominator floor; reported values are adversarial
 
     def __post_init__(self):
-        if self.window < 1 or self.k <= 0:
-            raise ForecastError("window must be >= 1 and k > 0")
+        if self.window < 1 or not (math.isfinite(self.k) and self.k > 0):
+            raise ForecastError("window must be >= 1 and k finite and > 0")
 
 
 @dataclass
@@ -285,8 +285,7 @@ def seasonal_tl_predictor(tl_history, horizon: int, period: int = 24) -> np.ndar
     tl_history = np.asarray(tl_history, dtype=np.float64)
     if len(tl_history) < period:
         raise ForecastError("TL history shorter than one period")
-    last = tl_history[-period:]
-    return np.array([last[h % period] for h in range(horizon)])
+    return np.resize(tl_history[-period:], horizon)
 
 
 def write_sweep_csv(path, rows):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .dataio import (
     HOUR,
-    DEFAULT_UTC_OFFSET_HOURS,
     AlignedDataset,
     TimeSeries,
     WeatherTable,

@@ -96,10 +96,10 @@ class TrainReport:
     def best_val_mse(self) -> float:
         return self.val_mse[self.best_epoch]
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         # wall_seconds varies run to run and is deliberately left out so
         # identical configs produce byte-identical reports
-        doc = {
+        return {
             "train_loss": self.train_loss,
             "val_mse": self.val_mse,
             "best_epoch": self.best_epoch,
@@ -107,7 +107,10 @@ class TrainReport:
             "stopped_early": self.stopped_early,
             "memory_size": self.memory_size,
         }
-        return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
+                          allow_nan=False)
 
     def write_curves_csv(self, path):
         with open(path, "w", newline="") as fh:

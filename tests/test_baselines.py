@@ -195,6 +195,15 @@ class TestPersistence:
         out = persistence_forecast(np.array([1.0, 2.0, 3.0]), 4, period=2)
         assert np.array_equal(out, [2, 3, 2, 3])
 
+    @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])
+    def test_matches_loop_oracle(self, horizon):
+        history = np.random.default_rng(0).normal(size=60)
+        last = list(history[-24:])
+        expected = np.asarray([last[h % 24] for h in range(horizon)])
+        out = persistence_forecast(history, horizon)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
 
 class TestBestSplit:
     def test_matches_exhaustive_oracle(self):

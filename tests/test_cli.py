@@ -163,6 +163,38 @@ class TestSynthIngest:
                    "--weather", str(fx / "weather.csv"), "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["consumption", "weather"])
+    def test_undecodable_csv_is_usage_error(self, tmp_path, capsys, kind):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "2",
+                     "--apartments", "1"]) == 0
+        paths = {"consumption": fx / "Apt1.csv", "weather": fx / "weather.csv"}
+        paths[kind].write_bytes(b"\xff\xfe\x00bad")
+        capsys.readouterr()
+        rc = main(["ingest", "--consumption", str(paths["consumption"]),
+                   "--weather", str(paths["weather"]),
+                   "--out", str(tmp_path / "out")])
+        err = assert_usage_error(rc, capsys)
+        assert f"cannot read {kind} CSV" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--days", "0"],
+        ["synth", "--apartments", "0"],
+        ["ingest", "--fill-max-run", "-1"],
+    ], ids=["synth_days", "synth_apartments", "ingest_fill_max_run"])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "2",
+                     "--apartments", "1"]) == 0
+        if argv[0] == "ingest":
+            argv = argv + ["--consumption", str(fx / "Apt1.csv"),
+                           "--weather", str(fx / "weather.csv")]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert_usage_error(rc, capsys)
+        assert not out.exists() or not os.listdir(out)
+
 
 class TestTrain:
     def test_writes_checkpoint_and_report(self, checkpoint_dir):
@@ -415,6 +447,17 @@ class TestAnomaly:
         rc = main(["anomaly", "--checkpoint", str(out / "checkpoint.json"),
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_nan_detector_k_is_usage_error(self, dataset_path, checkpoint_dir,
+                                           tmp_path, capsys):
+        out = tmp_path / "an"
+        rc = main(["anomaly", "--checkpoint",
+                   str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--horizon", "48",
+                   "--detect-theta", "0.5", "--detector-k", "nan",
+                   "--out", str(out)])
+        assert "k finite" in assert_usage_error(rc, capsys)
+        assert not out.exists()
 
 
 class TestParser:

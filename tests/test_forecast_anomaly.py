@@ -254,6 +254,12 @@ class TestConsumerDetector:
         with pytest.raises(ForecastError):
             DetectorConfig(k=0.0)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_k_rejected(self, k):
+        # a NaN or infinite threshold can never fire an alarm
+        with pytest.raises(ForecastError, match="k finite"):
+            DetectorConfig(k=k)
+
 
 class TestSubstation:
     def test_balance_without_noise(self):
@@ -302,6 +308,15 @@ class TestSubstation:
     def test_seasonal_predictor_guard(self):
         with pytest.raises(ForecastError):
             seasonal_tl_predictor(np.ones(5), 10, period=24)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])
+    def test_seasonal_predictor_matches_loop_oracle(self, horizon):
+        history = np.random.default_rng(0).normal(size=60)
+        last = history[-24:]
+        expected = np.array([last[h % 24] for h in range(horizon)])
+        out = seasonal_tl_predictor(history, horizon, period=24)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
 
 
 class TestForecastReport:

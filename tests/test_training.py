@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -234,6 +235,12 @@ class TestTrainReport:
                           memory_size=4, wall_seconds=123.0)
         assert "wall" not in rep.to_json()
         assert "123" not in rep.to_json()
+
+    def test_json_is_the_dict(self):
+        rep = TrainReport(train_loss=[1.0, 0.25], val_mse=[2.0, 0.1 + 0.2],
+                          best_epoch=1, memory_size=4, wall_seconds=1.0)
+        assert json.loads(rep.to_json()) == rep.to_dict()
+        assert "wall_seconds" not in rep.to_dict()
 
     def test_curves_csv(self, tmp_path):
         rep = TrainReport(train_loss=[1.0, 0.5], val_mse=[2.0, 1.5],
