@@ -16,6 +16,7 @@ mathematically may resolve to the higher feature index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -65,11 +66,23 @@ class TreeNode:
                 "left": self.left.to_dict(), "right": self.right.to_dict()}
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, n_features=math.inf):
+        """The tree of nested dict ``d``; a split feature outside
+        [0, n_features) or a non-finite number is a BaselineError."""
         if "value" in d:
-            return cls(value=d["value"])
-        return cls(feature=d["feature"], threshold=d["threshold"],
-                   left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
+            return cls(value=_finite(d["value"]))
+        feature = d["feature"]
+        if not (isinstance(feature, int) and 0 <= feature < n_features):
+            raise BaselineError(f"split feature {feature!r} is outside [0, {n_features})")
+        return cls(feature=feature, threshold=_finite(d["threshold"]),
+                   left=cls.from_dict(d["left"], n_features),
+                   right=cls.from_dict(d["right"], n_features))
+
+
+def _finite(value):
+    if not math.isfinite(value):
+        raise BaselineError(f"non-finite tree threshold or leaf value {value!r}")
+    return value
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -245,13 +258,13 @@ class GbtModel:
         return cls.from_dict(json.loads(text))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GbtModel":
+    def from_dict(cls, doc: dict, n_features=math.inf) -> "GbtModel":
         if doc.get("format_version") != GBT_FORMAT_VERSION:
             raise BaselineError(f"unsupported GBT checkpoint version {doc.get('format_version')}")
         return cls(initial_prediction=doc["initial_prediction"],
                    learning_rate=doc["learning_rate"],
                    max_depth=doc["max_depth"],
-                   trees=[TreeNode.from_dict(t) for t in doc["trees"]])
+                   trees=[TreeNode.from_dict(t, n_features) for t in doc["trees"]])
 
 
 def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,

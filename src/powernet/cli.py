@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -213,7 +214,9 @@ def _model_inputs(args):
         doc = json.loads(text)
         spec = FeatureSpec.from_dict(doc["feature_spec"])
         if doc.get("model_type") == "gbt":
-            return "gbt", baselines.GbtModel.from_dict(doc), spec, doc
+            # a GBT row is the window, then the 18 weather/calendar features
+            model = baselines.GbtModel.from_dict(doc, spec.window_len + 18)
+            return "gbt", model, spec, doc
         return "powernet", checkpoint_from_dict(doc)[0], spec, doc
 
     kind, model, spec, doc = _parse_file(args.checkpoint, "checkpoint", parse)
@@ -252,6 +255,8 @@ def cmd_evaluate(args):
 
 
 def cmd_forecast(args):
+    if args.thresholds and not all(map(math.isfinite, args.thresholds)):
+        raise UsageError(f"--thresholds must be finite, got {args.thresholds}")
     _, model, spec, _, d = _model_inputs(args)
     fn = forecast_recursive if args.mode == "recursive" else forecast_with_actuals
     report = fn(model, spec, d, args.start_row, args.horizon)

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import zip_longest
 
 import numpy as np
 
@@ -46,6 +47,15 @@ def read_text(path, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _csv_rows(reader, path):
+    """The rows of the csv ``reader``; a CSV syntax error (say, a field over
+    the size limit) is a DataError naming ``path`` and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> int:
@@ -206,7 +216,7 @@ def load_consumption(path, fmt: str = "per_minute",
     bad = 0
     total = 0
     text = read_text(path, "consumption CSV")
-    for line in csv.reader(io.StringIO(text, newline="")):
+    for line in _csv_rows(csv.reader(io.StringIO(text, newline="")), path):
         if not line or not "".join(line).strip():
             continue
         total += 1
@@ -310,13 +320,15 @@ def load_weather(path) -> WeatherTable:
     (missing), and an absent ``summary`` or ``icon`` cell as empty.
     """
     text = read_text(path, "weather CSV")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    lines = _csv_rows(reader, path)
+    header = next(lines, [])
     missing = [c for c in WEATHER_COLUMNS if c not in header]
     if missing:
         raise DataError(f"{path}: missing weather columns {missing}")
     times, summary, icon, numeric = [], [], [], []
-    for row in reader:
+    for cells in filter(None, lines):   # blank lines are skipped
+        row = dict(zip_longest(header, cells))
         try:
             times.append(parse_timestamp(row["time"]))
         except (ValueError, OverflowError) as exc:

@@ -221,23 +221,20 @@ class ResidualStats:
         return self.mu + k * self.sigma
 
 
-def _residual_pct(predicted, reported, floor_kw):
+def _residual_means(predicted, reported, cfg: DetectorConfig) -> np.ndarray:
+    """Rolling ``cfg.window`` means of the residual percentages."""
     predicted = np.asarray(predicted, dtype=np.float64)
     reported = np.asarray(reported, dtype=np.float64)
-    return np.abs(reported - predicted) / np.maximum(predicted, floor_kw)
-
-
-def _window_means(x, window):
-    if len(x) < window:
-        raise ForecastError(f"need at least {window} hours, have {len(x)}")
+    x = np.abs(reported - predicted) / np.maximum(predicted, cfg.floor_kw)
+    if len(x) < cfg.window:
+        raise ForecastError(f"need at least {cfg.window} hours, have {len(x)}")
     c = np.concatenate([[0.0], np.cumsum(x)])
-    return (c[window:] - c[:-window]) / window
+    return (c[cfg.window:] - c[:-cfg.window]) / cfg.window
 
 
 def residual_stats(predicted, reported, cfg: DetectorConfig) -> ResidualStats:
     """Mean/stddev of rolling-window residual percentages on clean data."""
-    means = _window_means(_residual_pct(predicted, reported, cfg.floor_kw),
-                          cfg.window)
+    means = _residual_means(predicted, reported, cfg)
     return ResidualStats(mu=float(means.mean()), sigma=float(means.std()))
 
 
@@ -245,8 +242,7 @@ def detect_consumer(predicted, reported, cfg: DetectorConfig,
                     stats: ResidualStats) -> list:
     """Alarms [{hour, residual_pct}] where the rolling residual window mean
     exceeds the clean-data threshold. ``hour`` indexes the window end."""
-    means = _window_means(_residual_pct(predicted, reported, cfg.floor_kw),
-                          cfg.window)
+    means = _residual_means(predicted, reported, cfg)
     thr = stats.threshold(cfg.k)
     return [{"hour": int(i + cfg.window - 1), "residual_pct": float(v)}
             for i, v in enumerate(means) if v > thr]

@@ -6,14 +6,14 @@ Forward and backward passes are hand-derived (backpropagation through time
 for the recurrence) and operate on batches; gradients are exact and checked
 against central finite differences in the test suite.
 
-``forward_batch`` has two modes that share one LSTM gate cell, one fusion
-MLP and one head. With ``train=True`` it records the per-step trace that
-``backward_batch`` reads and applies dropout; only this mode returns a
-trace. With ``train=False`` (inference) it returns ``(yhat, None)`` and
-steps all layers together, holding one (B, m) hidden and cell state per
-layer, so its memory does not grow with the window length. Both give
-bitwise equal outputs at dropout 0. The inference step, the fusion MLP and
-the head are also what recursive forecasting runs, one hour at a time.
+One time-major step, ``_lstm_step``, advances every stacked layer; it is
+the only LSTM recurrence. ``forward_batch`` runs the fusion MLP, that step
+over the window, then the head. With ``train=True`` the step records the
+per-layer trace that ``backward_batch`` reads, and dropout applies.
+Inference (``train=False``) and recursive forecasting call the same step
+without a trace, holding one (B, m) state per layer, so memory does not
+grow with the window; inference returns ``(yhat, None)``, bitwise equal
+to train mode at dropout 0.
 
 All weights live in one contiguous float64 vector, and every weight array is
 a view into it. Gradients use the same layout, so the optimizer and the
@@ -171,70 +171,44 @@ class ForwardTrace:
     mask4: np.ndarray | None
 
 
-def _cell(z: np.ndarray, c: np.ndarray, m: int):
-    """One LSTM gate cell on the (B, 4m) pre-activation ``z`` and the
-    previous cell state ``c``; returns (i, f, g, o, c_t, tanh(c_t), h_t).
-
-    One sigmoid covers the whole block; i, f and o are views into it.
-    """
-    s = sigmoid(z)
-    i, f, o = s[:, :m], s[:, m:2 * m], s[:, 3 * m:]
-    g = np.tanh(z[:, 2 * m:3 * m])
-    c_t = f * c + i * g
-    tanh_c = np.tanh(c_t)
-    return i, f, g, o, c_t, tanh_c, o * tanh_c
-
-
-def _lstm_forward(X: np.ndarray, p: LstmLayerParams):
-    """Run one layer over (B, T, in) input; returns (H (B,T,m), trace)."""
-    B, T, _ = X.shape
-    m = p.m
-    h = np.zeros((B, m))
-    c = np.zeros((B, m))
-    tr = _LstmTrace([], [], [], [], [], [], [], [], [])
-    H = np.empty((B, T, m))
-    wx_t = p.w_x.T
-    wh_t = p.w_h.T
-    for t in range(T):
-        x_t = X[:, t, :]
-        i, f, g, o, c_new, tanh_c, h_new = _cell(x_t @ wx_t + h @ wh_t + p.b, c, m)
-        tr.x.append(x_t)
-        # contiguous gate copies keep the backward pass fast
-        tr.i.append(i.copy()); tr.f.append(f.copy()); tr.g.append(g)
-        tr.o.append(o.copy())
-        tr.c.append(c_new); tr.c_prev.append(c); tr.h_prev.append(h)
-        tr.tanh_c.append(tanh_c)
-        H[:, t, :] = h_new
-        h, c = h_new, c_new
-    return H, tr
-
-
 def _layer_weights(layers: list) -> list:
     """(w_x.T, w_h.T, b, m) per layer, as ``_lstm_step`` takes them."""
     return [(layer.w_x.T, layer.w_h.T, layer.b, layer.m) for layer in layers]
 
 
-def _lstm_step(x: np.ndarray, h: list, c: list, weights: list):
+def _lstm_step(x: np.ndarray, h: list, c: list, weights: list, traces=None):
     """Advance every layer one time step on the layer-0 input ``x`` (B, 1)
     or (1, 1), which broadcasts over the rows. ``h`` and ``c`` hold each
-    layer's (B, m) state and are rebound in place to the new state."""
+    layer's (B, m) state and are rebound in place to the new state.
+    ``traces``, one ``_LstmTrace`` per layer or None, gets this step
+    appended for the backward pass."""
     for k, (wx_t, wh_t, b, m) in enumerate(weights):
-        *_, c[k], _, h[k] = _cell(x @ wx_t + h[k] @ wh_t + b, c[k], m)
-        x = h[k]
+        z = x @ wx_t + h[k] @ wh_t + b
+        s = sigmoid(z)   # one sigmoid for the block; i, f and o are views
+        i, f, o = s[:, :m], s[:, m:2 * m], s[:, 3 * m:]
+        g = np.tanh(z[:, 2 * m:3 * m])
+        c_t = f * c[k] + i * g
+        tanh_c = np.tanh(c_t)
+        h_t = o * tanh_c
+        if traces is not None:
+            tr = traces[k]
+            tr.x.append(x); tr.c_prev.append(c[k]); tr.h_prev.append(h[k])
+            # contiguous gate copies keep the backward pass fast
+            tr.i.append(i.copy()); tr.f.append(f.copy()); tr.g.append(g)
+            tr.o.append(o.copy()); tr.c.append(c_t); tr.tanh_c.append(tanh_c)
+        c[k], h[k] = c_t, h_t
+        x = h_t
 
 
-def _lstm_infer(E: np.ndarray, layers: list) -> np.ndarray:
-    """Final top-layer hidden state (B, m) for the (B, T) windows ``E``.
-
-    Steps every layer at each time step, so it holds one (B, m) pair of
-    h and c per layer and no trace.
-    """
+def _lstm_run(E: np.ndarray, layers: list, traces=None) -> np.ndarray:
+    """Final top-layer hidden state (B, m) for the (B, T) windows ``E``,
+    run through ``_lstm_step``, which records each step into ``traces``."""
     B = E.shape[0]
     weights = _layer_weights(layers)
     h = [np.zeros((B, layer.m)) for layer in layers]
     c = [np.zeros((B, layer.m)) for layer in layers]
     for t in range(E.shape[1]):
-        _lstm_step(E[:, t:t + 1], h, c, weights)
+        _lstm_step(E[:, t:t + 1], h, c, weights, traces)
     return h[-1]
 
 
@@ -313,7 +287,8 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     and applies inverted-dropout masks to the inputs of the w2, w3 and w4
     layers when ``dropout_rate > 0``. ``train=False`` is inference: no
     masks, no rng, no trace (None), and the LSTM keeps only its current
-    state. Both modes give bitwise equal ``yhat`` at dropout 0.
+    state. Both modes run the same LSTM step and give bitwise equal
+    ``yhat`` at dropout 0.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must be in [0, 1)")
@@ -334,19 +309,14 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     mask2, mask3, mask4 = ([_dropout_mask(rng, s, dropout_rate) for s in shapes]
                            if use_dropout else [None] * 3)
     s1, a1d, s2, o = _fusion(u, p, mask2)
-    if not train:
-        return _head(_lstm_infer(E, p.lstm), o, p)[-1], None
-
-    X = E[:, :, None]
-    layer_traces = []
-    for layer in p.lstm:
-        X, tr = _lstm_forward(X, layer)
-        layer_traces.append(tr)
-    h_final = X[:, -1, :]
+    traces = ([_LstmTrace([], [], [], [], [], [], [], [], []) for _ in p.lstm]
+              if train else None)
+    h_final = _lstm_run(E, p.lstm, traces)
     z, zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
-    trace = ForwardTrace(layers=layer_traces, h_final=h_final, u=u, s1=s1,
-                         a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
-                         mask2=mask2, mask3=mask3, mask4=mask4)
+    trace = (ForwardTrace(layers=traces, h_final=h_final, u=u, s1=s1,
+                          a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
+                          mask2=mask2, mask3=mask3, mask4=mask4)
+             if train else None)
     return yhat, trace
 
 
@@ -434,5 +404,8 @@ def checkpoint_from_dict(doc: dict):
     vec = np.concatenate([
         np.asarray(raw[name]["data"], dtype=np.float64).reshape(stop - start)
         for name, start, stop, _ in layout])
+    for name, start, stop, _ in layout:
+        if not np.isfinite(vec[start:stop]).all():
+            raise ValueError(f"parameter {name} has a non-finite value")
     return (PowerNetParams(vec, layout), doc["hyperparameters"],
             doc["feature_spec"], doc["seed"])

@@ -78,6 +78,26 @@ class TestSynthIngest:
         err = assert_usage_error(rc, capsys)
         assert "weather.csv" in err and "row 8" in err and token in err
 
+    @pytest.mark.parametrize("name, cell", [("Apt1.csv", 1),
+                                            ("weather.csv", 3)])
+    def test_oversized_csv_field_is_usage_error(self, tmp_path, capsys,
+                                                name, cell):
+        # the csv module refuses a field over 131072 characters
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / name).read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[cell] = "1" * 200000
+        lines[5] = ",".join(cells)
+        (fx / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                   "--weather", str(fx / "weather.csv"),
+                   "--out", str(tmp_path / "out")])
+        err = assert_usage_error(rc, capsys)
+        assert name in err and "line 6" in err and "field limit" in err
+
     def test_non_finite_weather_cells_are_missing(self, tmp_path):
         fx = tmp_path / "fx"
         assert main(["synth", "--out", str(fx), "--days", "3",
@@ -361,6 +381,18 @@ class TestEvaluate:
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert name in assert_usage_error(rc, capsys)
 
+    def test_nan_parameter_is_usage_error(self, dataset_path, checkpoint_dir,
+                                          tmp_path, capsys):
+        text = (checkpoint_dir / "checkpoint.json").read_text()
+        doc = json.loads(text)
+        doc["params"]["w3"]["data"][2] = float("nan")
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))   # json writes the NaN token
+        rc = main(["evaluate", "--checkpoint", str(bad),
+                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        assert "w3" in assert_usage_error(rc, capsys)
+        assert not (tmp_path / "evaluate_test.json").exists()
+
     def test_gbt_checkpoint(self, dataset_path, gbt_checkpoint, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(gbt_checkpoint))
@@ -368,6 +400,30 @@ class TestEvaluate:
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert rc == 0
         assert json.loads((tmp_path / "evaluate_test.json").read_text())["n"] == 48
+
+    @pytest.mark.parametrize("case, message", [
+        ("feature_999", "split feature 999"),
+        ("feature_24", "split feature 24"),     # window 6 + 18 = 24 features
+        ("feature_-2", "split feature -2"),
+        ("nan_leaf", "non-finite"),
+        ("nan_threshold", "non-finite")])
+    def test_gbt_tree_must_fit_features(self, dataset_path, gbt_checkpoint,
+                                        tmp_path, capsys, case, message):
+        doc = json.loads(json.dumps(gbt_checkpoint))
+        node = doc["trees"][0]
+        while "value" not in node["left"]:
+            node = node["left"]
+        if case.startswith("feature_"):
+            node["feature"] = int(case.split("_")[1])
+        elif case == "nan_leaf":
+            node["left"]["value"] = float("nan")
+        else:
+            node["threshold"] = float("nan")
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--checkpoint", str(path),
+                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        assert message in assert_usage_error(rc, capsys)
 
     @pytest.mark.parametrize("key", ["trees", "feature_spec"])
     def test_gbt_checkpoint_missing_key(self, dataset_path, gbt_checkpoint,
@@ -423,6 +479,18 @@ class TestForecast:
                    "--horizon", horizon, "--start-row", "100",
                    "--out", str(tmp_path)])
         assert "horizon must be >= 1" in assert_usage_error(rc, capsys)
+
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "5,-inf"])
+    def test_non_finite_threshold_is_usage_error(self, dataset_path,
+                                                 checkpoint_dir, tmp_path,
+                                                 capsys, token):
+        rc = main(["forecast", "--checkpoint",
+                   str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--horizon", "48",
+                   "--thresholds", token, "--out", str(tmp_path)])
+        assert "--thresholds" in assert_usage_error(rc, capsys)
+        assert not list(tmp_path.glob("forecast_*"))
 
 
 class TestAnomaly:

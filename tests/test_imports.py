@@ -1,5 +1,6 @@
-"""Every import in the package is used: a stdlib-only stand-in for a
-linter's unused-import rule."""
+"""Every import in the package is used, and every private module-level
+function and class is referenced: stdlib-only stand-ins for a linter's
+unused-import and dead-code rules."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,42 @@ def test_all_counts_as_use():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) of each private module-level function or class in
+    ``sources`` (module name -> source) that no code outside its own
+    definition reads, by name or as an attribute, in any of the modules."""
+    defined, used = [], set()
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined.append((module, node.name))
+                names.discard(node.name)   # recursion is not a use
+            used |= names
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_detects_an_unreferenced_private_name():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n"
+             "class _Gone:\n    pass\n\ndef public():\n    pass\n",
+        "b": "from .a import _used\n_used()\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_dead"), ("a", "_Gone")]
+
+
+def test_attribute_and_cross_module_reads_count_as_references():
+    sources = {"a": "def _helper():\n    pass\n\nclass _Trace:\n    pass\n",
+               "b": "from . import a\nx: a._Trace = a._helper()\n"}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
