@@ -278,14 +278,15 @@ def cmd_anomaly(args):
         cfg = DetectorConfig(window=args.detector_window, k=args.detector_k)
     _, model, spec, _, d = _model_inputs(args)
     horizon, start_row = args.horizon, args.start_row
-    rows = theft_sweep(model, spec, d, start_row, horizon, args.thetas)
+    test = forecast_with_actuals(model, spec, d, start_row, horizon)
+    rows = theft_sweep(model, spec, d, start_row, horizon, args.thetas,
+                       clean=test)
     out = _out_dir(args)
     write_sweep_csv(os.path.join(out, "theft_sweep.csv"), rows)
     result = {"sweep": rows}
     if detect:
         clean = forecast_with_actuals(model, spec, d, start_row - horizon, horizon)
         stats = residual_stats(clean.predictions, clean.actuals, cfg)
-        test = forecast_with_actuals(model, spec, d, start_row, horizon)
         reported = apply_theft(test.actuals,
                                TheftScenario(args.detect_theta, 0, horizon))
         alarms = detect_consumer(test.predictions, reported, cfg, stats)

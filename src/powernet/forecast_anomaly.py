@@ -21,8 +21,8 @@ from .dataio import HOUR, AlignedDataset, TimeSeries
 from .features import (FeatureSpec, calendar_features, weather_features,
                        window_features)
 from .metrics import ErrorCurve, error_curve, mape, mse
-from .model import (PowerNetParams, _fusion, _head, _layer_weights,
-                    _lstm_step, forward_batch)
+from .model import (PowerNetParams, _fusion, _head, _LstmTrace, _lstm_step,
+                    _step_arrays, forward_batch)
 
 
 class ForecastError(ValueError):
@@ -93,11 +93,11 @@ def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
     Hour j is predicted from the window of inputs j .. j+n-1, where the
     first n inputs are the recorded history and input n+j is the clamped
     prediction of hour j. All windows in flight at a step read the same
-    input, so the n of them advance together as the rows of one (n, m)
-    state per layer, used as a ring: window j lives in row j mod n. Each
-    step advances every row, the window that has read its n inputs goes
-    to the head, and its row is zeroed to start window j+n. The fusion MLP
-    runs once over the whole horizon.
+    input, so the n of them advance together as the columns of one
+    n-column LSTM state per layer, used as a ring: window j lives in
+    column j mod n, whose h and c are zeroed when it starts. Each step
+    advances every column, and the window that has read its n inputs goes
+    to the head. The fusion MLP runs once over the whole horizon.
     """
     rows = _target_rows(spec, d, start_row, horizon,
                         "future weather does not cover the horizon")
@@ -108,25 +108,25 @@ def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
     inputs = np.empty(n + horizon)
     inputs[:n] = spec.normalize_kw(d.kw[start_row - n:start_row])
     preds = np.empty(horizon)
-    weights = _layer_weights(p.lstm)
     ring = min(n, horizon)   # windows h >= horizon are never started
-    h = [np.zeros((0, layer.m)) for layer in p.lstm]
-    c = [np.zeros((0, layer.m)) for layer in p.lstm]
+    traces = [_LstmTrace(layer, 1, ring) for layer in p.lstm]
+    arrays = _step_arrays(traces)
+    state = [(tr.op[0, tr.n_in:-1], tr.gate[0, 4 * tr.m:]) for tr in traces]  # (h, c)
+    x = traces[0].op[0, 0]
     for step in range(n + horizon - 1):
-        if step < ring:   # warm-up: window `step` starts in a new zero row
-            h = [np.concatenate([hk, np.zeros((1, hk.shape[1]))]) for hk in h]
-            c = [np.concatenate([ck, np.zeros((1, ck.shape[1]))]) for ck in c]
-        _lstm_step(inputs[step:step + 1, None], h, c, weights)
+        if step < horizon:   # window `step` starts from a zero state
+            for h, c in state:
+                h[:, step % n] = 0.0
+                c[:, step % n] = 0.0
+        x[...] = inputs[step]
+        _lstm_step(arrays)
         done = step - n + 1          # the window that has read n inputs
         if done < 0:
             continue
         r = done % n
-        yhat = _head(h[-1][r:r + 1], o[done:done + 1], p)[-1]
+        yhat = _head(state[-1][0][:, r:r + 1].T, o[done:done + 1], p)[-1]
         preds[done] = max(float(spec.denormalize_kw(yhat[0])), 0.0)
         inputs[n + done] = spec.normalize_kw(preds[done])
-        for hk, ck in zip(h, c):
-            hk[r] = 0.0
-            ck[r] = 0.0
     return _report("recursive", d, rows, preds)
 
 
@@ -187,11 +187,15 @@ def apply_theft(values, scenario: TheftScenario):
 
 
 def theft_sweep(p: PowerNetParams, spec: FeatureSpec, d: AlignedDataset,
-                start_row: int, horizon: int, thetas) -> list:
+                start_row: int, horizon: int, thetas, *,
+                clean: ForecastReport | None = None) -> list:
     """MAPE of clean-feature predictions against tampered reported values,
     one row per theft fraction. Per the error definition the reported
-    (tampered) series plays the role of the actuals."""
-    clean = forecast_with_actuals(p, spec, d, start_row, horizon)
+    (tampered) series plays the role of the actuals. ``clean`` is the
+    ``forecast_with_actuals`` report for these rows when the caller has
+    it already."""
+    if clean is None:
+        clean = forecast_with_actuals(p, spec, d, start_row, horizon)
     rows = []
     for theta in thetas:
         scenario = TheftScenario(theta=float(theta), start_row=0, end_row=horizon)

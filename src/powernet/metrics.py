@@ -84,17 +84,18 @@ def error_curve(actual, forecast, window: int = 24,
 
     roll_mape = np.empty(n)
     roll_mse = np.empty(n)
+    # before hour `window` the rolling window is the cumulative one
+    roll_mse[:window - 1] = cum_mse[:window - 1]
+    roll_mape[:window - 1] = cum_mape[:window - 1]
     if n >= window:
         roll_mse[window - 1:] = sliding_window_view(sq, window).mean(axis=1)
         roll_mape[window - 1:] = sliding_window_view(pct, window).mean(axis=1)
-    # the first window-1 prefixes, and full windows that hold an excluded
-    # hour, average fewer terms
+    # full windows that hold an excluded hour average fewer MAPE terms
     excluded = np.concatenate([[0], np.cumsum(~keep)])
-    partial = np.nonzero(excluded[window:] > excluded[:-window])[0] + window - 1
-    for i in [*range(min(window - 1, n)), *partial]:
-        lo = max(0, i - window + 1)
+    for i in np.nonzero(excluded[window:] > excluded[:-window])[0] + window - 1:
+        lo = i - window + 1
         # sum / count is what ndarray.mean computes, without its overhead
-        roll_mse[i] = sq[lo:i + 1].sum() / (i + 1 - lo)
+        roll_mse[i] = sq[lo:i + 1].sum() / window
         kept = pct[lo:i + 1][keep[lo:i + 1]]
         roll_mape[i] = kept.sum() / len(kept) if len(kept) else np.nan
     return ErrorCurve(hours=np.arange(1, n + 1), cum_mape=cum_mape,

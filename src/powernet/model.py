@@ -8,12 +8,23 @@ against central finite differences in the test suite.
 
 One time-major step, ``_lstm_step``, advances every stacked layer; it is
 the only LSTM recurrence. ``forward_batch`` runs the fusion MLP, that step
-over the window, then the head. With ``train=True`` the step records the
-per-layer trace that ``backward_batch`` reads, and dropout applies.
-Inference (``train=False``) and recursive forecasting call the same step
-without a trace, holding one (B, m) state per layer, so memory does not
-grow with the window; inference returns ``(yhat, None)``, bitwise equal
-to train mode at dropout 0.
+over the window, then the head. Each layer keeps a stacked operand
+[x; h; 1] with one column per window and multiplies it by its weights
+stacked once per call, [w_x | w_h | b], gate rows reordered to
+[i, f, o, g] and the i, f and o rows halved. One tanh over the (4m, B)
+result gives g directly and the sigmoid gates as
+sigmoid(z) = 1/2 + tanh(z/2)/2; c and h are then written in place, h
+straight into the operand of the next step and of the layer above.
+
+With ``train=True`` the step records into time-major trace arrays that
+hold every step's operand and gates, and dropout applies; ``train`` keeps
+one set of those arrays, with the backward pass's scratch, and reuses it
+for every batch. ``backward_batch`` makes one product per layer-step for
+[dW_x | dW_h | db] and one for [dx; dh]. Inference (``train=False``) and
+recursive forecasting run the same step on one step of those arrays,
+holding only the current state, so memory does not grow with the window;
+inference returns ``(yhat, None)``, bitwise equal to train mode at
+dropout 0.
 
 All weights live in one contiguous float64 vector, and every weight array is
 a view into it. Gradients use the same layout, so the optimizer and the
@@ -30,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import sigmoid, relu, relu_grad, ShapeError
+from .numcore import relu, relu_grad, ShapeError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -139,17 +150,83 @@ def init_params(m: int, d1: int, d2: int, d3: int, seed: int = 0,
     return p
 
 
-@dataclass
+# The kernel runs the gate blocks in the order [i, f, o, g], so that the
+# three sigmoid gates form one block; the parameters keep [i, f, g, o].
+def _copy_gates(dst: np.ndarray, src: np.ndarray, m: int):
+    """Copy the gate-stacked rows of ``src`` into ``dst`` with the last two
+    blocks swapped: from the parameter order to the kernel order, or back."""
+    dst[:2 * m] = src[:2 * m]
+    np.copyto(dst[2 * m:].reshape(2, m, -1), src[2 * m:].reshape(2, m, -1)[::-1])
+
+
+_BPTT_CHUNK = 16   # steps whose gate derivatives the backward pass takes at once
+
+
 class _LstmTrace:
-    x: list          # per-t layer input (B, in)
-    i: list
-    f: list
-    g: list
-    o: list
-    c: list          # c_t
-    c_prev: list
-    h_prev: list
-    tanh_c: list
+    """One layer's buffers for one run, all carved from one array: the
+    time-major trace, ``steps`` deep (T + 1 steps for training, one step
+    that every time step overwrites for inference), the stacked weights,
+    and for training the backward pass's scratch.
+
+    Each step holds one column per window, so that every block the step
+    works on is contiguous: ``op[t]`` is the (in + m + 1, B) operand
+    [x_t; h_{t-1}; 1] of the step's one product with ``w``, ``gate[t]``
+    (5m, B) holds the activated gates [i; f; o; g] above c_{t-1}, so that
+    i*g and f*c_{t-1} are one product, and ``tanh_c[t]`` is tanh(c_t);
+    ``prod`` is scratch for [i*g; f*c_{t-1}]. The (T, B, m) views ``i``,
+    ``f``, ``g``, ``o``, ``c_prev``, ``c`` and ``tanh_c`` read a training
+    trace by t.
+    """
+
+    def __init__(self, layer: LstmLayerParams, steps: int, B: int,
+                 train: bool = False, flat=None):
+        """Buffers carved from ``flat`` when it is large enough, else from
+        a new array (``self.flat`` either way), with h_{-1} = c_{-1} = 0,
+        the operand's ones row and the layer's weights written; everything
+        else is written before it is read."""
+        m, n_in = layer.m, layer.w_x.shape[1]
+        self.m, self.n_in = m, n_in
+        w_op = n_in + m + 1
+        fields = [("op", (steps, w_op, B)), ("gate", (steps, 5 * m, B)),
+                  ("_tanh_c", (max(steps - 1, 1), m, B)), ("prod", (2 * m, B)),
+                  ("w", (4 * m, w_op))]
+        if train:
+            chunk = min(steps - 1, _BPTT_CHUNK)
+            fields += [("w_xh", (n_in + m, 4 * m)), ("acc", (4 * m, w_op)),
+                       ("step_acc", (4 * m, w_op)), ("dxh", (n_in + m, B)),
+                       ("dc", (m, B)), ("deriv", (chunk, 4 * m, B)),
+                       ("dc_dh", (chunk, m, B)), ("dz", (4 * m, B)),
+                       ("tmp", (m, B)), ("dh_sum", (m, B))]
+        sizes = [math.prod(shape) for _, shape in fields]
+        if flat is None or flat.size < sum(sizes):
+            flat = np.empty(sum(sizes))
+        self.flat = flat
+        start = 0
+        for (name, shape), size in zip(fields, sizes):
+            setattr(self, name, flat[start:start + size].reshape(shape))
+            start += size
+        self.op[:, -1] = 1.0
+        self.op[0, n_in:-1] = 0.0
+        self.gate[0, 4 * m:] = 0.0
+        self.load(layer)
+
+    def load(self, layer: LstmLayerParams):
+        """Write the layer's [w_x | w_h | b] into ``w`` in kernel order with
+        the i, f and o rows halved: sigmoid(z) = 1/2 + tanh(z/2)/2, so one
+        tanh over the gate block gives every gate."""
+        m, w = self.m, self.w
+        _copy_gates(w[:, :self.n_in], layer.w_x, m)
+        _copy_gates(w[:, self.n_in:-1], layer.w_h, m)
+        _copy_gates(w[:, -1], layer.b, m)
+        w[:3 * m] *= 0.5
+
+    i = property(lambda s: s.gate[:-1, :s.m].transpose(0, 2, 1))
+    f = property(lambda s: s.gate[:-1, s.m:2 * s.m].transpose(0, 2, 1))
+    o = property(lambda s: s.gate[:-1, 2 * s.m:3 * s.m].transpose(0, 2, 1))
+    g = property(lambda s: s.gate[:-1, 3 * s.m:4 * s.m].transpose(0, 2, 1))
+    c_prev = property(lambda s: s.gate[:-1, 4 * s.m:].transpose(0, 2, 1))
+    c = property(lambda s: s.gate[1:, 4 * s.m:].transpose(0, 2, 1))
+    tanh_c = property(lambda s: s._tanh_c.transpose(0, 2, 1))
 
 
 @dataclass
@@ -171,80 +248,123 @@ class ForwardTrace:
     mask4: np.ndarray | None
 
 
-def _layer_weights(layers: list) -> list:
-    """(w_x.T, w_h.T, b, m) per layer, as ``_lstm_step`` takes them."""
-    return [(layer.w_x.T, layer.w_h.T, layer.b, layer.m) for layer in layers]
+def _step_arrays(traces: list) -> list:
+    """Per layer, the arrays ``_lstm_step`` works on, each indexed by step:
+    the weights, the operand, the gate block and its parts, the prod
+    scratch and its halves, c, tanh(c), o, h, and the x rows of the layer
+    above (None for the top layer)."""
+    arrays = []
+    for k, tr in enumerate(traces):
+        m, gate = tr.m, tr.gate
+        arrays.append((tr.w, tr.op, gate[:, :4 * m], gate[:, :3 * m],
+                       gate[:, :2 * m], gate[:, 3 * m:], tr.prod, tr.prod[:m],
+                       tr.prod[m:], gate[:, 4 * m:], tr._tanh_c,
+                       gate[:, 2 * m:3 * m], tr.op[:, tr.n_in:-1],
+                       traces[k + 1].op[:, :m] if k + 1 < len(traces) else None))
+    return arrays
 
 
-def _lstm_step(x: np.ndarray, h: list, c: list, weights: list, traces=None):
-    """Advance every layer one time step on the layer-0 input ``x`` (B, 1)
-    or (1, 1), which broadcasts over the rows. ``h`` and ``c`` hold each
-    layer's (B, m) state and are rebound in place to the new state.
-    ``traces``, one ``_LstmTrace`` per layer or None, gets this step
-    appended for the backward pass."""
-    for k, (wx_t, wh_t, b, m) in enumerate(weights):
-        z = x @ wx_t + h[k] @ wh_t + b
-        s = sigmoid(z)   # one sigmoid for the block; i, f and o are views
-        i, f, o = s[:, :m], s[:, m:2 * m], s[:, 3 * m:]
-        g = np.tanh(z[:, 2 * m:3 * m])
-        c_t = f * c[k] + i * g
-        tanh_c = np.tanh(c_t)
-        h_t = o * tanh_c
-        if traces is not None:
-            tr = traces[k]
-            tr.x.append(x); tr.c_prev.append(c[k]); tr.h_prev.append(h[k])
-            # contiguous gate copies keep the backward pass fast
-            tr.i.append(i.copy()); tr.f.append(f.copy()); tr.g.append(g)
-            tr.o.append(o.copy()); tr.c.append(c_t); tr.tanh_c.append(tanh_c)
-        c[k], h[k] = c_t, h_t
-        x = h_t
+def _lstm_step(arrays: list, t: int = 0, t_next: int = 0):
+    """Advance every layer one time step on the arrays of ``_step_arrays``:
+    read the operand and gates of step t, write c_t and h_t into step
+    t_next and h_t into the x rows of the layer above at step t. Training
+    passes t_next = t + 1 and so keeps every step; inference passes
+    t = t_next = 0 and works in place. The caller has written layer 0's
+    input into the x row of its operand."""
+    for w, op, z, s, i_f, g_c, prod, ig, fc, c, tanh_c, o, h, x_next in arrays:
+        z_t, s_t, c_t, tanh_c_t, h_t = z[t], s[t], c[t_next], tanh_c[t], h[t_next]
+        np.matmul(w, op[t], out=z_t)
+        np.tanh(z_t, out=z_t)
+        np.multiply(s_t, 0.5, out=s_t)      # the sigmoids, from the halved rows
+        np.add(s_t, 0.5, out=s_t)
+        np.multiply(i_f[t], g_c[t], out=prod)
+        np.add(ig, fc, out=c_t)
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o[t], tanh_c_t, out=h_t)
+        if x_next is not None:
+            x_next[t] = h_t
 
 
-def _lstm_run(E: np.ndarray, layers: list, traces=None) -> np.ndarray:
-    """Final top-layer hidden state (B, m) for the (B, T) windows ``E``,
-    run through ``_lstm_step``, which records each step into ``traces``."""
-    B = E.shape[0]
-    weights = _layer_weights(layers)
-    h = [np.zeros((B, layer.m)) for layer in layers]
-    c = [np.zeros((B, layer.m)) for layer in layers]
-    for t in range(E.shape[1]):
-        _lstm_step(E[:, t:t + 1], h, c, weights, traces)
-    return h[-1]
+def _lstm_run(E: np.ndarray, traces: list, train: bool) -> np.ndarray:
+    """Final top-layer hidden state (B, m) for the (B, T) windows ``E``.
+    With ``train`` the T + 1 steps of ``traces`` keep the whole trace;
+    otherwise their one step holds the running state."""
+    arrays = _step_arrays(traces)
+    T = E.shape[1]
+    top = traces[-1]
+    if train:
+        traces[0].op[:T, 0] = E.T
+        for t in range(T):
+            _lstm_step(arrays, t, t + 1)
+        return top.op[T, top.n_in:-1].T
+    x = traces[0].op[0, 0]
+    for t in range(T):
+        x[...] = E[:, t]
+        _lstm_step(arrays)
+    return top.op[0, top.n_in:-1].T
 
 
-def _lstm_backward(tr: _LstmTrace, p: LstmLayerParams, dH_ext: np.ndarray,
-                   grad: LstmLayerParams) -> np.ndarray:
-    """BPTT for one layer; dH_ext is (B, T, m) upstream gradient on each h_t.
+def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
+    """BPTT through the stacked layers, one time step at a time from the
+    last, top layer first, in the scratch of the training ``traces``.
+    ``dh_final`` (B, m) is the upstream gradient on the top layer's last h.
+    Arrays hold one column per window, as in the trace.
 
-    Accumulates the weight gradients into ``grad`` (zero on entry) and
-    returns dX, shaped like the layer input.
+    The gradient ``dz`` is taken with respect to the halved pre-activation
+    that the forward product computes, so that ``[dx; dh]`` is one product
+    with the forward's stacked weights; its i, f and o rows are twice the
+    gradient with respect to z. Each step adds dz [x; h_prev; 1]^T to the
+    layer's accumulator, which is halved back and scattered into ``grads``
+    (zero on entry) at the end. The activation derivatives
+    (2 sigma (1 - sigma) = 2 (s - s^2) for i, f and o, 1 - g^2 for g) and
+    o (1 - tanh(c)^2) are taken ``_BPTT_CHUNK`` steps at a time.
     """
-    T = len(tr.x)
-    B, _, m = dH_ext.shape
-    dX = np.empty((B, T, p.w_x.shape[1]))
-    dh_rec = np.zeros((B, m))
-    dc_rec = np.zeros((B, m))
+    T = len(traces[0]._tanh_c)
+    m = dh_final.shape[1]
+    chunk = len(traces[0].deriv)
+    for tr in traces:
+        tr.w_xh[...] = tr.w[:, :-1].T   # contiguous, for a faster product
+        for a in (tr.acc, tr.dxh, tr.dc):
+            a[...] = 0.0
+    traces[-1].dxh[-m:] = dh_final.T   # dh of the (absent) step after the last
+    top = len(traces) - 1
     for t in range(T - 1, -1, -1):
-        i, f, g, o = tr.i[t], tr.f[t], tr.g[t], tr.o[t]
-        dh = dH_ext[:, t, :] + dh_rec
-        dc = dc_rec + dh * o * (1.0 - tr.tanh_c[t] ** 2)
-        do = dh * tr.tanh_c[t]
-        di = dc * g
-        dg = dc * i
-        df = dc * tr.c_prev[t]
-        dc_rec = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g ** 2),
-            do * o * (1.0 - o),
-        ], axis=1)
-        grad.w_x += dz.T @ tr.x[t]
-        grad.w_h += dz.T @ tr.h_prev[t]
-        grad.b += dz.sum(axis=0)
-        dX[:, t, :] = dz @ p.w_x
-        dh_rec = dz @ p.w_h
-    return dX
+        j = t % chunk
+        if t == T - 1 or j == chunk - 1:   # first step of a chunk, from its end
+            for tr in traces:
+                gate, d, e = tr.gate[t - j:t + 1], tr.deriv[:j + 1], tr.dc_dh[:j + 1]
+                np.multiply(gate[:, :4 * m], gate[:, :4 * m], out=d)
+                np.subtract(gate[:, :3 * m], d[:, :3 * m], out=d[:, :3 * m])
+                np.multiply(d[:, :3 * m], 2.0, out=d[:, :3 * m])
+                np.subtract(1.0, d[:, 3 * m:], out=d[:, 3 * m:])
+                tanh_c = tr._tanh_c[t - j:t + 1]
+                np.multiply(tanh_c, tanh_c, out=e)
+                np.subtract(1.0, e, out=e)
+                np.multiply(e, gate[:, 2 * m:3 * m], out=e)
+        for k in range(top, -1, -1):
+            tr = traces[k]
+            gate, dc, dz, tmp = tr.gate[t], tr.dc, tr.dz, tr.tmp
+            dh = tr.dxh[tr.n_in:]
+            if k < top:   # plus the gradient on this h as the input above
+                dh = np.add(dh, traces[k + 1].dxh[:m], out=tr.dh_sum)
+            np.multiply(tr.dc_dh[j], dh, out=tmp)
+            np.add(dc, tmp, out=dc)
+            # [dc g; dc c_prev; dh tanh(c); dc i] times the derivatives
+            np.multiply(dc, gate[3 * m:].reshape(2, m, -1),
+                        out=dz[:2 * m].reshape(2, m, -1))
+            np.multiply(dh, tr._tanh_c[t], out=dz[2 * m:3 * m])
+            np.multiply(dc, gate[:m], out=dz[3 * m:])
+            np.multiply(dz, tr.deriv[j], out=dz)
+            np.multiply(dc, gate[m:2 * m], out=dc)   # dc for step t - 1
+            np.matmul(dz, tr.op[t].T, out=tr.step_acc)
+            np.add(tr.acc, tr.step_acc, out=tr.acc)
+            np.matmul(tr.w_xh, dz, out=tr.dxh)
+    for tr, grad in zip(traces, grads):
+        acc = tr.acc
+        acc[:3 * m] *= 0.5
+        _copy_gates(grad.w_x, acc[:, :tr.n_in], m)
+        _copy_gates(grad.w_h, acc[:, tr.n_in:-1], m)
+        _copy_gates(grad.b, acc[:, -1], m)
 
 
 def _dropout_mask(rng, shape, rate):
@@ -280,7 +400,7 @@ def _head(h_final: np.ndarray, o: np.ndarray, p: PowerNetParams,
 
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
                   p: PowerNetParams, dropout_rate: float = 0.0,
-                  train: bool = False, rng=None):
+                  train: bool = False, rng=None, *, workspace: list | None = None):
     """Batched forward pass; returns (yhat (B,), trace).
 
     ``train=True`` records the ForwardTrace that ``backward_batch`` needs
@@ -289,6 +409,12 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     masks, no rng, no trace (None), and the LSTM keeps only its current
     state. Both modes run the same LSTM step and give bitwise equal
     ``yhat`` at dropout 0.
+
+    ``workspace``, a list owned by the caller, keeps the training trace's
+    memory between calls: the first call fills it, and later calls whose
+    trace fits record into the same arrays instead of allocating new ones.
+    The trace a call returns is valid until the next call that uses the
+    workspace.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must be in [0, 1)")
@@ -309,9 +435,11 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     mask2, mask3, mask4 = ([_dropout_mask(rng, s, dropout_rate) for s in shapes]
                            if use_dropout else [None] * 3)
     s1, a1d, s2, o = _fusion(u, p, mask2)
-    traces = ([_LstmTrace([], [], [], [], [], [], [], [], []) for _ in p.lstm]
-              if train else None)
-    h_final = _lstm_run(E, p.lstm, traces)
+    if train:
+        traces = _training_traces(p.lstm, B, E.shape[1], workspace)
+    else:
+        traces = [_LstmTrace(layer, 1, B) for layer in p.lstm]
+    h_final = _lstm_run(E, traces, train)
     z, zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
     trace = (ForwardTrace(layers=traces, h_final=h_final, u=u, s1=s1,
                           a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
@@ -320,11 +448,29 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     return yhat, trace
 
 
+def _training_traces(layers: list, B: int, T: int, workspace) -> list:
+    """Training traces for B windows of T steps: the workspace's, with the
+    layers' weights loaded, when they have these shapes; otherwise new
+    ones, carved from the workspace's arrays where those are large enough,
+    which the workspace then keeps."""
+    kept = workspace if workspace and len(workspace) == len(layers) else []
+    if kept and all(tr.op.shape == (T + 1, layer.w_x.shape[1] + layer.m + 1, B)
+                    for tr, layer in zip(kept, layers)):
+        for tr, layer in zip(kept, layers):
+            tr.load(layer)
+        return list(kept)
+    flats = [tr.flat for tr in kept] or [None] * len(layers)
+    traces = [_LstmTrace(layer, T + 1, B, True, flat)
+              for layer, flat in zip(layers, flats)]
+    if workspace is not None:
+        workspace[:] = traces
+    return traces
+
+
 def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
                    p: PowerNetParams) -> PowerNetParams:
     """Exact gradients of sum_b dyhat_b * yhat_b w.r.t. every parameter."""
     dyhat = np.asarray(dyhat, dtype=np.float64)
-    B = dyhat.shape[0]
     m = p.m
     grads = p.zeros_like()
 
@@ -352,12 +498,7 @@ def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
     grads.w1[:] = ds1.T @ trace.u
     grads.b1[:] = ds1.sum(axis=0)
 
-    T = len(trace.layers[0].x)
-    dH_ext = np.zeros((B, T, m))
-    dH_ext[:, -1, :] = dh_final
-    for k in range(len(p.lstm) - 1, -1, -1):
-        dH_ext = _lstm_backward(trace.layers[k], p.lstm[k], dH_ext,
-                                grads.lstm[k])
+    _lstm_backward(trace.layers, grads.lstm, dh_final)
     return grads
 
 

@@ -1,4 +1,6 @@
-"""Activations, their gradient and a finite-difference gradient checker.
+"""ReLU and its gradient, the shape error and a finite-difference
+gradient checker. (The LSTM computes its sigmoid gates from one tanh in
+``model``.)
 
 All numeric state lives in float64 numpy arrays. Functions allocate fresh
 outputs and never mutate their inputs.
@@ -20,10 +22,6 @@ def as_vector(data) -> np.ndarray:
     if a.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got shape {a.shape}")
     return a
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def relu(x):

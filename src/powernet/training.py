@@ -74,9 +74,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, and the buffers its steps run in:
+    two rows of scratch and two parameter vectors that successive steps
+    write in turn."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    buffers: np.ndarray | None = field(default=None, repr=False)   # (4, n)
 
     @classmethod
     def for_params(cls, p: PowerNetParams) -> "AdamState":
@@ -121,18 +126,19 @@ class TrainReport:
 
 
 def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
-         dropout_rate: float = 0.0, rng=None):
+         dropout_rate: float = 0.0, rng=None, *, workspace: list | None = None):
     """Batch loss (mean squared error + L2 on the fully-connected weights)
     and its exact parameter gradients.
 
     L2 covers w1..w4 only: the fully-connected layers, not the LSTM weights
-    and not the biases.
+    and not the biases. ``workspace`` is passed to ``forward_batch``, which
+    keeps the training trace's buffers in it between calls.
     """
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise TrainingError("empty batch")
     yhat, trace = forward_batch(E, fw, fc, p, dropout_rate=dropout_rate,
-                                train=True, rng=rng)
+                                train=True, rng=rng, workspace=workspace)
     resid = yhat - y
     value = float(np.mean(resid ** 2))
     grads = backward_batch(trace, 2.0 * resid / len(y), p)
@@ -146,16 +152,37 @@ def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
 
 def adam_step(p: PowerNetParams, grads: PowerNetParams, state: AdamState,
               lr: float) -> PowerNetParams:
-    """One Adam update; mutates state, returns new parameters and leaves
-    ``p`` unchanged."""
-    theta = p.vec
+    """One Adam update, computed in place in ``state``'s buffers; mutates
+    state, returns new parameters and leaves ``p`` unchanged.
+
+    The new parameters live in one of the state's two parameter vectors,
+    which successive steps write in turn, so they stay valid until the step
+    after next; copy them to keep them longer.
+    """
     g = grads.vec
+    if state.buffers is None:   # the first step allocates them
+        state.buffers = np.empty((4, g.size))
+    a, b, theta0, theta1 = state.buffers
+    theta = theta1 if np.may_share_memory(p.vec, theta0) else theta0
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    # the same operations in the same order as
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    #   theta = p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    np.multiply(ADAM_BETA1, m, out=m)
+    np.multiply(1.0 - ADAM_BETA1, g, out=a)
+    np.add(m, a, out=m)
+    np.multiply(ADAM_BETA2, v, out=v)
+    np.multiply(1.0 - ADAM_BETA2, g, out=a)
+    np.multiply(a, g, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=a)
+    np.multiply(lr, a, out=a)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, ADAM_EPS, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(p.vec, a, out=theta)
     return p.from_vector(theta)
 
 
@@ -178,6 +205,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
     p = init_params(cfg.memory_size, cfg.d1, cfg.d2, cfg.d3,
                     seed=cfg.seed, stack=cfg.stack)
     state = AdamState.for_params(p)
+    workspace = []   # the training trace's buffers, shared by every batch
     report = TrainReport(memory_size=cfg.memory_size)
     best_vec = p.to_vector()
     best_mse = np.inf
@@ -190,7 +218,8 @@ def train(data: ExampleSet, cfg: TrainConfig):
             idx = order[lo:lo + cfg.batch_size]
             value, grads = loss(tr.E[idx], tr.FW[idx], tr.FC[idx], tr.y[idx],
                                 p, l2_lambda=cfg.l2_lambda,
-                                dropout_rate=cfg.dropout_rate, rng=rng)
+                                dropout_rate=cfg.dropout_rate, rng=rng,
+                                workspace=workspace)
             if not np.isfinite(value):
                 raise TrainingError(f"training diverged at epoch {epoch} (loss={value})")
             p = adam_step(p, grads, state, cfg.learning_rate)
@@ -203,7 +232,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
         report.val_mse.append(val)
         if val < best_mse:
             best_mse = val
-            best_vec = p.to_vector()
+            best_vec = p.to_vector().copy()   # Adam reuses its vector
             report.best_epoch = epoch
             since_best = 0
         else:

@@ -508,6 +508,44 @@ class TestAnomaly:
         assert doc["detection"]["windows"] == 48 - 24 + 1
         assert (out / "theft_sweep.csv").exists()
 
+    def test_detection_reuses_the_sweep_forecast(self, dataset_path,
+                                                 checkpoint_dir, tmp_path,
+                                                 monkeypatch):
+        # one forecast of the test window feeds the sweep and the detector;
+        # the other is the clean history before it
+        import powernet.cli as cli
+        from powernet import forecast_anomaly as fa
+        from powernet.dataio import dataset_from_json
+        from powernet.features import FeatureSpec
+        from powernet.model import checkpoint_from_json
+        calls = []
+        forecast = fa.forecast_with_actuals
+
+        def counted(*args):
+            calls.append(args[3:])
+            return forecast(*args)
+        monkeypatch.setattr(cli, "forecast_with_actuals", counted)
+        monkeypatch.setattr(fa, "forecast_with_actuals", counted)
+        out = tmp_path / "an"
+        rc = main(["anomaly", "--checkpoint",
+                   str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--horizon", "48",
+                   "--thetas", "0.1,0.5", "--detect-theta", "0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        monkeypatch.undo()
+        d = dataset_from_json(open(dataset_path).read())
+        start = len(d) - 48
+        assert calls == [(start, 48), (start - 48, 48)]
+        text = (checkpoint_dir / "checkpoint.json").read_text()
+        p, _, spec_doc, _ = checkpoint_from_json(text)
+        spec = FeatureSpec.from_dict(spec_doc)
+        rows = fa.theft_sweep(p, spec, d, start, 48, [0.1, 0.5])
+        fa.write_sweep_csv(tmp_path / "expected.csv", rows)
+        assert ((out / "theft_sweep.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+        assert json.loads((out / "anomaly.json").read_text())["sweep"] == rows
+
     def test_gbt_checkpoint_rejected(self, dataset_path, tmp_path):
         out = tmp_path / "gbt"
         main(["train", "--dataset", dataset_path, "--model", "gbt",

@@ -125,8 +125,27 @@ class TestErrorCurve:
             f = a + rng.normal(0, 0.3, n)
             c = error_curve(a, f, window=window)
             roll_mape, roll_mse = reference_rolling(a, f, window, 1e-6)
-            assert np.array_equal(c.roll_mse, roll_mse)
-            assert np.array_equal(c.roll_mape, roll_mape, equal_nan=True)
+            # full windows bit for bit; the first window-1 hours are the
+            # cumulative curve, whose running sum adds in another order
+            w = min(window - 1, n)
+            assert np.array_equal(c.roll_mse[w:], roll_mse[w:])
+            assert np.array_equal(c.roll_mape[w:], roll_mape[w:], equal_nan=True)
+            np.testing.assert_allclose(c.roll_mse[:w], roll_mse[:w],
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(c.roll_mape[:w], roll_mape[:w],
+                                       rtol=1e-12, atol=0, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 5, 23, 24, 60])
+    def test_rolling_prefix_is_the_cumulative_curve(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0.5, 3.0, n)
+        a[::4] = 0.0                       # excluded hours, the first among them
+        f = a + rng.normal(0, 0.2, n)
+        c = error_curve(a, f, window=24)
+        w = min(23, n)
+        assert np.array_equal(c.roll_mse[:w], c.cum_mse[:w])
+        assert np.array_equal(c.roll_mape[:w], c.cum_mape[:w], equal_nan=True)
+        assert np.isnan(c.roll_mape[0])
 
     def test_hours_one_based(self):
         c = error_curve([1.0, 1.0], [1.0, 1.0], window=2)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from powernet.numcore import ShapeError, grad_check, sigmoid
+from oracles import sigmoid
+from powernet.numcore import ShapeError, grad_check
 from powernet.model import (
     checkpoint_from_dict, checkpoint_from_json, checkpoint_to_json,
     forward_batch, backward_batch, init_params, param_layout,
@@ -162,6 +163,63 @@ class TestEncode:
         with pytest.raises(ShapeError):
             forward_batch(np.zeros((1, 0)), np.zeros((1, 13)), np.zeros((1, 5)),
                           small_params())
+
+
+class TestFusedStep:
+    """The one-tanh gate block, the stacked operand and the reused trace."""
+
+    @pytest.mark.parametrize("stack", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 3, 32])
+    @pytest.mark.parametrize("T", [1, 5, 24, 168])
+    def test_matches_reference_cell(self, stack, B, T):
+        p = small_params(m=3, stack=stack, seed=stack)
+        rng = np.random.default_rng(100 * B + T)
+        E = rng.normal(size=(B, T))
+        FW, FC = rng.normal(size=(B, 13)), rng.normal(size=(B, 5))
+        _, trace = forward_batch(E, FW, FC, p, train=True)
+        y_infer, _ = forward_batch(E, FW, FC, p)
+        assert np.array_equal(y_infer, forward_batch(E, FW, FC, p, train=True)[0])
+        for b in range(B):
+            xs = list(E[b])
+            for layer, tr in zip(p.lstm, trace.layers):
+                h, c = np.zeros(p.m), np.zeros(p.m)
+                hs = []
+                for t, x in enumerate(xs):
+                    h, c = reference_lstm_step(x, h, c, layer)
+                    assert np.allclose(tr.c[t][b], c, rtol=0, atol=1e-12)
+                    hs.append(h)
+                xs = hs
+            assert np.allclose(trace.h_final[b], xs[-1], rtol=0, atol=1e-12)
+
+    def test_gates_equal_the_logistic_function(self):
+        # one unit whose every gate sees z = x; sigmoid is 1/2 + tanh(z/2)/2
+        p = small_params(m=1, stack=1)
+        layer = p.lstm[0]
+        layer.w_x[:] = 1.0
+        layer.w_h[:] = 0.0
+        layer.b[:] = 0.0
+        z = np.linspace(-40.0, 40.0, 8001)
+        _, trace = forward_batch(z[:, None], np.zeros((z.size, 13)),
+                                 np.zeros((z.size, 5)), p, train=True)
+        tr = trace.layers[0]
+        for gate in (tr.i, tr.f, tr.o):
+            assert np.abs(gate[0][:, 0] - sigmoid(z)).max() <= 1e-15
+        assert np.array_equal(tr.g[0][:, 0], np.tanh(z))
+
+    def test_short_batch_in_a_reused_workspace_equals_a_fresh_trace(self):
+        p = small_params(m=5, seed=30)
+        rng = np.random.default_rng(30)
+        E, FW, FC = (rng.normal(size=(32, 24)), rng.normal(size=(32, 13)),
+                     rng.normal(size=(32, 5)))
+        y = rng.normal(size=32)
+        workspace = []
+        loss(E, FW, FC, y, p, workspace=workspace)
+        memory = [tr.flat for tr in workspace]
+        got = loss(E[:16], FW[:16], FC[:16], y[:16], p, workspace=workspace)
+        want = loss(E[:16], FW[:16], FC[:16], y[:16], p)
+        assert all(tr.flat is a for tr, a in zip(workspace, memory))
+        assert got[0] == want[0]
+        assert np.array_equal(got[1].to_vector(), want[1].to_vector())
 
 
 class TestFuse:

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from powernet.features import build_examples, fit_feature_spec, tail_splits
-from powernet.model import init_params
+from powernet.model import checkpoint_to_json, init_params
 from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
 from powernet.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, TrainingError,
@@ -19,6 +20,18 @@ def small_data(days=8, seed=0, window=6):
     bounds = ((0, n - 48), (n - 48, n - 24), (n - 24, n))
     spec = fit_feature_spec(d, slice(*bounds[0]), window_len=window)
     return build_examples(d, spec, bounds)
+
+
+def functional_adam_step(p, grads, state, lr):
+    """The Adam update computed with fresh arrays, the oracle for the
+    in-place ``adam_step``."""
+    g = grads.vec
+    state.t += 1
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    return p.from_vector(p.vec - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 def small_cfg(**kwargs):
@@ -83,6 +96,33 @@ class TestAdam:
                 np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS)
             p = adam_step(p, p.from_vector(gvec), state, lr)
         assert np.allclose(p.to_vector(), theta_ref, atol=1e-12)
+
+    def test_in_place_steps_equal_the_functional_oracle(self):
+        p = init_params(5, 4, 3, 6, seed=8)
+        q = p.from_vector(p.vec.copy())
+        state, oracle = AdamState.for_params(p), AdamState.for_params(q)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            grads = p.from_vector(rng.normal(size=p.vec.size)
+                                  * 10.0 ** rng.uniform(-8, 2))
+            p = adam_step(p, grads, state, 0.01)
+            q = functional_adam_step(q, grads, oracle, 0.01)
+            assert np.array_equal(p.vec, q.vec)
+        assert np.array_equal(state.m, oracle.m)
+        assert np.array_equal(state.v, oracle.v)
+        assert state.t == oracle.t == 50
+
+    def test_step_leaves_its_input_and_the_last_result_alone(self):
+        p0 = init_params(3, 4, 3, 4, seed=9)
+        kept = p0.vec.copy()
+        state = AdamState.for_params(p0)
+        g = p0.from_vector(np.full(p0.vec.size, 0.5))
+        p1 = adam_step(p0, g, state, 0.01)
+        p1_kept = p1.vec.copy()
+        p2 = adam_step(p1, g, state, 0.01)
+        assert np.array_equal(p0.vec, kept)
+        assert np.array_equal(p1.vec, p1_kept)
+        assert not np.shares_memory(p1.vec, p2.vec)
 
     def test_descends_on_quadratic_slice(self):
         # repeated steps on a fixed batch must reduce the loss
@@ -160,6 +200,33 @@ class TestTrain:
         p2, r2 = train(data, cfg)
         assert np.array_equal(p1.to_vector(), p2.to_vector())
         assert r1.to_json() == r2.to_json()
+
+    def test_repeated_runs_give_byte_identical_checkpoints(self):
+        # the second run records into new trace buffers laid out as the
+        # first run's were; the training split does not fill its last
+        # batch of 32, so every epoch ends in a short batch
+        data = small_data(days=10)
+        cfg = small_cfg(max_epochs=3, batch_size=32, dropout_rate=0.2, seed=4)
+        texts = [checkpoint_to_json(train(data, cfg)[0], {}, {}, seed=4)
+                 for _ in range(2)]
+        assert len(data.train) % 32 != 0
+        assert texts[0] == texts[1]
+
+    def test_keeps_no_trace_buffers_after_returning(self):
+        # one epoch's trace at window 48 is far larger than the result
+        data = small_data(days=10, window=48)
+        cfg = small_cfg(memory_size=16, max_epochs=1, patience=1, batch_size=32)
+        train(data, cfg)   # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            params, report = train(data, cfg)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trace_bytes = (cfg.stack * 49 * 32 * 8 * (7 * 16 + 1))  # op, gate, tanh(c)
+        assert peak - before > trace_bytes
+        assert current - before < 4 * params.vec.nbytes + 100_000
 
     def test_seed_changes_outcome(self):
         data = small_data(days=8)
