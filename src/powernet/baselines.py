@@ -5,7 +5,12 @@ Trees are exact CART: split candidates are midpoints between consecutive
 sorted unique feature values, chosen by summed-squared-error reduction. The
 rows are sorted by every feature once per fit and each node keeps that order
 (the presorted exact-greedy search of XGBoost, arXiv:1603.02754), so a node
-scores all its candidates in one pass over all features.
+ranks all its candidates in one pass over all features. The rank is the
+score S_L**2/n_L + S_R**2/n_R of the left and right target sums and counts
+(that paper's eq. 7 for squared loss), which exceeds the SSE reduction by
+S**2/n of the whole node, the same for every candidate. Only candidates whose
+score lies within a proven rounding bound of the top are scored again with
+the scalar SSE-reduction formula, and that formula makes the choice.
 
 The choice is deterministic: the largest float64 gain wins, and among equal
 float64 gains the lowest feature index, then the lowest threshold. Gains that
@@ -91,49 +96,99 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
+def _shortlist(csum, xs, scale):
+    """Flat indices j * (n - 1) + i of every boundary whose scalar gain can
+    be the largest, in (feature, position) order.
+
+    ``csum`` holds the prefix sums of the node's targets along each
+    feature's sorted order, ``xs`` the feature values in that order and
+    ``scale`` is M = Sigma(y**2) + SSE, with SSE the node's sum of squared
+    errors. A boundary after sorted position i of feature j counts only
+    where the value changes. With c = csum[j, i], S_j = csum[j, -1],
+    n_L = i + 1 and n_R = n - n_L, the scalar gain that _split_search
+    computes,
+
+        g = SSE - ((q_i - c**2/n_L) + ((Q_j - q_i) - (S_j - c)**2/n_R)),
+
+    with q_i and Q_j prefix sums of y**2 along feature j, equals
+    SSE - Sigma(y**2) + T in exact arithmetic, where
+    T = c**2/n_L + (S_j - c)**2/n_R is the exact-greedy score of XGBoost
+    (arXiv:1603.02754, eq. 7) on the float prefix sums. Boundaries are
+    ranked by T alone, which needs no prefix sum of y**2.
+
+    The bound, with u = eps/2 and Q = Sigma(y**2); SSE <= Q and T <= Q up
+    to rounding, so every partial result is at most M:
+
+    * the vector score s rounds at most four times per term:
+      |s - T| <= 5uM;
+    * Q_j is a sequential sum of n squares: |Q_j - Q| <= (n - 1)uQ;
+    * the scalar formula rounds its two quotients (pow within one ulp)
+      and five sums: |g - (SSE - Q + T)| <= ((n - 1) + 11)uM.
+
+    If boundary k has the largest scalar gain and m the largest score,
+    g_k >= g_m gives T_k >= T_m - 2(n + 10)uM, so s_k >= s_m - (n + 15)eps M.
+    The shortlist keeps every score within (4n + 128)eps M of the top, over
+    four times that margin, which also covers second-order terms and the
+    rounding of M and of the subtraction.
+    """
+    n = csum.shape[1]
+    cl = csum[:, :-1]
+    nl = np.arange(1, n, dtype=np.float64)
+    score = cl ** 2 / nl + (csum[:, -1:] - cl) ** 2 / (n - nl)
+    score[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    top = score.max()
+    if top == -np.inf:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(
+        score >= top - (4 * n + 128) * np.finfo(np.float64).eps * scale)
+
+
 def _split_search(XT, y, order, rows):
     """The split engine behind best_split and fit_tree.
 
-    ``order`` holds the node's rows sorted by each feature (from _presort,
-    filtered), ``rows`` the same rows in ascending order. Returns the best
-    (feature, threshold, gain) or None, exactly as the per-boundary scalar
-    formula below picks it.
+    ``XT`` is X transposed, ``order`` holds the node's rows sorted by each
+    feature (from _presort, filtered), ``rows`` the same rows in ascending
+    order. Returns the best (feature, threshold, gain) or None, exactly as
+    the per-boundary scalar formula below picks it over every boundary.
+
+    Array ** 2 rounds x*x while the scalar ** 2 below calls libm pow; the
+    two differ in the last bit for a few values, which can flip near-ties.
+    So the vector score only shortlists: the boundaries _shortlist keeps
+    are recomputed with the scalar formula, in (feature, position) order,
+    with q from a prefix sum of ys ** 2 over the rows of the shortlisted
+    features, whose row j is the same sequential sum as
+    np.cumsum(ys[j] ** 2). The largest float64 gain wins, equal gains keep
+    the first boundary, and a best gain <= 0 is no split.
     """
     n = len(rows)
-    if n < 2 or len(order) == 0:
+    n_features = len(order)
+    if n < 2 or n_features == 0:
         return None
     node_y = y[rows]
-    total_sse = float(np.sum((node_y - node_y.mean()) ** 2))
-    xs = np.take_along_axis(XT, order, axis=1)
-    ys = y[order]
+    mean = node_y.mean()
+    total_sse = float(np.sum((node_y - mean) ** 2))
+    xs = XT.take(order + (np.arange(n_features) * XT.shape[1])[:, None])
+    ys = y.take(order)
     csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys ** 2, axis=1)
-    cl, ql = csum[:, :-1], csq[:, :-1]
-    nl = np.arange(1, n, dtype=np.float64)
-    gain = total_sse - ((ql - cl ** 2 / nl)
-                        + ((csq[:, -1:] - ql) - (csum[:, -1:] - cl) ** 2 / (n - nl)))
-    # split after position i (left = 0..i) only where the value changes
-    gain[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
-    top = gain.max()
-    if top == -np.inf:
+    # Sigma(y**2) + SSE = 2 SSE + n mean**2, without a pass or a BLAS call
+    shortlist = _shortlist(csum, xs, 2 * total_sse + n * float(mean) ** 2)
+    if len(shortlist) == 0:
         return None
-    # Array ** 2 rounds x*x while the scalar ** 2 below calls libm pow; the
-    # two differ in the last bit for a few values, which can flip near-ties.
-    # The vector gains only shortlist: every gain within a few ulps of the
-    # top is recomputed with the scalar formula, in (feature, position)
-    # order, so the pick is the one the scalar formula makes.
-    tol = 64 * np.finfo(np.float64).eps * (float(csq[:, -1].max()) + total_sse)
+    # prefix sums of y**2 along features first..last, which hold the shortlist
+    first = shortlist[0] // (n - 1)
+    csq = np.cumsum(ys[first:shortlist[-1] // (n - 1) + 1] ** 2, axis=1)
     best = None
-    for k in np.flatnonzero(gain >= top - tol):
+    for k in shortlist:
         j, i = divmod(int(k), n - 1)
+        q = csq[j - first]
         nl_i = i + 1
-        sse_l = csq[j, i] - csum[j, i] ** 2 / nl_i
-        sse_r = ((csq[j, -1] - csq[j, i])
+        sse_l = q[i] - csum[j, i] ** 2 / nl_i
+        sse_r = ((q[-1] - q[i])
                  - (csum[j, -1] - csum[j, i]) ** 2 / (n - nl_i))
         g = total_sse - (sse_l + sse_r)
         if best is None or g > best[2]:
             best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(g))
-    if best is None or best[2] <= 0.0:
+    if best[2] <= 0.0:
         return None
     return best
 
@@ -152,10 +207,10 @@ def best_split(X: np.ndarray, y: np.ndarray):
     return _split_search(np.asarray(X).T, y, _presort(X), np.arange(len(y)))
 
 
-def _grow_tree(X, order, y, max_depth: int):
-    """Grow one tree on rows presorted by _presort(X); returns (tree, the
-    value of the leaf each training row lands in)."""
-    XT = X.T
+def _grow_tree(XT, order, y, max_depth: int):
+    """Grow one tree on rows presorted by _presort(X), with XT a C-ordered
+    X.T; returns (tree, the value of the leaf each training row lands in)."""
+    n_features = len(order)
     fitted = np.empty(len(y))
     go_left = np.zeros(len(y), dtype=bool)
 
@@ -168,19 +223,24 @@ def _grow_tree(X, order, y, max_depth: int):
             fitted[rows] = value
             return TreeNode(value=value)
         j, thr, _ = split
-        left = X[rows, j] <= thr
-        go_left[rows] = left
-        # boolean selection keeps each feature's order, and every feature
-        # sends the same rows left, so the rows stay an (F, n_left) array
-        to_left = go_left[order]
-        n_features = len(order)
+        left = XT[j, rows] <= thr
+        left_order = right_order = None     # children at max_depth are leaves
+        if depth + 1 < max_depth:
+            go_left[rows] = left
+            # every feature sends the same rows left and the flat positions
+            # ascend, so each child keeps every feature's order as an
+            # (F, n_child) array
+            to_left = go_left.take(order)
+            left_order = order.take(np.flatnonzero(to_left)).reshape(n_features, -1)
+            right_order = order.take(np.flatnonzero(~to_left)).reshape(n_features, -1)
         return TreeNode(feature=j, threshold=thr,
-                        left=grow(order[to_left].reshape(n_features, -1),
-                                  rows[left], depth + 1),
-                        right=grow(order[~to_left].reshape(n_features, -1),
-                                   rows[~left], depth + 1))
+                        left=grow(left_order, rows[left], depth + 1),
+                        right=grow(right_order, rows[~left], depth + 1))
 
     tree = grow(order, np.arange(len(y)), 0)
+    # grow's closure refers to itself; breaking that cycle frees the
+    # tree's buffers now rather than at the next cyclic collection
+    del grow
     return tree, fitted
 
 
@@ -190,7 +250,7 @@ def fit_tree(X, y, max_depth: int) -> TreeNode:
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
         raise BaselineError("need at least one row")
-    return _grow_tree(X, _presort(X), y, max_depth)[0]
+    return _grow_tree(np.ascontiguousarray(X.T), _presort(X), y, max_depth)[0]
 
 
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -254,10 +314,6 @@ class GbtModel:
                           allow_nan=False)
 
     @classmethod
-    def from_json(cls, text: str) -> "GbtModel":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, doc: dict, n_features=math.inf) -> "GbtModel":
         if doc.get("format_version") != GBT_FORMAT_VERSION:
             raise BaselineError(f"unsupported GBT checkpoint version {doc.get('format_version')}")
@@ -278,9 +334,9 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     model = GbtModel(initial_prediction=float(y.mean()),
                      learning_rate=learning_rate, max_depth=max_depth)
     pred = np.full(len(y), model.initial_prediction)
-    order = _presort(X)
+    XT, order = np.ascontiguousarray(X.T), _presort(X)
     for _ in range(n_estimators):
-        tree, fitted = _grow_tree(X, order, y - pred, max_depth)
+        tree, fitted = _grow_tree(XT, order, y - pred, max_depth)
         pred += learning_rate * fitted
         model.trees.append(tree)
     return model

@@ -26,6 +26,10 @@ HOUR = 3600
 #: Fixed local offset applied to naive timestamps (hours east of UTC).
 DEFAULT_UTC_OFFSET_HOURS = -5.0
 
+#: A consumption file whose span holds more slots than this per parsed row
+#: is mostly gaps, almost surely a mistyped timestamp.
+MAX_SLOTS_PER_ROW = 100
+
 WEATHER_NUMERIC_COLUMNS = [
     "temperature", "apparentTemperature", "cloudCover", "precipProbability",
     "precipIntensity", "visibility", "windSpeed", "windBearing",
@@ -77,6 +81,14 @@ def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOUR
 def format_timestamp(epoch: int, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> str:
     tz = timezone(timedelta(hours=utc_offset_hours))
     return datetime.fromtimestamp(epoch, tz).strftime("%Y-%m-%dT%H:%M:%S")
+
+
+def _timestamp_text(epoch: int, utc_offset_hours: float) -> str:
+    """format_timestamp, or the epoch seconds outside datetime's range."""
+    try:
+        return format_timestamp(epoch, utc_offset_hours)
+    except (OverflowError, OSError, ValueError):
+        return f"epoch {epoch}"
 
 
 @dataclass(frozen=True)
@@ -241,6 +253,13 @@ def load_consumption(path, fmt: str = "per_minute",
     rows.sort(key=lambda r: r[0])
     start = rows[0][0] - rows[0][0] % step
     n = (rows[-1][0] - start) // step + 1
+    # checked before allocating: a mistyped year would ask for the span
+    if n > MAX_SLOTS_PER_ROW * len(rows):
+        first, last = (_timestamp_text(rows[i][0], utc_offset_hours)
+                       for i in (0, -1))
+        raise DataError(f"{path}: {len(rows)} rows from {first} to {last} "
+                        f"span {n} slots, over {MAX_SLOTS_PER_ROW} per row; "
+                        "is a timestamp mistyped?")
     values = np.full(n, np.nan)
     negatives = 0
     for ts, power in rows:

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from powernet.baselines import (
-    BaselineError, GbtModel, TreeNode, best_split, fit_gbt, fit_gbt_examples,
-    fit_tree, flatten_features, gbt_grid_search, persistence_forecast,
-    tree_predict,
+    BaselineError, GbtModel, TreeNode, _presort, _shortlist, best_split,
+    fit_gbt, fit_gbt_examples, fit_tree, flatten_features, gbt_grid_search,
+    persistence_forecast, tree_predict,
 )
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.metrics import mse
@@ -49,14 +51,11 @@ def all_splits(X, y):
     return out
 
 
-def reference_best_split(X: np.ndarray, y: np.ndarray):
-    """The per-boundary scalar loop, the exact oracle for the split engine:
-    its choice, threshold and gain, bit for bit."""
+def reference_gains(X: np.ndarray, y: np.ndarray):
+    """(feature, position, threshold, gain) of every boundary, in (feature,
+    position) order, by the per-boundary scalar formula; needs n >= 2."""
     n, n_features = X.shape
-    if n < 2:
-        return None
     total_sse = float(np.sum((y - y.mean()) ** 2))
-    best = None
     for j in range(n_features):
         order = np.argsort(X[:, j], kind="stable")
         xs = X[order, j]
@@ -71,9 +70,18 @@ def reference_best_split(X: np.ndarray, y: np.ndarray):
             nr = n - nl
             sse_l = csq[i] - csum[i] ** 2 / nl
             sse_r = (total_sq - csq[i]) - (total_sum - csum[i]) ** 2 / nr
-            gain = total_sse - (sse_l + sse_r)
-            if best is None or gain > best[2]:
-                best = (j, (xs[i] + xs[i + 1]) / 2.0, float(gain))
+            yield j, int(i), (xs[i] + xs[i + 1]) / 2.0, total_sse - (sse_l + sse_r)
+
+
+def reference_best_split(X: np.ndarray, y: np.ndarray):
+    """The per-boundary scalar loop, the exact oracle for the split engine:
+    its choice, threshold and gain, bit for bit."""
+    if len(y) < 2:
+        return None
+    best = None
+    for j, _, threshold, gain in reference_gains(X, y):
+        if best is None or gain > best[2]:
+            best = (j, threshold, float(gain))
     if best is None or best[2] <= 0.0:
         return None
     return best
@@ -172,6 +180,16 @@ def oracle_fixtures():
         out.append((rng.normal(size=(n, 3)), np.full(n, 0.7)))
     out.append((np.zeros((4, 0)), rng.normal(size=4)))   # no features
     out.append((TWO_ROWS, pow_flip_target()))
+    for n in (4, 9, 24, 70):
+        # a column and its monotone transforms make the same partitions
+        # from different values; duplicated small-integer columns and
+        # targets with repeated values tie exactly
+        c = rng.normal(size=n).round(1)
+        small = rng.integers(0, 4, size=n).astype(float)
+        X = np.column_stack([c, 3 * c + 1, np.exp(c), -c, small, small,
+                             rng.integers(0, 24, size=n).astype(float)])
+        out.append((X, rng.normal(size=n).round(1)))
+        out.append((X, rng.integers(-2, 3, size=n) * 0.5))
     return out
 
 
@@ -247,6 +265,26 @@ class TestBestSplit:
         for X, y in oracle_fixtures():
             assert best_split(X, y) == reference_best_split(X, y)
 
+    def test_shortlist_holds_every_scalar_maximum(self):
+        # each fixture's root and seeded row subsets, as inner nodes see them
+        rng = np.random.default_rng(5)
+        for X, y in oracle_fixtures():
+            for subset in range(10):
+                rows = (np.arange(len(y)) if subset == 0
+                        else np.flatnonzero(rng.random(len(y)) < 0.6))
+                Xs, ys = X[rows], y[rows]
+                n = len(ys)
+                gains = list(reference_gains(Xs, ys)) if n >= 2 else []
+                if not gains:
+                    continue
+                top = max(g for _, _, _, g in gains)
+                want = {j * (n - 1) + i for j, i, _, g in gains if g == top}
+                order = _presort(Xs)
+                xs = np.take_along_axis(Xs.T, order, axis=1)
+                csum = np.cumsum(ys[order], axis=1)
+                scale = float(ys @ ys) + float(np.sum((ys - ys.mean()) ** 2))
+                assert want <= set(_shortlist(csum, xs, scale).tolist())
+
     def test_pow_rounding_fixture(self):
         # picking the vector argmax would change this split; the engine
         # keeps the scalar formula's choice
@@ -275,7 +313,7 @@ class TestBestSplit:
 class TestFitTree:
     def test_equals_scalar_reference(self):
         for X, y in oracle_fixtures():
-            for depth in (1, 3, 6):
+            for depth in range(1, 7):
                 assert (fit_tree(X, y, depth).to_dict()
                         == reference_fit_tree(X, y, depth).to_dict())
 
@@ -318,7 +356,7 @@ class TestGbt:
     def test_equals_scalar_reference(self):
         # training predictions come from the leaves, not tree_predict
         for X, y in oracle_fixtures():
-            for depth in (1, 3, 6):
+            for depth in range(1, 7):
                 got = fit_gbt(X, y, n_estimators=4, max_depth=depth,
                               learning_rate=0.5)
                 want = reference_fit_gbt(X, y, n_estimators=4,
@@ -357,7 +395,7 @@ class TestGbt:
     def test_json_round_trip(self):
         X, y = self.small_problem(seed=4, n=30)
         model = fit_gbt(X, y, n_estimators=10, max_depth=3, learning_rate=0.05)
-        back = GbtModel.from_json(model.to_json())
+        back = GbtModel.from_dict(json.loads(model.to_json()))
         assert np.allclose(back.predict(X), model.predict(X), atol=0)
         assert back.to_json() == model.to_json()
 
@@ -366,7 +404,7 @@ class TestGbt:
         doc = fit_gbt(X, y, n_estimators=2).to_json().replace(
             '"format_version": 1', '"format_version": 99')
         with pytest.raises(BaselineError, match="version"):
-            GbtModel.from_json(doc)
+            GbtModel.from_dict(json.loads(doc))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(BaselineError):

@@ -72,6 +72,26 @@ class TestLoadConsumption:
         with pytest.raises(DataError):
             load_consumption(tmp_path / "missing.csv", "per_minute")
 
+    @pytest.mark.parametrize("first, last, shown", [
+        ("2019-01-01T00:00:00", "2199-01-01T00:00:00",
+         "2019-01-01T00:00:00 to 2199-01-01T00:00:00"),
+        ("0", "1e15", "to epoch 1000000000000000 "),
+    ])
+    def test_mistyped_year_rejected_before_allocating(self, tmp_path,
+                                                      monkeypatch, first,
+                                                      last, shown):
+        # 180 years of minutes would be a 757 MB array
+        full = np.full
+
+        def small_full(shape, *args, **kwargs):
+            assert shape <= 10 ** 6, f"allocated {shape} slots"
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", small_full)
+        path = write_csv(tmp_path / "a.csv", [f"{first},1.0", f"{last},2.0"])
+        with pytest.raises(DataError, match=f"a.csv: 2 rows from .*{shown}"):
+            load_consumption(path, "per_minute")
+
 
 class TestResampleHourly:
     def test_constant_mean(self):

@@ -1,13 +1,16 @@
 """Every import in the package is used, and every private module-level
 function and class is referenced: stdlib-only stand-ins for a linter's
-unused-import and dead-code rules."""
+unused-import and dead-code rules. Every function the benchmark tracer
+wraps exists under the name it uses."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "powernet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "powernet"
 
 
 def unused_imports(source: str) -> list:
@@ -84,3 +87,34 @@ def test_attribute_and_cross_module_reads_count_as_references():
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def layer_targets(source: str) -> list:
+    """The "module.function" target of each ``Layer(...)`` call in
+    ``source``."""
+    return [node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Layer" and node.args
+            and isinstance(node.args[0], ast.Constant)]
+
+
+def test_every_traced_layer_names_a_package_function():
+    # Tracer.install looks each target up with getattr, so a function moved
+    # or renamed away from its module would crash every traced run
+    targets = layer_targets((ROOT / "bench" / "tracing.py").read_text())
+    assert "baselines.fit_gbt" in targets
+    missing = [target for target in targets
+               if not hasattr(importlib.import_module(
+                   "powernet." + target.split(".")[0]), target.split(".")[1])]
+    assert missing == []
+
+
+def test_grid_search_calls_fit_gbt_by_its_module_name():
+    # the tracer rebinds module attributes, so baselines.fit_gbt shows in a
+    # traced grid search only while gbt_grid_search looks the name up there
+    tree = ast.parse((PACKAGE / "baselines.py").read_text())
+    grid = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "gbt_grid_search")
+    assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "fit_gbt" for node in ast.walk(grid))
