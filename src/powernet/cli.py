@@ -10,6 +10,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -19,13 +20,13 @@ import numpy as np
 
 from . import baselines, dataio, synth
 from .dataio import DataError
-from .features import (FeatureError, FeatureSpec, build_examples,
-                       fit_feature_spec, tail_splits)
+from .features import (N_AUX_FEATURES, FeatureError, FeatureSpec,
+                       build_examples, fit_feature_spec, tail_splits)
 from .forecast_anomaly import (DetectorConfig, ForecastError, TheftScenario,
                                apply_theft, detect_consumer,
                                forecast_recursive, forecast_with_actuals,
                                residual_stats, retraining_analysis,
-                               theft_sweep, write_sweep_csv)
+                               theft_sweep)
 from .metrics import MetricError, mape, mse
 from .model import checkpoint_from_dict, checkpoint_to_json, forward_batch
 from .training import TrainConfig, TrainingError, grid_search, train
@@ -59,6 +60,16 @@ def _write_json(path, doc):
     """Write ``doc`` as JSON; a non-finite float raises ValueError before
     the file is opened."""
     _write(path, json.dumps(doc, indent=1, sort_keys=True, allow_nan=False))
+
+
+def _write_csv(path, header, rows):
+    """Write ``rows`` under ``header`` as CSV: an int as it is, every other
+    value as ``repr(float(v))``, which reads back as the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, (int, np.integer)) else repr(float(v))
+                          for v in row] for row in rows)
 
 
 def _parse_file(path, what: str, parse):
@@ -190,8 +201,9 @@ def _train_common(args, use_grid: bool):
              "splits": [list(b) for b in bounds]}
     _write(os.path.join(out, "checkpoint.json"),
            checkpoint_to_json(params, hyper, data.spec.to_dict(), cfg.get("seed", 0)))
-    _write(os.path.join(out, "report.json"), report.to_json())
-    report.write_curves_csv(os.path.join(out, "curves.csv"))
+    _write_json(os.path.join(out, "report.json"), report.to_dict())
+    _write_csv(os.path.join(out, "curves.csv"), ["epoch", "train_loss", "val_mse"],
+               zip(range(len(report.val_mse)), report.train_loss, report.val_mse))
     print(f"best val MSE {report.best_val_mse:.6g} (epoch {report.best_epoch}) "
           f"-> {out}/checkpoint.json")
     return 0
@@ -214,8 +226,8 @@ def _model_inputs(args):
         doc = json.loads(text)
         spec = FeatureSpec.from_dict(doc["feature_spec"])
         if doc.get("model_type") == "gbt":
-            # a GBT row is the window, then the 18 weather/calendar features
-            model = baselines.GbtModel.from_dict(doc, spec.window_len + 18)
+            # a GBT row is the window, then the weather/calendar features
+            model = baselines.GbtModel.from_dict(doc, spec.window_len + N_AUX_FEATURES)
             return "gbt", model, spec, doc
         return "powernet", checkpoint_from_dict(doc)[0], spec, doc
 
@@ -243,8 +255,7 @@ def cmd_evaluate(args):
     splits = doc.get("splits") or doc.get("hyperparameters", {}).get("splits")
     if splits is None:
         raise UsageError("checkpoint does not record split boundaries")
-    bounds = tuple(tuple(b) for b in splits)
-    data = build_examples(d, spec, bounds)
+    data = build_examples(d, spec, splits)
     actual, pred = _split_predictions(kind, model, spec, data, args.split)
     out = _out_dir(args)
     doc = {"split": args.split, "mse": mse(actual, pred),
@@ -261,14 +272,24 @@ def cmd_forecast(args):
     fn = forecast_recursive if args.mode == "recursive" else forecast_with_actuals
     report = fn(model, spec, d, args.start_row, args.horizon)
     out = _out_dir(args)
-    report.write_csv(os.path.join(out, f"forecast_{args.mode}.csv"))
-    report.curves.write_csv(os.path.join(out, f"forecast_{args.mode}_curve.csv"))
-    _write(os.path.join(out, f"forecast_{args.mode}.json"), report.to_json())
+    name = os.path.join(out, f"forecast_{args.mode}")
+    c = report.curves
+    _write_csv(name + ".csv", ["hour", "actual_kw", "predicted_kw"],
+               zip(c.hours, report.actuals, report.predictions))
+    _write_csv(name + "_curve.csv",
+               ["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"],
+               zip(c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse))
+    doc = {"mode": report.mode, "horizon": report.horizon,
+           "start_ts": report.start_ts,
+           "predictions": [repr(float(v)) for v in report.predictions],
+           "actuals": [repr(float(v)) for v in report.actuals],
+           "mse": mse(report.actuals, report.predictions),
+           "mape": mape(report.actuals, report.predictions)}
+    _write_json(name + ".json", doc)
     if args.thresholds:
         table = retraining_analysis(report, args.thresholds)
         _write_json(os.path.join(out, "retraining.json"), table)
-    print(f"{args.mode} horizon {args.horizon}: "
-          f"MAPE {mape(report.actuals, report.predictions):.3f}%")
+    print(f"{args.mode} horizon {args.horizon}: MAPE {doc['mape']:.3f}%")
     return 0
 
 
@@ -282,7 +303,8 @@ def cmd_anomaly(args):
     rows = theft_sweep(model, spec, d, start_row, horizon, args.thetas,
                        clean=test)
     out = _out_dir(args)
-    write_sweep_csv(os.path.join(out, "theft_sweep.csv"), rows)
+    _write_csv(os.path.join(out, "theft_sweep.csv"), ["theta", "mape"],
+               ((r["theta"], r["mape"]) for r in rows))
     result = {"sweep": rows}
     if detect:
         clean = forecast_with_actuals(model, spec, d, start_row - horizon, horizon)

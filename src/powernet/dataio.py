@@ -172,10 +172,6 @@ class AlignedDataset:
     def __len__(self):
         return len(self.hours)
 
-    @property
-    def span(self):
-        return int(self.hours[0]), int(self.hours[-1]) + HOUR
-
 
 STEP_OF_FORMAT = {"per_minute": 60, "per_quarter_hour": 900, "hourly": HOUR}
 

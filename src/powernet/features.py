@@ -10,6 +10,7 @@ training split only.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -19,10 +20,13 @@ import numpy as np
 from .dataio import (
     HOUR,
     DEFAULT_UTC_OFFSET_HOURS,
+    WEATHER_NUMERIC_COLUMNS,
     AlignedDataset,
 )
 
 N_WEATHER = 13
+#: The weather and calendar features of one example: the fusion MLP's input.
+N_AUX_FEATURES = N_WEATHER + 5
 
 SPEC_FORMAT_VERSION = 1
 
@@ -105,29 +109,59 @@ class FeatureSpec:
             "utc_offset_hours": self.utc_offset_hours,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
-                          allow_nan=False)
-
     @classmethod
     def from_json(cls, text: str) -> "FeatureSpec":
         return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSpec":
+        """The spec ``to_dict`` wrote; a value of the wrong type or out of
+        range raises FeatureError naming its key."""
         if doc.get("format_version") != SPEC_FORMAT_VERSION:
             raise FeatureError(f"unsupported FeatureSpec version {doc.get('format_version')}")
-        return cls(
-            window_len=doc["window_len"],
-            summary_vocab=doc["summary_vocab"],
-            icon_vocab=doc["icon_vocab"],
-            weather_mean=np.asarray(doc["weather_mean"]),
-            weather_std=np.asarray(doc["weather_std"]),
-            cons_mean=doc["cons_mean"],
-            cons_std=doc["cons_std"],
-            daytime_range=tuple(doc["daytime_range"]),
-            utc_offset_hours=doc["utc_offset_hours"],
-        )
+        n_numeric = len(WEATHER_NUMERIC_COLUMNS)
+        checks = {
+            "window_len": lambda v: _is_int(v) and v >= 1,
+            "summary_vocab": _is_vocab,
+            "icon_vocab": _is_vocab,
+            "weather_mean": lambda v: _all(v, n_numeric, _is_finite),
+            "weather_std": lambda v: _all(v, n_numeric, _is_positive),
+            "cons_mean": _is_finite,
+            "cons_std": _is_positive,
+            "daytime_range": lambda v: _all(v, 2, _is_int),
+            "utc_offset_hours": _is_finite,
+        }
+        fields = {key: doc[key] for key in checks}   # every field of the spec
+        for key, ok in checks.items():
+            if not ok(fields[key]):
+                raise FeatureError(f"bad feature spec {key}: {fields[key]!r}")
+        fields["weather_mean"] = np.asarray(fields["weather_mean"])
+        fields["weather_std"] = np.asarray(fields["weather_std"])
+        fields["daytime_range"] = tuple(fields["daytime_range"])
+        return cls(**fields)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a finite real number (not a bool)."""
+    return (isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_positive(value) -> bool:
+    return _is_finite(value) and value > 0
+
+
+def _is_vocab(value) -> bool:
+    return isinstance(value, dict) and all(map(_is_int, value.values()))
+
+
+def _all(value, n: int, ok) -> bool:
+    """Whether ``value`` is a list or tuple of ``n`` entries that pass ``ok``."""
+    return isinstance(value, (list, tuple)) and len(value) == n and all(map(ok, value))
 
 
 def _day_of_month(days: np.ndarray) -> np.ndarray:
@@ -278,6 +312,8 @@ def build_examples(d: AlignedDataset, spec: FeatureSpec,
     in dataset row indices, chronological and non-overlapping. Targets whose
     history window crosses a non-contiguous stretch are skipped and counted.
     """
+    if not _all(splits, 3, lambda b: _all(b, 2, _is_int)):
+        raise FeatureError(f"splits must be three pairs of ints, got {splits!r}")
     (a0, a1), (b0, b1), (c0, c1) = splits
     if not (a0 < a1 <= b0 < b1 <= c0 < c1 <= len(d)):
         raise FeatureError(f"splits must be chronological and non-overlapping, got {splits}")

@@ -10,8 +10,6 @@ master = sum(consumers) + TL.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +18,7 @@ import numpy as np
 from .dataio import HOUR, AlignedDataset, TimeSeries
 from .features import (FeatureSpec, calendar_features, weather_features,
                        window_features)
-from .metrics import ErrorCurve, error_curve, mape, mse
+from .metrics import ErrorCurve, error_curve, mape
 from .model import (PowerNetParams, _fusion, _head, _LstmTrace, _lstm_step,
                     _step_arrays, forward_batch)
 
@@ -37,25 +35,6 @@ class ForecastReport:
     actuals: np.ndarray       # kW
     curves: ErrorCurve
     start_ts: int = 0
-
-    def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "start_ts": self.start_ts,
-            "predictions": [repr(float(v)) for v in self.predictions],
-            "actuals": [repr(float(v)) for v in self.actuals],
-            "mse": mse(self.actuals, self.predictions),
-            "mape": mape(self.actuals, self.predictions),
-        }
-        return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hour", "actual_kw", "predicted_kw"])
-            for h, (a, p) in enumerate(zip(self.actuals, self.predictions), 1):
-                writer.writerow([h, repr(float(a)), repr(float(p))])
 
 
 def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
@@ -286,11 +265,3 @@ def seasonal_tl_predictor(tl_history, horizon: int, period: int = 24) -> np.ndar
     if len(tl_history) < period:
         raise ForecastError("TL history shorter than one period")
     return np.resize(tl_history[-period:], horizon)
-
-
-def write_sweep_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "mape"])
-        for row in rows:
-            writer.writerow([repr(row["theta"]), repr(row["mape"])])

@@ -6,7 +6,6 @@ actual value is at or below a small floor instead of dividing by zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +55,6 @@ class ErrorCurve:
     roll_mape: np.ndarray
     roll_mse: np.ndarray
     window: int
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"])
-            for row in zip(self.hours, self.cum_mape, self.cum_mse,
-                           self.roll_mape, self.roll_mse):
-                writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
 
 
 def error_curve(actual, forecast, window: int = 24,

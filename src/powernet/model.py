@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import N_AUX_FEATURES
 from .numcore import relu, relu_grad, ShapeError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -59,8 +60,7 @@ class LstmLayerParams:
         return self.w_h.shape[1]
 
 
-def param_layout(m: int, d1: int, d2: int, d3: int, stack: int = 2,
-                 n_aux_features: int = 18) -> tuple:
+def param_layout(m: int, d1: int, d2: int, d3: int, stack: int = 2) -> tuple:
     """(name, start, stop, shape) of every parameter in the flat vector:
     the stacked LSTM layers bottom first, then w1, b1, ..., w4, b4."""
     shapes = []
@@ -69,7 +69,7 @@ def param_layout(m: int, d1: int, d2: int, d3: int, stack: int = 2,
         shapes += [(f"lstm{k}.w_x", (4 * m, input_dim)),
                    (f"lstm{k}.w_h", (4 * m, m)), (f"lstm{k}.b", (4 * m,))]
         input_dim = m
-    shapes += [("w1", (d1, n_aux_features)), ("b1", (d1,)),
+    shapes += [("w1", (d1, N_AUX_FEATURES)), ("b1", (d1,)),
                ("w2", (d2, d1)), ("b2", (d2,)),
                ("w3", (d3, m + d2)), ("b3", (d3,)), ("w4", (d3,)), ("b4", (1,))]
     layout = []
@@ -136,10 +136,10 @@ def _xavier(rng, w):
 
 
 def init_params(m: int, d1: int, d2: int, d3: int, seed: int = 0,
-                stack: int = 2, n_aux_features: int = 18) -> PowerNetParams:
+                stack: int = 2) -> PowerNetParams:
     """Xavier-uniform weights, zero biases except forget-gate bias = 1."""
     rng = np.random.default_rng(seed)
-    layout = param_layout(m, d1, d2, d3, stack, n_aux_features)
+    layout = param_layout(m, d1, d2, d3, stack)
     p = PowerNetParams(np.zeros(layout[-1][2]), layout)
     for layer in p.lstm:
         _xavier(rng, layer.w_x)

@@ -8,8 +8,6 @@ initialization all derive from numpy Generators seeded from it.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -74,18 +72,18 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and the buffers its steps run in:
-    two rows of scratch and two parameter vectors that successive steps
-    write in turn."""
+    """Adam's moments and step count, and the two rows of scratch its
+    steps run in."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray = field(repr=False)   # (2, n)
     t: int = 0
-    buffers: np.ndarray | None = field(default=None, repr=False)   # (4, n)
 
     @classmethod
     def for_params(cls, p: PowerNetParams) -> "AdamState":
-        return cls(m=np.zeros(p.vec.size), v=np.zeros(p.vec.size))
+        n = p.vec.size
+        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)))
 
 
 @dataclass
@@ -112,17 +110,6 @@ class TrainReport:
             "stopped_early": self.stopped_early,
             "memory_size": self.memory_size,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
-                          allow_nan=False)
-
-    def write_curves_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_mse"])
-            for e, (tl, vm) in enumerate(zip(self.train_loss, self.val_mse)):
-                writer.writerow([e, repr(tl), repr(vm)])
 
 
 def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
@@ -152,23 +139,15 @@ def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
 
 def adam_step(p: PowerNetParams, grads: PowerNetParams, state: AdamState,
               lr: float) -> PowerNetParams:
-    """One Adam update, computed in place in ``state``'s buffers; mutates
-    state, returns new parameters and leaves ``p`` unchanged.
-
-    The new parameters live in one of the state's two parameter vectors,
-    which successive steps write in turn, so they stay valid until the step
-    after next; copy them to keep them longer.
-    """
+    """One Adam update of ``p``, written into ``p.vec`` and computed in
+    ``state``'s scratch; mutates state and returns ``p``."""
     g = grads.vec
-    if state.buffers is None:   # the first step allocates them
-        state.buffers = np.empty((4, g.size))
-    a, b, theta0, theta1 = state.buffers
-    theta = theta1 if np.may_share_memory(p.vec, theta0) else theta0
+    a, b = state.scratch
     state.t += 1
     m, v = state.m, state.v
     # the same operations in the same order as
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-    #   theta = p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    #   p = p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
     np.multiply(ADAM_BETA1, m, out=m)
     np.multiply(1.0 - ADAM_BETA1, g, out=a)
     np.add(m, a, out=m)
@@ -182,8 +161,8 @@ def adam_step(p: PowerNetParams, grads: PowerNetParams, state: AdamState,
     np.sqrt(b, out=b)
     np.add(b, ADAM_EPS, out=b)
     np.divide(a, b, out=a)
-    np.subtract(p.vec, a, out=theta)
-    return p.from_vector(theta)
+    np.subtract(p.vec, a, out=p.vec)
+    return p
 
 
 def _validation_mse(split: Split, p: PowerNetParams, spec) -> float:
@@ -207,7 +186,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
     state = AdamState.for_params(p)
     workspace = []   # the training trace's buffers, shared by every batch
     report = TrainReport(memory_size=cfg.memory_size)
-    best_vec = p.to_vector()
+    best_vec = None   # set at epoch 0: any finite MSE is below inf
     best_mse = np.inf
     since_best = 0
     for epoch in range(cfg.max_epochs):
@@ -222,7 +201,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
                                 workspace=workspace)
             if not np.isfinite(value):
                 raise TrainingError(f"training diverged at epoch {epoch} (loss={value})")
-            p = adam_step(p, grads, state, cfg.learning_rate)
+            adam_step(p, grads, state, cfg.learning_rate)
             epoch_loss += value
             n_batches += 1
         report.train_loss.append(epoch_loss / n_batches)
@@ -232,7 +211,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
         report.val_mse.append(val)
         if val < best_mse:
             best_mse = val
-            best_vec = p.to_vector().copy()   # Adam reuses its vector
+            best_vec = p.to_vector().copy()   # Adam updates p in place
             report.best_epoch = epoch
             since_best = 0
         else:

@@ -38,6 +38,23 @@ def gbt_checkpoint(tmp_path_factory, dataset_path):
     return json.loads((out / "checkpoint.json").read_text())
 
 
+#: (command, key, value): a checkpoint whose split list or feature spec
+#: entry ``key`` is ``value`` is a usage error; forecasting reads no splits
+MALFORMED_CHECKPOINTS = (
+    [("evaluate", "splits", [[0, 1]]),
+     ("evaluate", "splits", [[0, 96], [96, "144"], [144, 192]])]
+    + [(command, key, value) for key, value in [
+        ("weather_mean", [0.0] * 5),
+        ("weather_std", [None] * 11),
+        ("window_len", -3),
+        ("window_len", "6"),
+        ("summary_vocab", ["Clear"]),
+        ("icon_vocab", {"rain": "x"}),
+        ("cons_mean", "x"),
+        ("utc_offset_hours", "x"),
+        ("daytime_range", [7])] for command in ("evaluate", "forecast")])
+
+
 def assert_usage_error(rc, capsys):
     """Exit 2 with a one-line ``error:`` message and no traceback."""
     err = capsys.readouterr().err
@@ -224,7 +241,11 @@ class TestTrain:
         assert len(doc["hyperparameters"]["splits"]) == 3
         report = json.loads((checkpoint_dir / "report.json").read_text())
         assert len(report["val_mse"]) <= 2
-        assert (checkpoint_dir / "curves.csv").exists()
+        lines = (checkpoint_dir / "curves.csv").read_text().splitlines()
+        assert lines[0] == "epoch,train_loss,val_mse"
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+            [e, tl, vm] for e, (tl, vm) in
+            enumerate(zip(report["train_loss"], report["val_mse"]))]
 
     def test_deterministic_outputs(self, dataset_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -425,6 +446,22 @@ class TestEvaluate:
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert message in assert_usage_error(rc, capsys)
 
+    @pytest.mark.parametrize("command, key, value", MALFORMED_CHECKPOINTS)
+    def test_malformed_spec_or_splits(self, dataset_path, checkpoint_dir,
+                                      tmp_path, capsys, command, key, value):
+        doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+        if key == "splits":
+            doc["hyperparameters"]["splits"] = value
+        else:
+            doc["feature_spec"][key] = value
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        rc = main([command, "--checkpoint", str(path), "--dataset", dataset_path,
+                   "--out", str(tmp_path / "out")] +
+                  (["--horizon", "24"] if command == "forecast" else []))
+        assert key in assert_usage_error(rc, capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["trees", "feature_spec"])
     def test_gbt_checkpoint_missing_key(self, dataset_path, gbt_checkpoint,
                                         tmp_path, capsys, key):
@@ -541,7 +578,8 @@ class TestAnomaly:
         p, _, spec_doc, _ = checkpoint_from_json(text)
         spec = FeatureSpec.from_dict(spec_doc)
         rows = fa.theft_sweep(p, spec, d, start, 48, [0.1, 0.5])
-        fa.write_sweep_csv(tmp_path / "expected.csv", rows)
+        cli._write_csv(tmp_path / "expected.csv", ["theta", "mape"],
+                       [(r["theta"], r["mape"]) for r in rows])
         assert ((out / "theft_sweep.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
         assert json.loads((out / "anomaly.json").read_text())["sweep"] == rows
@@ -585,7 +623,8 @@ class TestJsonWriters:
     the non-standard tokens NaN or Infinity."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_raises(self, tmp_path, value):
+    def test_non_finite_value_raises(self, tmp_path, monkeypatch, dataset_path,
+                                     checkpoint_dir, value):
         from powernet import cli
         from powernet.baselines import GbtModel
         from powernet.features import fit_feature_spec
@@ -601,19 +640,27 @@ class TestJsonWriters:
         p.vec[3] = value
         d.kw[4] = value
         actual = np.array([1.0, value])
+        report = ForecastReport(mode="recursive", horizon=2,
+                                predictions=np.ones(2), actuals=actual,
+                                curves=error_curve(np.ones(2), np.ones(2)))
+        monkeypatch.setattr(cli, "forecast_recursive", lambda *args: report)
+        out = tmp_path / "fc"
         writers = [
             lambda: cli._write_json(tmp_path / "doc.json", {"a": [1.0, value]}),
             lambda: checkpoint_to_json(p, {}, {}, 0),
-            spec.to_json,
+            lambda: cli._write_json(tmp_path / "doc.json", spec.to_dict()),
             lambda: dataset_to_json(d),
-            TrainReport(train_loss=[value], val_mse=[1.0], best_epoch=0).to_json,
+            lambda: cli._write_json(tmp_path / "doc.json", TrainReport(
+                train_loss=[value], val_mse=[1.0], best_epoch=0).to_dict()),
             GbtModel(initial_prediction=value).to_json,
-            ForecastReport(mode="recursive", horizon=2, predictions=np.ones(2),
-                           actuals=actual,
-                           curves=error_curve(np.ones(2), np.ones(2))).to_json,
+            lambda: main(["forecast", "--checkpoint",
+                          str(checkpoint_dir / "checkpoint.json"),
+                          "--dataset", dataset_path, "--horizon", "2",
+                          "--out", str(out)]),
         ]
         for write in writers:
             with pytest.raises(ValueError, match="JSON compliant"), \
                     np.errstate(invalid="ignore"):
                 write()
         assert not (tmp_path / "doc.json").exists()
+        assert not (out / "forecast_recursive.json").exists()

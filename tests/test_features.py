@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -218,7 +219,7 @@ class TestFitFeatureSpec:
     def test_json_round_trip(self):
         d = make_aligned_dataset(days=30, seed=1)
         spec = fit_feature_spec(d, slice(0, 200))
-        back = FeatureSpec.from_json(spec.to_json())
+        back = FeatureSpec.from_json(json.dumps(spec.to_dict()))
         assert back.window_len == spec.window_len
         assert back.summary_vocab == spec.summary_vocab
         assert np.allclose(back.weather_mean, spec.weather_mean)

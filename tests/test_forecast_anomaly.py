@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from powernet.dataio import HOUR, TimeSeries
+from powernet import cli
+from powernet.dataio import HOUR, TimeSeries, dataset_to_json
 from powernet.features import (build_examples, calendar_features,
                                fit_feature_spec, weather_features)
 from powernet.forecast_anomaly import (
@@ -9,10 +12,10 @@ from powernet.forecast_anomaly import (
     TheftScenario, apply_theft, detect_consumer, detect_substation,
     forecast_recursive, forecast_with_actuals, observed_tl,
     residual_stats, retraining_analysis, seasonal_tl_predictor,
-    simulate_substation, theft_sweep, write_sweep_csv,
+    simulate_substation, theft_sweep,
 )
 from powernet.metrics import error_curve, mape
-from powernet.model import forward_batch, init_params
+from powernet.model import checkpoint_to_json, forward_batch, init_params
 from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
 from powernet.training import TrainConfig, train
 
@@ -198,9 +201,8 @@ class TestTheft:
                 100 * theta / (1 - theta), rel=1e-12)
 
     def test_sweep_csv(self, tmp_path):
-        rows = [{"theta": 0.1, "mape": 11.0}, {"theta": 0.5, "mape": 100.0}]
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows)
+        cli._write_csv(path, ["theta", "mape"], [(0.1, 11.0), (0.5, 100.0)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "theta,mape"
         assert lines[1] == "0.1,11.0"
@@ -319,16 +321,37 @@ class TestSubstation:
         assert np.array_equal(out, expected)
 
 
+def forecast_artifacts(tmp_path, monkeypatch, report) -> dict:
+    """The files ``powernet forecast`` writes when the forecast it makes is
+    ``report``, by name."""
+    d = make_aligned_dataset(days=2, seed=0)
+    spec = fit_feature_spec(d, slice(0, 24), window_len=3)
+    (tmp_path / "dataset.json").write_text(dataset_to_json(d))
+    (tmp_path / "checkpoint.json").write_text(
+        checkpoint_to_json(init_params(2, 2, 2, 2), {}, spec.to_dict(), 0))
+    monkeypatch.setattr(cli, "forecast_recursive", lambda *args: report)
+    out = tmp_path / "out"
+    assert cli.main(["forecast", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                     "--dataset", str(tmp_path / "dataset.json"),
+                     "--horizon", str(report.horizon), "--out", str(out)]) == 0
+    return {path.name: path.read_text() for path in out.iterdir()}
+
+
 class TestForecastReport:
-    def test_json_and_csv(self, tmp_path):
+    def test_json_and_csv(self, tmp_path, monkeypatch):
         actual = np.array([1.0, 2.0])
         pred = np.array([1.1, 1.9])
         rep = ForecastReport(mode="recursive", horizon=2, predictions=pred,
                              actuals=actual, curves=error_curve(actual, pred))
-        doc = rep.to_json()
+        files = forecast_artifacts(tmp_path, monkeypatch, rep)
+        doc = files["forecast_recursive.json"]
         assert '"mode": "recursive"' in doc
-        path = tmp_path / "fc.csv"
-        rep.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+        assert json.loads(doc)["mape"] == mape(actual, pred)
+        lines = files["forecast_recursive.csv"].strip().splitlines()
         assert lines[0] == "hour,actual_kw,predicted_kw"
         assert lines[1].startswith("1,1.0,")
+        curve = files["forecast_recursive_curve.csv"].strip().splitlines()
+        assert curve[0] == "hour,cum_mape,cum_mse,roll_mape,roll_mse"
+        assert [float(v) for v in curve[2].split(",")[1:]] == [
+            rep.curves.cum_mape[1], rep.curves.cum_mse[1],
+            rep.curves.roll_mape[1], rep.curves.roll_mse[1]]

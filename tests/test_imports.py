@@ -1,7 +1,8 @@
 """Every import in the package is used, and every private module-level
 function and class is referenced: stdlib-only stand-ins for a linter's
 unused-import and dead-code rules. Every function the benchmark tracer
-wraps exists under the name it uses."""
+wraps exists under the name it uses, and files are opened only by the one
+input reader and the artifact writers."""
 
 import ast
 import importlib
@@ -118,3 +119,35 @@ def test_grid_search_calls_fit_gbt_by_its_module_name():
                 and node.name == "gbt_grid_search")
     assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "fit_gbt" for node in ast.walk(grid))
+
+
+def open_calls(source: str) -> list:
+    """The name of the module-level function or class holding each
+    ``open(...)`` call in ``source``, or ``None`` for a call outside both."""
+    found = []
+    for node in ast.parse(source).body:
+        name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                else None)
+        found += [name for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                  and sub.func.id == "open"]
+    return found
+
+
+def test_detects_an_open_call():
+    source = ("def read(p):\n    with open(p) as fh:\n        return fh.read()\n"
+              "class Report:\n    def write(self, p):\n        open(p, 'w')\n"
+              "open('x')\n")
+    assert open_calls(source) == ["read", "Report", None]
+
+
+def test_files_are_opened_only_by_the_one_reader_and_the_writers():
+    # every input goes through dataio.read_text and every artifact through
+    # cli's writers; synth writes the fixture files it generates
+    allowed = {("dataio.py", "read_text"), ("cli.py", "_write"),
+               ("cli.py", "_write_csv"), ("synth.py", "write_weather_csv"),
+               ("synth.py", "write_consumption_csv")}
+    found = {(path.name, name) for path in PACKAGE.glob("*.py")
+             for name in open_calls(path.read_text())}
+    assert found <= allowed
+    assert ("cli.py", "_write_csv") in found

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from powernet import cli
 from powernet.metrics import ErrorCurve, MetricError, error_curve, mape, mse
 
 
@@ -161,9 +162,14 @@ class TestErrorCurve:
         f = a + rng.normal(0, 0.2, 30)
         c = error_curve(a, f)
         path = tmp_path / "curve.csv"
-        c.write_csv(path)
+        cli._write_csv(path, ["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"],
+                       zip(c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse))
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "hour,cum_mape,cum_mse,roll_mape,roll_mse"
         assert len(rows) == 31
         first = rows[1].split(",")
+        assert first[0] == "1"
         assert float(first[2]) == pytest.approx(c.cum_mse[0], abs=0)
+        cells = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        assert np.array_equal(cells, np.column_stack(
+            [c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse]))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from powernet import cli
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.model import checkpoint_to_json, init_params
 from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
@@ -72,7 +73,7 @@ class TestAdam:
         p = init_params(2, 3, 2, 3, seed=0)
         g = p.from_vector(np.ones(p.to_vector().size) * 0.5)
         state = AdamState.for_params(p)
-        before = p.to_vector()
+        before = p.to_vector().copy()
         after = adam_step(p, g, state, lr=0.01).to_vector()
         # first step: m_hat = g, v_hat = g^2, update = lr*g/(|g|+eps)
         expected = before - 0.01 * 0.5 / (0.5 + ADAM_EPS)
@@ -112,17 +113,19 @@ class TestAdam:
         assert np.array_equal(state.v, oracle.v)
         assert state.t == oracle.t == 50
 
-    def test_step_leaves_its_input_and_the_last_result_alone(self):
-        p0 = init_params(3, 4, 3, 4, seed=9)
-        kept = p0.vec.copy()
-        state = AdamState.for_params(p0)
-        g = p0.from_vector(np.full(p0.vec.size, 0.5))
-        p1 = adam_step(p0, g, state, 0.01)
-        p1_kept = p1.vec.copy()
-        p2 = adam_step(p1, g, state, 0.01)
-        assert np.array_equal(p0.vec, kept)
-        assert np.array_equal(p1.vec, p1_kept)
-        assert not np.shares_memory(p1.vec, p2.vec)
+    def test_step_updates_p_in_place_and_returns_it(self):
+        p = init_params(3, 4, 3, 4, seed=9)
+        vec, w1 = p.vec, p.w1
+        oracle = p.from_vector(vec.copy())
+        state, oracle_state = AdamState.for_params(p), AdamState.for_params(p)
+        scratch = state.scratch
+        g = p.from_vector(np.full(p.vec.size, 0.5))
+        for _ in range(2):
+            assert adam_step(p, g, state, 0.01) is p
+            oracle = functional_adam_step(oracle, g, oracle_state, 0.01)
+            assert p.vec is vec and p.w1 is w1 and state.scratch is scratch
+            assert np.array_equal(vec, oracle.vec)
+        assert np.array_equal(w1, oracle.w1)
 
     def test_descends_on_quadratic_slice(self):
         # repeated steps on a fixed batch must reduce the loss
@@ -199,7 +202,7 @@ class TestTrain:
         p1, r1 = train(data, cfg)
         p2, r2 = train(data, cfg)
         assert np.array_equal(p1.to_vector(), p2.to_vector())
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()
 
     def test_repeated_runs_give_byte_identical_checkpoints(self):
         # the second run records into new trace buffers laid out as the
@@ -297,23 +300,27 @@ class TestGridSearch:
 
 
 class TestTrainReport:
-    def test_json_excludes_wall_clock(self):
+    """report.json is ``to_dict`` as ``cli._write_json`` writes it."""
+
+    def test_json_excludes_wall_clock(self, tmp_path):
         rep = TrainReport(train_loss=[1.0], val_mse=[2.0], best_epoch=0,
                           memory_size=4, wall_seconds=123.0)
-        assert "wall" not in rep.to_json()
-        assert "123" not in rep.to_json()
+        cli._write_json(tmp_path / "report.json", rep.to_dict())
+        text = (tmp_path / "report.json").read_text()
+        assert "wall" not in text
+        assert "123" not in text
 
-    def test_json_is_the_dict(self):
+    def test_json_is_the_dict(self, tmp_path):
         rep = TrainReport(train_loss=[1.0, 0.25], val_mse=[2.0, 0.1 + 0.2],
                           best_epoch=1, memory_size=4, wall_seconds=1.0)
-        assert json.loads(rep.to_json()) == rep.to_dict()
+        cli._write_json(tmp_path / "report.json", rep.to_dict())
+        assert json.loads((tmp_path / "report.json").read_text()) == rep.to_dict()
         assert "wall_seconds" not in rep.to_dict()
 
     def test_curves_csv(self, tmp_path):
-        rep = TrainReport(train_loss=[1.0, 0.5], val_mse=[2.0, 1.5],
-                          best_epoch=1, memory_size=4)
         path = tmp_path / "curves.csv"
-        rep.write_curves_csv(path)
+        cli._write_csv(path, ["epoch", "train_loss", "val_mse"],
+                       [(0, 1.0, 2.0), (1, 0.5, 1.5)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_mse"
         assert lines[2].split(",") == ["1", "0.5", "1.5"]
