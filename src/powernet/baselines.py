@@ -30,6 +30,7 @@ import numpy as np
 from .dataio import TimeSeries
 from .features import ExampleSet, Split
 from .metrics import mse
+from .numcore import OBJECT, check, integer, items, one_of, real
 
 GBT_FORMAT_VERSION = 1
 
@@ -73,21 +74,18 @@ class TreeNode:
     @classmethod
     def from_dict(cls, d, n_features=math.inf):
         """The tree of nested dict ``d``; a split feature outside
-        [0, n_features) or a non-finite number is a BaselineError."""
-        if "value" in d:
-            return cls(value=_finite(d["value"]))
-        feature = d["feature"]
-        if not (isinstance(feature, int) and 0 <= feature < n_features):
-            raise BaselineError(f"split feature {feature!r} is outside [0, {n_features})")
-        return cls(feature=feature, threshold=_finite(d["threshold"]),
-                   left=cls.from_dict(d["left"], n_features),
-                   right=cls.from_dict(d["right"], n_features))
+        [0, n_features) or a non-finite number is a BaselineError naming
+        its key and value."""
+        leaf = {"value": real()}
+        split = {"feature": integer(0, n_features), "threshold": real(),
+                 "left": OBJECT, "right": OBJECT}
 
-
-def _finite(value):
-    if not math.isfinite(value):
-        raise BaselineError(f"non-finite tree threshold or leaf value {value!r}")
-    return value
+        def node(d):
+            if isinstance(d, dict) and "value" in d:
+                return cls(**check(d, leaf, BaselineError, "GBT tree"))
+            f = check(d, split, BaselineError, "GBT tree")
+            return cls(f["feature"], f["threshold"], node(f["left"]), node(f["right"]))
+        return node(d)
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -283,6 +281,12 @@ class GbtModel:
     learning_rate: float = 0.1
     max_depth: int = 3
 
+    #: What each key of ``to_dict``'s document holds; each tree is checked
+    #: by ``TreeNode.from_dict``.
+    CHECKS = {"format_version": one_of(GBT_FORMAT_VERSION),
+              "initial_prediction": real(), "learning_rate": real(),
+              "max_depth": integer(0), "trees": items(OBJECT)}
+
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.full(len(X), self.initial_prediction)
@@ -315,10 +319,9 @@ class GbtModel:
 
     @classmethod
     def from_dict(cls, doc: dict, n_features=math.inf) -> "GbtModel":
-        if doc.get("format_version") != GBT_FORMAT_VERSION:
-            raise BaselineError(f"unsupported GBT checkpoint version {doc.get('format_version')}")
-        return cls(initial_prediction=doc["initial_prediction"],
-                   learning_rate=doc["learning_rate"],
+        doc = check(doc, cls.CHECKS, BaselineError, "GBT checkpoint")
+        return cls(initial_prediction=float(doc["initial_prediction"]),
+                   learning_rate=float(doc["learning_rate"]),
                    max_depth=doc["max_depth"],
                    trees=[TreeNode.from_dict(t, n_features) for t in doc["trees"]])
 

@@ -29,6 +29,7 @@ from .forecast_anomaly import (DetectorConfig, ForecastError, TheftScenario,
                                theft_sweep)
 from .metrics import MetricError, mape, mse
 from .model import checkpoint_from_dict, checkpoint_to_json, forward_batch
+from .numcore import Check, check, integer, real
 from .training import TrainConfig, TrainingError, grid_search, train
 
 USAGE_ERROR = 2
@@ -38,7 +39,17 @@ INTERNAL_ERROR = 1
 #: config key is a TrainConfig field.
 EXAMPLE_DEFAULTS = {"splits": "624:48:48", "window_len": None,
                     "acf_threshold": 0.5}
-CONFIG_KEYS = set(TrainConfig.__dataclass_fields__) | set(EXAMPLE_DEFAULTS)
+#: What each config key holds, whether it comes from the file or a flag.
+#: The learning rate is capped at 1, where Adam's steps outgrow the weights
+#: and training diverges; TrainConfig itself takes any positive rate.
+CONFIG_CHECKS = {
+    **TrainConfig.CHECKS,
+    "learning_rate": real(0, 1, strict=True),
+    "splits": Check("TRAIN:VAL:TEST hours", lambda t: len(t) == 3 and min(t) >= 0,
+                    lambda v: tuple(map(int, v.split(":")))),
+    "window_len": Check("null or int >= 1", lambda v: v is None or integer(1).ok(v)),
+    "acf_threshold": real(0, 1, strict=True),
+}
 
 
 class UsageError(ValueError):
@@ -85,27 +96,20 @@ def _parse_file(path, what: str, parse):
 
 
 def _load_config(args) -> dict:
-    cfg = {}
+    """Every config key: the defaults, then the file, then the flags, which
+    win; checked against CONFIG_CHECKS before any data is read."""
+    cfg = {**TrainConfig().to_dict(), **EXAMPLE_DEFAULTS}
     if args.config:
         doc = _parse_file(args.config, "config", json.loads)
         if not isinstance(doc, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
-        unknown = set(doc) - CONFIG_KEYS
+        unknown = set(doc) - set(CONFIG_CHECKS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
-    # flags whose dest is a config key take precedence over file values
     cfg.update((key, value) for key, value in vars(args).items()
-               if key in CONFIG_KEYS and value is not None)
-    return cfg
-
-
-def _parse_splits(text: str):
-    try:
-        train_h, val_h, test_h = (int(x) for x in text.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"bad --splits {text!r}, expected TRAIN:VAL:TEST") from exc
-    return train_h, val_h, test_h
+               if key in CONFIG_CHECKS and value is not None)
+    return check(cfg, CONFIG_CHECKS, UsageError, "config")
 
 
 def _load_dataset(path):
@@ -113,27 +117,15 @@ def _load_dataset(path):
 
 
 def _prepare_examples(d, cfg: dict):
-    cfg = {**EXAMPLE_DEFAULTS, **cfg}
-    bounds = tail_splits(len(d), *_parse_splits(cfg["splits"]))
+    bounds = tail_splits(len(d), *cfg["splits"])
     spec = fit_feature_spec(d, slice(*bounds[0]), window_len=cfg["window_len"],
                             acf_threshold=cfg["acf_threshold"])
     return build_examples(d, spec, bounds), bounds
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    fields = {k: v for k, v in cfg.items()
-              if k in TrainConfig.__dataclass_fields__}
-    try:
-        if "memory_size_grid" in fields:
-            fields["memory_size_grid"] = tuple(fields["memory_size_grid"])
-        return TrainConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad config: {exc}") from exc
-
-
 def cmd_synth(args):
-    if args.days < 1 or args.apartments < 1:
-        raise UsageError("--days and --apartments must be >= 1")
+    check(vars(args), {"days": integer(1), "apartments": integer(1),
+                       "seed": integer(0)}, UsageError, "synth")
     out = _out_dir(args)
     synth.write_fixture_dir(out, days=args.days, apartments=args.apartments,
                             seed=args.seed, fmt=args.format)
@@ -142,13 +134,13 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
+    if not args.aggregate and len(args.consumption) > 1:
+        raise UsageError("multiple consumption files require --aggregate")
     report = dataio.IngestReport()
     series = [dataio.resample_hourly(
                   dataio.load_consumption(p, args.format, report=report))
               for p in args.consumption]
     hourly = dataio.aggregate(series) if args.aggregate else series[0]
-    if not args.aggregate and len(series) > 1:
-        raise UsageError("multiple consumption files require --aggregate")
     hourly = dataio.fill_gaps(hourly, max_run=args.fill_max_run)
     weather = dataio.load_weather(args.weather)
     aligned = dataio.align(hourly, weather)
@@ -169,7 +161,7 @@ def cmd_ingest(args):
 
 def _train_common(args, use_grid: bool):
     cfg = _load_config(args)
-    tcfg = _train_config(cfg) if args.model == "powernet" else None
+    tcfg = TrainConfig(**{key: cfg[key] for key in TrainConfig.CHECKS})
     d = _load_dataset(args.dataset)
     data, bounds = _prepare_examples(d, cfg)
     out = _out_dir(args)
@@ -200,7 +192,7 @@ def _train_common(args, use_grid: bool):
              "stack": len(params.lstm),
              "splits": [list(b) for b in bounds]}
     _write(os.path.join(out, "checkpoint.json"),
-           checkpoint_to_json(params, hyper, data.spec.to_dict(), cfg.get("seed", 0)))
+           checkpoint_to_json(params, hyper, data.spec.to_dict(), cfg["seed"]))
     _write_json(os.path.join(out, "report.json"), report.to_dict())
     _write_csv(os.path.join(out, "curves.csv"), ["epoch", "train_loss", "val_mse"],
                zip(range(len(report.val_mse)), report.train_loss, report.val_mse))
@@ -218,7 +210,8 @@ def cmd_grid_search(args):
 
 
 def _model_inputs(args):
-    """(kind, model, spec, doc, d) from ``--checkpoint`` and ``--dataset``.
+    """(kind, model, spec, splits, d) from ``--checkpoint`` and
+    ``--dataset``; ``splits`` is None when the checkpoint records none.
 
     Commands with a ``--horizon`` need a powernet checkpoint, and their
     ``start_row`` defaults to ``len(d) - horizon``."""
@@ -228,31 +221,37 @@ def _model_inputs(args):
         if doc.get("model_type") == "gbt":
             # a GBT row is the window, then the weather/calendar features
             model = baselines.GbtModel.from_dict(doc, spec.window_len + N_AUX_FEATURES)
-            return "gbt", model, spec, doc
-        return "powernet", checkpoint_from_dict(doc)[0], spec, doc
+            return "gbt", model, spec, doc.get("splits")
+        params, hyper, _, _ = checkpoint_from_dict(doc)
+        return "powernet", params, spec, hyper.get("splits")
 
-    kind, model, spec, doc = _parse_file(args.checkpoint, "checkpoint", parse)
+    kind, model, spec, splits = _parse_file(args.checkpoint, "checkpoint", parse)
     forecasting = hasattr(args, "horizon")
     if forecasting and kind != "powernet":
         raise UsageError(f"{args.command} requires a powernet checkpoint")
     d = _load_dataset(args.dataset)
     if forecasting and args.start_row is None:
         args.start_row = len(d) - args.horizon
-    return kind, model, spec, doc, d
+    return kind, model, spec, splits, d
 
 
 def _split_predictions(kind, model, spec, data, split_name):
+    """(actual, predicted) kW on the split; predictions whose squared
+    errors overflow are a usage error."""
     split = getattr(data, split_name)
     if kind == "gbt":
         pred = model.predict(baselines.flatten_features(split))
     else:
         pred, _ = forward_batch(split.E, split.FW, split.FC, model)
-    return (spec.denormalize_kw(split.y), np.maximum(spec.denormalize_kw(pred), 0.0))
+    actual, pred = spec.denormalize_kw(split.y), np.maximum(spec.denormalize_kw(pred), 0.0)
+    if not math.isfinite(mse(actual, pred)):
+        raise UsageError(f"the checkpoint's {split_name} predictions overflow: "
+                         f"squared errors are not finite")
+    return actual, pred
 
 
 def cmd_evaluate(args):
-    kind, model, spec, doc, d = _model_inputs(args)
-    splits = doc.get("splits") or doc.get("hyperparameters", {}).get("splits")
+    kind, model, spec, splits, d = _model_inputs(args)
     if splits is None:
         raise UsageError("checkpoint does not record split boundaries")
     data = build_examples(d, spec, splits)
@@ -302,9 +301,6 @@ def cmd_anomaly(args):
     test = forecast_with_actuals(model, spec, d, start_row, horizon)
     rows = theft_sweep(model, spec, d, start_row, horizon, args.thetas,
                        clean=test)
-    out = _out_dir(args)
-    _write_csv(os.path.join(out, "theft_sweep.csv"), ["theta", "mape"],
-               ((r["theta"], r["mape"]) for r in rows))
     result = {"sweep": rows}
     if detect:
         clean = forecast_with_actuals(model, spec, d, start_row - horizon, horizon)
@@ -315,6 +311,9 @@ def cmd_anomaly(args):
         result["detection"] = {"theta": args.detect_theta,
                                "alarms": alarms,
                                "windows": int(horizon - cfg.window + 1)}
+    out = _out_dir(args)   # written only once everything is computed
+    _write_csv(os.path.join(out, "theft_sweep.csv"), ["theta", "mape"],
+               ((r["theta"], r["mape"]) for r in rows))
     _write_json(os.path.join(out, "anomaly.json"), result)
     print(f"theft sweep over {len(rows)} thetas -> {out}/theft_sweep.csv")
     return 0
@@ -414,7 +413,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):   # overflow is checked, not warned
+            return args.fn(args)
     except (UsageError, DataError, FeatureError, MetricError,
             ForecastError, baselines.BaselineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

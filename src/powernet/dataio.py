@@ -21,6 +21,8 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .numcore import Check, array, check, integer, items, one_of, real
+
 HOUR = 3600
 
 #: Fixed local offset applied to naive timestamps (hours east of UTC).
@@ -29,6 +31,11 @@ DEFAULT_UTC_OFFSET_HOURS = -5.0
 #: A consumption file whose span holds more slots than this per parsed row
 #: is mostly gaps, almost surely a mistyped timestamp.
 MAX_SLOTS_PER_ROW = 100
+
+#: No reading or weather value is this large: a larger one is corrupt, and
+#: its z-score or squared error could overflow. The CSV readers drop it,
+#: and the dataset reader refuses it.
+MAX_VALUE = 1e9
 
 WEATHER_NUMERIC_COLUMNS = [
     "temperature", "apparentTemperature", "cloudCover", "precipProbability",
@@ -69,13 +76,15 @@ def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOUR
     """
     text = text.strip()
     try:
-        return int(float(text))
+        epoch = float(text)
     except ValueError:
-        pass
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone(timedelta(hours=utc_offset_hours)))
-    return int(dt.timestamp())
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone(timedelta(hours=utc_offset_hours)))
+        return int(dt.timestamp())
+    if not abs(epoch) < 2 ** 63:   # NaN, infinite or past int64
+        raise OverflowError(f"epoch seconds {text} out of range")
+    return int(epoch)
 
 
 def format_timestamp(epoch: int, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> str:
@@ -138,6 +147,8 @@ class WeatherTable:
         t = np.asarray(self.times, dtype=np.int64)
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise DataError("weather timestamps must be strictly increasing")
+        if not len(t) == len(self.summary) == len(self.icon) == len(self.numeric):
+            raise DataError("weather columns must have equal length")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "numeric", np.asarray(self.numeric, dtype=np.float64))
 
@@ -193,20 +204,29 @@ def dataset_to_json(d: AlignedDataset) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
+_TEXTS = items(Check("string", lambda v: isinstance(v, str)))
+_WEATHER = real(-MAX_VALUE, MAX_VALUE)
+
+#: What each key of ``dataset_to_json``'s document holds; a null weather
+#: value is missing.
+DATASET_CHECKS = {
+    "format_version": one_of(DATASET_FORMAT_VERSION), "hours": array(integer()),
+    "kw": array(real(0, MAX_VALUE)), "summary": _TEXTS, "icon": _TEXTS,
+    "numeric": Check(f"list of rows of {len(WEATHER_NUMERIC_COLUMNS)} ({_WEATHER.kind})",
+                     lambda a: a.shape[1:] == (len(WEATHER_NUMERIC_COLUMNS),)
+                     and _WEATHER.ok(a[~np.isnan(a)]),
+                     lambda v: np.asarray([[np.nan if x is None else x for x in row]
+                                           for row in v])),
+    "dropped_hours": integer(0)}
+
+
 def dataset_from_json(text: str) -> AlignedDataset:
-    doc = json.loads(text)
-    if doc.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataError(f"unsupported dataset version {doc.get('format_version')}")
-    numeric = np.asarray([[np.nan if v is None else v for v in row]
-                          for row in doc["numeric"]], dtype=np.float64)
-    weather = WeatherTable(times=np.asarray(doc["hours"], dtype=np.int64),
-                           summary=tuple(doc["summary"]),
-                           icon=tuple(doc["icon"]),
-                           numeric=numeric)
-    return AlignedDataset(hours=np.asarray(doc["hours"], dtype=np.int64),
-                          kw=np.asarray(doc["kw"], dtype=np.float64),
-                          weather=weather,
-                          dropped_hours=doc.get("dropped_hours", 0))
+    doc = check(json.loads(text), DATASET_CHECKS, DataError, "dataset")
+    hours = doc["hours"].astype(np.int64, copy=False)
+    weather = WeatherTable(times=hours, summary=doc["summary"], icon=doc["icon"],
+                           numeric=doc["numeric"])
+    return AlignedDataset(hours=hours, kw=doc["kw"].astype(np.float64, copy=False),
+                          weather=weather, dropped_hours=doc["dropped_hours"])
 
 
 def load_consumption(path, fmt: str = "per_minute",
@@ -214,8 +234,9 @@ def load_consumption(path, fmt: str = "per_minute",
                      report: IngestReport | None = None) -> TimeSeries:
     """Load a two-column ``timestamp,power_kW`` CSV at its native resolution.
 
-    Malformed rows, including non-finite readings, are counted and skipped
-    (>50% malformed is a hard error); negative readings become gaps.
+    Malformed rows, including readings that are not finite or not below
+    MAX_VALUE in magnitude, are counted and skipped (>50% malformed is a
+    hard error); negative readings become gaps.
     """
     if fmt not in STEP_OF_FORMAT:
         raise DataError(f"unknown consumption format {fmt!r}")
@@ -235,7 +256,7 @@ def load_consumption(path, fmt: str = "per_minute",
             # header line or junk
             bad += 1
             continue
-        if not math.isfinite(power):
+        if not abs(power) < MAX_VALUE:   # also NaN
             bad += 1
             continue
         rows.append((ts, power))
@@ -331,8 +352,9 @@ def load_weather(path) -> WeatherTable:
     """Load the hourly weather CSV; the exact header row is required.
 
     A ``time`` cell that is not a timestamp is a hard error naming the row;
-    an unparseable, non-finite or absent numeric cell is stored as NaN
-    (missing), and an absent ``summary`` or ``icon`` cell as empty.
+    an unparseable or absent numeric cell, or one not below MAX_VALUE in
+    magnitude, is stored as NaN (missing), and an absent ``summary`` or
+    ``icon`` cell as empty.
     """
     text = read_text(path, "weather CSV")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -359,7 +381,7 @@ def load_weather(path) -> WeatherTable:
                 value = float(raw)
             except ValueError:
                 value = np.nan
-            vals.append(value if math.isfinite(value) else np.nan)
+            vals.append(value if abs(value) < MAX_VALUE else np.nan)
         numeric.append(vals)
     if not times:
         raise DataError(f"{path}: empty weather file")

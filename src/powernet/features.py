@@ -10,7 +10,6 @@ training split only.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -23,6 +22,7 @@ from .dataio import (
     WEATHER_NUMERIC_COLUMNS,
     AlignedDataset,
 )
+from .numcore import Check, array, check, integer, items, one_of, real
 
 N_WEATHER = 13
 #: The weather and calendar features of one example: the fusion MLP's input.
@@ -33,6 +33,10 @@ SPEC_FORMAT_VERSION = 1
 
 class FeatureError(ValueError):
     pass
+
+
+_VOCAB = Check("object of ints",
+               lambda v: isinstance(v, dict) and all(map(integer().ok, v.values())))
 
 
 def acf(x, max_lag: int) -> np.ndarray:
@@ -89,6 +93,14 @@ class FeatureSpec:
     daytime_range: tuple = (7, 19)
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS
 
+    #: What each key of ``to_dict``'s document holds.
+    CHECKS = {"format_version": one_of(SPEC_FORMAT_VERSION), "window_len": integer(1),
+              "summary_vocab": _VOCAB, "icon_vocab": _VOCAB,
+              "weather_mean": array(real(), len(WEATHER_NUMERIC_COLUMNS)),
+              "weather_std": array(real(0, strict=True), len(WEATHER_NUMERIC_COLUMNS)),
+              "cons_mean": real(), "cons_std": real(0, strict=True),
+              "daytime_range": items(integer(), 2), "utc_offset_hours": real(-24, 24)}
+
     def normalize_kw(self, v):
         return (np.asarray(v, dtype=np.float64) - self.cons_mean) / self.cons_std
 
@@ -117,51 +129,10 @@ class FeatureSpec:
     def from_dict(cls, doc: dict) -> "FeatureSpec":
         """The spec ``to_dict`` wrote; a value of the wrong type or out of
         range raises FeatureError naming its key."""
-        if doc.get("format_version") != SPEC_FORMAT_VERSION:
-            raise FeatureError(f"unsupported FeatureSpec version {doc.get('format_version')}")
-        n_numeric = len(WEATHER_NUMERIC_COLUMNS)
-        checks = {
-            "window_len": lambda v: _is_int(v) and v >= 1,
-            "summary_vocab": _is_vocab,
-            "icon_vocab": _is_vocab,
-            "weather_mean": lambda v: _all(v, n_numeric, _is_finite),
-            "weather_std": lambda v: _all(v, n_numeric, _is_positive),
-            "cons_mean": _is_finite,
-            "cons_std": _is_positive,
-            "daytime_range": lambda v: _all(v, 2, _is_int),
-            "utc_offset_hours": _is_finite,
-        }
-        fields = {key: doc[key] for key in checks}   # every field of the spec
-        for key, ok in checks.items():
-            if not ok(fields[key]):
-                raise FeatureError(f"bad feature spec {key}: {fields[key]!r}")
-        fields["weather_mean"] = np.asarray(fields["weather_mean"])
-        fields["weather_std"] = np.asarray(fields["weather_std"])
-        fields["daytime_range"] = tuple(fields["daytime_range"])
+        fields = check(doc, cls.CHECKS, FeatureError, "feature spec")
+        del fields["format_version"]
         return cls(**fields)
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """Whether ``value`` is a finite real number (not a bool)."""
-    return (isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_positive(value) -> bool:
-    return _is_finite(value) and value > 0
-
-
-def _is_vocab(value) -> bool:
-    return isinstance(value, dict) and all(map(_is_int, value.values()))
-
-
-def _all(value, n: int, ok) -> bool:
-    """Whether ``value`` is a list or tuple of ``n`` entries that pass ``ok``."""
-    return isinstance(value, (list, tuple)) and len(value) == n and all(map(ok, value))
 
 
 def _day_of_month(days: np.ndarray) -> np.ndarray:
@@ -312,8 +283,7 @@ def build_examples(d: AlignedDataset, spec: FeatureSpec,
     in dataset row indices, chronological and non-overlapping. Targets whose
     history window crosses a non-contiguous stretch are skipped and counted.
     """
-    if not _all(splits, 3, lambda b: _all(b, 2, _is_int)):
-        raise FeatureError(f"splits must be three pairs of ints, got {splits!r}")
+    check(splits, items(items(integer(), 2), 3), FeatureError, "splits")
     (a0, a1), (b0, b1), (c0, c1) = splits
     if not (a0 < a1 <= b0 < b1 <= c0 < c1 <= len(d)):
         raise FeatureError(f"splits must be chronological and non-overlapping, got {splits}")

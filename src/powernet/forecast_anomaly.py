@@ -21,6 +21,7 @@ from .features import (FeatureSpec, calendar_features, weather_features,
 from .metrics import ErrorCurve, error_curve, mape
 from .model import (PowerNetParams, _fusion, _head, _LstmTrace, _lstm_step,
                     _step_arrays, forward_batch)
+from .numcore import check, integer, real
 
 
 class ForecastError(ValueError):
@@ -56,10 +57,15 @@ def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
 
 def _report(mode: str, d: AlignedDataset, rows: np.ndarray,
             preds: np.ndarray) -> ForecastReport:
+    """The report of ``preds`` for the target rows; predictions whose
+    squared errors overflow (their mean is the last cumulative MSE) are a
+    ForecastError."""
     actuals = d.kw[rows]
+    curves = error_curve(actuals, preds)
+    if not math.isfinite(curves.cum_mse[-1]):
+        raise ForecastError(f"{mode} predictions overflow: squared errors are not finite")
     return ForecastReport(mode=mode, horizon=len(rows), predictions=preds,
-                          actuals=actuals, curves=error_curve(actuals, preds),
-                          start_ts=int(d.hours[rows[0]]))
+                          actuals=actuals, curves=curves, start_ts=int(d.hours[rows[0]]))
 
 
 def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
@@ -146,9 +152,10 @@ class TheftScenario:
     start_row: int
     end_row: int
 
+    CHECKS = {"theta": real(0, 1), "start_row": integer(0), "end_row": integer(0)}
+
     def __post_init__(self):
-        if not 0.0 <= self.theta < 1.0:
-            raise ForecastError("theta must be in [0, 1)")
+        check(vars(self), self.CHECKS, ForecastError, "theft scenario")
         if self.end_row < self.start_row:
             raise ForecastError("empty-backwards theft range")
 
@@ -190,9 +197,11 @@ class DetectorConfig:
     k: float = 3.0            # alarm at mu + k*sigma of clean window means
     floor_kw: float = 0.05    # denominator floor; reported values are adversarial
 
+    CHECKS = {"window": integer(1), "k": real(0, strict=True),
+              "floor_kw": real(0, strict=True)}
+
     def __post_init__(self):
-        if self.window < 1 or not (math.isfinite(self.k) and self.k > 0):
-            raise ForecastError("window must be >= 1 and k finite and > 0")
+        check(vars(self), self.CHECKS, ForecastError, "detector config")
 
 
 @dataclass

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import N_AUX_FEATURES
-from .numcore import relu, relu_grad, ShapeError
+from .numcore import (OBJECT, ShapeError, array, check, integer, items, one_of,
+                      real, relu, relu_grad)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -524,12 +525,21 @@ def checkpoint_from_json(text: str):
     return checkpoint_from_dict(json.loads(text))
 
 
+#: What each key of a checkpoint holds; ``FeatureSpec.from_dict`` checks
+#: ``feature_spec``, and ``_PARAM_CHECKS`` each parameter.
+CHECKPOINT_CHECKS = {"format_version": one_of(CHECKPOINT_FORMAT_VERSION),
+                     "model_type": one_of("powernet"), "hyperparameters": OBJECT,
+                     "seed": integer(0), "feature_spec": OBJECT, "params": OBJECT,
+                     "stack": integer(1)}
+_PARAM_CHECKS = {"shape": items(integer(1)), "data": array(real())}
+
+
 def checkpoint_from_dict(doc: dict):
     """checkpoint_from_json on an already parsed document."""
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    raw = doc["params"]
-    shapes = {name: tuple(entry["shape"]) for name, entry in raw.items()}
+    doc = check(doc, CHECKPOINT_CHECKS, ValueError, "checkpoint")
+    raw = {name: check(entry, _PARAM_CHECKS, ValueError, f"checkpoint: params.{name}")
+           for name, entry in doc["params"].items()}
+    shapes = {name: entry["shape"] for name, entry in raw.items()}
     _, m = shapes["lstm0.w_h"]
     (d1, _), (d2, _), (d3, _) = shapes["w1"], shapes["w2"], shapes["w3"]
     stack = doc["stack"]
@@ -542,11 +552,7 @@ def checkpoint_from_dict(doc: dict):
                    or {n for n in expected if shapes[n] != expected[n]})
         raise ValueError(f"parameter {name} does not fit a {stack}-layer network "
                          f"with m={m}, d1={d1}, d2={d2}, d3={d3}")
-    vec = np.concatenate([
-        np.asarray(raw[name]["data"], dtype=np.float64).reshape(stop - start)
-        for name, start, stop, _ in layout])
-    for name, start, stop, _ in layout:
-        if not np.isfinite(vec[start:stop]).all():
-            raise ValueError(f"parameter {name} has a non-finite value")
+    vec = np.concatenate([raw[name]["data"].reshape(stop - start)
+                          for name, start, stop, _ in layout]).astype(np.float64, copy=False)
     return (PowerNetParams(vec, layout), doc["hyperparameters"],
             doc["feature_spec"], doc["seed"])

@@ -1,6 +1,7 @@
-"""ReLU and its gradient, the shape error and a finite-difference
-gradient checker. (The LSTM computes its sigmoid gates from one tanh in
-``model``.)
+"""ReLU and its gradient, the shape error, a finite-difference gradient
+checker, and ``check``, which every reader of a document from outside
+(config, feature spec, checkpoint, dataset) runs on a table of rules.
+(The LSTM computes its sigmoid gates from one tanh in ``model``.)
 
 All numeric state lives in float64 numpy arrays. Functions allocate fresh
 outputs and never mutate their inputs.
@@ -8,7 +9,8 @@ outputs and never mutate their inputs.
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,3 +78,108 @@ def grad_check(f: Callable[[np.ndarray], float], p, analytic_grad,
             err = min(err, probe(i, h))
         worst = max(worst, err)
     return worst
+
+
+# checking documents read from outside ---------------------------------------
+
+ABSENT = object()   # the value of a key that the document lacks
+
+
+class Check(NamedTuple):
+    """A rule: the values ``ok`` accepts once ``convert`` made them what the
+    reader keeps; a list rule's ``entry`` finds the first entry that fails."""
+
+    kind: str
+    ok: Callable
+    convert: Callable = None
+    entry: "Check" = None
+
+
+class _Mismatch(Exception):
+    """([key path parts], kind, value) of the first value that fails."""
+
+
+def check(doc, table, error, what: str):
+    """``doc`` as ``table`` passes it: a table is a dict of rules, a rule a
+    Check or a nested table. The first value that fails raises ``error``
+    with one line, ``<what>: <key path>: expected <kind>, got <value>``,
+    the value's repr cut to 60 characters."""
+    try:
+        return _walk(table, doc)
+    except _Mismatch as exc:
+        parts, kind, value = exc.args
+        got = "nothing" if value is ABSENT else repr(value)
+        got = got if len(got) <= 60 else got[:57] + "..."
+        path = "".join(parts).lstrip(".")
+        raise error(": ".join(filter(None, (what, path)))
+                    + f": expected {kind}, got {got}") from None
+
+
+def _walk(rule, value, step=""):
+    """``value`` as ``rule`` keeps it; a failure's key path is built from
+    each ``step`` only as the _Mismatch passes up."""
+    try:
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise _Mismatch([], "object", value)
+            return {key: _walk(sub, value.get(key, ABSENT), "." + key)
+                    for key, sub in rule.items()}
+        try:
+            kept = rule.convert(value) if rule.convert else value
+            if value is not ABSENT and rule.ok(kept):
+                return kept
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            pass
+        for i, entry in enumerate(value if rule.entry and isinstance(value, list) else ()):
+            _walk(rule.entry, entry, f"[{i}]")
+        raise _Mismatch([], rule.kind, value)
+    except _Mismatch as exc:
+        exc.args[0].insert(0, step)
+        raise
+
+
+def _number(name, types, kinds, lo, hi, strict) -> Check:
+    def ok(v):   # a number, or a numpy array: every entry, by dtype kind and range
+        if isinstance(v, np.ndarray):
+            return v.size == 0 or (v.dtype.kind in kinds and ok(v.min()) and ok(v.max()))
+        return (isinstance(v, types) and not isinstance(v, bool) and math.isfinite(v)
+                and (v > lo if strict else v >= lo) and v < hi)
+
+    if hi < math.inf:
+        name += f" in {'(' if strict else '['}{lo:g}, {hi:g})"
+    elif lo > -math.inf:
+        name += f" {'>' if strict else '>='} {lo:g}"
+    return Check(name, ok)
+
+
+def integer(lo=-math.inf, hi=math.inf) -> Check:
+    """A Python or numpy int, not a bool, in [lo, hi)."""
+    return _number("int", (int, np.integer), "iu", lo, hi, False)
+
+
+def real(lo=-math.inf, hi=math.inf, *, strict=False) -> Check:
+    """A finite int or float, not a bool, in [lo, hi), or (lo, hi) if strict."""
+    return _number("real", (int, float, np.integer, np.floating), "iuf", lo, hi, strict)
+
+
+OBJECT = Check("object", lambda v: isinstance(v, dict))
+
+
+def one_of(value) -> Check:
+    return Check(repr(value), lambda v: type(v) is type(value) and v == value)
+
+
+def items(of: Check, n: int | None = None) -> Check:
+    """A list of ``n`` entries, or one or more, that pass ``of``; a tuple."""
+    return Check(f"list of {n or 'one or more'} ({of.kind})",
+                 lambda v: (isinstance(v, (list, tuple)) and len(v) == (n or len(v) or 1)
+                            and all(map(of.ok, v))),
+                 lambda v: tuple(v) if isinstance(v, list) else v, entry=of)
+
+
+def array(of: Check, n: int | None = None) -> Check:
+    """A list of ``n`` numbers, or any number, read as one numpy array and
+    checked whole by ``of``."""
+    return Check(f"list of {n or 'any number of'} ({of.kind})",
+                 lambda a: a.ndim == 1 and len(a) == (n or len(a)) and of.ok(a),
+                 np.asarray, entry=of)

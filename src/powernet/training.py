@@ -8,7 +8,6 @@ initialization all derive from numpy Generators seeded from it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,6 +16,7 @@ import numpy as np
 from .features import ExampleSet, Split
 from .metrics import mse
 from .model import PowerNetParams, backward_batch, forward_batch, init_params
+from .numcore import check, integer, items, real
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -43,26 +43,16 @@ class TrainConfig:
     stack: int = 2
     seed: int = 0
 
+    #: What each field holds; the CLI checks its config against it too.
+    CHECKS = {"learning_rate": real(0, strict=True), "dropout_rate": real(0, 1),
+              "l2_lambda": real(0, 1), "memory_size_grid": items(integer(1)),
+              "seed": integer(0), **dict.fromkeys(
+                  ("batch_size", "max_epochs", "patience", "memory_size",
+                   "d1", "d2", "d3", "stack"), integer(1))}
+
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
-            raise ValueError("l2_lambda must be non-negative and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if not self.memory_size_grid:
-            raise ValueError("memory_size_grid must be non-empty")
-        if min(self.memory_size_grid) < 1:
-            raise ValueError("memory_size_grid entries must be >= 1")
-        for name in ("memory_size", "d1", "d2", "d3", "stack"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        checked = check(vars(self), self.CHECKS, ValueError, "training config")
+        self.memory_size_grid = checked["memory_size_grid"]   # a tuple
 
     def to_dict(self):
         d = self.__dict__.copy()

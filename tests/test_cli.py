@@ -39,8 +39,10 @@ def gbt_checkpoint(tmp_path_factory, dataset_path):
 
 
 #: (command, key, value): a checkpoint whose split list or feature spec
-#: entry ``key`` is ``value`` is a usage error; forecasting reads no splits
-MALFORMED_CHECKPOINTS = (
+#: entry ``key`` is ``value``, or a dataset whose ``key`` (its sixth entry,
+#: for a list) becomes ``value(old)``, is a usage error; forecasting reads
+#: no splits
+MALFORMED_INPUTS = (
     [("evaluate", "splits", [[0, 1]]),
      ("evaluate", "splits", [[0, 96], [96, "144"], [144, 192]])]
     + [(command, key, value) for key, value in [
@@ -52,7 +54,12 @@ MALFORMED_CHECKPOINTS = (
         ("icon_vocab", {"rain": "x"}),
         ("cons_mean", "x"),
         ("utc_offset_hours", "x"),
-        ("daytime_range", [7])] for command in ("evaluate", "forecast")])
+        ("daytime_range", [7])] for command in ("evaluate", "forecast")]
+    + [("forecast", "utc_offset_hours", 1e308),
+       ("evaluate", "kw", lambda old: "0.43"),
+       ("evaluate", "hours", lambda old: old + 0.7),
+       ("evaluate", "summary", lambda old: 1),
+       ("evaluate", "dropped_hours", lambda old: "x")])
 
 
 def assert_usage_error(rc, capsys):
@@ -69,7 +76,9 @@ class TestSynthIngest:
         assert main(["synth", "--out", str(fx), "--days", "3",
                      "--apartments", "1", "--seed", "1"]) == 0
         lines = (fx / "Apt1.csv").read_text().splitlines()
-        for i, token in ((5, "inf"), (40, "-inf"), (90, "nan")):
+        # three 1e308 readings in a row: two share an hour, whose sum overflows
+        for i, token in ((5, "inf"), (40, "-inf"), (90, "nan"), (120, "1e308"),
+                         (121, "1e308"), (122, "1e308")):
             lines[i] = lines[i].split(",")[0] + "," + token
         (fx / "Apt1.csv").write_text("\n".join(lines) + "\n")
         out = tmp_path / "ingested"
@@ -78,7 +87,7 @@ class TestSynthIngest:
         text = (out / "dataset.json").read_text()
         assert "Infinity" not in text and "NaN" not in text
         report = json.loads((out / "ingest_report.json").read_text())
-        assert report["rows_malformed"] == 3
+        assert report["rows_malformed"] == 6
 
     @pytest.mark.parametrize("token", ["garbage", "nan", "inf"])
     def test_junk_weather_time_is_usage_error(self, tmp_path, capsys, token):
@@ -120,7 +129,7 @@ class TestSynthIngest:
         assert main(["synth", "--out", str(fx), "--days", "3",
                      "--apartments", "1", "--seed", "1"]) == 0
         lines = (fx / "weather.csv").read_text().splitlines()
-        for i, token in ((5, "inf"), (9, "-inf")):
+        for i, token in ((5, "inf"), (9, "-inf"), (13, "1e308")):
             cells = lines[i].split(",")
             cells[3] = token   # temperature
             lines[i] = ",".join(cells)
@@ -132,7 +141,7 @@ class TestSynthIngest:
         assert "Infinity" not in text and "NaN" not in text
         doc = json.loads(text)
         temperatures = [row[0] for row in doc["numeric"]]
-        assert temperatures.count(None) == 2
+        assert temperatures.count(None) == 3
 
     def test_short_weather_row_is_missing_data(self, tmp_path):
         fx = tmp_path / "fx"
@@ -192,13 +201,18 @@ class TestSynthIngest:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_multiple_files_require_aggregate(self, tmp_path):
+    def test_multiple_files_require_aggregate(self, tmp_path, capsys, monkeypatch):
         fx = tmp_path / "fx"
         main(["synth", "--out", str(fx), "--days", "2", "--apartments", "2"])
+        from powernet import dataio
+        read = []
+        monkeypatch.setattr(dataio, "read_text", lambda *args: read.append(args))
+        capsys.readouterr()
         rc = main(["ingest",
                    "--consumption", str(fx / "Apt1.csv"), str(fx / "Apt2.csv"),
                    "--weather", str(fx / "weather.csv"), "--out", str(tmp_path)])
-        assert rc == 2
+        assert "require --aggregate" in assert_usage_error(rc, capsys)
+        assert read == []   # checked before any file is read
 
     @pytest.mark.parametrize("kind", ["consumption", "weather"])
     def test_undecodable_csv_is_usage_error(self, tmp_path, capsys, kind):
@@ -218,7 +232,8 @@ class TestSynthIngest:
         ["synth", "--days", "0"],
         ["synth", "--apartments", "0"],
         ["ingest", "--fill-max-run", "-1"],
-    ], ids=["synth_days", "synth_apartments", "ingest_fill_max_run"])
+        ["synth", "--seed", "-1"],
+    ], ids=["synth_days", "synth_apartments", "ingest_fill_max_run", "synth_seed"])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv):
         fx = tmp_path / "fx"
         assert main(["synth", "--out", str(fx), "--days", "2",
@@ -308,15 +323,35 @@ class TestTrain:
         (["--learning-rate", "inf"], {}, "learning_rate"),
         (["--l2-lambda", "-1"], {}, "l2_lambda"),
         ([], {"d1": 0}, "d1"),
+        ([], {"splits": 5}, "splits: expected TRAIN:VAL:TEST hours, got 5"),
+        ([], {"acf_threshold": "x"}, "acf_threshold: expected real in (0, 1), got 'x'"),
+        ([], {"max_epochs": 1.5}, "max_epochs: expected int >= 1, got 1.5"),
+        ([], {"window_len": True}, "window_len: expected null or int >= 1, got True"),
+        ([], {"memory_size": "8"}, "memory_size: expected int >= 1, got '8'"),
+        ([], {"memory_size_grid": ["a"]}, "memory_size_grid[0]: expected int >= 1"),
+        (["--seed", "-1"], {}, "seed: expected int >= 0, got -1"),
+        ([], {"seed": -1}, "seed: expected int >= 0, got -1"),
+        (["--model", "gbt", "--seed", "-1"], {}, "seed: expected int >= 0, got -1"),
+        (["--learning-rate", "1e308"], {}, "learning_rate: expected real in (0, 1)"),
+        ([], {"l2_lambda": 1e308}, "l2_lambda: expected real in [0, 1)"),
     ], ids=["memory_size", "window_len", "stack", "learning_rate_nan",
-            "learning_rate_inf", "l2_lambda", "d1"])
+            "learning_rate_inf", "l2_lambda", "d1", "config_splits_int",
+            "config_acf_threshold_text", "config_max_epochs_float",
+            "config_window_len_bool", "config_memory_size_text",
+            "config_memory_size_grid_text", "seed_flag", "config_seed",
+            "gbt_seed_flag", "learning_rate_huge", "l2_lambda_huge"])
     def test_bad_training_setting(self, dataset_path, tmp_path, capsys,
                                   flags, config, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
+        # the config values under test, not FAST's flags, which would win
+        fast = [arg for flag, value in zip(FAST[::2], FAST[1::2])
+                if flag[2:].replace("-", "_") not in config for arg in (flag, value)]
+        out = tmp_path / "out"
         rc = main(["train", "--dataset", dataset_path, "--config", str(cfg),
-                   "--out", str(tmp_path)] + FAST + flags)
+                   "--out", str(out)] + fast + flags)
         assert field in assert_usage_error(rc, capsys)
+        assert not out.exists()
 
     def test_config_checked_before_data(self, dataset_path, tmp_path, capsys):
         # the dataset is too short for these splits; the config error wins
@@ -386,21 +421,47 @@ class TestEvaluate:
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert_usage_error(rc, capsys)
 
-    @pytest.mark.parametrize("case, name", [("w1_17_columns", "w1"),
-                                            ("stack_1", "stack")])
+    @pytest.mark.parametrize("case, name", [
+        ("w1_17_columns", "w1"),
+        ("stack_1", "stack"),
+        ("hyperparameters_list", "hyperparameters: expected object, got [1]"),
+        ("stack_text", "stack: expected int >= 1, got '2'"),
+        ("params_list", "params: expected object, got []"),
+        ("seed_text", "seed: expected int >= 0, got 'x'"),
+        ("gbt_initial_prediction_text", "initial_prediction: expected real, got 'x'"),
+        ("gbt_learning_rate_null", "learning_rate: expected real, got None"),
+        ("w4_overflow", "test predictions overflow"),
+        ("w4_overflow_forecast", "recursive predictions overflow"),
+        ("w4_overflow_anomaly", "actual_history predictions overflow"),
+        ("gbt_overflow", "test predictions overflow")])
     def test_checkpoint_params_must_fit_layout(self, dataset_path, checkpoint_dir,
-                                               tmp_path, capsys, case, name):
-        doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+                                               gbt_checkpoint, tmp_path, capsys,
+                                               case, name):
+        gbt = case.startswith("gbt")
+        doc = (json.loads(json.dumps(gbt_checkpoint)) if gbt else
+               json.loads((checkpoint_dir / "checkpoint.json").read_text()))
         if case == "w1_17_columns":
             d1 = doc["params"]["w1"]["shape"][0]
             doc["params"]["w1"] = {"shape": [d1, 17], "data": [0.0] * (d1 * 17)}
-        else:   # a 2-layer network recorded as 1 layer
-            doc["stack"] = 1
+        elif case.startswith("w4_overflow"):   # finite weights, infinite predictions
+            doc["params"]["w4"]["data"] = [1e308] * len(doc["params"]["w4"]["data"])
+        elif case == "gbt_overflow":
+            doc.update(initial_prediction=1e308, learning_rate=1e308)
+        else:   # one top-level key; stack_1 records a 2-layer network as 1 layer
+            key = name.split(":")[0]
+            doc[key] = {"stack_1": 1, "hyperparameters_list": [1], "stack_text": "2",
+                        "params_list": [], "seed_text": "x",
+                        "gbt_initial_prediction_text": "x",
+                        "gbt_learning_rate_null": None}[case]
         bad = tmp_path / "checkpoint.json"
         bad.write_text(json.dumps(doc))
-        rc = main(["evaluate", "--checkpoint", str(bad),
-                   "--dataset", dataset_path, "--out", str(tmp_path)])
+        command = next((c for c in ("forecast", "anomaly") if case.endswith(c)),
+                       "evaluate")
+        out = tmp_path / "out"
+        rc = main([command, "--checkpoint", str(bad), "--dataset", dataset_path,
+                   "--out", str(out)] + (["--horizon", "24"] if command != "evaluate" else []))
         assert name in assert_usage_error(rc, capsys)
+        assert not out.exists()
 
     def test_nan_parameter_is_usage_error(self, dataset_path, checkpoint_dir,
                                           tmp_path, capsys):
@@ -423,11 +484,14 @@ class TestEvaluate:
         assert json.loads((tmp_path / "evaluate_test.json").read_text())["n"] == 48
 
     @pytest.mark.parametrize("case, message", [
-        ("feature_999", "split feature 999"),
-        ("feature_24", "split feature 24"),     # window 6 + 18 = 24 features
-        ("feature_-2", "split feature -2"),
-        ("nan_leaf", "non-finite"),
-        ("nan_threshold", "non-finite")])
+        ("feature_999", "feature: expected int in [0, 24), got 999"),
+        ("feature_24", "feature: expected int in [0, 24), got 24"),  # window 6 + 18
+        ("feature_-2", "feature: expected int in [0, 24), got -2"),
+        ("nan_leaf", "value: expected real, got nan"),
+        ("nan_threshold", "threshold: expected real, got nan")],
+        ids=["feature_999-split feature 999", "feature_24-split feature 24",
+             "feature_-2-split feature -2", "nan_leaf-non-finite",
+             "nan_threshold-non-finite"])
     def test_gbt_tree_must_fit_features(self, dataset_path, gbt_checkpoint,
                                         tmp_path, capsys, case, message):
         doc = json.loads(json.dumps(gbt_checkpoint))
@@ -446,17 +510,25 @@ class TestEvaluate:
                    "--dataset", dataset_path, "--out", str(tmp_path)])
         assert message in assert_usage_error(rc, capsys)
 
-    @pytest.mark.parametrize("command, key, value", MALFORMED_CHECKPOINTS)
+    @pytest.mark.parametrize("command, key, value", MALFORMED_INPUTS)
     def test_malformed_spec_or_splits(self, dataset_path, checkpoint_dir,
                                       tmp_path, capsys, command, key, value):
         doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
-        if key == "splits":
+        data = json.loads(open(dataset_path).read())
+        if callable(value):
+            if isinstance(data[key], list):
+                data[key][5] = value(data[key][5])
+            else:
+                data[key] = value(data[key])
+        elif key == "splits":
             doc["hyperparameters"]["splits"] = value
         else:
             doc["feature_spec"][key] = value
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(doc))
-        rc = main([command, "--checkpoint", str(path), "--dataset", dataset_path,
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(data))
+        rc = main([command, "--checkpoint", str(path), "--dataset", str(dataset),
                    "--out", str(tmp_path / "out")] +
                   (["--horizon", "24"] if command == "forecast" else []))
         assert key in assert_usage_error(rc, capsys)
@@ -584,6 +656,17 @@ class TestAnomaly:
                 == (tmp_path / "expected.csv").read_bytes())
         assert json.loads((out / "anomaly.json").read_text())["sweep"] == rows
 
+    def test_error_after_the_sweep_writes_nothing(self, dataset_path,
+                                                  checkpoint_dir, tmp_path, capsys):
+        # the clean window before --start-row lacks history, which shows
+        # only after the sweep has run
+        out = tmp_path / "an"
+        rc = main(["anomaly", "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--horizon", "24", "--start-row", "10",
+                   "--detect-theta", "0.5", "--out", str(out)])
+        assert "history" in assert_usage_error(rc, capsys)
+        assert not out.exists()
+
     def test_gbt_checkpoint_rejected(self, dataset_path, tmp_path):
         out = tmp_path / "gbt"
         main(["train", "--dataset", dataset_path, "--model", "gbt",
@@ -600,7 +683,7 @@ class TestAnomaly:
                    "--dataset", dataset_path, "--horizon", "48",
                    "--detect-theta", "0.5", "--detector-k", "nan",
                    "--out", str(out)])
-        assert "k finite" in assert_usage_error(rc, capsys)
+        assert "k: expected real > 0, got nan" in assert_usage_error(rc, capsys)
         assert not out.exists()
 
 

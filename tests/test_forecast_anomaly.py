@@ -259,7 +259,7 @@ class TestConsumerDetector:
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     def test_non_finite_k_rejected(self, k):
         # a NaN or infinite threshold can never fire an alarm
-        with pytest.raises(ForecastError, match="k finite"):
+        with pytest.raises(ForecastError, match=f"k: expected real > 0, got {k}"):
             DetectorConfig(k=k)
 
 
