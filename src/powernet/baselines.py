@@ -3,14 +3,18 @@ gradient-boosted regression trees over the flattened example features.
 
 Trees are exact CART: split candidates are midpoints between consecutive
 sorted unique feature values, chosen by summed-squared-error reduction. The
-rows are sorted by every feature once per fit and each node keeps that order
-(the presorted exact-greedy search of XGBoost, arXiv:1603.02754), so a node
-ranks all its candidates in one pass over all features. The rank is the
+rows are sorted by every feature once per training matrix (a grid search
+shares one sort over all its fits), and each node keeps that order and the
+feature values in it (the presorted exact-greedy search of XGBoost,
+arXiv:1603.02754): a split partitions both with one index, so a node ranks
+all its candidates in one pass over all features. The rank is the
 score S_L**2/n_L + S_R**2/n_R of the left and right target sums and counts
 (that paper's eq. 7 for squared loss), which exceeds the SSE reduction by
 S**2/n of the whole node, the same for every candidate. Only candidates whose
 score lies within a proven rounding bound of the top are scored again with
-the scalar SSE-reduction formula, and that formula makes the choice.
+the scalar SSE-reduction formula, and that formula makes the choice. A node
+whose targets are all equal ties every score; its scalar gain depends on
+the position alone, so it is computed once per position.
 
 The choice is deterministic: the largest float64 gain wins, and among equal
 float64 gains the lowest feature index, then the lowest threshold. Gains that
@@ -94,6 +98,18 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
+def _presorted(X: np.ndarray):
+    """(XT, order, xs) of a float64 X, what the split engine reads: XT is
+    X.T C-ordered, order is _presort(X) and xs[j] the values of feature j
+    in that order."""
+    XT = np.ascontiguousarray(X.T)
+    order = _presort(X)
+    return XT, order, np.take_along_axis(XT, order, axis=1)
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _shortlist(csum, xs, scale):
     """Flat indices j * (n - 1) + i of every boundary whose scalar gain can
     be the largest, in (feature, position) order.
@@ -132,22 +148,30 @@ def _shortlist(csum, xs, scale):
     n = csum.shape[1]
     cl = csum[:, :-1]
     nl = np.arange(1, n, dtype=np.float64)
-    score = cl ** 2 / nl + (csum[:, -1:] - cl) ** 2 / (n - nl)
-    score[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
-    top = score.max()
+    # score = cl ** 2 / nl + (S - cl) ** 2 / (n - nl), in two buffers
+    score = np.square(cl)
+    score /= nl
+    right = np.subtract(csum[:, -1:], cl)
+    np.square(right, out=right)
+    right /= n - nl
+    score += right
+    valid = np.less(xs[:, :-1], xs[:, 1:])
+    top = np.maximum.reduce(score, axis=None, initial=-np.inf, where=valid)
     if top == -np.inf:
         return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(
-        score >= top - (4 * n + 128) * np.finfo(np.float64).eps * scale)
+    keep = np.greater_equal(score, top - (4 * n + 128) * _EPS * scale)
+    keep &= valid
+    return keep.ravel().nonzero()[0]
 
 
-def _split_search(XT, y, order, rows):
+def _split_search(y, order, xs, rows):
     """The split engine behind best_split and fit_tree.
 
-    ``XT`` is X transposed, ``order`` holds the node's rows sorted by each
-    feature (from _presort, filtered), ``rows`` the same rows in ascending
-    order. Returns the best (feature, threshold, gain) or None, exactly as
-    the per-boundary scalar formula below picks it over every boundary.
+    ``order`` holds the node's rows sorted by each feature (from _presort,
+    partitioned down the tree), ``xs`` the feature values in that order
+    and ``rows`` the same rows in ascending order. Returns the best
+    (feature, threshold, gain) or None, exactly as the per-boundary scalar
+    formula below picks it over every boundary.
 
     Array ** 2 rounds x*x while the scalar ** 2 below calls libm pow; the
     two differ in the last bit for a few values, which can flip near-ties.
@@ -157,35 +181,55 @@ def _split_search(XT, y, order, rows):
     features, whose row j is the same sequential sum as
     np.cumsum(ys[j] ** 2). The largest float64 gain wins, equal gains keep
     the first boundary, and a best gain <= 0 is no split.
+
+    The node's mean and SSE are the pairwise sums of ndarray.mean and
+    np.sum, called as ufunc reductions without their Python wrappers.
     """
     n = len(rows)
-    n_features = len(order)
-    if n < 2 or n_features == 0:
+    if n < 2 or len(order) == 0:
         return None
-    node_y = y[rows]
-    mean = node_y.mean()
-    total_sse = float(np.sum((node_y - mean) ** 2))
-    xs = XT.take(order + (np.arange(n_features) * XT.shape[1])[:, None])
+    node_y = y.take(rows)
+    mean = np.add.reduce(node_y) / n
+    dev = node_y - mean
+    total_sse = float(np.add.reduce(np.multiply(dev, dev, out=dev)))
     ys = y.take(order)
-    csum = np.cumsum(ys, axis=1)
+    csum = ys.cumsum(axis=1)
     # Sigma(y**2) + SSE = 2 SSE + n mean**2, without a pass or a BLAS call
     shortlist = _shortlist(csum, xs, 2 * total_sse + n * float(mean) ** 2)
     if len(shortlist) == 0:
         return None
+    width = n - 1
     # prefix sums of y**2 along features first..last, which hold the shortlist
-    first = shortlist[0] // (n - 1)
-    csq = np.cumsum(ys[first:shortlist[-1] // (n - 1) + 1] ** 2, axis=1)
-    best = None
-    for k in shortlist:
-        j, i = divmod(int(k), n - 1)
-        q = csq[j - first]
+    first, last = int(shortlist[0]) // width, int(shortlist[-1]) // width
+    # A constant target ties every score, so the whole block is shortlisted.
+    # Its prefix sums are then the same along every feature's order (up to
+    # the sign of a zero, which squaring drops), so the scalar gain depends
+    # on the position alone: compute it once per position, on Python floats
+    # (whose ** is the same libm pow), and pick the first of the largest.
+    constant = len(shortlist) > width and (node_y == node_y[0]).all()
+    csq = np.square(ys[first:first + 1 if constant else last + 1]).cumsum(axis=1)
+
+    def gain(c, q, i):
+        """The scalar gain of the boundary after position i of one feature,
+        from its prefix sums c of y and q of y**2."""
         nl_i = i + 1
-        sse_l = q[i] - csum[j, i] ** 2 / nl_i
-        sse_r = ((q[-1] - q[i])
-                 - (csum[j, -1] - csum[j, i]) ** 2 / (n - nl_i))
-        g = total_sse - (sse_l + sse_r)
-        if best is None or g > best[2]:
-            best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(g))
+        sse_l = q[i] - c[i] ** 2 / nl_i
+        sse_r = (q[-1] - q[i]) - (c[-1] - c[i]) ** 2 / (n - nl_i)
+        return total_sse - (sse_l + sse_r)
+
+    if constant:
+        c, q = csum[first].tolist(), csq[0].tolist()
+        at = np.array([gain(c, q, i) for i in range(width)])
+        gains = at.take(shortlist % width)
+        j, i = divmod(int(shortlist[gains.argmax()]), width)
+        best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(at[i]))
+    else:
+        best = None
+        for k in shortlist.tolist():
+            j, i = divmod(k, width)
+            g = gain(csum[j], csq[j - first], i)
+            if best is None or g > best[2]:
+                best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(g))
     if best[2] <= 0.0:
         return None
     return best
@@ -202,40 +246,46 @@ def best_split(X: np.ndarray, y: np.ndarray):
     """
     if len(y) < 2:
         return None
-    return _split_search(np.asarray(X).T, y, _presort(X), np.arange(len(y)))
+    _, order, xs = _presorted(np.asarray(X))
+    return _split_search(y, order, xs, np.arange(len(y)))
 
 
-def _grow_tree(XT, order, y, max_depth: int):
-    """Grow one tree on rows presorted by _presort(X), with XT a C-ordered
-    X.T; returns (tree, the value of the leaf each training row lands in)."""
+def _grow_tree(XT, order, xs, y, max_depth: int):
+    """Grow one tree on (XT, order, xs) from _presorted(X); returns (tree,
+    the value of the leaf each training row lands in)."""
     n_features = len(order)
     fitted = np.empty(len(y))
     go_left = np.zeros(len(y), dtype=bool)
 
-    def grow(order, rows, depth):
+    def grow(order, xs, rows, depth):
         split = None
         if depth < max_depth:
-            split = _split_search(XT, y, order, rows)
+            split = _split_search(y, order, xs, rows)
         if split is None:
-            value = float(y[rows].mean())
+            # ndarray.mean's sum and divide, without its Python wrapper
+            value = float(np.add.reduce(y.take(rows)) / len(rows))
             fitted[rows] = value
             return TreeNode(value=value)
         j, thr, _ = split
-        left = XT[j, rows] <= thr
-        left_order = right_order = None     # children at max_depth are leaves
-        if depth + 1 < max_depth:
+        left = XT[j].take(rows) <= thr
+        left_order = left_xs = right_order = right_xs = None
+        if depth + 1 < max_depth:           # children at max_depth are leaves
             go_left[rows] = left
             # every feature sends the same rows left and the flat positions
-            # ascend, so each child keeps every feature's order as an
-            # (F, n_child) array
-            to_left = go_left.take(order)
-            left_order = order.take(np.flatnonzero(to_left)).reshape(n_features, -1)
-            right_order = order.take(np.flatnonzero(~to_left)).reshape(n_features, -1)
+            # ascend, so one index keeps every feature's order, and its
+            # values, as (F, n_child) arrays
+            to_left = go_left.take(order).ravel()
+            at = to_left.nonzero()[0]
+            left_order = order.take(at).reshape(n_features, -1)
+            left_xs = xs.take(at).reshape(n_features, -1)
+            at = np.logical_not(to_left, out=to_left).nonzero()[0]
+            right_order = order.take(at).reshape(n_features, -1)
+            right_xs = xs.take(at).reshape(n_features, -1)
         return TreeNode(feature=j, threshold=thr,
-                        left=grow(left_order, rows[left], depth + 1),
-                        right=grow(right_order, rows[~left], depth + 1))
+                        left=grow(left_order, left_xs, rows[left], depth + 1),
+                        right=grow(right_order, right_xs, rows[~left], depth + 1))
 
-    tree = grow(order, np.arange(len(y)), 0)
+    tree = grow(order, xs, np.arange(len(y)), 0)
     # grow's closure refers to itself; breaking that cycle frees the
     # tree's buffers now rather than at the next cyclic collection
     del grow
@@ -248,7 +298,7 @@ def fit_tree(X, y, max_depth: int) -> TreeNode:
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
         raise BaselineError("need at least one row")
-    return _grow_tree(np.ascontiguousarray(X.T), _presort(X), y, max_depth)[0]
+    return _grow_tree(*_presorted(X), y, max_depth)[0]
 
 
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -327,9 +377,12 @@ class GbtModel:
 
 
 def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
-            learning_rate: float = 0.1) -> GbtModel:
+            learning_rate: float = 0.1, *, presorted: tuple | None = None) -> GbtModel:
     """Stage-wise boosting on squared loss: each tree fits the residuals
-    of the current ensemble, earlier trees stay unchanged."""
+    of the current ensemble, earlier trees stay unchanged.
+
+    ``presorted``, _presorted(X) of this same X, saves the sort when the
+    caller fits several models to one matrix, as gbt_grid_search does."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
@@ -337,9 +390,10 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     model = GbtModel(initial_prediction=float(y.mean()),
                      learning_rate=learning_rate, max_depth=max_depth)
     pred = np.full(len(y), model.initial_prediction)
-    XT, order = np.ascontiguousarray(X.T), _presort(X)
+    if presorted is None:
+        presorted = _presorted(X)
     for _ in range(n_estimators):
-        tree, fitted = _grow_tree(XT, order, y - pred, max_depth)
+        tree, fitted = _grow_tree(*presorted, y - pred, max_depth)
         pred += learning_rate * fitted
         model.trees.append(tree)
     return model
@@ -367,11 +421,12 @@ def gbt_grid_search(data: ExampleSet,
     X_tr = flatten_features(data.train)
     X_val = flatten_features(data.validation)
     y_tr, y_val = data.train.y, data.validation.y
+    presorted = _presorted(np.asarray(X_tr, dtype=np.float64))
     n_grid = sorted(n_estimators_grid)
     cells = []
     for depth, lr in product(sorted(max_depth_grid), sorted(learning_rate_grid)):
-        full = fit_gbt(X_tr, y_tr, n_estimators=n_grid[-1],
-                       max_depth=depth, learning_rate=lr)
+        full = fit_gbt(X_tr, y_tr, n_estimators=n_grid[-1], max_depth=depth,
+                       learning_rate=lr, presorted=presorted)
         pred = np.full(len(y_val), full.initial_prediction)
         k = 0
         for n_est in n_grid:

@@ -177,9 +177,18 @@ def items(of: Check, n: int | None = None) -> Check:
                  lambda v: tuple(v) if isinstance(v, list) else v, entry=of)
 
 
+def _as_array(v) -> np.ndarray:
+    """``v`` as one numpy array; np.asarray reads a bool among numbers as
+    0 or 1, so a bool entry raises (a C-level scan, no per-entry bytecode)."""
+    if bool in map(type, v):
+        raise TypeError("bool entry")
+    return np.asarray(v)
+
+
 def array(of: Check, n: int | None = None) -> Check:
     """A list of ``n`` numbers, or any number, read as one numpy array and
-    checked whole by ``of``."""
+    checked whole by ``of``; an entry that fails, a bool among them, is
+    named by its index."""
     return Check(f"list of {n or 'any number of'} ({of.kind})",
                  lambda a: a.ndim == 1 and len(a) == (n or len(a)) and of.ok(a),
-                 np.asarray, entry=of)
+                 _as_array, entry=of)

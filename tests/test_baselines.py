@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from powernet import baselines
 from powernet.baselines import (
     BaselineError, GbtModel, TreeNode, _presort, _shortlist, best_split,
     fit_gbt, fit_gbt_examples, fit_tree, flatten_features, gbt_grid_search,
@@ -190,6 +192,25 @@ def oracle_fixtures():
                              rng.integers(0, 24, size=n).astype(float)])
         out.append((X, rng.normal(size=n).round(1)))
         out.append((X, rng.integers(-2, 3, size=n) * 0.5))
+    return out + constant_target_fixtures()
+
+
+def constant_target_fixtures():
+    """Seeded (X, y) with constant and piecewise-constant targets. The
+    first column has few boundaries, so a position of the best gain can
+    be missing from it and the winner sits in a later feature."""
+    rng = np.random.default_rng(17)
+    out = []
+    for n in (2, 5, 33, 120):
+        X = np.column_stack([rng.integers(0, 3, size=n).astype(float),
+                             rng.normal(size=(n, 3)), rng.normal(size=n).round(1)])
+        # sums of a constant need not give a zero SSE or zero gains
+        for value in (0.7, 0.1, 1 / 3, -2.9, 123.456):
+            out.append((X, np.full(n, value)))
+        # steps along a feature: the nodes below them are constant
+        out.append((X, np.where(X[:, 1] > 0, 2.5, 0.1)))
+        out.append((X, (0.7 * X[:, 0]).round(1)))
+        out.append((X, np.where(X[:, 4] > 0, 0.0, -0.0)))   # signed zeros
     return out
 
 
@@ -284,6 +305,25 @@ class TestBestSplit:
                 csum = np.cumsum(ys[order], axis=1)
                 scale = float(ys @ ys) + float(np.sum((ys - ys.mean()) ** 2))
                 assert want <= set(_shortlist(csum, xs, scale).tolist())
+
+    def test_constant_target_can_split(self):
+        # a constant target's gains can round above zero: the node is
+        # searched, not skipped, and splits as the scalar formula says
+        splits = [best_split(X, y) for X, y in constant_target_fixtures()
+                  if np.all(y == y[0])]
+        assert any(s is not None and s[2] > 0.0 for s in splits)
+
+    def test_constant_target_costs_about_a_normal_one(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(624, 21))
+        targets = {"constant": np.full(624, 0.7), "normal": rng.normal(size=624)}
+        best = dict.fromkeys(targets, np.inf)
+        for _ in range(7):
+            for name, y in targets.items():
+                t0 = time.perf_counter()
+                best_split(X, y)
+                best[name] = min(best[name], time.perf_counter() - t0)
+        assert best["constant"] < 3 * best["normal"], best
 
     def test_pow_rounding_fixture(self):
         # picking the vector argmax would change this split; the engine
@@ -442,6 +482,40 @@ class TestGridSearch:
                   model.predict(flatten_features(self.data.validation)))
         assert got == pytest.approx(best["val_mse"], abs=1e-12)
         assert len(report) == 4
+
+    def test_one_presort_shared_by_every_cell(self, monkeypatch):
+        presort, fit = baselines._presort, baselines.fit_gbt
+        presorts, fits = [], []
+
+        def counted_presort(X):
+            presorts.append(X.shape)
+            return presort(X)
+
+        def kept_fit(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(baselines, "_presort", counted_presort)
+        monkeypatch.setattr(baselines, "fit_gbt", kept_fit)
+        grid = (3, 6)
+        best, _ = gbt_grid_search(self.data, n_estimators_grid=grid,
+                                  max_depth_grid=(1, 3),
+                                  learning_rate_grid=(0.1, 1.0))
+        monkeypatch.undo()
+        assert len(presorts) == 1 and len(fits) == 4
+        # each cell's model is its (depth, rate) fit cut to its tree count,
+        # byte for byte what a standalone fit with that count writes
+        X, y = flatten_features(self.data.train), self.data.train.y
+        for full in fits:
+            for n in grid:
+                cell = GbtModel(full.initial_prediction, full.trees[:n],
+                                full.learning_rate, full.max_depth)
+                alone = fit_gbt(X, y, n_estimators=n, max_depth=full.max_depth,
+                                learning_rate=full.learning_rate)
+                assert cell.to_json() == alone.to_json()
+        assert best.to_json() == fit_gbt(
+            X, y, n_estimators=len(best.trees), max_depth=best.max_depth,
+            learning_rate=best.learning_rate).to_json()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(BaselineError):

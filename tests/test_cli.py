@@ -58,6 +58,8 @@ MALFORMED_INPUTS = (
     + [("forecast", "utc_offset_hours", 1e308),
        ("evaluate", "kw", lambda old: "0.43"),
        ("evaluate", "hours", lambda old: old + 0.7),
+       ("evaluate", "kw", lambda old: True),
+       ("evaluate", "hours", lambda old: True),
        ("evaluate", "summary", lambda old: 1),
        ("evaluate", "dropped_hours", lambda old: "x")])
 
@@ -433,7 +435,8 @@ class TestEvaluate:
         ("w4_overflow", "test predictions overflow"),
         ("w4_overflow_forecast", "recursive predictions overflow"),
         ("w4_overflow_anomaly", "actual_history predictions overflow"),
-        ("gbt_overflow", "test predictions overflow")])
+        ("gbt_overflow", "test predictions overflow"),
+        ("w3_bool", "params.w3: data[2]: expected real, got True")])
     def test_checkpoint_params_must_fit_layout(self, dataset_path, checkpoint_dir,
                                                gbt_checkpoint, tmp_path, capsys,
                                                case, name):
@@ -447,6 +450,8 @@ class TestEvaluate:
             doc["params"]["w4"]["data"] = [1e308] * len(doc["params"]["w4"]["data"])
         elif case == "gbt_overflow":
             doc.update(initial_prediction=1e308, learning_rate=1e308)
+        elif case == "w3_bool":     # json reads it as a bool, not as 1.0
+            doc["params"]["w3"]["data"][2] = True
         else:   # one top-level key; stack_1 records a 2-layer network as 1 layer
             key = name.split(":")[0]
             doc[key] = {"stack_1": 1, "hyperparameters_list": [1], "stack_text": "2",
