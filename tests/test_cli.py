@@ -58,8 +58,9 @@ MALFORMED_INPUTS = (
     + [("forecast", "utc_offset_hours", 1e308),
        ("evaluate", "kw", lambda old: "0.43"),
        ("evaluate", "hours", lambda old: old + 0.7),
-       ("evaluate", "kw", lambda old: True),
-       ("evaluate", "hours", lambda old: True),
+       pytest.param("evaluate", "kw", lambda old: True, id="evaluate-kw-bool"),
+       pytest.param("evaluate", "hours", lambda old: True,
+                    id="evaluate-hours-bool"),
        ("evaluate", "summary", lambda old: 1),
        ("evaluate", "dropped_hours", lambda old: "x")])
 
