@@ -351,10 +351,10 @@ def fill_gaps(s: TimeSeries, max_run: int = 3) -> TimeSeries:
 def load_weather(path) -> WeatherTable:
     """Load the hourly weather CSV; the exact header row is required.
 
-    A ``time`` cell that is not a timestamp is a hard error naming the row;
-    an unparseable or absent numeric cell, or one not below MAX_VALUE in
-    magnitude, is stored as NaN (missing), and an absent ``summary`` or
-    ``icon`` cell as empty.
+    A cell missing from a short row reads as empty. A ``time`` cell that is
+    not a timestamp is a hard error naming the row; an unparseable numeric
+    cell, or one not below MAX_VALUE in magnitude, is stored as NaN
+    (missing).
     """
     text = read_text(path, "weather CSV")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -365,18 +365,17 @@ def load_weather(path) -> WeatherTable:
         raise DataError(f"{path}: missing weather columns {missing}")
     times, summary, icon, numeric = [], [], [], []
     for cells in filter(None, lines):   # blank lines are skipped
-        row = dict(zip_longest(header, cells))
+        row = dict(zip_longest(header, cells, fillvalue=""))
         try:
             times.append(parse_timestamp(row["time"]))
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}: row {reader.line_num}: bad time "
                             f"{row['time']!r}") from exc
-        # a short row leaves its missing cells None
-        summary.append((row["summary"] or "").strip())
-        icon.append((row["icon"] or "").strip())
+        summary.append(row["summary"].strip())
+        icon.append(row["icon"].strip())
         vals = []
         for col in WEATHER_NUMERIC_COLUMNS:
-            raw = (row[col] or "").strip()
+            raw = row[col].strip()
             try:
                 value = float(raw)
             except ValueError:

@@ -19,8 +19,7 @@ from .dataio import HOUR, AlignedDataset, TimeSeries
 from .features import (FeatureSpec, calendar_features, weather_features,
                        window_features)
 from .metrics import ErrorCurve, error_curve, mape
-from .model import (PowerNetParams, _fusion, _head, _LstmTrace, _lstm_step,
-                    _step_arrays, forward_batch)
+from .model import PowerNetParams, forward_batch, forward_recursive
 from .numcore import check, integer, real
 
 
@@ -71,48 +70,20 @@ def _report(mode: str, d: AlignedDataset, rows: np.ndarray,
 def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
                        d: AlignedDataset, start_row: int,
                        horizon: int) -> ForecastReport:
-    """Forecast ``horizon`` hours from start_row, feeding predictions back
-    as history; weather features come from the recorded future rows
-    (perfect weather foresight), calendar from the target timestamps.
-
-    Hour j is predicted from the window of inputs j .. j+n-1, where the
-    first n inputs are the recorded history and input n+j is the clamped
-    prediction of hour j. All windows in flight at a step read the same
-    input, so the n of them advance together as the columns of one
-    n-column LSTM state per layer, used as a ring: window j lives in
-    column j mod n, whose h and c are zeroed when it starts. Each step
-    advances every column, and the window that has read its n inputs goes
-    to the head. The fusion MLP runs once over the whole horizon.
-    """
+    """Forecast ``horizon`` hours from start_row with ``forward_recursive``,
+    feeding each clamped prediction back as history; weather features come
+    from the recorded future rows (perfect weather foresight), calendar
+    from the target timestamps."""
     rows = _target_rows(spec, d, start_row, horizon,
                         "future weather does not cover the horizon")
-    n = spec.window_len
+    history = spec.normalize_kw(d.kw[start_row - spec.window_len:start_row])
     fw = weather_features(d.weather.rows(rows), spec)
     fc = calendar_features(d.hours[rows], spec)
-    o = _fusion(np.concatenate([fw, fc], axis=1), p)[-1]
-    inputs = np.empty(n + horizon)
-    inputs[:n] = spec.normalize_kw(d.kw[start_row - n:start_row])
-    preds = np.empty(horizon)
-    ring = min(n, horizon)   # windows h >= horizon are never started
-    traces = [_LstmTrace(layer, 1, ring) for layer in p.lstm]
-    arrays = _step_arrays(traces)
-    state = [(tr.op[0, tr.n_in:-1], tr.gate[0, 4 * tr.m:]) for tr in traces]  # (h, c)
-    x = traces[0].op[0, 0]
-    for step in range(n + horizon - 1):
-        if step < horizon:   # window `step` starts from a zero state
-            for h, c in state:
-                h[:, step % n] = 0.0
-                c[:, step % n] = 0.0
-        x[...] = inputs[step]
-        _lstm_step(arrays)
-        done = step - n + 1          # the window that has read n inputs
-        if done < 0:
-            continue
-        r = done % n
-        yhat = _head(state[-1][0][:, r:r + 1].T, o[done:done + 1], p)[-1]
-        preds[done] = max(float(spec.denormalize_kw(yhat[0])), 0.0)
-        inputs[n + done] = spec.normalize_kw(preds[done])
-    return _report("recursive", d, rows, preds)
+    yhat = forward_recursive(
+        history, fw, fc, p,
+        lambda y: spec.normalize_kw(max(float(spec.denormalize_kw(y)), 0.0)))
+    return _report("recursive", d, rows,
+                   np.maximum(spec.denormalize_kw(yhat), 0.0))
 
 
 def forecast_with_actuals(p: PowerNetParams, spec: FeatureSpec,

@@ -21,7 +21,7 @@ hold every step's operand and gates, and dropout applies; ``train`` keeps
 one set of those arrays, with the backward pass's scratch, and reuses it
 for every batch. ``backward_batch`` makes one product per layer-step for
 [dW_x | dW_h | db] and one for [dx; dh]. Inference (``train=False``) and
-recursive forecasting run the same step on one step of those arrays,
+``forward_recursive`` run the same step on one step of those arrays,
 holding only the current state, so memory does not grow with the window;
 inference returns ``(yhat, None)``, bitwise equal to train mode at
 dropout 0.
@@ -286,25 +286,6 @@ def _lstm_step(arrays: list, t: int = 0, t_next: int = 0):
             x_next[t] = h_t
 
 
-def _lstm_run(E: np.ndarray, traces: list, train: bool) -> np.ndarray:
-    """Final top-layer hidden state (B, m) for the (B, T) windows ``E``.
-    With ``train`` the T + 1 steps of ``traces`` keep the whole trace;
-    otherwise their one step holds the running state."""
-    arrays = _step_arrays(traces)
-    T = E.shape[1]
-    top = traces[-1]
-    if train:
-        traces[0].op[:T, 0] = E.T
-        for t in range(T):
-            _lstm_step(arrays, t, t + 1)
-        return top.op[T, top.n_in:-1].T
-    x = traces[0].op[0, 0]
-    for t in range(T):
-        x[...] = E[:, t]
-        _lstm_step(arrays)
-    return top.op[0, top.n_in:-1].T
-
-
 def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
     """BPTT through the stacked layers, one time step at a time from the
     last, top layer first, in the scratch of the training ``traces``.
@@ -375,15 +356,19 @@ def _dropout_mask(rng, shape, rate):
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def _fusion(u: np.ndarray, p: PowerNetParams, mask2=None):
-    """The MLP over the (B, 18) weather/calendar input ``u``; returns
-    (s1, a1d, s2, o) with ``o`` its (B, d2) encoding. ``mask2`` is the
-    dropout mask on the input of w2, or None."""
+def _fusion(fw, fc, B: int, p: PowerNetParams, mask2=None):
+    """The MLP over the weather/calendar input ``u``, [fw | fc] checked to
+    be (B, 18); returns (u, s1, a1d, s2, o) with ``o`` its (B, d2)
+    encoding. ``mask2`` is the dropout mask on the input of w2, or None."""
+    u = np.concatenate([np.asarray(fw, dtype=np.float64),
+                        np.asarray(fc, dtype=np.float64)], axis=1)
+    if u.shape != (B, p.w1.shape[1]):
+        raise ShapeError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
     s1 = u @ p.w1.T + p.b1
     a1 = relu(s1)
     a1d = a1 * mask2 if mask2 is not None else a1
     s2 = a1d @ p.w2.T + p.b2
-    return s1, a1d, s2, relu(s2)
+    return u, s1, a1d, s2, relu(s2)
 
 
 def _head(h_final: np.ndarray, o: np.ndarray, p: PowerNetParams,
@@ -426,21 +411,23 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     use_dropout = train and dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    u = np.concatenate([np.asarray(fw, dtype=np.float64),
-                        np.asarray(fc, dtype=np.float64)], axis=1)
-    if u.shape != (B, p.w1.shape[1]):
-        raise ShapeError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
 
     # masks on the inputs of w2, w3 and w4, drawn in that order
     shapes = ((B, p.w1.shape[0]), (B, p.w3.shape[1]), (B, p.w3.shape[0]))
     mask2, mask3, mask4 = ([_dropout_mask(rng, s, dropout_rate) for s in shapes]
                            if use_dropout else [None] * 3)
-    s1, a1d, s2, o = _fusion(u, p, mask2)
-    if train:
-        traces = _training_traces(p.lstm, B, E.shape[1], workspace)
-    else:
+    u, s1, a1d, s2, o = _fusion(fw, fc, B, p, mask2)
+    T = E.shape[1]
+    if train:   # time step t reads trace step t and writes t + 1: all kept
+        traces = _training_traces(p.lstm, B, T, workspace)
+    else:       # every time step reads and overwrites the one trace step
         traces = [_LstmTrace(layer, 1, B) for layer in p.lstm]
-    h_final = _lstm_run(E, traces, train)
+    arrays, x, keep = _step_arrays(traces), traces[0].op[:, 0], int(train)
+    for t in range(T):
+        x[keep * t] = E[:, t]
+        _lstm_step(arrays, keep * t, keep * (t + 1))
+    top = traces[-1]
+    h_final = top.op[keep * T, top.n_in:-1].T
     z, zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
     trace = (ForwardTrace(layers=traces, h_final=h_final, u=u, s1=s1,
                           a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
@@ -466,6 +453,45 @@ def _training_traces(layers: list, B: int, T: int, workspace) -> list:
     if workspace is not None:
         workspace[:] = traces
     return traces
+
+
+def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
+                      p: PowerNetParams, feed) -> np.ndarray:
+    """Predictions yhat (H,) for the H hours after the normalized window
+    ``history`` (n,), with ``fw`` and ``fc`` the H hours' fusion features
+    as in ``forward_batch``; ``feed(yhat_j)`` returns the normalized input
+    that follows hour j.
+
+    Hour j is predicted from the window of inputs j .. j+n-1, where the
+    first n inputs are ``history`` and input n+j is ``feed`` of the
+    prediction of hour j. All windows in flight at a step read the same
+    input, so the n of them advance together as the columns of one
+    n-column LSTM state per layer, used as a ring: window j lives in
+    column j mod n, whose h and c are zeroed when it starts. Each step
+    advances every column, and the window that has read its n inputs goes
+    to the head. The fusion MLP runs once over the whole horizon.
+    """
+    n, horizon = len(history), len(fw)
+    o = _fusion(fw, fc, horizon, p)[-1]
+    yhat = np.empty(horizon)
+    ring = min(n, horizon)   # windows j >= horizon are never started
+    traces = [_LstmTrace(layer, 1, ring) for layer in p.lstm]
+    arrays = _step_arrays(traces)
+    state = [(tr.op[0, tr.n_in:-1], tr.gate[0, 4 * tr.m:]) for tr in traces]  # (h, c)
+    x = traces[0].op[0, 0]
+    for step in range(n + horizon - 1):
+        if step < horizon:   # window `step` starts from a zero state
+            for h, c in state:
+                h[:, step % n] = 0.0
+                c[:, step % n] = 0.0
+        x[...] = history[step] if step < n else fed
+        _lstm_step(arrays)
+        done = step - n + 1          # the window that has read n inputs
+        if done >= 0:
+            r = done % n
+            yhat[done] = _head(state[-1][0][:, r:r + 1].T, o[done:done + 1], p)[-1][0]
+            fed = feed(yhat[done])   # the input of the next step
+    return yhat
 
 
 def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
@@ -552,7 +578,10 @@ def checkpoint_from_dict(doc: dict):
                    or {n for n in expected if shapes[n] != expected[n]})
         raise ValueError(f"parameter {name} does not fit a {stack}-layer network "
                          f"with m={m}, d1={d1}, d2={d2}, d3={d3}")
-    vec = np.concatenate([raw[name]["data"].reshape(stop - start)
-                          for name, start, stop, _ in layout]).astype(np.float64, copy=False)
+    for name, start, stop, shape in layout:
+        if len(raw[name]["data"]) != stop - start:
+            raise ValueError(f"checkpoint: params.{name}: data has {len(raw[name]['data'])} "
+                             f"entries, shape {list(shape)} needs {stop - start}")
+    vec = np.concatenate([raw[name]["data"] for name in expected]).astype(np.float64, copy=False)
     return (PowerNetParams(vec, layout), doc["hyperparameters"],
             doc["feature_spec"], doc["seed"])

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,20 +93,34 @@ class TestSynthIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["rows_malformed"] == 6
 
-    @pytest.mark.parametrize("token", ["garbage", "nan", "inf"])
-    def test_junk_weather_time_is_usage_error(self, tmp_path, capsys, token):
+    def ingest_edited_weather(self, tmp_path, capsys, edit):
+        """The usage error of ingesting a 3-day synth fixture after
+        ``edit`` changed the cell lists of its weather.csv rows in place."""
         fx = tmp_path / "fx"
         assert main(["synth", "--out", str(fx), "--days", "3",
                      "--apartments", "1", "--seed", "1"]) == 0
-        lines = (fx / "weather.csv").read_text().splitlines()
-        lines[7] = token + lines[7][lines[7].index(","):]
-        (fx / "weather.csv").write_text("\n".join(lines) + "\n")
+        rows = [line.split(",") for line in (fx / "weather.csv").read_text().splitlines()]
+        edit(rows)
+        (fx / "weather.csv").write_text("".join(",".join(r) + "\n" for r in rows))
         capsys.readouterr()
         rc = main(["ingest", "--consumption", str(fx / "Apt1.csv"),
                    "--weather", str(fx / "weather.csv"),
                    "--out", str(tmp_path / "out")])
-        err = assert_usage_error(rc, capsys)
+        return assert_usage_error(rc, capsys)
+
+    @pytest.mark.parametrize("token", ["garbage", "nan", "inf"])
+    def test_junk_weather_time_is_usage_error(self, tmp_path, capsys, token):
+        def edit(rows):
+            rows[7][0] = token
+        err = self.ingest_edited_weather(tmp_path, capsys, edit)
         assert "weather.csv" in err and "row 8" in err and token in err
+
+    def test_short_weather_row_without_its_time_is_usage_error(self, tmp_path, capsys):
+        def edit(rows):   # time moves to the last column; row 8 keeps 3 cells
+            rows[:] = [r[1:] + r[:1] for r in rows]
+            del rows[7][3:]
+        err = self.ingest_edited_weather(tmp_path, capsys, edit)
+        assert "weather.csv" in err and "row 8: bad time ''" in err
 
     @pytest.mark.parametrize("name, cell", [("Apt1.csv", 1),
                                             ("weather.csv", 3)])
@@ -370,7 +385,7 @@ class TestTrain:
         assert "dropout_rate" in assert_usage_error(rc, capsys)
 
     def test_truncated_dataset(self, dataset_path, tmp_path, capsys):
-        text = open(dataset_path).read()
+        text = Path(dataset_path).read_text()
         bad = tmp_path / "dataset.json"
         bad.write_text(text[:len(text) // 2])
         rc = main(["train", "--dataset", str(bad), "--out", str(tmp_path)]
@@ -437,7 +452,9 @@ class TestEvaluate:
         ("w4_overflow_forecast", "recursive predictions overflow"),
         ("w4_overflow_anomaly", "actual_history predictions overflow"),
         ("gbt_overflow", "test predictions overflow"),
-        ("w3_bool", "params.w3: data[2]: expected real, got True")])
+        ("w3_bool", "params.w3: data[2]: expected real, got True"),
+        ("w1_575_entries", "params.w1: data has 575 entries, shape [32, 18] needs 576"),
+        ("b4_no_entries", "params.b4: data has 0 entries, shape [1] needs 1")])
     def test_checkpoint_params_must_fit_layout(self, dataset_path, checkpoint_dir,
                                                gbt_checkpoint, tmp_path, capsys,
                                                case, name):
@@ -453,6 +470,10 @@ class TestEvaluate:
             doc.update(initial_prediction=1e308, learning_rate=1e308)
         elif case == "w3_bool":     # json reads it as a bool, not as 1.0
             doc["params"]["w3"]["data"][2] = True
+        elif case == "w1_575_entries":
+            del doc["params"]["w1"]["data"][-1]
+        elif case == "b4_no_entries":
+            doc["params"]["b4"]["data"] = []
         else:   # one top-level key; stack_1 records a 2-layer network as 1 layer
             key = name.split(":")[0]
             doc[key] = {"stack_1": 1, "hyperparameters_list": [1], "stack_text": "2",
@@ -520,7 +541,7 @@ class TestEvaluate:
     def test_malformed_spec_or_splits(self, dataset_path, checkpoint_dir,
                                       tmp_path, capsys, command, key, value):
         doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
-        data = json.loads(open(dataset_path).read())
+        data = json.loads(Path(dataset_path).read_text())
         if callable(value):
             if isinstance(data[key], list):
                 data[key][5] = value(data[key][5])
@@ -649,7 +670,7 @@ class TestAnomaly:
                    "--out", str(out)])
         assert rc == 0
         monkeypatch.undo()
-        d = dataset_from_json(open(dataset_path).read())
+        d = dataset_from_json(Path(dataset_path).read_text())
         start = len(d) - 48
         assert calls == [(start, 48), (start - 48, 48)]
         text = (checkpoint_dir / "checkpoint.json").read_text()

@@ -6,7 +6,8 @@ import pytest
 from powernet import cli
 from powernet.dataio import HOUR, TimeSeries, dataset_to_json
 from powernet.features import (build_examples, calendar_features,
-                               fit_feature_spec, weather_features)
+                               fit_feature_spec, weather_features,
+                               window_features)
 from powernet.forecast_anomaly import (
     DetectorConfig, ForecastError, ForecastReport, ResidualStats,
     TheftScenario, apply_theft, detect_consumer, detect_substation,
@@ -15,7 +16,8 @@ from powernet.forecast_anomaly import (
     simulate_substation, theft_sweep,
 )
 from powernet.metrics import error_curve, mape
-from powernet.model import checkpoint_to_json, forward_batch, init_params
+from powernet.model import (checkpoint_to_json, forward_batch,
+                            forward_recursive, init_params)
 from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
 from powernet.training import TrainConfig, train
 
@@ -124,19 +126,28 @@ class TestForecastRecursive:
 
     @pytest.mark.parametrize("stack", [1, 2, 3])
     @pytest.mark.parametrize("window_len", [1, 3, 24])
-    @pytest.mark.parametrize("clamp", [False, True])
+    # False and True feed back the prediction, True with every hour clamped
+    # to 0 kW; "recorded" feeds back the recorded kW, the actual history
+    @pytest.mark.parametrize("clamp", [False, True, "recorded"])
     def test_wavefront_equals_per_hour_oracle(self, stack, window_len, clamp):
         d = make_aligned_dataset(days=5, seed=stack)
         spec = fit_feature_spec(d, slice(0, 96), window_len=window_len)
         p = init_params(6, 5, 4, 5, seed=window_len, stack=stack)
-        if clamp:
+        if clamp is True:
             p.b4 = -50.0   # every hour clamps, and 0 kW is fed back
         n = window_len
         for horizon in sorted({1, n - 1, n, 3 * n + 1} - {0}):
-            got = forecast_recursive(p, spec, d, n, horizon).predictions
-            want = reference_forecast_recursive(p, spec, d, n, horizon)
+            if clamp == "recorded":
+                rows = np.arange(n, n + horizon)
+                E, FW, FC = window_features(d, spec, rows)
+                recorded = iter(spec.normalize_kw(d.kw[rows]))
+                got = forward_recursive(E[0], FW, FC, p, lambda y: next(recorded))
+                want = forward_batch(E, FW, FC, p)[0]
+            else:
+                got = forecast_recursive(p, spec, d, n, horizon).predictions
+                want = reference_forecast_recursive(p, spec, d, n, horizon)
             assert got == pytest.approx(want, rel=0, abs=1e-12)
-        assert not clamp or (want == 0.0).all()
+        assert clamp is not True or (want == 0.0).all()
 
 
 class TestRetrainingAnalysis:

@@ -1,6 +1,7 @@
-"""Every import in the package is used, and every private module-level
-function and class is referenced: stdlib-only stand-ins for a linter's
-unused-import and dead-code rules. Every function the benchmark tracer
+"""Every import in the package is used, every private module-level
+function and class is referenced, and no module reads another module's
+private names: stdlib-only stand-ins for a linter's unused-import,
+dead-code and private-access rules. Every function the benchmark tracer
 wraps exists under the name it uses, and files are opened only by the one
 input reader and the artifact writers."""
 
@@ -51,6 +52,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_private_names(sources: dict) -> list:
     """(module, name) of each private module-level function or class in
     ``sources`` (module name -> source) that no code outside its own
@@ -62,8 +67,7 @@ def unreferenced_private_names(sources: dict) -> list:
                      for sub in ast.walk(node)
                      if isinstance(sub, (ast.Name, ast.Attribute))}
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+                    and is_private(node.name)):
                 defined.append((module, node.name))
                 names.discard(node.name)   # recursion is not a use
             used |= names
@@ -88,6 +92,47 @@ def test_attribute_and_cross_module_reads_count_as_references():
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def foreign_private_reads(source: str) -> list:
+    """(line, name) of each private name that ``source``, a module of the
+    package, reads from another module of the package: imported with
+    ``from .x import _name`` or read as ``x._name``, where ``x`` is a
+    module bound by ``from . import x`` or ``import powernet.x as x``."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "powernet"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if is_private(alias.name)]
+            if node.module in (None, "powernet"):   # the names are modules
+                modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.asname and alias.name.startswith("powernet.")}
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and is_private(node.attr)]
+    return sorted(found)
+
+
+def test_detects_a_private_read_across_modules():
+    source = ("from .model import _head, forward_batch\n"
+              "from . import features as feat, metrics\n"
+              "import powernet.dataio as dio\n"
+              "from powernet.training import _loss\n"
+              "feat._build_split(metrics.__name__, metrics._private)\n"
+              "dio._csv_rows(self._own, forward_batch.__doc__)\n")
+    assert foreign_private_reads(source) == [
+        (1, "_head"), (4, "_loss"), (5, "_build_split"), (5, "_private"),
+        (6, "_csv_rows")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert foreign_private_reads(path.read_text()) == []
 
 
 def layer_targets(source: str) -> list:

@@ -38,7 +38,7 @@ class TestGradCheck:
         assert err > 1e-2
 
     def test_non_finite_evaluation(self):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
             grad_check(lambda p: float(np.log(p[0])), [0.0], [1.0], eps=1e-5)
 
     def test_eps_validation(self):
