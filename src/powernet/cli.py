@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -147,9 +148,7 @@ def cmd_ingest(args):
     out = _out_dir(args)
     _write(os.path.join(out, "dataset.json"), dataio.dataset_to_json(aligned))
     ingest_doc = {
-        "rows_parsed": report.rows_parsed,
-        "rows_malformed": report.rows_malformed,
-        "negatives_dropped": report.negatives_dropped,
+        **asdict(report),
         "aligned_hours": len(aligned),
         "dropped_hours": aligned.dropped_hours,
         "remaining_gaps": hourly.gap_count(),

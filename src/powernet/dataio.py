@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import zip_longest
@@ -87,6 +88,31 @@ def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOUR
     return int(epoch)
 
 
+#: numpy rejects each cell of this shape that datetime rejects, but year 0000
+_NAIVE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
+
+
+def parse_timestamps(cells: list, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS):
+    """``parse_timestamp`` of every cell: (int64 epochs, mask of the cells it
+    accepts). Naive YYYY-MM-DDTHH:MM:SS cells are parsed in one numpy call
+    unless one is not a date; every other cell, one by one."""
+    epochs, ok = np.zeros(len(cells), dtype=np.int64), np.ones(len(cells), dtype=bool)
+    try:   # parse_timestamp's zone; an offset of whole seconds shifts exactly
+        shift = timezone(timedelta(hours=utc_offset_hours)).utcoffset(None)
+        bulk = ([i for i, c in enumerate(cells) if _NAIVE.fullmatch(c)]
+                if not shift.microseconds else [])
+        epochs[bulk] = (np.array([cells[i] for i in bulk], dtype="datetime64[s]")
+                        .astype(np.int64) - shift // timedelta(seconds=1))
+    except (ValueError, OverflowError):   # no such zone, or a naive cell is no date
+        bulk = []
+    for i in set(range(len(cells))).difference(bulk):
+        try:
+            epochs[i] = parse_timestamp(cells[i], utc_offset_hours)
+        except (ValueError, OverflowError):
+            ok[i] = False
+    return epochs, ok
+
+
 def format_timestamp(epoch: int, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> str:
     tz = timezone(timedelta(hours=utc_offset_hours))
     return datetime.fromtimestamp(epoch, tz).strftime("%Y-%m-%dT%H:%M:%S")
@@ -116,9 +142,6 @@ class TimeSeries:
     def __len__(self):
         return len(self.values)
 
-    def timestamp(self, i: int) -> int:
-        return self.start + i * self.step
-
     @property
     def timestamps(self) -> np.ndarray:
         return self.start + self.step * np.arange(len(self.values), dtype=np.int64)
@@ -132,6 +155,8 @@ class IngestReport:
     rows_parsed: int = 0
     rows_malformed: int = 0
     negatives_dropped: int = 0
+    rows_duplicate: int = 0   # rows at the time of an earlier row; the last wins
+    rows_off_grid: int = 0    # rows between grid times, floored onto the grid
 
 
 @dataclass(frozen=True)
@@ -241,52 +266,47 @@ def load_consumption(path, fmt: str = "per_minute",
     if fmt not in STEP_OF_FORMAT:
         raise DataError(f"unknown consumption format {fmt!r}")
     step = STEP_OF_FORMAT[fmt]
-    rows: list[tuple[int, float]] = []
-    bad = 0
-    total = 0
+    stamps, powers = [], []
     text = read_text(path, "consumption CSV")
     for line in _csv_rows(csv.reader(io.StringIO(text, newline="")), path):
         if not line or not "".join(line).strip():
             continue
-        total += 1
         try:
-            ts = parse_timestamp(line[0], utc_offset_hours)
-            power = float(line[1])
-        except (ValueError, IndexError, OverflowError):
-            # header line or junk
-            bad += 1
-            continue
-        if not abs(power) < MAX_VALUE:   # also NaN
-            bad += 1
-            continue
-        rows.append((ts, power))
+            powers.append(float(line[1]))
+        except (ValueError, IndexError):   # header line or junk
+            powers.append(math.nan)
+        stamps.append(line[0])
+    ts, ok = parse_timestamps(stamps, utc_offset_hours)
+    powers = np.array(powers)
+    ok &= np.abs(powers) < MAX_VALUE   # also NaN
+    order = np.argsort(ts[ok], kind="stable")
+    ts, powers = ts[ok][order], powers[ok][order]
+    bad = len(stamps) - len(ts)
     if report is not None:
-        report.rows_parsed += len(rows)
+        report.rows_parsed += len(ts)
         report.rows_malformed += bad
-    if not rows:
+        report.rows_duplicate += int(np.count_nonzero(np.diff(ts) == 0))
+        report.rows_off_grid += int(np.count_nonzero(ts % step))
+    if not len(ts):
         raise DataError(f"{path}: no parseable rows")
-    if bad > total / 2:
-        raise DataError(f"{path}: {bad}/{total} rows malformed")
-    rows.sort(key=lambda r: r[0])
-    start = rows[0][0] - rows[0][0] % step
-    n = (rows[-1][0] - start) // step + 1
+    if bad > len(stamps) / 2:
+        raise DataError(f"{path}: {bad}/{len(stamps)} rows malformed")
+    start = int(ts[0]) - int(ts[0]) % step
+    n = (int(ts[-1]) - start) // step + 1
     # checked before allocating: a mistyped year would ask for the span
-    if n > MAX_SLOTS_PER_ROW * len(rows):
-        first, last = (_timestamp_text(rows[i][0], utc_offset_hours)
-                       for i in (0, -1))
-        raise DataError(f"{path}: {len(rows)} rows from {first} to {last} "
+    if n > MAX_SLOTS_PER_ROW * len(ts):
+        first, last = (_timestamp_text(int(ts[i]), utc_offset_hours) for i in (0, -1))
+        raise DataError(f"{path}: {len(ts)} rows from {first} to {last} "
                         f"span {n} slots, over {MAX_SLOTS_PER_ROW} per row; "
                         "is a timestamp mistyped?")
+    negative = powers < 0
+    slots, powers = (ts[~negative] - start) // step, powers[~negative]
+    # the last reading of a slot in time order, file order among equal times
+    last = np.append(slots[1:] != slots[:-1], True)
     values = np.full(n, np.nan)
-    negatives = 0
-    for ts, power in rows:
-        i = (ts - start) // step
-        if power < 0:
-            negatives += 1
-            continue
-        values[i] = power
+    values[slots[last]] = powers[last]
     if report is not None:
-        report.negatives_dropped += negatives
+        report.negatives_dropped += int(negative.sum())
     return TimeSeries(start=int(start), step=step, values=values)
 
 
@@ -363,14 +383,11 @@ def load_weather(path) -> WeatherTable:
     missing = [c for c in WEATHER_COLUMNS if c not in header]
     if missing:
         raise DataError(f"{path}: missing weather columns {missing}")
-    times, summary, icon, numeric = [], [], [], []
+    cells_of_time, line_nums, summary, icon, numeric = [], [], [], [], []
     for cells in filter(None, lines):   # blank lines are skipped
         row = dict(zip_longest(header, cells, fillvalue=""))
-        try:
-            times.append(parse_timestamp(row["time"]))
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"{path}: row {reader.line_num}: bad time "
-                            f"{row['time']!r}") from exc
+        cells_of_time.append(row["time"])
+        line_nums.append(reader.line_num)
         summary.append(row["summary"].strip())
         icon.append(row["icon"].strip())
         vals = []
@@ -382,11 +399,15 @@ def load_weather(path) -> WeatherTable:
                 value = np.nan
             vals.append(value if abs(value) < MAX_VALUE else np.nan)
         numeric.append(vals)
-    if not times:
+    times, ok = parse_timestamps(cells_of_time)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DataError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
+    if not len(times):
         raise DataError(f"{path}: empty weather file")
     order = np.argsort(times)
     return WeatherTable(
-        times=np.asarray(times, dtype=np.int64)[order],
+        times=times[order],
         summary=tuple(summary[i] for i in order),
         icon=tuple(icon[i] for i in order),
         numeric=np.asarray(numeric)[order],

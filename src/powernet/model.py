@@ -174,9 +174,7 @@ class _LstmTrace:
     [x_t; h_{t-1}; 1] of the step's one product with ``w``, ``gate[t]``
     (5m, B) holds the activated gates [i; f; o; g] above c_{t-1}, so that
     i*g and f*c_{t-1} are one product, and ``tanh_c[t]`` is tanh(c_t);
-    ``prod`` is scratch for [i*g; f*c_{t-1}]. The (T, B, m) views ``i``,
-    ``f``, ``g``, ``o``, ``c_prev``, ``c`` and ``tanh_c`` read a training
-    trace by t.
+    ``prod`` is scratch for [i*g; f*c_{t-1}].
     """
 
     def __init__(self, layer: LstmLayerParams, steps: int, B: int,
@@ -189,7 +187,7 @@ class _LstmTrace:
         self.m, self.n_in = m, n_in
         w_op = n_in + m + 1
         fields = [("op", (steps, w_op, B)), ("gate", (steps, 5 * m, B)),
-                  ("_tanh_c", (max(steps - 1, 1), m, B)), ("prod", (2 * m, B)),
+                  ("tanh_c", (max(steps - 1, 1), m, B)), ("prod", (2 * m, B)),
                   ("w", (4 * m, w_op))]
         if train:
             chunk = min(steps - 1, _BPTT_CHUNK)
@@ -221,27 +219,17 @@ class _LstmTrace:
         _copy_gates(w[:, -1], layer.b, m)
         w[:3 * m] *= 0.5
 
-    i = property(lambda s: s.gate[:-1, :s.m].transpose(0, 2, 1))
-    f = property(lambda s: s.gate[:-1, s.m:2 * s.m].transpose(0, 2, 1))
-    o = property(lambda s: s.gate[:-1, 2 * s.m:3 * s.m].transpose(0, 2, 1))
-    g = property(lambda s: s.gate[:-1, 3 * s.m:4 * s.m].transpose(0, 2, 1))
-    c_prev = property(lambda s: s.gate[:-1, 4 * s.m:].transpose(0, 2, 1))
-    c = property(lambda s: s.gate[1:, 4 * s.m:].transpose(0, 2, 1))
-    tanh_c = property(lambda s: s._tanh_c.transpose(0, 2, 1))
-
 
 @dataclass
 class ForwardTrace:
     """Everything the backward pass needs from one forward evaluation."""
 
     layers: list            # _LstmTrace per stacked layer
-    h_final: np.ndarray     # (B, m)
     u: np.ndarray           # (B, 18) MLP input
     s1: np.ndarray
     a1d: np.ndarray
     s2: np.ndarray
-    z: np.ndarray           # (B, m + d2) head input
-    zd: np.ndarray
+    zd: np.ndarray          # (B, m + d2) head input after dropout
     s3: np.ndarray
     rd: np.ndarray
     mask2: np.ndarray | None
@@ -259,7 +247,7 @@ def _step_arrays(traces: list) -> list:
         m, gate = tr.m, tr.gate
         arrays.append((tr.w, tr.op, gate[:, :4 * m], gate[:, :3 * m],
                        gate[:, :2 * m], gate[:, 3 * m:], tr.prod, tr.prod[:m],
-                       tr.prod[m:], gate[:, 4 * m:], tr._tanh_c,
+                       tr.prod[m:], gate[:, 4 * m:], tr.tanh_c,
                        gate[:, 2 * m:3 * m], tr.op[:, tr.n_in:-1],
                        traces[k + 1].op[:, :m] if k + 1 < len(traces) else None))
     return arrays
@@ -301,7 +289,7 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
     (2 sigma (1 - sigma) = 2 (s - s^2) for i, f and o, 1 - g^2 for g) and
     o (1 - tanh(c)^2) are taken ``_BPTT_CHUNK`` steps at a time.
     """
-    T = len(traces[0]._tanh_c)
+    T = len(traces[0].tanh_c)
     m = dh_final.shape[1]
     chunk = len(traces[0].deriv)
     for tr in traces:
@@ -319,7 +307,7 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
                 np.subtract(gate[:, :3 * m], d[:, :3 * m], out=d[:, :3 * m])
                 np.multiply(d[:, :3 * m], 2.0, out=d[:, :3 * m])
                 np.subtract(1.0, d[:, 3 * m:], out=d[:, 3 * m:])
-                tanh_c = tr._tanh_c[t - j:t + 1]
+                tanh_c = tr.tanh_c[t - j:t + 1]
                 np.multiply(tanh_c, tanh_c, out=e)
                 np.subtract(1.0, e, out=e)
                 np.multiply(e, gate[:, 2 * m:3 * m], out=e)
@@ -334,7 +322,7 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
             # [dc g; dc c_prev; dh tanh(c); dc i] times the derivatives
             np.multiply(dc, gate[3 * m:].reshape(2, m, -1),
                         out=dz[:2 * m].reshape(2, m, -1))
-            np.multiply(dh, tr._tanh_c[t], out=dz[2 * m:3 * m])
+            np.multiply(dh, tr.tanh_c[t], out=dz[2 * m:3 * m])
             np.multiply(dc, gate[:m], out=dz[3 * m:])
             np.multiply(dz, tr.deriv[j], out=dz)
             np.multiply(dc, gate[m:2 * m], out=dc)   # dc for step t - 1
@@ -374,14 +362,14 @@ def _fusion(fw, fc, B: int, p: PowerNetParams, mask2=None):
 def _head(h_final: np.ndarray, o: np.ndarray, p: PowerNetParams,
           mask3=None, mask4=None):
     """The regression head over the LSTM state (B, m) and the fusion
-    encoding (B, d2); returns (z, zd, s3, rd, yhat (B,)). ``mask3`` and
+    encoding (B, d2); returns (zd, s3, rd, yhat (B,)). ``mask3`` and
     ``mask4`` are the dropout masks on the inputs of w3 and w4, or None."""
     z = np.concatenate([h_final, o], axis=1)
     zd = z * mask3 if mask3 is not None else z
     s3 = zd @ p.w3.T + p.b3
     r = relu(s3)
     rd = r * mask4 if mask4 is not None else r
-    return z, zd, s3, rd, rd @ p.w4 + p.b4
+    return zd, s3, rd, rd @ p.w4 + p.b4
 
 
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
@@ -428,10 +416,9 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
         _lstm_step(arrays, keep * t, keep * (t + 1))
     top = traces[-1]
     h_final = top.op[keep * T, top.n_in:-1].T
-    z, zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
-    trace = (ForwardTrace(layers=traces, h_final=h_final, u=u, s1=s1,
-                          a1d=a1d, s2=s2, z=z, zd=zd, s3=s3, rd=rd,
-                          mask2=mask2, mask3=mask3, mask4=mask4)
+    zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
+    trace = (ForwardTrace(layers=traces, u=u, s1=s1, a1d=a1d, s2=s2, zd=zd,
+                          s3=s3, rd=rd, mask2=mask2, mask3=mask3, mask4=mask4)
              if train else None)
     return yhat, trace
 
@@ -533,17 +520,29 @@ def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
 
 def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
                        seed: int) -> str:
+    """The checkpoint as ``json.dumps(doc, indent=1, sort_keys=True,
+    allow_nan=False)`` writes it. Each parameter's data is one join of
+    ``float.__repr__`` (json's float format) put in place of a null: the
+    only nulls after the top-level params key, the one line that is a
+    newline, one space and "params"."""
+    if not np.isfinite(p.vec).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_type": "powernet",
         "hyperparameters": hyper,
         "seed": seed,
         "feature_spec": feature_spec,
-        "params": {name: {"shape": list(a.shape), "data": a.ravel().tolist()}
+        "params": {name: {"shape": list(a.shape), "data": None}
                    for name, a in p.arrays()},
         "stack": len(p.lstm),
     }
-    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    before, key, after = text.partition('\n "params": ')
+    head, *parts = after.split('"data": null')
+    data = ('"data": [\n    ' + ",\n    ".join(map(float.__repr__, a.ravel().tolist()))
+            + "\n   ]" for _, a in sorted(p.arrays(), key=lambda e: e[0]))
+    return before + key + head + "".join(d + part for d, part in zip(data, parts))
 
 
 def checkpoint_from_json(text: str):

@@ -14,12 +14,12 @@ import os
 import numpy as np
 
 from .dataio import (
+    DEFAULT_UTC_OFFSET_HOURS,
     HOUR,
     AlignedDataset,
     TimeSeries,
     WeatherTable,
     WEATHER_NUMERIC_COLUMNS,
-    format_timestamp,
     parse_timestamp,
 )
 
@@ -115,36 +115,39 @@ def make_sinusoid_dataset(days: int, seed: int = 0, noise_frac: float = 0.05,
     return AlignedDataset(hours=hours, kw=np.maximum(kw, 0.01), weather=weather)
 
 
+def _local_times(epochs: np.ndarray) -> list:
+    """``format_timestamp`` of every epoch, in one numpy call."""
+    local = epochs + round(3600 * DEFAULT_UTC_OFFSET_HOURS)
+    return np.datetime_as_string(local.astype("datetime64[s]")).tolist()
+
+
 def write_weather_csv(path, w: WeatherTable):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "summary", "icon"] + WEATHER_NUMERIC_COLUMNS)
-        for i in range(len(w)):
-            writer.writerow([format_timestamp(int(w.times[i])),
-                             w.summary[i], w.icon[i]]
-                            + [f"{v:.6g}" for v in w.numeric[i]])
+        writer.writerows([t, s, i] + [f"{v:.6g}" for v in row] for t, s, i, row
+                         in zip(_local_times(w.times), w.summary, w.icon, w.numeric.tolist()))
 
 
 def write_consumption_csv(path, hourly: TimeSeries, fmt: str, rng):
     """Expand an hourly series to the recording resolution and write it.
 
     Sub-hour readings vary around the hourly value with zero-sum jitter, so
-    the hourly mean round-trips exactly up to float error.
+    the hourly mean round-trips exactly up to float error. One draw takes
+    the jitter of every present hour, in the order of one draw per hour.
     """
     per = {"per_minute": 60, "per_quarter_hour": 4}[fmt]
-    step = HOUR // per
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i, value in enumerate(hourly.values):
-            if np.isnan(value):
-                continue
-            jitter = rng.normal(0, 0.02 * max(value, 0.05), per)
-            jitter -= jitter.mean()
-            base_ts = hourly.timestamp(i)
-            for j in range(per):
-                reading = max(value + jitter[j], 0.0)
-                writer.writerow([format_timestamp(base_ts + j * step),
-                                 f"{reading:.6f}"])
+    present = np.flatnonzero(~np.isnan(hourly.values))
+    value = hourly.values[present]
+    # np.where(floor > x, floor, x) is Python's max(x, floor), bit for bit
+    jitter = rng.normal(0, 0.02 * np.where(0.05 > value, 0.05, value)[:, None],
+                        (len(present), per))
+    jitter -= jitter.mean(axis=1, keepdims=True)
+    reading = (value[:, None] + jitter).ravel()
+    stamps = (hourly.timestamps[present, None] + HOUR // per * np.arange(per)).ravel()
+    rows = zip(_local_times(stamps), np.where(0.0 > reading, 0.0, reading).tolist())
+    with open(path, "w", newline="") as fh:   # rows end in \r\n, as csv.writer's
+        fh.write("".join(f"{t},{r:.6f}\r\n" for t, r in rows))
 
 
 def write_fixture_dir(out_dir, days: int, apartments: int = 3, seed: int = 0,

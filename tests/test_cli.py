@@ -212,6 +212,7 @@ class TestSynthIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["aligned_hours"] == 72
         assert report["rows_malformed"] == 0
+        assert report["rows_duplicate"] == report["rows_off_grid"] == 0
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         rc = main(["ingest", "--consumption", "nope.csv",

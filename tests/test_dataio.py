@@ -58,6 +58,16 @@ class TestLoadConsumption:
         assert np.all(np.isfinite(s.values[[0, 4, 5, 6]]))
         assert np.isnan(s.values[[1, 2, 3]]).all()
 
+    def test_duplicate_and_off_grid_rows_are_counted(self, tmp_path):
+        # 60 repeats a time and the later row wins; 150 lies between grid
+        # times and is floored onto 120
+        report = dataio.IngestReport()
+        rows = ["0,1.0", "60,2.0", "60,3.0", "150,4.0", "180,5.0", "240,6.0"]
+        s = load_consumption(write_csv(tmp_path / "a.csv", rows), "per_minute",
+                             report=report)
+        assert (report.rows_parsed, report.rows_duplicate, report.rows_off_grid) == (6, 1, 1)
+        assert s.values.tolist() == [1.0, 3.0, 4.0, 5.0, 6.0]
+
     def test_negative_becomes_gap(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["0,1.0", "60,-0.5"])
         s = load_consumption(path, "per_minute")

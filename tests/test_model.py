@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ def reference_lstm_step(x_t, h_prev, c_prev, layer):
     return h_t, c_t
 
 
+def gates(tr):
+    """The (T, B, m) views, by time step, of a training trace's gates i, f,
+    o and g, of c_{t-1} and c_t and of tanh(c_t)."""
+    m = tr.m
+    by_t = {"i": tr.gate[:-1, :m], "f": tr.gate[:-1, m:2 * m],
+            "o": tr.gate[:-1, 2 * m:3 * m], "g": tr.gate[:-1, 3 * m:4 * m],
+            "c_prev": tr.gate[:-1, 4 * m:], "c": tr.gate[1:, 4 * m:],
+            "tanh_c": tr.tanh_c}
+    return SimpleNamespace(**{k: v.transpose(0, 2, 1) for k, v in by_t.items()})
+
+
+def h_final(trace):
+    """The top LSTM layer's last hidden state (B, m) in a training trace."""
+    top = trace.layers[-1]
+    return top.op[-1, top.n_in:-1].T
+
+
 def forward_one(E, fw, fc, p, train=True, **kwargs):
     """forward_batch on one example (B=1); returns (yhat, trace). Train
     mode by default, so that the trace is recorded."""
@@ -49,13 +67,13 @@ def forward_one(E, fw, fc, p, train=True, **kwargs):
 
 def encode_one(E, p):
     """Final hidden state of the top LSTM layer for one window."""
-    return forward_one(E, np.zeros(13), np.zeros(5), p)[1].h_final[0]
+    return h_final(forward_one(E, np.zeros(13), np.zeros(5), p)[1])[0]
 
 
 def fuse_one(fw, fc, p):
     """Output of the weather/calendar MLP for one example."""
     trace = forward_one(np.zeros(1), fw, fc, p)[1]
-    return trace.z[0, p.m:]
+    return trace.zd[0, p.m:]
 
 
 class TestLstmStep:
@@ -69,7 +87,7 @@ class TestLstmStep:
         layer.b[2 * m:3 * m] = [1.0, -2.0, 0.5]
         g = np.tanh(layer.b[2 * m:3 * m])
         _, trace = forward_one([0.7, -0.3, 0.2], np.zeros(13), np.zeros(5), p)
-        tr0 = trace.layers[0]
+        tr0 = gates(trace.layers[0])
         for t in range(3):
             c_prev = tr0.c_prev[t][0]
             assert np.allclose(tr0.c[t][0], 0.5 * c_prev + 0.5 * g, atol=1e-12)
@@ -88,8 +106,8 @@ class TestLstmStep:
         g = np.tanh(1.0)
         c_expected = s1 * g
         h_expected = s1 * np.tanh(c_expected)
-        assert abs(trace.layers[0].c[0][0, 0] - c_expected) < 1e-12
-        assert abs(trace.h_final[0, 0] - h_expected) < 1e-12
+        assert abs(gates(trace.layers[0]).c[0][0, 0] - c_expected) < 1e-12
+        assert abs(h_final(trace)[0, 0] - h_expected) < 1e-12
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(1)
@@ -100,7 +118,7 @@ class TestLstmStep:
         with np.errstate(over="ignore"):   # saturated gates overflow exp
             _, trace = forward_one(rng.normal(size=4) * 100, np.zeros(13),
                                    np.zeros(5), p)
-        tr0 = trace.layers[0]
+        tr0 = gates(trace.layers[0])
         for t in range(4):
             assert np.all(np.abs(tr0.o[t] * tr0.tanh_c[t]) < 1.0)
 
@@ -129,7 +147,7 @@ class TestEncode:
                     h, c = reference_lstm_step(x, h, c, layer)
                     hs.append(h)
                 xs = hs
-            assert np.allclose(trace.h_final[b], xs[-1], atol=1e-12)
+            assert np.allclose(h_final(trace)[b], xs[-1], atol=1e-12)
 
     def test_order_sensitivity(self):
         p = small_params()
@@ -157,7 +175,8 @@ class TestEncode:
                                train=True)
         for layer in range(2):
             for t in range(5):
-                assert np.allclose(tr1.layers[layer].c[t], tr2.layers[layer].c[t])
+                assert np.allclose(gates(tr1.layers[layer]).c[t],
+                                   gates(tr2.layers[layer]).c[t])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ShapeError):
@@ -181,7 +200,7 @@ class TestFusedStep:
         assert np.array_equal(y_infer, forward_batch(E, FW, FC, p, train=True)[0])
         for b in range(B):
             xs = list(E[b])
-            for layer, tr in zip(p.lstm, trace.layers):
+            for layer, tr in zip(p.lstm, map(gates, trace.layers)):
                 h, c = np.zeros(p.m), np.zeros(p.m)
                 hs = []
                 for t, x in enumerate(xs):
@@ -189,7 +208,7 @@ class TestFusedStep:
                     assert np.allclose(tr.c[t][b], c, rtol=0, atol=1e-12)
                     hs.append(h)
                 xs = hs
-            assert np.allclose(trace.h_final[b], xs[-1], rtol=0, atol=1e-12)
+            assert np.allclose(h_final(trace)[b], xs[-1], rtol=0, atol=1e-12)
 
     def test_gates_equal_the_logistic_function(self):
         # one unit whose every gate sees z = x; sigmoid is 1/2 + tanh(z/2)/2
@@ -201,7 +220,7 @@ class TestFusedStep:
         z = np.linspace(-40.0, 40.0, 8001)
         _, trace = forward_batch(z[:, None], np.zeros((z.size, 13)),
                                  np.zeros((z.size, 5)), p, train=True)
-        tr = trace.layers[0]
+        tr = gates(trace.layers[0])
         for gate in (tr.i, tr.f, tr.o):
             assert np.abs(gate[0][:, 0] - sigmoid(z)).max() <= 1e-15
         assert np.array_equal(tr.g[0][:, 0], np.tanh(z))
@@ -275,8 +294,8 @@ class TestPredictHead:
         rng = np.random.default_rng(6)
         y, trace = forward_one(rng.normal(size=4), rng.normal(size=13),
                                rng.normal(size=5), p)
-        z = trace.z[0]
-        assert np.array_equal(z[:p.m], trace.h_final[0])
+        z = trace.zd[0]   # no dropout: the head's input itself
+        assert np.array_equal(z[:p.m], h_final(trace)[0])
         r = [max(sum(p.w3[i, j] * z[j] for j in range(len(z))) + p.b3[i], 0)
              for i in range(p.w3.shape[0])]
         expected = sum(p.w4[i] * r[i] for i in range(len(r))) + p.b4
