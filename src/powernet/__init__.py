@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``numcore``: activations and finite-difference gradient checking
+- ``numcore``: activations and the rule-table checker for outside documents
 - ``dataio``: CSV ingestion, hourly resampling, aggregation, alignment
 - ``features``: ACF window selection, weather/calendar vectors, example sets
 - ``model``: stacked-LSTM + MLP network with exact hand-derived gradients,

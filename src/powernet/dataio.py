@@ -18,7 +18,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import zip_longest
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -368,13 +369,27 @@ def fill_gaps(s: TimeSeries, max_run: int = 3) -> TimeSeries:
     return replace(s, values=values)
 
 
+def _floats(cells: list) -> np.ndarray:
+    """``float()`` of every cell, NaN where it refuses one."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:   # junk somewhere: cell by cell
+        out = []
+        for cell in cells:
+            try:
+                out.append(float(cell))
+            except ValueError:
+                out.append(math.nan)
+        return np.array(out)
+
+
 def load_weather(path) -> WeatherTable:
     """Load the hourly weather CSV; the exact header row is required.
 
-    A cell missing from a short row reads as empty. A ``time`` cell that is
-    not a timestamp is a hard error naming the row; an unparseable numeric
-    cell, or one not below MAX_VALUE in magnitude, is stored as NaN
-    (missing).
+    A cell missing from a short row reads as empty, and a repeated column
+    name reads its last column. A ``time`` cell that is not a timestamp is
+    a hard error naming the row; an unparseable numeric cell, or one not
+    below MAX_VALUE in magnitude, is stored as NaN (missing).
     """
     text = read_text(path, "weather CSV")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -383,34 +398,30 @@ def load_weather(path) -> WeatherTable:
     missing = [c for c in WEATHER_COLUMNS if c not in header]
     if missing:
         raise DataError(f"{path}: missing weather columns {missing}")
-    cells_of_time, line_nums, summary, icon, numeric = [], [], [], [], []
-    for cells in filter(None, lines):   # blank lines are skipped
-        row = dict(zip_longest(header, cells, fillvalue=""))
-        cells_of_time.append(row["time"])
-        line_nums.append(reader.line_num)
-        summary.append(row["summary"].strip())
-        icon.append(row["icon"].strip())
-        vals = []
-        for col in WEATHER_NUMERIC_COLUMNS:
-            raw = row[col].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                value = np.nan
-            vals.append(value if abs(value) < MAX_VALUE else np.nan)
-        numeric.append(vals)
+    numbered = [(reader.line_num, cells) for cells in lines if cells]   # blank lines are skipped
+    if not numbered:
+        raise DataError(f"{path}: empty weather file")
+    line_nums, rows = zip(*numbered)
+    width = len(header)
+    rows = [cells if len(cells) >= width else cells + [""] * (width - len(cells))
+            for cells in rows]
+    column = {name: i for i, name in enumerate(header)}   # the last of a repeated name
+    cells_of_time, summary, icon = zip(*map(itemgetter(
+        column["time"], column["summary"], column["icon"]), rows))
+    pick = itemgetter(*[column[c] for c in WEATHER_NUMERIC_COLUMNS])
+    cells = list(map(str.strip, chain.from_iterable(map(pick, rows))))
+    numeric = _floats(cells).reshape(len(rows), len(WEATHER_NUMERIC_COLUMNS))
+    numeric[~(np.abs(numeric) < MAX_VALUE)] = np.nan   # also NaN
     times, ok = parse_timestamps(cells_of_time)
     if not ok.all():
         k = int(np.argmin(ok))
         raise DataError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
-    if not len(times):
-        raise DataError(f"{path}: empty weather file")
     order = np.argsort(times)
     return WeatherTable(
         times=times[order],
-        summary=tuple(summary[i] for i in order),
-        icon=tuple(icon[i] for i in order),
-        numeric=np.asarray(numeric)[order],
+        summary=tuple(summary[i].strip() for i in order.tolist()),
+        icon=tuple(icon[i].strip() for i in order.tolist()),
+        numeric=numeric[order],
     )
 
 

@@ -79,9 +79,10 @@ def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
     history = spec.normalize_kw(d.kw[start_row - spec.window_len:start_row])
     fw = weather_features(d.weather.rows(rows), spec)
     fc = calendar_features(d.hours[rows], spec)
-    yhat = forward_recursive(
-        history, fw, fc, p,
-        lambda y: spec.normalize_kw(max(float(spec.denormalize_kw(y)), 0.0)))
+    mean, std = float(spec.cons_mean), float(spec.cons_std)
+    # normalize_kw(max(denormalize_kw(y), 0)): the same IEEE operations on floats
+    yhat = forward_recursive(history, fw, fc, p,
+                             lambda y: (max(float(y) * std + mean, 0.0) - mean) / std)
     return _report("recursive", d, rows,
                    np.maximum(spec.denormalize_kw(yhat), 0.0))
 

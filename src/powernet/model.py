@@ -22,7 +22,8 @@ one set of those arrays, with the backward pass's scratch, and reuses it
 for every batch. ``backward_batch`` makes one product per layer-step for
 [dW_x | dW_h | db] and one for [dx; dh]. Inference (``train=False``) and
 ``forward_recursive`` run the same step on one step of those arrays,
-holding only the current state, so memory does not grow with the window;
+holding only the current state, so memory does not grow with the window,
+and bind that step's views once per call instead of once per step;
 inference returns ``(yhat, None)``, bitwise equal to train mode at
 dropout 0.
 
@@ -237,41 +238,40 @@ class ForwardTrace:
     mask4: np.ndarray | None
 
 
-def _step_arrays(traces: list) -> list:
-    """Per layer, the arrays ``_lstm_step`` works on, each indexed by step:
-    the weights, the operand, the gate block and its parts, the prod
-    scratch and its halves, c, tanh(c), o, h, and the x rows of the layer
-    above (None for the top layer)."""
-    arrays = []
+def _step_views(traces: list, t: int = 0, t_next: int = 0) -> list:
+    """Per layer, the views ``_lstm_step`` works on for one time step that
+    reads the operand and gates of step t and writes c_t and h_t into step
+    t_next: the weights, the operand, the gate block and its parts, the
+    prod scratch and its halves, c, tanh(c), o, h, and the x rows of the
+    layer above at step t (None for the top layer). Training binds them
+    for every step with t_next = t + 1 and so keeps every step; inference
+    binds them once with t = t_next = 0 and works in place."""
+    views = []
     for k, tr in enumerate(traces):
-        m, gate = tr.m, tr.gate
-        arrays.append((tr.w, tr.op, gate[:, :4 * m], gate[:, :3 * m],
-                       gate[:, :2 * m], gate[:, 3 * m:], tr.prod, tr.prod[:m],
-                       tr.prod[m:], gate[:, 4 * m:], tr.tanh_c,
-                       gate[:, 2 * m:3 * m], tr.op[:, tr.n_in:-1],
-                       traces[k + 1].op[:, :m] if k + 1 < len(traces) else None))
-    return arrays
+        m, gate, prod = tr.m, tr.gate, tr.prod
+        views.append((tr.w, tr.op[t], gate[t, :4 * m], gate[t, :3 * m],
+                      gate[t, :2 * m], gate[t, 3 * m:], prod, prod[:m], prod[m:],
+                      gate[t_next, 4 * m:], tr.tanh_c[t], gate[t, 2 * m:3 * m],
+                      tr.op[t_next, tr.n_in:-1],
+                      traces[k + 1].op[t, :m] if k + 1 < len(traces) else None))
+    return views
 
 
-def _lstm_step(arrays: list, t: int = 0, t_next: int = 0):
-    """Advance every layer one time step on the arrays of ``_step_arrays``:
-    read the operand and gates of step t, write c_t and h_t into step
-    t_next and h_t into the x rows of the layer above at step t. Training
-    passes t_next = t + 1 and so keeps every step; inference passes
-    t = t_next = 0 and works in place. The caller has written layer 0's
-    input into the x row of its operand."""
-    for w, op, z, s, i_f, g_c, prod, ig, fc, c, tanh_c, o, h, x_next in arrays:
-        z_t, s_t, c_t, tanh_c_t, h_t = z[t], s[t], c[t_next], tanh_c[t], h[t_next]
-        np.matmul(w, op[t], out=z_t)
-        np.tanh(z_t, out=z_t)
-        np.multiply(s_t, 0.5, out=s_t)      # the sigmoids, from the halved rows
-        np.add(s_t, 0.5, out=s_t)
-        np.multiply(i_f[t], g_c[t], out=prod)
-        np.add(ig, fc, out=c_t)
-        np.tanh(c_t, out=tanh_c_t)
-        np.multiply(o[t], tanh_c_t, out=h_t)
+def _lstm_step(views: list):
+    """Advance every layer one time step on the views of ``_step_views``,
+    writing h into the x rows of the layer above. The caller has written
+    layer 0's input into the x row of its operand."""
+    for w, op, z, s, i_f, g_c, prod, ig, fc, c, tanh_c, o, h, x_next in views:
+        np.matmul(w, op, out=z)
+        np.tanh(z, out=z)
+        np.multiply(s, 0.5, out=s)      # the sigmoids, from the halved rows
+        np.add(s, 0.5, out=s)
+        np.multiply(i_f, g_c, out=prod)
+        np.add(ig, fc, out=c)
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
         if x_next is not None:
-            x_next[t] = h_t
+            x_next[...] = h
 
 
 def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
@@ -359,17 +359,21 @@ def _fusion(fw, fc, B: int, p: PowerNetParams, mask2=None):
     return u, s1, a1d, s2, relu(s2)
 
 
-def _head(h_final: np.ndarray, o: np.ndarray, p: PowerNetParams,
-          mask3=None, mask4=None):
-    """The regression head over the LSTM state (B, m) and the fusion
-    encoding (B, d2); returns (zd, s3, rd, yhat (B,)). ``mask3`` and
-    ``mask4`` are the dropout masks on the inputs of w3 and w4, or None."""
-    z = np.concatenate([h_final, o], axis=1)
+def _head(z: np.ndarray, p: PowerNetParams, mask3=None, mask4=None, out=None):
+    """The regression head over z = [h | o], the LSTM state (B, m) beside
+    the fusion encoding (B, d2); returns (zd, s3, rd, yhat (B,)).
+    ``mask3`` and ``mask4`` are the dropout masks on the inputs of w3 and
+    w4, or None. ``out``, a (B, d3) and a (B,) buffer, takes s3, then
+    relu(s3) in its place, and yhat, for a caller that reads only yhat."""
     zd = z * mask3 if mask3 is not None else z
-    s3 = zd @ p.w3.T + p.b3
-    r = relu(s3)
+    s3, y = out or (None, None)
+    s3 = np.matmul(zd, p.w3.T, out=s3)
+    s3 += p.b3
+    r = np.maximum(s3, 0.0, out=None if out is None else s3)
     rd = r * mask4 if mask4 is not None else r
-    return zd, s3, rd, rd @ p.w4 + p.b4
+    y = np.matmul(rd, p.w4, out=y)
+    y += p.b4
+    return zd, s3, rd, y
 
 
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
@@ -410,13 +414,14 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
         traces = _training_traces(p.lstm, B, T, workspace)
     else:       # every time step reads and overwrites the one trace step
         traces = [_LstmTrace(layer, 1, B) for layer in p.lstm]
-    arrays, x, keep = _step_arrays(traces), traces[0].op[:, 0], int(train)
+    x, keep = traces[0].op[:, 0], int(train)
+    views = None if train else _step_views(traces)
     for t in range(T):
         x[keep * t] = E[:, t]
-        _lstm_step(arrays, keep * t, keep * (t + 1))
+        _lstm_step(views or _step_views(traces, t, t + 1))
     top = traces[-1]
-    h_final = top.op[keep * T, top.n_in:-1].T
-    zd, s3, rd, yhat = _head(h_final, o, p, mask3, mask4)
+    z = np.concatenate([top.op[keep * T, top.n_in:-1].T, o], axis=1)
+    zd, s3, rd, yhat = _head(z, p, mask3, mask4)
     trace = (ForwardTrace(layers=traces, u=u, s1=s1, a1d=a1d, s2=s2, zd=zd,
                           s3=s3, rd=rd, mask2=mask2, mask3=mask3, mask4=mask4)
              if train else None)
@@ -458,25 +463,28 @@ def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     advances every column, and the window that has read its n inputs goes
     to the head. The fusion MLP runs once over the whole horizon.
     """
-    n, horizon = len(history), len(fw)
-    o = _fusion(fw, fc, horizon, p)[-1]
+    n, horizon, m = len(history), len(fw), p.m
+    z = np.empty((horizon, m + p.w2.shape[0]))   # [h | o] per hour
+    z[:, m:] = _fusion(fw, fc, horizon, p)[-1]
+    out = (np.empty((1, p.w3.shape[0])), np.empty(1))
     yhat = np.empty(horizon)
     ring = min(n, horizon)   # windows j >= horizon are never started
     traces = [_LstmTrace(layer, 1, ring) for layer in p.lstm]
-    arrays = _step_arrays(traces)
-    state = [(tr.op[0, tr.n_in:-1], tr.gate[0, 4 * tr.m:]) for tr in traces]  # (h, c)
-    x = traces[0].op[0, 0]
+    views, x = _step_views(traces), traces[0].op[0, 0]
+    # per ring column, the h and c of every layer, the top layer's last
+    columns = [[a[:, r] for tr in traces
+                for a in (tr.op[0, tr.n_in:-1], tr.gate[0, 4 * tr.m:])]
+               for r in range(ring)]
     for step in range(n + horizon - 1):
         if step < horizon:   # window `step` starts from a zero state
-            for h, c in state:
-                h[:, step % n] = 0.0
-                c[:, step % n] = 0.0
+            for a in columns[step % n]:
+                a.fill(0.0)
         x[...] = history[step] if step < n else fed
-        _lstm_step(arrays)
+        _lstm_step(views)
         done = step - n + 1          # the window that has read n inputs
         if done >= 0:
-            r = done % n
-            yhat[done] = _head(state[-1][0][:, r:r + 1].T, o[done:done + 1], p)[-1][0]
+            z[done, :m] = columns[done % n][-2]   # the top layer's h
+            yhat[done] = _head(z[done:done + 1], p, out=out)[-1][0]
             fed = feed(yhat[done])   # the input of the next step
     return yhat
 

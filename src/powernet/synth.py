@@ -101,20 +101,6 @@ def make_aligned_dataset(days: int, seed: int = 0,
     return AlignedDataset(hours=hours, kw=kw, weather=weather)
 
 
-def make_sinusoid_dataset(days: int, seed: int = 0, noise_frac: float = 0.05,
-                          offset: float = 2.0, amplitude: float = 1.0,
-                          start: str = DEFAULT_START) -> AlignedDataset:
-    """Pure period-24 sinusoid plus noise (sigma = noise_frac * amplitude);
-    weather is generated but carries no signal about the target."""
-    rng = np.random.default_rng(seed)
-    t0 = parse_timestamp(start)
-    hours = t0 + HOUR * np.arange(days * 24, dtype=np.int64)
-    weather = make_weather(hours, rng)
-    phase = 2 * np.pi * np.arange(days * 24) / 24
-    kw = offset + amplitude * np.sin(phase) + rng.normal(0, noise_frac * amplitude, days * 24)
-    return AlignedDataset(hours=hours, kw=np.maximum(kw, 0.01), weather=weather)
-
-
 def _local_times(epochs: np.ndarray) -> list:
     """``format_timestamp`` of every epoch, in one numpy call."""
     local = epochs + round(3600 * DEFAULT_UTC_OFFSET_HOURS)

@@ -1,13 +1,18 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against,
+the finite-difference gradient checker, and a test-only dataset."""
 
 import csv
+from itertools import zip_longest
 
 import numpy as np
 
 from powernet.dataio import (
     DEFAULT_UTC_OFFSET_HOURS, HOUR, MAX_SLOTS_PER_ROW, MAX_VALUE, STEP_OF_FORMAT,
-    DataError, TimeSeries, format_timestamp, parse_timestamp,
+    WEATHER_COLUMNS, WEATHER_NUMERIC_COLUMNS, AlignedDataset, DataError, TimeSeries,
+    WeatherTable, format_timestamp, parse_timestamp, parse_timestamps,
 )
+from powernet.numcore import ShapeError
+from powernet.synth import DEFAULT_START, make_weather
 
 
 def sigmoid(x):
@@ -84,3 +89,98 @@ def load_consumption_rows(path, fmt: str = "per_minute",
     if report is not None:
         report.negatives_dropped += negatives
     return TimeSeries(start=int(start), step=step, values=values)
+
+
+def load_weather_rows(path) -> WeatherTable:
+    """``dataio.load_weather`` one row at a time: each row a dict of the
+    header's names (a short row's missing cells empty, a repeated name's
+    last cell) and one ``float()`` per numeric cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in WEATHER_COLUMNS if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing weather columns {missing}")
+        cells_of_time, line_nums, summary, icon, numeric = [], [], [], [], []
+        for cells in filter(None, reader):
+            row = dict(zip_longest(header, cells, fillvalue=""))
+            cells_of_time.append(row["time"])
+            line_nums.append(reader.line_num)
+            summary.append(row["summary"].strip())
+            icon.append(row["icon"].strip())
+            vals = []
+            for col in WEATHER_NUMERIC_COLUMNS:
+                try:
+                    value = float(row[col].strip())
+                except ValueError:
+                    value = np.nan
+                vals.append(value if abs(value) < MAX_VALUE else np.nan)
+            numeric.append(vals)
+    times, ok = parse_timestamps(cells_of_time)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DataError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
+    if not len(times):
+        raise DataError(f"{path}: empty weather file")
+    order = np.argsort(times)
+    return WeatherTable(times=times[order], summary=tuple(summary[i] for i in order),
+                        icon=tuple(icon[i] for i in order),
+                        numeric=np.asarray(numeric)[order])
+
+
+def grad_check(f, p, analytic_grad, eps: float = 1e-5, refine: int = 3) -> float:
+    """Max relative error between central differences of ``f`` and the
+    supplied analytic gradient.
+
+    Per-coordinate error is |fd - an| / max(1, |fd|, |an|); the max over
+    all coordinates is returned. A coordinate whose error looks large is
+    re-probed up to ``refine`` times with a 10x smaller step and keeps its
+    best estimate: a central difference that happens to straddle a ReLU
+    kink (a pre-activation within eps of zero) is wrong by O(1) however
+    correct the gradient is, and shrinking the step moves the probe off
+    the kink while staying above the roundoff floor.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    p = np.array(p, dtype=np.float64)
+    analytic = np.asarray(analytic_grad, dtype=np.float64)
+    if p.ndim != 1 or analytic.shape != p.shape:
+        raise ShapeError(f"gradient shape {analytic.shape} != param shape {p.shape}")
+
+    def probe(i, h):
+        orig = p[i]
+        p[i] = orig + h
+        f_plus = float(f(p))
+        p[i] = orig - h
+        f_minus = float(f(p))
+        p[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise FloatingPointError(f"non-finite evaluation at coordinate {i}")
+        fd = (f_plus - f_minus) / (2.0 * h)
+        return abs(fd - analytic[i]) / max(1.0, abs(fd), abs(analytic[i]))
+
+    worst = 0.0
+    for i in range(p.size):
+        err = probe(i, eps)
+        h = eps
+        for _ in range(refine):
+            if err <= 1e-6:
+                break
+            h /= 10.0
+            err = min(err, probe(i, h))
+        worst = max(worst, err)
+    return worst
+
+
+def make_sinusoid_dataset(days: int, seed: int = 0, noise_frac: float = 0.05,
+                          offset: float = 2.0, amplitude: float = 1.0,
+                          start: str = DEFAULT_START) -> AlignedDataset:
+    """Pure period-24 sinusoid plus noise (sigma = noise_frac * amplitude);
+    weather is generated but carries no signal about the target."""
+    rng = np.random.default_rng(seed)
+    t0 = parse_timestamp(start)
+    hours = t0 + HOUR * np.arange(days * 24, dtype=np.int64)
+    weather = make_weather(hours, rng)
+    phase = 2 * np.pi * np.arange(days * 24) / 24
+    kw = offset + amplitude * np.sin(phase) + rng.normal(0, noise_frac * amplitude, days * 24)
+    return AlignedDataset(hours=hours, kw=np.maximum(kw, 0.01), weather=weather)

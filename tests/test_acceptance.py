@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import grad_check, make_sinusoid_dataset
 from powernet.baselines import (
     best_split, fit_gbt, fit_gbt_examples, flatten_features,
     persistence_forecast, tree_predict,
@@ -25,8 +26,7 @@ from powernet.forecast_anomaly import (
 )
 from powernet.metrics import mape, mse
 from powernet.model import forward_batch, init_params
-from powernet.numcore import grad_check
-from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
+from powernet.synth import make_aligned_dataset
 from powernet.training import TrainConfig, loss, train
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from powernet import cli
+from oracles import make_sinusoid_dataset
+from powernet import cli, forecast_anomaly
 from powernet.dataio import HOUR, TimeSeries, dataset_to_json
 from powernet.features import (build_examples, calendar_features,
                                fit_feature_spec, weather_features,
@@ -18,7 +20,7 @@ from powernet.forecast_anomaly import (
 from powernet.metrics import error_curve, mape
 from powernet.model import (checkpoint_to_json, forward_batch,
                             forward_recursive, init_params)
-from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
+from powernet.synth import make_aligned_dataset
 from powernet.training import TrainConfig, train
 
 
@@ -148,6 +150,28 @@ class TestForecastRecursive:
                 want = reference_forecast_recursive(p, spec, d, n, horizon)
             assert got == pytest.approx(want, rel=0, abs=1e-12)
         assert clamp is not True or (want == 0.0).all()
+
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (-0.0, 1.0), (0.1, 0.3),
+                                           (1 / 3, 1e-7), (-2.5, 7.3e5), (1e300, 3.7)])
+    def test_feed_equals_the_array_clamp_bit_for_bit(self, monkeypatch, mean, std):
+        d = make_aligned_dataset(days=3, seed=0)
+        spec = dataclasses.replace(fit_feature_spec(d, slice(0, 48), window_len=3),
+                                   cons_mean=mean, cons_std=std)
+        feeds = []
+
+        def capture(history, fw, fc, p, feed):
+            feeds.append(feed)
+            raise StopIteration
+
+        monkeypatch.setattr(forecast_anomaly, "forward_recursive", capture)
+        with pytest.raises(StopIteration):
+            forecast_recursive(init_params(4, 3, 2, 3), spec, d, 3, 2)
+        clamped = -mean / std - 1.0   # below 0 kW once denormalized
+        ys = np.random.default_rng(0).normal(scale=3, size=200).tolist() + [
+            0.0, -0.0, clamped, 2 * clamped, 1e300, -1e300, 5e-324, -5e-324, np.nan]
+        for y in ys:
+            want = spec.normalize_kw(max(float(spec.denormalize_kw(y)), 0.0))
+            assert np.float64(feeds[0](np.float64(y))).tobytes() == want.tobytes(), y
 
 
 class TestRetrainingAnalysis:

@@ -1,12 +1,15 @@
 """Every import in the package is used, every private module-level
-function and class is referenced, and no module reads another module's
-private names: stdlib-only stand-ins for a linter's unused-import,
-dead-code and private-access rules. Every function the benchmark tracer
-wraps exists under the name it uses, and files are opened only by the one
-input reader and the artifact writers."""
+function and class is referenced, every public function and class is
+named outside the tests, and no module reads another module's private
+names: stdlib-only stand-ins for a linter's unused-import, dead-code and
+private-access rules. Every function the benchmark tracer wraps exists
+under the name it uses, and files are opened only by the one input reader
+and the artifact writers."""
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,67 @@ def test_attribute_and_cross_module_reads_count_as_references():
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def named(node) -> Counter:
+    """How often each identifier is named in ``node``: as a name, an
+    attribute, or a word of a string that is not a docstring (the bench
+    tracer names the functions it wraps as "module.function")."""
+    docs = {id(sub.body[0].value) for sub in ast.walk(node)
+            if isinstance(sub, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and sub.body and isinstance(sub.body[0], ast.Expr)
+            and isinstance(sub.body[0].value, ast.Constant)}
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in docs):
+            found.update(re.findall(r"\w+", sub.value))
+    return found
+
+
+def public_names_only_tests_read(package: dict, others: dict) -> list:
+    """(module, name) of each public function, class or method defined in
+    ``package`` (module name -> source) that no code names outside its own
+    definition, in the package or in ``others`` (the other sources that
+    count as uses: the benchmark and the demos, not the tests)."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    uses = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others.values())]:
+        uses += named(tree)
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and uses[node.name] == named(node)[node.name])
+
+
+def test_detects_a_public_name_only_the_tests_read():
+    package = {"a": 'def used():\n    pass\n\n'
+                    'def only_tested(n):\n    """Not named by only_tested\'s docstring."""\n'
+                    '    return only_tested(n - 1)\n\n'
+                    'class Model:\n    def method(self):\n        pass\n\n'
+                    '    def traced(self):\n        pass\n'}
+    others = {"bench/run.py": "from powernet.a import used, Model\n"
+                              "used(Model().method)\nLayer('a.traced')\n"}
+    assert public_names_only_tests_read(package, others) == [("a", "only_tested")]
+
+
+#: Public names that only the tests read, each with its reason.
+TEST_ONLY = {
+    "staged_train_mse",   # GbtModel's staged curve, which the acceptance gate reads
+}
+
+
+def test_every_public_name_is_named_outside_the_tests():
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    others = {str(path): path.read_text() for folder in ("bench", "demos")
+              for path in sorted((ROOT / folder).rglob("*.py"))}
+    found = public_names_only_tests_read(package, others)
+    assert [entry for entry in found if entry[1] not in TEST_ONLY] == []
 
 
 def foreign_private_reads(source: str) -> list:

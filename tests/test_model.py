@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import sigmoid
-from powernet.numcore import ShapeError, grad_check
+from oracles import grad_check, sigmoid
+from powernet.numcore import ShapeError
 from powernet.model import (
     checkpoint_from_dict, checkpoint_from_json, checkpoint_to_json,
     forward_batch, backward_batch, init_params, param_layout,

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import sigmoid
-from powernet.numcore import array, check, grad_check, integer, items, one_of, real, relu
+from oracles import grad_check, sigmoid
+from powernet.numcore import array, check, integer, items, one_of, real, relu
 
 
 class TestElementwise:

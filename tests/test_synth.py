@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import make_sinusoid_dataset
 from powernet.dataio import (
     HOUR, aggregate, align, load_consumption, load_weather, resample_hourly,
 )
 from powernet.features import acf
 from powernet.synth import (
-    make_aligned_dataset, make_consumption, make_sinusoid_dataset,
-    make_weather, write_consumption_csv, write_fixture_dir, write_weather_csv,
+    make_aligned_dataset, make_consumption, make_weather, write_consumption_csv,
+    write_fixture_dir, write_weather_csv,
 )
 
 

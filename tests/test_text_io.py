@@ -1,6 +1,6 @@
 """The array-built text boundaries against their one-row-at-a-time oracles:
 the synthetic consumption writer, the consumption loader with its bulk
-timestamp parser, and the checkpoint's JSON."""
+timestamp parser, the weather loader, and the checkpoint's JSON."""
 
 import csv
 import json
@@ -8,14 +8,15 @@ import json
 import numpy as np
 import pytest
 
-from oracles import load_consumption_rows, write_consumption_rows
+from oracles import load_consumption_rows, load_weather_rows, write_consumption_rows
 from powernet.dataio import (
-    HOUR, DataError, IngestReport, TimeSeries, format_timestamp,
-    load_consumption, parse_timestamp, parse_timestamps,
+    HOUR, WEATHER_COLUMNS, DataError, IngestReport, TimeSeries, format_timestamp,
+    load_consumption, load_weather, parse_timestamp, parse_timestamps,
 )
 from powernet.model import checkpoint_to_json, init_params
 from powernet.synth import (
-    make_aligned_dataset, make_weather, write_consumption_csv, write_weather_csv,
+    make_aligned_dataset, make_weather, write_consumption_csv, write_fixture_dir,
+    write_weather_csv,
 )
 
 FORMATS = ["per_minute", "per_quarter_hour"]
@@ -121,6 +122,88 @@ def test_mixed_timestamp_csv_loads_as_the_per_row_oracle(tmp_path, far_years, no
     assert got == want
     assert (got[0] == "error") == far_years
     assert got[-1].rows_duplicate >= 2 and got[-1].rows_off_grid >= 1
+
+
+def weather_loaded(load, path):
+    """The times, texts and numeric bytes of one weather load, or "error"
+    and the DataError's message."""
+    try:
+        w = load(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return (w.times.tobytes(), w.summary, w.icon, w.numeric.tobytes(),
+            w.numeric.shape, w.numeric.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("days, seed", [(1, 0), (2, 1), (35, 2)])
+def test_fixture_weather_loads_as_the_per_row_oracle(tmp_path, days, seed):
+    _, path = write_fixture_dir(tmp_path, days, apartments=1, seed=seed)
+    got = weather_loaded(load_weather, path)
+    assert got == weather_loaded(load_weather_rows, path)
+    assert got[0] != "error" and got[4] == (24 * days, 11)
+
+
+#: Numeric cells float() reads, refuses or reads at or past MAX_VALUE:
+#: blanks, junk, signed NaN and infinities, underscores, padding (also
+#: Unicode spaces and digits), signed zeros and subnormals.
+WEATHER_CELLS = [
+    "", "junk", "nan", "-nan", "inf", "-Infinity", "1_000", "1__0", " 2.5 ",
+    "1e9", "-1e9", "999999999.9", "-999999999.9", "1e999", "0x10", "-0.0",
+    "5e-324", "\u20073.5\u2007", "\u0661\u0662", "\x1c7", "+.5", "1e", "12.5",
+]
+
+
+def junk_weather_csv(path, bad_time=None, rows=30):
+    """A weather CSV in shuffled column order with a repeated column and an
+    extra one, blank lines, a quoted multi-line cell, short and long rows,
+    times out of order and every WEATHER_CELLS value in every numeric
+    column; ``bad_time`` replaces the time of row 20."""
+    header = WEATHER_COLUMNS[::-1] + ["extra", "temperature"]
+    numeric = [i for i, c in enumerate(header) if c not in ("time", "summary", "icon")]
+    lines = [",".join(header)]
+    for r in range(rows):
+        t = 1551416400 + 3600 * (7 * r % rows)   # distinct hours, out of order
+        cells = [""] * len(header)
+        cells[header.index("time")] = [format_timestamp(t), str(t),
+                                       format_timestamp(t, 0.0) + "Z"][r % 3]
+        cells[header.index("summary")] = '"Light, rain"' if r % 4 == 0 else f" Clear{r % 2} "
+        cells[header.index("icon")] = '"multi\nline"' if r == 5 else "rain"
+        for k, i in enumerate(numeric):
+            cells[i] = WEATHER_CELLS[(r + 3 * k) % len(WEATHER_CELLS)]
+        if r == 20 and bad_time is not None:
+            cells[header.index("time")] = bad_time
+        if r % 7 == 3:
+            cells = cells[:len(header) - 2]    # short: the last columns read as empty
+        if r % 7 == 4:
+            cells += ["surplus", "1.5"]
+        lines.append(",".join(cells))
+        if r % 6 == 1:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bad_time", [None, "garbage", "", "2019-02-29T00:00:00"])
+def test_junk_weather_loads_as_the_per_row_oracle(tmp_path, bad_time):
+    path = junk_weather_csv(tmp_path / "weather.csv", bad_time)
+    got = weather_loaded(load_weather, path)
+    assert got == weather_loaded(load_weather_rows, path)
+    if bad_time is None:
+        numeric = np.frombuffer(got[3]).reshape(got[4])
+        assert np.isnan(numeric).any() and np.signbit(numeric[numeric == 0]).any()
+        assert got[1][0] == "Light, rain"
+    else:
+        assert got[0] == "error" and f"bad time {bad_time!r}" in got[1]
+
+
+@pytest.mark.parametrize("text", ["", "time,summary\n2019-03-01T00:00:00,x\n",
+                                  ",".join(WEATHER_COLUMNS) + "\n\n\n"],
+                         ids=["empty", "missing_columns", "no_rows"])
+def test_weather_errors_match_the_per_row_oracle(tmp_path, text):
+    path = tmp_path / "weather.csv"
+    path.write_text(text)
+    got = weather_loaded(load_weather, path)
+    assert got[0] == "error" and got == weather_loaded(load_weather_rows, path)
 
 
 def checkpoint_doc(p, hyper, spec, seed):

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import make_sinusoid_dataset
 from powernet import cli
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.model import checkpoint_to_json, init_params
-from powernet.synth import make_aligned_dataset, make_sinusoid_dataset
+from powernet.synth import make_aligned_dataset
 from powernet.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, TrainingError,
     TrainReport, adam_step, grid_search, loss, train,
