@@ -135,31 +135,28 @@ class FeatureSpec:
 
 
 
-def _day_of_month(days: np.ndarray) -> np.ndarray:
-    """Day of the month (1-31) of each count of days since 1970-01-01 in
-    the proleptic Gregorian calendar (H. Hinnant's ``civil_from_days``)."""
-    z = days + 719468                   # days since 0000-03-01
-    doe = z - (z // 146097) * 146097    # day of the 400-year era
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)   # day of the March year
-    return doy - (153 * ((5 * doy + 2) // 153) + 2) // 5 + 1
-
-
 def calendar_features(t, spec: FeatureSpec) -> np.ndarray:
     """[day_of_month, day_of_week (Mon=0), hour, in_daytime, is_weekend] in
     local time at ``spec.utc_offset_hours`` for epoch seconds ``t``.
 
     ``t`` is one timestamp (a 5-vector out) or an array of them (one row
-    each). Integer arithmetic on the local epoch seconds; no ``datetime``.
+    each). Integer arithmetic on the local epoch seconds, and the day of
+    the month as the local date minus its month in ``datetime64``; no
+    ``datetime``.
     """
     offset = timedelta(hours=spec.utc_offset_hours) // timedelta(seconds=1)
     days, seconds = np.divmod(np.asarray(t, dtype=np.int64) + offset, 86400)
+    date = days.astype("datetime64[D]")
     hour = seconds // HOUR
-    weekday = (days + 3) % 7             # 1970-01-01 was a Thursday
     lo, hi = spec.daytime_range
-    return np.stack([_day_of_month(days), weekday, hour,
-                     (lo <= hour) & (hour < hi), weekday >= 5],
-                    axis=-1).astype(np.float64)
+    out = np.empty(np.shape(days) + (5,))
+    out[..., 0] = date - date.astype("datetime64[M]")   # days into the month
+    out[..., 0] += 1
+    out[..., 1] = (days + 3) % 7         # 1970-01-01 was a Thursday
+    out[..., 2] = hour
+    out[..., 3] = (lo <= hour) & (hour < hi)
+    out[..., 4] = out[..., 1] >= 5
+    return out
 
 
 def weather_features(rows, spec: FeatureSpec) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,12 @@ class ForecastReport:
     horizon: int
     predictions: np.ndarray   # kW, clamped >= 0
     actuals: np.ndarray       # kW
-    curves: ErrorCurve
     start_ts: int = 0
+
+    @cached_property
+    def curves(self) -> ErrorCurve:
+        """Cumulative and rolling error curves, built on first read."""
+        return error_curve(self.actuals, self.predictions)
 
 
 def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
@@ -57,14 +62,13 @@ def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
 def _report(mode: str, d: AlignedDataset, rows: np.ndarray,
             preds: np.ndarray) -> ForecastReport:
     """The report of ``preds`` for the target rows; predictions whose
-    squared errors overflow (their mean is the last cumulative MSE) are a
-    ForecastError."""
+    squared errors overflow (their running sum, as the cumulative MSE adds
+    them, is not finite) are a ForecastError."""
     actuals = d.kw[rows]
-    curves = error_curve(actuals, preds)
-    if not math.isfinite(curves.cum_mse[-1]):
+    if not math.isfinite(np.cumsum((actuals - preds) ** 2)[-1]):
         raise ForecastError(f"{mode} predictions overflow: squared errors are not finite")
     return ForecastReport(mode=mode, horizon=len(rows), predictions=preds,
-                          actuals=actuals, curves=curves, start_ts=int(d.hours[rows[0]]))
+                          actuals=actuals, start_ts=int(d.hours[rows[0]]))
 
 
 def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
@@ -186,9 +190,13 @@ class ResidualStats:
 
 
 def _residual_means(predicted, reported, cfg: DetectorConfig) -> np.ndarray:
-    """Rolling ``cfg.window`` means of the residual percentages."""
+    """Rolling ``cfg.window`` means of the residual percentages; a
+    non-finite value in either series is a ForecastError naming it."""
     predicted = np.asarray(predicted, dtype=np.float64)
     reported = np.asarray(reported, dtype=np.float64)
+    for name, v in (("predicted", predicted), ("reported", reported)):
+        if not np.isfinite(v).all():
+            raise ForecastError(f"{name} holds a non-finite value")
     x = np.abs(reported - predicted) / np.maximum(predicted, cfg.floor_kw)
     if len(x) < cfg.window:
         raise ForecastError(f"need at least {cfg.window} hours, have {len(x)}")

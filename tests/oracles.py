@@ -2,6 +2,7 @@
 the finite-difference gradient checker, and a test-only dataset."""
 
 import csv
+from datetime import timedelta
 from itertools import zip_longest
 
 import numpy as np
@@ -19,6 +20,29 @@ def sigmoid(x):
     """The logistic function 1 / (1 + e^-x), elementwise: the oracle for
     the LSTM's gates, which the package computes as 1/2 + tanh(x/2)/2."""
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
+def day_of_month(days: np.ndarray) -> np.ndarray:
+    """Day of the month (1-31) of each count of days since 1970-01-01 in
+    the proleptic Gregorian calendar (H. Hinnant's ``civil_from_days``)."""
+    z = days + 719468                   # days since 0000-03-01
+    doe = z - (z // 146097) * 146097    # day of the 400-year era
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)   # day of the March year
+    return doy - (153 * ((5 * doy + 2) // 153) + 2) // 5 + 1
+
+
+def calendar_rows(t, spec) -> np.ndarray:
+    """``features.calendar_features`` in integer arithmetic only: the day
+    of the month from ``day_of_month`` and the five columns stacked."""
+    offset = timedelta(hours=spec.utc_offset_hours) // timedelta(seconds=1)
+    days, seconds = np.divmod(np.asarray(t, dtype=np.int64) + offset, 86400)
+    hour = seconds // HOUR
+    weekday = (days + 3) % 7             # 1970-01-01 was a Thursday
+    lo, hi = spec.daytime_range
+    return np.stack([day_of_month(days), weekday, hour,
+                     (lo <= hour) & (hour < hi), weekday >= 5],
+                    axis=-1).astype(np.float64)
 
 
 def write_consumption_rows(path, hourly, fmt: str, rng):

@@ -740,7 +740,6 @@ class TestJsonWriters:
         from powernet.baselines import GbtModel
         from powernet.features import fit_feature_spec
         from powernet.forecast_anomaly import ForecastReport
-        from powernet.metrics import error_curve
         from powernet.model import checkpoint_to_json, init_params
         from powernet.training import TrainReport
 
@@ -752,8 +751,7 @@ class TestJsonWriters:
         d.kw[4] = value
         actual = np.array([1.0, value])
         report = ForecastReport(mode="recursive", horizon=2,
-                                predictions=np.ones(2), actuals=actual,
-                                curves=error_curve(np.ones(2), np.ones(2)))
+                                predictions=np.ones(2), actuals=actual)
         monkeypatch.setattr(cli, "forecast_recursive", lambda *args: report)
         out = tmp_path / "fc"
         writers = [

@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from oracles import calendar_rows
 from powernet.dataio import HOUR, parse_timestamp
 from powernet.features import (
     FeatureError, FeatureSpec, acf, build_examples, calendar_features,
@@ -143,6 +144,21 @@ class TestCalendarFeatures:
         expected = np.stack([reference_calendar_features(int(v), spec) for v in t])
         assert np.array_equal(got, expected)
         assert np.array_equal(calendar_features(int(t[7]), spec), expected[7])
+
+    @pytest.mark.parametrize("offset", [-5.0, 0.0, 5.75, 14.0])
+    def test_matches_integer_oracle_over_four_millennia(self, offset):
+        # every day from -221-09-04 to 4160-04-29: 1900, 2000 and 2100 and
+        # the dates before 1970 included, each at its own time of day
+        spec = default_spec(utc_offset_hours=offset)
+        days = np.arange(-800_000, 800_001)
+        t = days * 86400 + days * 7919 % 86400
+        got = calendar_features(t, spec)
+        assert got.shape == (len(t), 5) and got.dtype == np.float64
+        assert got.tobytes() == calendar_rows(t, spec).tobytes()
+        for v in t[::160_000]:
+            one = calendar_features(int(v), spec)
+            assert one.shape == (5,)
+            assert one.tobytes() == calendar_rows(int(v), spec).tobytes()
 
 
 def weather_one(row, spec) -> np.ndarray:

@@ -115,6 +115,24 @@ class TestForecastRecursive:
         act = forecast_with_actuals(p, spec, d, start, 48)
         assert act.curves.cum_mape[-1] <= rec.curves.cum_mape[-1] + 1e-9
 
+    @pytest.mark.parametrize("fn", [forecast_recursive, forecast_with_actuals])
+    def test_curves_are_built_on_first_read(self, sinusoid_model, monkeypatch, fn):
+        p, spec, d, bounds = sinusoid_model
+
+        def refuse(*args):
+            raise AssertionError("error_curve called before .curves was read")
+
+        monkeypatch.setattr(forecast_anomaly, "error_curve", refuse)
+        rep = fn(p, spec, d, bounds[2][0], 30)
+        assert "curves" not in vars(rep)
+        monkeypatch.undo()
+        curves = rep.curves
+        want = error_curve(rep.actuals, rep.predictions)
+        for f in dataclasses.fields(want):
+            assert (np.asarray(getattr(curves, f.name)).tobytes()
+                    == np.asarray(getattr(want, f.name)).tobytes()), f.name
+        assert rep.curves is curves
+
     def test_horizon_guard(self, sinusoid_model):
         p, spec, d, _ = sinusoid_model
         with pytest.raises(ForecastError, match="weather"):
@@ -178,8 +196,7 @@ class TestRetrainingAnalysis:
     def make_report(self, actual, pred):
         return ForecastReport(mode="recursive", horizon=len(actual),
                               predictions=np.asarray(pred, dtype=float),
-                              actuals=np.asarray(actual, dtype=float),
-                              curves=error_curve(actual, pred))
+                              actuals=np.asarray(actual, dtype=float))
 
     def test_crossing_hours(self):
         actual = np.ones(6)
@@ -291,6 +308,19 @@ class TestConsumerDetector:
         with pytest.raises(ForecastError):
             DetectorConfig(k=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["predicted", "reported"])
+    def test_non_finite_series_rejected(self, name, value):
+        # a NaN reading would give a NaN sigma, and then no alarm could fire
+        cfg = DetectorConfig(window=6)
+        series = dict(zip(["predicted", "reported"], self.clean_pair(n=48)))
+        series[name][17] = value
+        stats = ResidualStats(mu=0.0, sigma=1.0)
+        for call in (lambda: residual_stats(*series.values(), cfg),
+                     lambda: detect_consumer(*series.values(), cfg, stats)):
+            with pytest.raises(ForecastError, match=f"^{name} holds a non-finite value$"):
+                call()
+
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     def test_non_finite_k_rejected(self, k):
         # a NaN or infinite threshold can never fire an alarm
@@ -377,7 +407,7 @@ class TestForecastReport:
         actual = np.array([1.0, 2.0])
         pred = np.array([1.1, 1.9])
         rep = ForecastReport(mode="recursive", horizon=2, predictions=pred,
-                             actuals=actual, curves=error_curve(actual, pred))
+                             actuals=actual)
         files = forecast_artifacts(tmp_path, monkeypatch, rep)
         doc = files["forecast_recursive.json"]
         assert '"mode": "recursive"' in doc
