@@ -48,13 +48,20 @@ class BaselineError(ValueError):
     pass
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, or a BaselineError naming ``name`` if it holds a NaN or inf."""
+    if not np.isfinite(a).all():
+        raise BaselineError(f"{name} holds a NaN or infinite value")
+    return a
+
+
 def persistence_forecast(history, horizon: int, period: int = 24) -> np.ndarray:
     """Repeat the value observed one period earlier, recursively for
-    horizons beyond one period."""
+    horizons beyond one period; the last period must be finite."""
     values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
     if len(values) < period:
         raise BaselineError(f"need at least {period} history values, have {len(values)}")
-    return np.resize(values[-period:], horizon)
+    return np.resize(_finite(values[-period:], "history"), horizon)
 
 
 @dataclass
@@ -338,7 +345,7 @@ class GbtModel:
               "max_depth": integer(0), "trees": items(OBJECT)}
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = _finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "X")
         out = np.full(len(X), self.initial_prediction)
         for tree in self.trees:
             out += self.learning_rate * tree_predict(tree, X)
@@ -383,8 +390,8 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
 
     ``presorted``, _presorted(X) of this same X, saves the sort when the
     caller fits several models to one matrix, as gbt_grid_search does."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = _finite(np.asarray(X, dtype=np.float64), "X")
+    y = _finite(np.asarray(y, dtype=np.float64), "y")
     if len(y) == 0:
         raise BaselineError("empty training set")
     model = GbtModel(initial_prediction=float(y.mean()),

@@ -94,7 +94,7 @@ def _parse_file(path, what: str, parse):
         return parse(text)
     except KeyError as exc:
         raise UsageError(f"malformed {what} {path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"malformed {what} {path}: {exc}") from exc
 
 
@@ -111,7 +111,7 @@ def _load_config(args) -> dict:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
     cfg.update((key, value) for key, value in vars(args).items()
-               if key in CONFIG_CHECKS and value is not None)
+               if key in CONFIG_CHECKS)
     return check(cfg, CONFIG_CHECKS, UsageError, "config")
 
 
@@ -160,14 +160,14 @@ def cmd_ingest(args):
     return 0
 
 
-def _train_common(args, use_grid: bool):
+def cmd_train(args):
     cfg = _load_config(args)
     tcfg = TrainConfig(**{key: cfg[key] for key in TrainConfig.CHECKS})
     d = _load_dataset(args.dataset)
     data, bounds = _prepare_examples(d, cfg)
     out = _out_dir(args)
     if args.model == "gbt":
-        if use_grid:
+        if args.grid:
             model, report = baselines.gbt_grid_search(data)
         else:
             model = baselines.fit_gbt_examples(data)
@@ -179,7 +179,7 @@ def _train_common(args, use_grid: bool):
         _write_json(os.path.join(out, "report.json"), report)
         print(f"gbt model written to {out}/checkpoint.json")
         return 0
-    if use_grid:
+    if args.grid:
         params, report, cell_reports = grid_search(data, tcfg)
         _write_json(os.path.join(out, "grid_report.json"),
                     {str(m): (None if r is None else r.to_dict())
@@ -200,14 +200,6 @@ def _train_common(args, use_grid: bool):
     print(f"best val MSE {report.best_val_mse:.6g} (epoch {report.best_epoch}) "
           f"-> {out}/checkpoint.json")
     return 0
-
-
-def cmd_train(args):
-    return _train_common(args, use_grid=False)
-
-
-def cmd_grid_search(args):
-    return _train_common(args, use_grid=True)
 
 
 def _model_inputs(args):
@@ -325,8 +317,26 @@ def _floats(text: str):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _config_value(text: str):
+    """A config flag's value: an int or float literal as Python reads it,
+    else JSON such as ``null`` or ``[64,128]``, else the text itself. The
+    config's check then judges it as it judges the file's key."""
+    for decode in (int, float, json.loads):
+        try:
+            return decode(text)
+        except (ValueError, RecursionError):   # json.loads: nested too deep
+            pass
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one ``error:`` line and exit 2, through SystemExit."""
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powernet",
         description="Power-demand forecasting and theft-anomaly toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -354,28 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fill-max-run", type=int, default=3)
     p.set_defaults(fn=cmd_ingest)
 
-    def train_args(p):
+    for name, grid, what in (("train", False, "train one model"),
+                             ("grid-search", True, "train over the parameter grid")):
+        p = sub.add_parser(name, help=what)
         common(p)
         p.add_argument("--dataset", required=True)
         p.add_argument("--config", help="JSON config file; flags win")
         p.add_argument("--model", choices=["powernet", "gbt"], default="powernet")
-        p.add_argument("--splits", help="train:val:test hours, e.g. 624:48:48")
-        p.add_argument("--window-len", dest="window_len", type=int)
-        p.add_argument("--memory-size", dest="memory_size", type=int)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-        p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train", help="train one model")
-    train_args(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("grid-search", help="train over the parameter grid")
-    train_args(p)
-    p.set_defaults(fn=cmd_grid_search)
+        for key, rule in CONFIG_CHECKS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_config_value,
+                           default=argparse.SUPPRESS, help=rule.kind)
+        p.set_defaults(fn=cmd_train, grid=grid)
 
     def model_args(p, horizon=None):
         common(p)

@@ -267,18 +267,13 @@ def load_consumption(path, fmt: str = "per_minute",
     if fmt not in STEP_OF_FORMAT:
         raise DataError(f"unknown consumption format {fmt!r}")
     step = STEP_OF_FORMAT[fmt]
-    stamps, powers = [], []
     text = read_text(path, "consumption CSV")
-    for line in _csv_rows(csv.reader(io.StringIO(text, newline="")), path):
-        if not line or not "".join(line).strip():
-            continue
-        try:
-            powers.append(float(line[1]))
-        except (ValueError, IndexError):   # header line or junk
-            powers.append(math.nan)
-        stamps.append(line[0])
+    rows = [cells for cells in _csv_rows(csv.reader(io.StringIO(text, newline="")), path)
+            if "".join(cells).strip()]
+    stamps = [cells[0] for cells in rows]
+    # a header line, junk or a one-cell row reads NaN: malformed
+    powers = _floats([cells[1] if len(cells) > 1 else "" for cells in rows])
     ts, ok = parse_timestamps(stamps, utc_offset_hours)
-    powers = np.array(powers)
     ok &= np.abs(powers) < MAX_VALUE   # also NaN
     order = np.argsort(ts[ok], kind="stable")
     ts, powers = ts[ok][order], powers[ok][order]

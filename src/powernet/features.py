@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import timedelta
 
 import numpy as np
@@ -108,18 +108,10 @@ class FeatureSpec:
         return np.asarray(v, dtype=np.float64) * self.cons_std + self.cons_mean
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": SPEC_FORMAT_VERSION,
-            "window_len": self.window_len,
-            "summary_vocab": self.summary_vocab,
-            "icon_vocab": self.icon_vocab,
-            "weather_mean": list(self.weather_mean),
-            "weather_std": list(self.weather_std),
-            "cons_mean": self.cons_mean,
-            "cons_std": self.cons_std,
-            "daytime_range": list(self.daytime_range),
-            "utc_offset_hours": self.utc_offset_hours,
-        }
+        doc = asdict(self)
+        for key in ("weather_mean", "weather_std", "daytime_range"):
+            doc[key] = list(doc[key])
+        return {"format_version": SPEC_FORMAT_VERSION, **doc}
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSpec":

@@ -9,7 +9,7 @@ initialization all derive from numpy Generators seeded from it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,14 +92,9 @@ class TrainReport:
     def to_dict(self) -> dict:
         # wall_seconds varies run to run and is deliberately left out so
         # identical configs produce byte-identical reports
-        return {
-            "train_loss": self.train_loss,
-            "val_mse": self.val_mse,
-            "best_epoch": self.best_epoch,
-            "best_val_mse": self.best_val_mse,
-            "stopped_early": self.stopped_early,
-            "memory_size": self.memory_size,
-        }
+        doc = asdict(self)
+        del doc["wall_seconds"]
+        return {**doc, "best_val_mse": self.best_val_mse}
 
 
 def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,

@@ -535,3 +535,42 @@ class TestFlattenFeatures:
         assert np.array_equal(X[:, :w], data.train.E)
         assert np.array_equal(X[:, w:w + 13], data.train.FW)
         assert np.array_equal(X[:, w + 13:], data.train.FC)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteInput:
+    """A NaN or inf in any array a GBT or persistence call reads is a
+    BaselineError naming the argument, never a NaN model or a warning."""
+
+    def problem(self):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, size=(30, 3))
+        return X, X[:, 0] + 0.1 * rng.normal(size=30)
+
+    def test_fit_gbt_features(self, bad):
+        X, y = self.problem()
+        X[7, 1] = bad
+        with pytest.raises(BaselineError, match="X"):
+            fit_gbt(X, y, n_estimators=2)
+
+    def test_fit_gbt_targets(self, bad):
+        X, y = self.problem()
+        y[4] = bad
+        with pytest.raises(BaselineError, match="y"):
+            fit_gbt(X, y, n_estimators=2)
+
+    def test_predict_features(self, bad):
+        X, y = self.problem()
+        model = fit_gbt(X, y, n_estimators=2)
+        X[0, 2] = bad
+        with pytest.raises(BaselineError, match="X"):
+            model.predict(X)
+
+    def test_persistence_history(self, bad):
+        history = np.arange(48.0)
+        history[0] = bad   # before the last period: never repeated
+        assert np.array_equal(persistence_forecast(history, 24), np.arange(24.0, 48.0))
+        history[30] = bad
+        with pytest.raises(BaselineError, match="history"):
+            persistence_forecast(history, 24)

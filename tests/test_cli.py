@@ -1,10 +1,12 @@
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from powernet import cli
 from powernet.cli import main
 from powernet.dataio import dataset_to_json
 from powernet.synth import make_aligned_dataset
@@ -72,6 +74,13 @@ def assert_usage_error(rc, capsys):
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
     return err
+
+
+def same_outputs(a, b):
+    """True when directories ``a`` and ``b`` hold the same files, byte for byte."""
+    names = sorted(os.listdir(a))
+    return names == sorted(os.listdir(b)) and all(
+        (a / name).read_bytes() == (b / name).read_bytes() for name in names)
 
 
 class TestSynthIngest:
@@ -372,6 +381,63 @@ class TestTrain:
         assert field in assert_usage_error(rc, capsys)
         assert not out.exists()
 
+    def test_flag_and_file_fail_alike(self, dataset_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"memory_size": 1.5}))
+        base = ["train", "--dataset", dataset_path, "--out", str(tmp_path / "out")]
+        flag = assert_usage_error(main(base + ["--memory-size", "1.5"]), capsys)
+        file = assert_usage_error(main(base + ["--config", str(cfg)]), capsys)
+        assert flag == file == "error: config: memory_size: expected int >= 1, got 1.5\n"
+
+    def test_null_window_len_flag_overrides_file(self, dataset_path, tmp_path):
+        # the ACF rule picks 2 on this dataset; the file's 6 must not win
+        fast = [arg for arg in FAST if arg not in ("--window-len", "6")]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_len": 6}))
+        null, acf = tmp_path / "null", tmp_path / "acf"
+        assert main(["train", "--dataset", dataset_path, "--out", str(null),
+                     "--config", str(cfg), "--window-len", "null"] + fast) == 0
+        assert main(["train", "--dataset", dataset_path, "--out", str(acf)] + fast) == 0
+        doc = json.loads((null / "checkpoint.json").read_text())
+        assert doc["feature_spec"]["window_len"] == 2
+        assert same_outputs(null, acf)
+
+    @pytest.mark.parametrize("text, value", [
+        (".2", 0.2), ("00", 0), ("1e-3", 1e-3), ("96:48:48", "96:48:48"),
+        ("nan", math.nan), ("null", None), ("[3,4]", [3, 4]), ("true", True),
+    ])
+    def test_flag_value_decoding(self, text, value):
+        got = cli._config_value(text)
+        assert type(got) is type(value)
+        assert got == value or (math.isnan(got) and math.isnan(value))
+
+    @pytest.mark.parametrize("where", ["--config", "--dataset", "--memory-size-grid"])
+    def test_deeply_nested_json_is_usage_error(self, dataset_path, tmp_path,
+                                               capsys, where):
+        deep = "[" * 100_000   # json.loads raises RecursionError on it
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        argv = {"--config": ["--dataset", dataset_path, "--config", str(path)],
+                "--dataset": ["--dataset", str(path)],
+                "--memory-size-grid": ["--dataset", dataset_path,
+                                       "--memory-size-grid", deep]}[where]
+        rc = main(["train", "--out", str(tmp_path / "out")] + argv)
+        assert_usage_error(rc, capsys)
+
+    def test_decoded_flags_match_config_file(self, dataset_path, tmp_path):
+        # the values the typed flags read, given as JSON in a file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dropout_rate": 0.2, "seed": 0,
+                                   "learning_rate": 0.001, "splits": "96:48:48"}))
+        fast = FAST[2:]   # without --splits
+        flags, file = tmp_path / "flags", tmp_path / "file"
+        assert main(["train", "--dataset", dataset_path, "--out", str(flags),
+                     "--dropout-rate", ".2", "--seed", "00", "--learning-rate",
+                     "1e-3", "--splits", "96:48:48"] + fast) == 0
+        assert main(["train", "--dataset", dataset_path, "--out", str(file),
+                     "--config", str(cfg)] + fast) == 0
+        assert same_outputs(flags, file)
+
     def test_config_checked_before_data(self, dataset_path, tmp_path, capsys):
         # the dataset is too short for these splits; the config error wins
         cfg = tmp_path / "cfg.json"
@@ -412,6 +478,17 @@ class TestGridSearch:
         assert set(grid) == {"3", "4"}
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert ckpt["hyperparameters"]["memory_size"] in (3, 4)
+
+    def test_grid_flag_matches_config_file(self, dataset_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"memory_size_grid": [3, 4]}))
+        flag, file = tmp_path / "flag", tmp_path / "file"
+        assert main(["grid-search", "--dataset", dataset_path, "--out", str(flag),
+                     "--memory-size-grid", "[3,4]"] + FAST) == 0
+        assert main(["grid-search", "--dataset", dataset_path, "--out", str(file),
+                     "--config", str(cfg)] + FAST) == 0
+        assert (flag / "grid_report.json").exists()
+        assert same_outputs(flag, file)
 
 
 class TestEvaluate:
@@ -719,6 +796,58 @@ class TestParser:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_every_config_key_is_a_flag(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for command in ("train", "grid-search"):
+            flags = commands[command]._option_string_actions
+            for key, rule in cli.CONFIG_CHECKS.items():
+                action = flags["--" + key.replace("_", "-")]
+                assert (action.dest, action.help) == (key, rule.kind)
+
+    #: (argv, fault): every usage error the parser itself finds
+    PARSER_ERRORS = [
+        (["synth", "--days", "x"], "bad int"),
+        (["synth", "--format", "x"], "bad choice"),
+        (["synth", "--bogus"], "unknown flag"),
+        (["ingest", "--consumption", "c", "--weather", "w", "--fill-max-run", "x"],
+         "bad int"),
+        (["ingest", "--consumption", "c", "--weather", "w", "--format", "x"],
+         "bad choice"),
+        (["ingest", "--consumption", "c"], "missing flag"),
+        (["ingest", "--consumption", "c", "--weather", "w", "--bogus"],
+         "unknown flag"),
+        (["train", "--dataset", "d", "--model", "x"], "bad choice"),
+        (["train", "--seed", "0"], "missing flag"),
+        (["train", "--dataset", "d", "--bogus", "1"], "unknown flag"),
+        (["forecast", "--checkpoint", "c", "--dataset", "d", "--horizon", "x"],
+         "bad int"),
+        (["forecast", "--checkpoint", "c", "--dataset", "d", "--thresholds", "x"],
+         "bad float"),
+        (["forecast", "--checkpoint", "c", "--dataset", "d", "--mode", "x"],
+         "bad choice"),
+        (["forecast", "--dataset", "d"], "missing flag"),
+        (["forecast", "--checkpoint", "c", "--dataset", "d", "--bogus"],
+         "unknown flag"),
+        (["anomaly", "--checkpoint", "c", "--dataset", "d", "--detector-window", "x"],
+         "bad int"),
+        (["anomaly", "--checkpoint", "c", "--dataset", "d", "--detector-k", "x"],
+         "bad float"),
+        (["anomaly", "--checkpoint", "c"], "missing flag"),
+        (["anomaly", "--checkpoint", "c", "--dataset", "d", "--bogus"],
+         "unknown flag"),
+    ]
+
+    @pytest.mark.parametrize("argv, fault", PARSER_ERRORS,
+                             ids=[f"{argv[0]}-{fault}" for argv, fault in PARSER_ERRORS])
+    def test_parser_error_is_one_line(self, capsys, argv, fault):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, \
+            captured.err
 
     def test_all_subcommands_registered(self):
         from powernet.cli import build_parser
