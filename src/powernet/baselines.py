@@ -7,12 +7,13 @@ rows are sorted by every feature once per training matrix (a grid search
 shares one sort over all its fits), and each node keeps that order and the
 feature values in it (the presorted exact-greedy search of XGBoost,
 arXiv:1603.02754): a split partitions both with one index, so a node ranks
-all its candidates in one pass over all features. The rank is the
-score S_L**2/n_L + S_R**2/n_R of the left and right target sums and counts
-(that paper's eq. 7 for squared loss), which exceeds the SSE reduction by
-S**2/n of the whole node, the same for every candidate. Only candidates whose
-score lies within a proven rounding bound of the top are scored again with
-the scalar SSE-reduction formula, and that formula makes the choice. A node
+all its candidates in three passes over all features. The rank is the
+centred score (S_L - n_L*S/n)**2/(n_L*n_R) of the left target sum and the
+two counts. It is that paper's eq. 7 for squared loss,
+S_L**2/n_L + S_R**2/n_R, less S**2/n of the whole node and divided by n:
+the same shift and scale for every candidate. Only candidates whose score
+lies within a proven rounding bound of the top are scored again with the
+scalar SSE-reduction formula, and that formula makes the choice. A node
 whose targets are all equal ties every score; its scalar gain depends on
 the position alone, so it is computed once per position.
 
@@ -132,43 +133,62 @@ def _shortlist(csum, xs, scale):
         g = SSE - ((q_i - c**2/n_L) + ((Q_j - q_i) - (S_j - c)**2/n_R)),
 
     with q_i and Q_j prefix sums of y**2 along feature j, equals
-    SSE - Sigma(y**2) + T in exact arithmetic, where
-    T = c**2/n_L + (S_j - c)**2/n_R is the exact-greedy score of XGBoost
-    (arXiv:1603.02754, eq. 7) on the float prefix sums. Boundaries are
-    ranked by T alone, which needs no prefix sum of y**2.
+    SSE - Sigma(y**2) + T_j in exact arithmetic, where
+    T_j = c**2/n_L + (S_j - c)**2/n_R is the exact-greedy score of XGBoost
+    (arXiv:1603.02754, eq. 7) on the float prefix sums. With one total
+    S = csum[0, -1] for every feature, exactly
 
-    The bound, with u = eps/2 and Q = Sigma(y**2); SSE <= Q and T <= Q up
-    to rounding, so every partial result is at most M:
+        T_j = n R + S**2/n + E_j,   R = (c - (S/n) n_L)**2 w,
+        E_j = ((S_j - c)**2 - (S - c)**2) / n_R,   w = 1/(n_L n_R),
 
-    * the vector score s rounds at most four times per term:
-      |s - T| <= 5uM;
-    * Q_j is a sequential sum of n squares: |Q_j - Q| <= (n - 1)uQ;
-    * the scalar formula rounds its two quotients (pow within one ulp)
-      and five sums: |g - (SSE - Q + T)| <= ((n - 1) + 11)uM.
+    so boundaries are ranked by R: three passes over the block (subtract
+    (S/n) n_L, square, multiply by w), and no prefix sum of y**2. The block
+    is worked at its full width n. Its last column, the node total, is no
+    boundary: the compare of neighbours along the flattened ``xs`` marks it
+    invalid with the ties. Every score is >= 0, so an invalid boundary
+    multiplied by 0 leaves the plain maximum to the valid ones.
+
+    The bound, with u = eps/2, Q = Sigma(y**2) and Y = max|y|; SSE <= Q,
+    T_j <= Q and n R <= SSE up to rounding, so every partial result is at
+    most M, and Sigma|y| Y <= (1 + sqrt(n - 1)/2) Q (Cauchy-Schwarz on the
+    n - 1 values besides the largest):
+
+    * the scalar formula rounds its two quotients (pow within one ulp) and
+      five sums, and Q_j, a sequential sum of n squares, is within
+      (n - 1)uQ of Q: |g - (SSE - Q + T_j)| <= (n + 10)uM;
+    * S_j and S are sequential sums of the same n values, so
+      |S_j - S| <= 2(n - 1)u Sigma|y|, and |S_j - c| <= n_R Y:
+      |E_j| <= 2|S_j - S| Y <= (n - 1)(4 + 2 sqrt(n - 1))uQ;
+    * the vector score r rounds (S/n) n_L twice and each of the other three
+      steps once (n_L n_R is exact), and |c - (S/n) n_L| <= 2 n_L n_R Y/n:
+      |r - R| <= 5uR + 8u|S| Y/n <= (13 + 4 sqrt(n - 1))uM/n.
 
     If boundary k has the largest scalar gain and m the largest score,
-    g_k >= g_m gives T_k >= T_m - 2(n + 10)uM, so s_k >= s_m - (n + 15)eps M.
-    The shortlist keeps every score within (4n + 128)eps M of the top, over
-    four times that margin, which also covers second-order terms and the
-    rounding of M and of the subtraction.
+    g_k >= g_m gives T_k >= T_m - 2(n + 10)uM. Dividing by n,
+    R_k >= R_m - (2(n + 10)uM + 2 max|E_j|)/n, and so
+    r_k >= r_m - (4 sqrt(n) + 33)uM for every n >= 2. The shortlist keeps
+    every score within (16 sqrt(n) + 32)eps M of the top: over twice that
+    margin at n = 2 and over six times it at n = 624, which also covers
+    second-order terms and the rounding of M and of the subtraction.
     """
     n = csum.shape[1]
-    cl = csum[:, :-1]
-    nl = np.arange(1, n, dtype=np.float64)
-    # score = cl ** 2 / nl + (S - cl) ** 2 / (n - nl), in two buffers
-    score = np.square(cl)
-    score /= nl
-    right = np.subtract(csum[:, -1:], cl)
-    np.square(right, out=right)
-    right /= n - nl
-    score += right
-    valid = np.less(xs[:, :-1], xs[:, 1:])
-    top = np.maximum.reduce(score, axis=None, initial=-np.inf, where=valid)
-    if top == -np.inf:
-        return np.empty(0, dtype=np.intp)
-    keep = np.greater_equal(score, top - (4 * n + 128) * _EPS * scale)
-    keep &= valid
-    return keep.ravel().nonzero()[0]
+    nl = np.arange(1, n + 1, dtype=np.float64)
+    w = nl * (n - nl)
+    w[-1] = 1.0                     # the node total: finite, and masked below
+    np.divide(1.0, w, out=w)
+    score = np.subtract(csum, nl * (csum[0, -1] / n))
+    np.square(score, out=score)
+    score *= w
+    valid = np.empty(csum.size, dtype=bool)
+    flat = xs.ravel()
+    np.less(flat[:-1], flat[1:], out=valid[:-1])
+    valid[n - 1::n] = False
+    score *= valid.reshape(score.shape)
+    top = np.maximum.reduce(score, axis=None)
+    keep = np.greater_equal(score, top - (16 * math.sqrt(n) + 32) * _EPS * scale)
+    keep = keep.ravel().nonzero()[0]
+    keep = keep[valid.take(keep)]
+    return keep - keep // n
 
 
 def _split_search(y, order, xs, rows):
@@ -251,9 +271,11 @@ def best_split(X: np.ndarray, y: np.ndarray):
     arithmetic can round to different gains, so the winner among them need
     not be the lowest feature.
     """
+    X = _finite(np.asarray(X, dtype=np.float64), "X")
+    y = _finite(np.asarray(y, dtype=np.float64), "y")
     if len(y) < 2:
         return None
-    _, order, xs = _presorted(np.asarray(X))
+    _, order, xs = _presorted(X)
     return _split_search(y, order, xs, np.arange(len(y)))
 
 
@@ -301,8 +323,8 @@ def _grow_tree(XT, order, xs, y, max_depth: int):
 
 def fit_tree(X, y, max_depth: int) -> TreeNode:
     """Greedy CART regression tree on residuals; leaves hold means."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = _finite(np.asarray(X, dtype=np.float64), "X")
+    y = _finite(np.asarray(y, dtype=np.float64), "y")
     if len(y) < 1:
         raise BaselineError("need at least one row")
     return _grow_tree(*_presorted(X), y, max_depth)[0]
@@ -426,8 +448,8 @@ def gbt_grid_search(data: ExampleSet,
     if not (n_estimators_grid and max_depth_grid and learning_rate_grid):
         raise BaselineError("grids must be non-empty")
     X_tr = flatten_features(data.train)
-    X_val = flatten_features(data.validation)
-    y_tr, y_val = data.train.y, data.validation.y
+    X_val = _finite(flatten_features(data.validation), "validation X")
+    y_tr, y_val = data.train.y, _finite(data.validation.y, "validation y")
     presorted = _presorted(np.asarray(X_tr, dtype=np.float64))
     n_grid = sorted(n_estimators_grid)
     cells = []

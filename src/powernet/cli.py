@@ -100,7 +100,11 @@ def _parse_file(path, what: str, parse):
 
 def _load_config(args) -> dict:
     """Every config key: the defaults, then the file, then the flags, which
-    win; checked against CONFIG_CHECKS before any data is read."""
+    win; checked against CONFIG_CHECKS before any data is read.
+
+    Then a flag naming a key the command never reads is a usage error: the
+    GBT reads only the example keys, and powernet ``train`` no grid. A
+    config file may hold any key, since one file can serve both commands."""
     cfg = {**TrainConfig().to_dict(), **EXAMPLE_DEFAULTS}
     if args.config:
         doc = _parse_file(args.config, "config", json.loads)
@@ -110,9 +114,16 @@ def _load_config(args) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
-    cfg.update((key, value) for key, value in vars(args).items()
-               if key in CONFIG_CHECKS)
-    return check(cfg, CONFIG_CHECKS, UsageError, "config")
+    flags = [key for key in vars(args) if key in CONFIG_CHECKS]
+    cfg.update((key, getattr(args, key)) for key in flags)
+    cfg = check(cfg, CONFIG_CHECKS, UsageError, "config")
+    gbt = args.model == "gbt"
+    for key in flags:
+        if (gbt and key not in EXAMPLE_DEFAULTS
+                or key == "memory_size_grid" and not args.grid):
+            raise UsageError(f"--{key.replace('_', '-')} is not used by "
+                             f"{args.command}{' --model gbt' if gbt else ''}")
+    return cfg
 
 
 def _load_dataset(path):

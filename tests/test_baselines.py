@@ -306,6 +306,36 @@ class TestBestSplit:
                 scale = float(ys @ ys) + float(np.sum((ys - ys.mean()) ** 2))
                 assert want <= set(_shortlist(csum, xs, scale).tolist())
 
+    def test_shortlist_holds_every_scalar_maximum_at_bench_size(self):
+        # 624 x 21 nodes as the gbt benchmark's roots see them, and seeded
+        # row subsets down to n = 2. A large common offset makes the
+        # centred score cancel; heavy tails spread the per-feature totals
+        # S_j most for a given M. Features on a 0.01 grid tie at about
+        # half the boundaries of the full node; the last seven negate the
+        # first seven, so their best splits tie in exact arithmetic while
+        # their prefix sums run in another order and round apart.
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(624, 14)).round(2)
+        X = np.column_stack([X, -X[:, :7]])
+        ties = np.mean([1 - (len(np.unique(col)) - 1) / 623 for col in X.T])
+        assert 0.4 < ties < 0.6
+        targets = [1e3 + rng.normal(size=624), rng.standard_t(1.5, size=624),
+                   1e3 + rng.standard_t(1.5, size=624)]
+        for y in targets:
+            for n in (624, 312, 156, 78, 39, 20, 10, 5, 3, 2):
+                rows = np.sort(rng.choice(624, size=n, replace=False))
+                Xs, ys = X[rows], y[rows]
+                gains = list(reference_gains(Xs, ys))
+                if not gains:
+                    continue
+                top = max(g for _, _, _, g in gains)
+                want = {j * (n - 1) + i for j, i, _, g in gains if g == top}
+                order = _presort(Xs)
+                xs = np.take_along_axis(Xs.T, order, axis=1)
+                csum = np.cumsum(ys[order], axis=1)
+                scale = float(ys @ ys) + float(np.sum((ys - ys.mean()) ** 2))
+                assert want <= set(_shortlist(csum, xs, scale).tolist()), (n, y[:2])
+
     def test_constant_target_can_split(self):
         # a constant target's gains can round above zero: the node is
         # searched, not skipped, and splits as the scalar formula says
@@ -574,3 +604,33 @@ class TestNonFiniteInput:
         history[30] = bad
         with pytest.raises(BaselineError, match="history"):
             persistence_forecast(history, 24)
+
+    def test_split_and_tree_features(self, bad):
+        X, y = self.problem()
+        X[11, 0] = bad
+        for fit in (best_split, lambda X, y: fit_tree(X, y, 2)):
+            with pytest.raises(BaselineError, match="^X holds"):
+                fit(X, y)
+
+    def test_split_and_tree_targets(self, bad):
+        X, y = self.problem()
+        y[0] = bad
+        for fit in (best_split, lambda X, y: fit_tree(X, y, 2)):
+            with pytest.raises(BaselineError, match="^y holds"):
+                fit(X, y)
+        # one row never splits, but its target is still read
+        with pytest.raises(BaselineError, match="^y holds"):
+            best_split(X[:1], y[:1])
+
+    @pytest.mark.parametrize("where", ["E", "FW", "FC", "y"])
+    def test_grid_search_validation(self, bad, where):
+        d = make_aligned_dataset(days=10, seed=6)
+        n = len(d)
+        bounds = ((0, n - 96), (n - 96, n - 48), (n - 48, n))
+        data = build_examples(d, fit_feature_spec(d, slice(*bounds[0]), window_len=12),
+                              bounds)
+        getattr(data.validation, where).flat[5] = bad
+        name = "validation y" if where == "y" else "validation X"
+        with pytest.raises(BaselineError, match=f"^{name} holds"):
+            gbt_grid_search(data, n_estimators_grid=(1,), max_depth_grid=(1,),
+                            learning_rate_grid=(0.1,))

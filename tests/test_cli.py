@@ -389,6 +389,34 @@ class TestTrain:
         file = assert_usage_error(main(base + ["--config", str(cfg)]), capsys)
         assert flag == file == "error: config: memory_size: expected int >= 1, got 1.5\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--model", "gbt", "--memory-size", "5"],
+         "--memory-size is not used by train --model gbt"),
+        (["train", "--model", "gbt", "--window-len", "6", "--seed", "0"],
+         "--seed is not used by train --model gbt"),
+        (["grid-search", "--model", "gbt", "--max-epochs", "1"],
+         "--max-epochs is not used by grid-search --model gbt"),
+        (["train", "--memory-size-grid", "[3]", "--memory-size", "4"],
+         "--memory-size-grid is not used by train"),
+    ], ids=["gbt_memory_size", "gbt_seed", "gbt_grid_max_epochs", "train_grid"])
+    def test_flag_the_command_ignores(self, dataset_path, tmp_path, capsys,
+                                      argv, message):
+        out = tmp_path / "out"
+        rc = main(argv + ["--dataset", dataset_path, "--out", str(out),
+                          "--splits", "96:48:48"])
+        assert assert_usage_error(rc, capsys) == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_file_keys_the_command_ignores(self, dataset_path, tmp_path):
+        # one file serves both commands: its keys are not judged by use
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"memory_size": 3, "memory_size_grid": [3],
+                                   "max_epochs": 1, "splits": "96:48:48",
+                                   "window_len": 6}))
+        for model in ("gbt", "powernet"):
+            assert main(["train", "--dataset", dataset_path, "--model", model,
+                         "--config", str(cfg), "--out", str(tmp_path / model)]) == 0
+
     def test_null_window_len_flag_overrides_file(self, dataset_path, tmp_path):
         # the ACF rule picks 2 on this dataset; the file's 6 must not win
         fast = [arg for arg in FAST if arg not in ("--window-len", "6")]
