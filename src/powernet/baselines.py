@@ -32,10 +32,9 @@ from itertools import product
 
 import numpy as np
 
-from .dataio import TimeSeries
 from .features import ExampleSet, Split
 from .metrics import mse
-from .numcore import OBJECT, check, integer, items, one_of, real
+from .numcore import OBJECT, check, finite, integer, items, one_of, real
 
 GBT_FORMAT_VERSION = 1
 
@@ -49,20 +48,32 @@ class BaselineError(ValueError):
     pass
 
 
-def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    """``a``, or a BaselineError naming ``name`` if it holds a NaN or inf."""
-    if not np.isfinite(a).all():
-        raise BaselineError(f"{name} holds a NaN or infinite value")
-    return a
+#: The largest len(y) * max|y| of a training target. A node score squares a
+#: sum of up to twice the residuals' magnitudes, and boosting at a learning
+#: rate in (0, 2] never raises their sum of squares above Sigma(y**2), so
+#: that sum stays within sqrt(n Sigma(y**2)) <= n max|y|: every square is at
+#: most 4e306, below the float64 maximum of 1.8e308.
+MAX_TARGET_MASS = 1e153
+
+
+def _fit_inputs(X, y):
+    """(X, y) as float64 arrays; a NaN or infinity in either, or a y over
+    MAX_TARGET_MASS / len(y) in magnitude, is a BaselineError naming it."""
+    X = finite(np.asarray(X, dtype=np.float64), BaselineError, "X")
+    y = finite(np.asarray(y, dtype=np.float64), BaselineError, "y")
+    if len(y) and np.abs(y).max() > MAX_TARGET_MASS / len(y):
+        raise BaselineError(f"y exceeds {MAX_TARGET_MASS:g} / len(y) in magnitude: "
+                            "its split scores would overflow")
+    return X, y
 
 
 def persistence_forecast(history, horizon: int, period: int = 24) -> np.ndarray:
     """Repeat the value observed one period earlier, recursively for
     horizons beyond one period; the last period must be finite."""
-    values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=np.float64)
+    values = np.asarray(history, dtype=np.float64)
     if len(values) < period:
         raise BaselineError(f"need at least {period} history values, have {len(values)}")
-    return np.resize(_finite(values[-period:], "history"), horizon)
+    return np.resize(finite(values[-period:], BaselineError, "history"), horizon)
 
 
 @dataclass
@@ -269,10 +280,9 @@ def best_split(X: np.ndarray, y: np.ndarray):
     The largest float64 gain wins; equal float64 gains keep the lowest
     feature index, then the lowest threshold. Splits that tie in exact
     arithmetic can round to different gains, so the winner among them need
-    not be the lowest feature.
+    not be the lowest feature. X and y are refused as fit_gbt refuses them.
     """
-    X = _finite(np.asarray(X, dtype=np.float64), "X")
-    y = _finite(np.asarray(y, dtype=np.float64), "y")
+    X, y = _fit_inputs(X, y)
     if len(y) < 2:
         return None
     _, order, xs = _presorted(X)
@@ -322,9 +332,9 @@ def _grow_tree(XT, order, xs, y, max_depth: int):
 
 
 def fit_tree(X, y, max_depth: int) -> TreeNode:
-    """Greedy CART regression tree on residuals; leaves hold means."""
-    X = _finite(np.asarray(X, dtype=np.float64), "X")
-    y = _finite(np.asarray(y, dtype=np.float64), "y")
+    """Greedy CART regression tree on residuals; leaves hold means. X and y
+    are refused as fit_gbt refuses them."""
+    X, y = _fit_inputs(X, y)
     if len(y) < 1:
         raise BaselineError("need at least one row")
     return _grow_tree(*_presorted(X), y, max_depth)[0]
@@ -367,7 +377,7 @@ class GbtModel:
               "max_depth": integer(0), "trees": items(OBJECT)}
 
     def predict(self, X) -> np.ndarray:
-        X = _finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "X")
+        X = finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), BaselineError, "X")
         out = np.full(len(X), self.initial_prediction)
         for tree in self.trees:
             out += self.learning_rate * tree_predict(tree, X)
@@ -411,9 +421,10 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     of the current ensemble, earlier trees stay unchanged.
 
     ``presorted``, _presorted(X) of this same X, saves the sort when the
-    caller fits several models to one matrix, as gbt_grid_search does."""
-    X = _finite(np.asarray(X, dtype=np.float64), "X")
-    y = _finite(np.asarray(y, dtype=np.float64), "y")
+    caller fits several models to one matrix, as gbt_grid_search does. A NaN
+    or infinity in X or y, or a y over 1e153 / len(y) in magnitude, whose
+    split scores would overflow, is a BaselineError naming it."""
+    X, y = _fit_inputs(X, y)
     if len(y) == 0:
         raise BaselineError("empty training set")
     model = GbtModel(initial_prediction=float(y.mean()),
@@ -448,8 +459,8 @@ def gbt_grid_search(data: ExampleSet,
     if not (n_estimators_grid and max_depth_grid and learning_rate_grid):
         raise BaselineError("grids must be non-empty")
     X_tr = flatten_features(data.train)
-    X_val = _finite(flatten_features(data.validation), "validation X")
-    y_tr, y_val = data.train.y, _finite(data.validation.y, "validation y")
+    X_val = finite(flatten_features(data.validation), BaselineError, "validation X")
+    y_tr, y_val = data.train.y, finite(data.validation.y, BaselineError, "validation y")
     presorted = _presorted(np.asarray(X_tr, dtype=np.float64))
     n_grid = sorted(n_estimators_grid)
     cells = []

@@ -103,8 +103,9 @@ def _load_config(args) -> dict:
     win; checked against CONFIG_CHECKS before any data is read.
 
     Then a flag naming a key the command never reads is a usage error: the
-    GBT reads only the example keys, and powernet ``train`` no grid. A
-    config file may hold any key, since one file can serve both commands."""
+    GBT reads only the example keys, powernet ``train`` no grid and
+    ``grid-search`` no single memory size. A config file may hold any key,
+    since one file can serve both commands."""
     cfg = {**TrainConfig().to_dict(), **EXAMPLE_DEFAULTS}
     if args.config:
         doc = _parse_file(args.config, "config", json.loads)
@@ -118,9 +119,9 @@ def _load_config(args) -> dict:
     cfg.update((key, getattr(args, key)) for key in flags)
     cfg = check(cfg, CONFIG_CHECKS, UsageError, "config")
     gbt = args.model == "gbt"
+    unread = "memory_size" if args.grid else "memory_size_grid"
     for key in flags:
-        if (gbt and key not in EXAMPLE_DEFAULTS
-                or key == "memory_size_grid" and not args.grid):
+        if gbt and key not in EXAMPLE_DEFAULTS or key == unread:
             raise UsageError(f"--{key.replace('_', '-')} is not used by "
                              f"{args.command}{' --model gbt' if gbt else ''}")
     return cfg

@@ -119,10 +119,10 @@ def format_timestamp(epoch: int, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HO
     return datetime.fromtimestamp(epoch, tz).strftime("%Y-%m-%dT%H:%M:%S")
 
 
-def _timestamp_text(epoch: int, utc_offset_hours: float) -> str:
+def _timestamp_text(epoch: int) -> str:
     """format_timestamp, or the epoch seconds outside datetime's range."""
     try:
-        return format_timestamp(epoch, utc_offset_hours)
+        return format_timestamp(epoch)
     except (OverflowError, OSError, ValueError):
         return f"epoch {epoch}"
 
@@ -256,9 +256,9 @@ def dataset_from_json(text: str) -> AlignedDataset:
 
 
 def load_consumption(path, fmt: str = "per_minute",
-                     utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS,
                      report: IngestReport | None = None) -> TimeSeries:
-    """Load a two-column ``timestamp,power_kW`` CSV at its native resolution.
+    """Load a two-column ``timestamp,power_kW`` CSV at its native resolution;
+    naive timestamps are read at DEFAULT_UTC_OFFSET_HOURS.
 
     Malformed rows, including readings that are not finite or not below
     MAX_VALUE in magnitude, are counted and skipped (>50% malformed is a
@@ -273,7 +273,7 @@ def load_consumption(path, fmt: str = "per_minute",
     stamps = [cells[0] for cells in rows]
     # a header line, junk or a one-cell row reads NaN: malformed
     powers = _floats([cells[1] if len(cells) > 1 else "" for cells in rows])
-    ts, ok = parse_timestamps(stamps, utc_offset_hours)
+    ts, ok = parse_timestamps(stamps)
     ok &= np.abs(powers) < MAX_VALUE   # also NaN
     order = np.argsort(ts[ok], kind="stable")
     ts, powers = ts[ok][order], powers[ok][order]
@@ -291,7 +291,7 @@ def load_consumption(path, fmt: str = "per_minute",
     n = (int(ts[-1]) - start) // step + 1
     # checked before allocating: a mistyped year would ask for the span
     if n > MAX_SLOTS_PER_ROW * len(ts):
-        first, last = (_timestamp_text(int(ts[i]), utc_offset_hours) for i in (0, -1))
+        first, last = (_timestamp_text(int(ts[i])) for i in (0, -1))
         raise DataError(f"{path}: {len(ts)} rows from {first} to {last} "
                         f"span {n} slots, over {MAX_SLOTS_PER_ROW} per row; "
                         "is a timestamp mistyped?")

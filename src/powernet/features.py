@@ -168,21 +168,24 @@ def weather_features(rows, spec: FeatureSpec) -> np.ndarray:
     return out
 
 
+#: The most lags the ACF rule reads when it picks the window length.
+MAX_LAG = 48
+
+
 def fit_feature_spec(d: AlignedDataset, train_slice: slice,
                      window_len: int | None = None,
-                     acf_threshold: float = 0.5, max_lag: int = 48,
-                     daytime_range=(7, 19),
-                     utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> FeatureSpec:
-    """Build a FeatureSpec from the training rows of an aligned dataset.
+                     acf_threshold: float = 0.5) -> FeatureSpec:
+    """Build a FeatureSpec from the training rows of an aligned dataset,
+    with FeatureSpec's default daytime range and UTC offset.
 
     When window_len is None the ACF prefix rule picks it from the training
-    consumption.
+    consumption, over up to MAX_LAG lags.
     """
     kw = d.kw[train_slice]
     if len(kw) == 0:
         raise FeatureError("empty training slice")
     if window_len is None:
-        window_len = select_window(acf(kw, min(max_lag, len(kw) - 1)), acf_threshold)
+        window_len = select_window(acf(kw, min(MAX_LAG, len(kw) - 1)), acf_threshold)
     window_len = int(window_len)
     if window_len < 1:
         raise FeatureError(f"window_len must be >= 1, got {window_len}")
@@ -213,8 +216,6 @@ def fit_feature_spec(d: AlignedDataset, train_slice: slice,
         weather_std=std,
         cons_mean=float(kw.mean()),
         cons_std=cons_std if cons_std > 0 else 1.0,
-        daytime_range=tuple(daytime_range),
-        utc_offset_hours=utc_offset_hours,
     )
 
 

@@ -16,12 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataio import HOUR, AlignedDataset, TimeSeries
+from .dataio import HOUR, AlignedDataset
 from .features import (FeatureSpec, calendar_features, weather_features,
                        window_features)
 from .metrics import ErrorCurve, error_curve, mape
 from .model import PowerNetParams, forward_batch, forward_recursive
-from .numcore import check, integer, real
+from .numcore import check, finite, integer, real
 
 
 class ForecastError(ValueError):
@@ -136,11 +136,8 @@ class TheftScenario:
             raise ForecastError("empty-backwards theft range")
 
 
-def apply_theft(values, scenario: TheftScenario):
-    """Tamper a kW series (TimeSeries or array); exact outside the range."""
-    if isinstance(values, TimeSeries):
-        out = apply_theft(values.values, scenario)
-        return TimeSeries(start=values.start, step=values.step, values=out)
+def apply_theft(values, scenario: TheftScenario) -> np.ndarray:
+    """Tamper a kW series; exact outside the range."""
     out = np.asarray(values, dtype=np.float64).copy()
     if scenario.end_row > len(out):
         raise ForecastError("theft range exceeds the series")
@@ -171,10 +168,9 @@ def theft_sweep(p: PowerNetParams, spec: FeatureSpec, d: AlignedDataset,
 class DetectorConfig:
     window: int = 24          # hours per rolling residual window
     k: float = 3.0            # alarm at mu + k*sigma of clean window means
-    floor_kw: float = 0.05    # denominator floor; reported values are adversarial
 
-    CHECKS = {"window": integer(1), "k": real(0, strict=True),
-              "floor_kw": real(0, strict=True)}
+    floor_kw = 0.05   # denominator floor (a constant); reported values are adversarial
+    CHECKS = {"window": integer(1), "k": real(0, strict=True)}
 
     def __post_init__(self):
         check(vars(self), self.CHECKS, ForecastError, "detector config")
@@ -192,11 +188,8 @@ class ResidualStats:
 def _residual_means(predicted, reported, cfg: DetectorConfig) -> np.ndarray:
     """Rolling ``cfg.window`` means of the residual percentages; a
     non-finite value in either series is a ForecastError naming it."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    reported = np.asarray(reported, dtype=np.float64)
-    for name, v in (("predicted", predicted), ("reported", reported)):
-        if not np.isfinite(v).all():
-            raise ForecastError(f"{name} holds a non-finite value")
+    predicted = finite(np.asarray(predicted, dtype=np.float64), ForecastError, "predicted")
+    reported = finite(np.asarray(reported, dtype=np.float64), ForecastError, "reported")
     x = np.abs(reported - predicted) / np.maximum(predicted, cfg.floor_kw)
     if len(x) < cfg.window:
         raise ForecastError(f"need at least {cfg.window} hours, have {len(x)}")

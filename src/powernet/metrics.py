@@ -12,6 +12,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
+#: MAPE leaves out the hours whose actual value is at or below this.
+ZERO_FLOOR = 1e-6
+
+
 class MetricError(ValueError):
     pass
 
@@ -30,7 +34,7 @@ def mse(actual, forecast) -> float:
     return float(np.mean((a - f) ** 2))
 
 
-def mape(actual, forecast, zero_floor: float = 1e-6) -> float:
+def mape(actual, forecast, zero_floor: float = ZERO_FLOOR) -> float:
     """Mean absolute percentage error, in percent.
 
     Terms with |A_t| <= zero_floor are excluded and the mean renormalized;
@@ -57,15 +61,15 @@ class ErrorCurve:
     window: int
 
 
-def error_curve(actual, forecast, window: int = 24,
-                zero_floor: float = 1e-6) -> ErrorCurve:
-    """Cumulative-to-hour and rolling-window MAPE/MSE series."""
+def error_curve(actual, forecast, window: int = 24) -> ErrorCurve:
+    """Cumulative-to-hour and rolling-window MAPE/MSE series; MAPE leaves
+    out the hours at or below ZERO_FLOOR."""
     if window < 1:
         raise MetricError("window must be >= 1")
     a, f = _pair(actual, forecast)
     n = len(a)
     sq = (a - f) ** 2
-    keep = np.abs(a) > zero_floor
+    keep = np.abs(a) > ZERO_FLOOR
     pct = np.zeros(n)
     pct[keep] = 100.0 * np.abs((a[keep] - f[keep]) / a[keep])
 

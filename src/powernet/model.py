@@ -338,8 +338,6 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
 
 
 def _dropout_mask(rng, shape, rate):
-    if rate <= 0.0:
-        return None
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 

@@ -1,4 +1,5 @@
-"""ReLU and its gradient, the shape error, and ``check``, which every
+"""ReLU and its gradient, the shape error, ``finite``, which refuses a NaN
+or infinite array in the caller's error class, and ``check``, which every
 reader of a document from outside (config, feature spec, checkpoint,
 dataset) runs on a table of rules.
 (The LSTM computes its sigmoid gates from one tanh in ``model``.)
@@ -26,6 +27,14 @@ def relu(x):
 def relu_grad(pre_activation):
     # Subgradient at exactly 0 is taken as 0, matching the forward pass.
     return (np.asarray(pre_activation) > 0.0).astype(np.float64)
+
+
+def finite(a: np.ndarray, error, name: str) -> np.ndarray:
+    """``a``, or ``error("<name> holds a non-finite value")`` if it holds a
+    NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise error(f"{name} holds a non-finite value")
+    return a
 
 
 # checking documents read from outside ---------------------------------------

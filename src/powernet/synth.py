@@ -88,16 +88,13 @@ def make_consumption(hours: np.ndarray, temperature: np.ndarray, rng,
 
 
 def make_aligned_dataset(days: int, seed: int = 0,
-                         start: str = DEFAULT_START,
-                         noise: float = 0.05,
                          trend: float = 0.0015) -> AlignedDataset:
-    """One aggregate-level synthetic aligned dataset, fully deterministic."""
+    """One aggregate-level synthetic aligned dataset from DEFAULT_START,
+    fully deterministic."""
     rng = np.random.default_rng(seed)
-    t0 = parse_timestamp(start)
-    hours = t0 + HOUR * np.arange(days * 24, dtype=np.int64)
+    hours = parse_timestamp(DEFAULT_START) + HOUR * np.arange(days * 24, dtype=np.int64)
     weather = make_weather(hours, rng)
-    kw = make_consumption(hours, weather.numeric[:, 0], rng, noise=noise,
-                          trend=trend)
+    kw = make_consumption(hours, weather.numeric[:, 0], rng, trend=trend)
     return AlignedDataset(hours=hours, kw=kw, weather=weather)
 
 
@@ -137,12 +134,12 @@ def write_consumption_csv(path, hourly: TimeSeries, fmt: str, rng):
 
 
 def write_fixture_dir(out_dir, days: int, apartments: int = 3, seed: int = 0,
-                      fmt: str = "per_minute", start: str = DEFAULT_START):
-    """Emit per-apartment consumption CSVs plus weather.csv; returns paths."""
+                      fmt: str = "per_minute"):
+    """Emit per-apartment consumption CSVs plus weather.csv from
+    DEFAULT_START; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    t0 = parse_timestamp(start)
-    hours = t0 + HOUR * np.arange(days * 24, dtype=np.int64)
+    hours = parse_timestamp(DEFAULT_START) + HOUR * np.arange(days * 24, dtype=np.int64)
     weather = make_weather(hours, rng)
     paths = []
     for a in range(apartments):

@@ -634,3 +634,31 @@ class TestNonFiniteInput:
         with pytest.raises(BaselineError, match=f"^{name} holds"):
             gbt_grid_search(data, n_estimators_grid=(1,), max_depth_grid=(1,),
                             learning_rate_grid=(0.1,))
+
+
+class TestTargetMagnitude:
+    """A target whose split scores would overflow is a BaselineError naming
+    y; at the bound every score stays finite and the trees still split (the
+    tests run with warnings as errors, so an overflow would raise)."""
+
+    #: the feature of the root split, from each of the three fitting calls
+    FITS = {"fit_gbt": lambda X, y: fit_gbt(X, y, n_estimators=3,
+                                            learning_rate=1.0).trees[0].feature,
+            "fit_tree": lambda X, y: fit_tree(X, y, 3).feature,
+            "best_split": lambda X, y: best_split(X, y)[0]}
+
+    def features(self):
+        return np.random.default_rng(0).normal(size=(50, 3))
+
+    @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
+    def test_overflowing_targets_refused(self, fit):
+        X = self.features()
+        with pytest.raises(BaselineError, match="^y exceeds"):
+            fit(X, 1e160 * X[:, 0])
+
+    @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
+    def test_targets_at_the_bound_split(self, fit):
+        X = self.features()
+        # max|y| is the limit itself: x / max|x| is 1.0 exactly at the largest
+        limit = baselines.MAX_TARGET_MASS / len(X)
+        assert fit(X, X[:, 0] / np.abs(X[:, 0]).max() * limit) == 0

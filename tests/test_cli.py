@@ -398,7 +398,10 @@ class TestTrain:
          "--max-epochs is not used by grid-search --model gbt"),
         (["train", "--memory-size-grid", "[3]", "--memory-size", "4"],
          "--memory-size-grid is not used by train"),
-    ], ids=["gbt_memory_size", "gbt_seed", "gbt_grid_max_epochs", "train_grid"])
+        (["grid-search", "--memory-size", "5"],
+         "--memory-size is not used by grid-search"),
+    ], ids=["gbt_memory_size", "gbt_seed", "gbt_grid_max_epochs", "train_grid",
+            "grid_memory_size"])
     def test_flag_the_command_ignores(self, dataset_path, tmp_path, capsys,
                                       argv, message):
         out = tmp_path / "out"
@@ -511,10 +514,12 @@ class TestGridSearch:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"memory_size_grid": [3, 4]}))
         flag, file = tmp_path / "flag", tmp_path / "file"
+        # grid-search refuses --memory-size, which the grid replaces
+        fast = [arg for arg in FAST if arg not in ("--memory-size", "4")]
         assert main(["grid-search", "--dataset", dataset_path, "--out", str(flag),
-                     "--memory-size-grid", "[3,4]"] + FAST) == 0
+                     "--memory-size-grid", "[3,4]"] + fast) == 0
         assert main(["grid-search", "--dataset", dataset_path, "--out", str(file),
-                     "--config", str(cfg)] + FAST) == 0
+                     "--config", str(cfg)] + fast) == 0
         assert (flag / "grid_report.json").exists()
         assert same_outputs(flag, file)
 

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import make_sinusoid_dataset
 from powernet import cli, forecast_anomaly
-from powernet.dataio import HOUR, TimeSeries, dataset_to_json
+from powernet.dataio import dataset_to_json
 from powernet.features import (build_examples, calendar_features,
                                fit_feature_spec, weather_features,
                                window_features)
@@ -225,12 +225,6 @@ class TestTheft:
         out = apply_theft(values, TheftScenario(theta=0.25, start_row=1, end_row=3))
         assert np.array_equal(out, [2.0, 3.0, 4.5, 8.0])
         assert values[1] == 4.0   # input untouched
-
-    def test_apply_theft_timeseries(self):
-        s = TimeSeries(start=0, step=HOUR, values=np.array([1.0, 2.0]))
-        out = apply_theft(s, TheftScenario(theta=0.5, start_row=0, end_row=2))
-        assert isinstance(out, TimeSeries)
-        assert np.array_equal(out.values, [0.5, 1.0])
 
     def test_range_guard(self):
         with pytest.raises(ForecastError):

@@ -2,7 +2,8 @@
 function and class is referenced, every public function and class is
 named outside the tests, and no module reads another module's private
 names: stdlib-only stand-ins for a linter's unused-import, dead-code and
-private-access rules. Every function the benchmark tracer wraps exists
+private-access rules. Every defaulted parameter of a public function is
+passed by some caller, every function the benchmark tracer wraps exists
 under the name it uses, and files are opened only by the one input reader
 and the artifact writers."""
 
@@ -156,6 +157,73 @@ def test_every_public_name_is_named_outside_the_tests():
               for path in sorted((ROOT / folder).rglob("*.py"))}
     found = public_names_only_tests_read(package, others)
     assert [entry for entry in found if entry[1] not in TEST_ONLY] == []
+
+
+def defaulted_parameters(tree) -> list:
+    """(function, parameter, position) of each defaulted parameter of the
+    public functions and methods of the public classes in ``tree``. The
+    position counts the caller's positional arguments (a method's first
+    parameter is bound, a static method's is not); None for keyword-only."""
+    found = []
+
+    def visit(body, method):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                visit(node.body, True)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                bound = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                           for d in node.decorator_list)
+                args = node.args.posonlyargs + node.args.args
+                first = len(args) - len(node.args.defaults)
+                found.extend((node.name, arg.arg, i - bound)
+                             for i, arg in enumerate(args[first:], first))
+                found.extend((node.name, arg.arg, None) for arg, default
+                             in zip(node.args.kwonlyargs, node.args.kw_defaults) if default)
+    visit(tree.body, False)
+    return found
+
+
+def unpassed_defaults(package: dict, callers: dict) -> list:
+    """(module, function, parameter) of each defaulted parameter in
+    ``package`` (module name -> source) that no call in ``callers`` (the
+    sources that count as callers) passes, by keyword, by position, or
+    through ``*`` or ``**`` unpacking. Calls are matched by the called name
+    alone, so a call of another function of that name counts too."""
+    calls = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, param, position):
+        return (any(k.arg in (param, None) for k in call.keywords)
+                or position is not None
+                and (len(call.args) > position
+                     or any(isinstance(a, ast.Starred) for a in call.args)))
+    return sorted((module, function, param) for module, source in package.items()
+                  for function, param, position in defaulted_parameters(ast.parse(source))
+                  if not any(passed(call, param, position) for call in calls.get(function, [])))
+
+
+def test_detects_a_default_no_caller_passes():
+    package = {"a": "def f(x, y=1, *, z=2):\n    pass\n\n"
+                    "def g(a=1, b=2):\n    pass\n\n"
+                    "def h(c=1):\n    pass\n\n"
+                    "def _private(q=1):\n    pass\n\n"
+                    "class C:\n    def m(self, p=1, q=2):\n        pass\n\n"
+                    "    @staticmethod\n    def s(r=1):\n        pass\n\n"
+                    "class _Hidden:\n    def m2(self, t=1):\n        pass\n"}
+    callers = {"b": "f(0, 5)\ng(*args)\nh(**kw)\nC().m(1)\nC.s(2)\n"}
+    assert unpassed_defaults(package, callers) == [("a", "f", "z"), ("a", "m", "q")]
+
+
+def test_every_default_is_passed_by_some_caller():
+    # an option no caller sets is a constant in disguise
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    callers = {str(path): path.read_text() for folder in ("src", "bench", "demos", "tests")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert unpassed_defaults(package, callers) == []
 
 
 def foreign_private_reads(source: str) -> list:
