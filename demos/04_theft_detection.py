@@ -11,11 +11,12 @@ tamper with.
 
 import numpy as np
 
+from powernet.baselines import persistence_forecast
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.forecast_anomaly import (
     DetectorConfig, TheftScenario, apply_theft, detect_consumer,
     detect_substation, forecast_with_actuals, observed_tl, residual_stats,
-    seasonal_tl_predictor, simulate_substation, theft_sweep,
+    simulate_substation, theft_sweep,
 )
 from powernet.synth import make_aligned_dataset
 from powernet.training import TrainConfig, train
@@ -60,7 +61,7 @@ def main():
     consumers = [base * f for f in rng.uniform(0.2, 0.5, 4)]
     master = simulate_substation(consumers, tl_fraction=0.05, noise_frac=0.002)
     tl_clean = observed_tl(master, consumers)
-    tl_pred = seasonal_tl_predictor(tl_clean[:360], 720)
+    tl_pred = persistence_forecast(tl_clean[:360], 720)   # the TL model
     stats_s = residual_stats(tl_pred[:360], tl_clean[:360], det)
 
     reported = [apply_theft(consumers[0], TheftScenario(0.5, 360, 720))] \

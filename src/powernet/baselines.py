@@ -260,14 +260,14 @@ def _split_search(y, order, xs, rows):
         at = np.array([gain(c, q, i) for i in range(width)])
         gains = at.take(shortlist % width)
         j, i = divmod(int(shortlist[gains.argmax()]), width)
-        best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(at[i]))
+        best = (j, xs[j, i] / 2 + xs[j, i + 1] / 2, float(at[i]))
     else:
         best = None
         for k in shortlist.tolist():
             j, i = divmod(k, width)
             g = gain(csum[j], csq[j - first], i)
             if best is None or g > best[2]:
-                best = (j, (xs[j, i] + xs[j, i + 1]) / 2.0, float(g))
+                best = (j, xs[j, i] / 2 + xs[j, i + 1] / 2, float(g))
     if best[2] <= 0.0:
         return None
     return best
@@ -423,7 +423,10 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     ``presorted``, _presorted(X) of this same X, saves the sort when the
     caller fits several models to one matrix, as gbt_grid_search does. A NaN
     or infinity in X or y, or a y over 1e153 / len(y) in magnitude, whose
-    split scores would overflow, is a BaselineError naming it."""
+    split scores would overflow, is a BaselineError naming it, and so is a
+    ``learning_rate`` outside (0, 2], which that bound assumes."""
+    if not 0.0 < learning_rate <= 2.0:
+        raise BaselineError(f"learning_rate must be in (0, 2], got {learning_rate}")
     X, y = _fit_inputs(X, y)
     if len(y) == 0:
         raise BaselineError("empty training set")

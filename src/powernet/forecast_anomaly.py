@@ -239,11 +239,3 @@ def detect_substation(master, reported: list, tl_predictions,
         raise ForecastError(f"misaligned substation inputs: lengths {sorted(lengths)}")
     tl_o = observed_tl(master, reported)
     return detect_consumer(tl_predictions, tl_o, cfg, stats)
-
-
-def seasonal_tl_predictor(tl_history, horizon: int, period: int = 24) -> np.ndarray:
-    """Simple technical-loss model: repeat the final clean period."""
-    tl_history = np.asarray(tl_history, dtype=np.float64)
-    if len(tl_history) < period:
-        raise ForecastError("TL history shorter than one period")
-    return np.resize(tl_history[-period:], horizon)

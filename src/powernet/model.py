@@ -6,32 +6,36 @@ Forward and backward passes are hand-derived (backpropagation through time
 for the recurrence) and operate on batches; gradients are exact and checked
 against central finite differences in the test suite.
 
+All weights live in one contiguous float64 vector, and every weight array is
+a view into it. Each LSTM layer is stored as the one block its step
+multiplies, w = [w_x | w_h | b], with its gate rows in the order
+[i, f, o, g] so that the three sigmoid gates form one block. Gradients use
+the same layout, so the optimizer and the finite-difference checker work on
+plain vectors; ``to_vector`` returns the vector itself and ``from_vector``
+wraps a vector without copying, so the new parameters share its memory.
+Only the model's outer boundary sees the paper's gate order [i, f, g, o]:
+``init_params`` draws in it, and ``PowerNetParams.arrays`` and so the
+checkpoint hold it.
+
 One time-major step, ``_lstm_step``, advances every stacked layer; it is
 the only LSTM recurrence. ``forward_batch`` runs the fusion MLP, that step
 over the window, then the head. Each layer keeps a stacked operand
-[x; h; 1] with one column per window and multiplies it by its weights
-stacked once per call, [w_x | w_h | b], gate rows reordered to
-[i, f, o, g] and the i, f and o rows halved. One tanh over the (4m, B)
-result gives g directly and the sigmoid gates as
-sigmoid(z) = 1/2 + tanh(z/2)/2; c and h are then written in place, h
-straight into the operand of the next step and of the layer above.
+[x; h; 1] with one column per window and multiplies its block by it. The
+i, f and o rows of the (4m, B) product are halved, and one tanh then gives
+g directly and the sigmoid gates as sigmoid(z) = 1/2 + tanh(z/2)/2; c and h
+are then written in place, h straight into the operand of the next step
+and of the layer above.
 
 With ``train=True`` the step records into time-major trace arrays that
 hold every step's operand and gates, and dropout applies; ``train`` keeps
 one set of those arrays, with the backward pass's scratch, and reuses it
 for every batch. ``backward_batch`` makes one product per layer-step for
-[dW_x | dW_h | db] and one for [dx; dh]. Inference (``train=False``) and
-``forward_recursive`` run the same step on one step of those arrays,
-holding only the current state, so memory does not grow with the window,
-and bind that step's views once per call instead of once per step;
-inference returns ``(yhat, None)``, bitwise equal to train mode at
-dropout 0.
-
-All weights live in one contiguous float64 vector, and every weight array is
-a view into it. Gradients use the same layout, so the optimizer and the
-finite-difference checker work on plain vectors; ``to_vector`` returns the
-vector itself and ``from_vector`` wraps a vector without copying, so the
-new parameters share its memory.
+[dW_x | dW_h | db], added into the gradient's block, and one for
+[dx; dh]. Inference (``train=False``) and ``forward_recursive`` run the
+same step on one step of those arrays, holding only the current state, so
+memory does not grow with the window, and bind that step's views once per
+call instead of once per step; inference returns ``(yhat, None)``, bitwise
+equal to train mode at dropout 0.
 """
 
 from __future__ import annotations
@@ -49,28 +53,28 @@ from .numcore import (OBJECT, ShapeError, array, check, integer, items, one_of,
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-@dataclass
 class LstmLayerParams:
-    """One LSTM layer; gate rows are stacked [i, f, g, o], each m rows."""
+    """One LSTM layer: ``w`` is its block [w_x | w_h | b], (4m, in + m + 1)
+    with gate rows stacked [i, f, o, g], each m rows; ``w_x``, ``w_h`` and
+    ``b`` are views of it."""
 
-    w_x: np.ndarray   # (4m, input_dim)
-    w_h: np.ndarray   # (4m, m)
-    b: np.ndarray     # (4m,)
+    def __init__(self, w: np.ndarray):
+        self.w = w
+        self.m = m = w.shape[0] // 4
+        self.w_x, self.w_h, self.b = w[:, :-m - 1], w[:, -m - 1:-1], w[:, -1]
 
-    @property
-    def m(self) -> int:
-        return self.w_h.shape[1]
+
+def _document_rows(m: int) -> np.ndarray:
+    """The row index that takes gate-stacked rows from the kernel's
+    [i, f, o, g] to the paper's [i, f, g, o], and back: the swap is its own
+    inverse."""
+    return np.r_[:2 * m, 3 * m:4 * m, 2 * m:3 * m]
 
 
 def param_layout(m: int, d1: int, d2: int, d3: int, stack: int = 2) -> tuple:
     """(name, start, stop, shape) of every parameter in the flat vector:
-    the stacked LSTM layers bottom first, then w1, b1, ..., w4, b4."""
-    shapes = []
-    input_dim = 1
-    for k in range(stack):
-        shapes += [(f"lstm{k}.w_x", (4 * m, input_dim)),
-                   (f"lstm{k}.w_h", (4 * m, m)), (f"lstm{k}.b", (4 * m,))]
-        input_dim = m
+    the stacked LSTM layers' blocks bottom first, then w1, b1, ..., w4, b4."""
+    shapes = [(f"lstm{k}.w", (4 * m, (m if k else 1) + m + 1)) for k in range(stack)]
     shapes += [("w1", (d1, N_AUX_FEATURES)), ("b1", (d1,)),
                ("w2", (d2, d1)), ("b2", (d2,)),
                ("w3", (d3, m + d2)), ("b3", (d3,)), ("w4", (d3,)), ("b4", (1,))]
@@ -94,8 +98,7 @@ class PowerNetParams:
         self._views = [vec[start:stop].reshape(shape)
                        for _, start, stop, shape in layout]
         n = len(self._views) - 8
-        self.lstm = [LstmLayerParams(*self._views[k:k + 3])
-                     for k in range(0, n, 3)]
+        self.lstm = [LstmLayerParams(w) for w in self._views[:n]]
         (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4,
          self._b4) = self._views[n:]
 
@@ -112,8 +115,14 @@ class PowerNetParams:
         return self.lstm[-1].m
 
     def arrays(self):
-        """(name, view) pairs in layout order; b4 is a 1-vector."""
-        return [(entry[0], view) for entry, view in zip(self.layout, self._views)]
+        """(name, array) pairs as the checkpoint holds them: per LSTM layer,
+        copies of w_x, w_h and b with gate rows [i, f, g, o], then views of
+        w1, b1, ..., w4, b4 (b4 a 1-vector)."""
+        n = len(self.lstm)
+        lstm = [(f"lstm{k}.{part}", getattr(layer, part)[_document_rows(layer.m)])
+                for k, layer in enumerate(self.lstm) for part in ("w_x", "w_h", "b")]
+        return lstm + [(entry[0], view)
+                       for entry, view in zip(self.layout[n:], self._views[n:])]
 
     def to_vector(self) -> np.ndarray:
         """The parameter vector itself, not a copy."""
@@ -130,35 +139,27 @@ class PowerNetParams:
         return PowerNetParams(np.zeros(self.vec.size), self.layout)
 
 
-def _xavier(rng, w):
-    """Fill the 2-D view ``w`` with Xavier-uniform draws."""
-    rows, cols = w.shape
+def _xavier(rng, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) array of Xavier-uniform draws."""
     bound = np.sqrt(6.0 / (rows + cols))
-    w[:] = rng.uniform(-bound, bound, size=(rows, cols))
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 def init_params(m: int, d1: int, d2: int, d3: int, seed: int = 0,
                 stack: int = 2) -> PowerNetParams:
-    """Xavier-uniform weights, zero biases except forget-gate bias = 1."""
+    """Xavier-uniform weights, zero biases except forget-gate bias = 1,
+    drawn in the order of ``arrays``."""
     rng = np.random.default_rng(seed)
     layout = param_layout(m, d1, d2, d3, stack)
     p = PowerNetParams(np.zeros(layout[-1][2]), layout)
+    rows = _document_rows(m)
     for layer in p.lstm:
-        _xavier(rng, layer.w_x)
-        _xavier(rng, layer.w_h)
-        layer.b[m:2 * m] = 1.0   # forget-gate block
+        layer.w_x[:] = _xavier(rng, *layer.w_x.shape)[rows]
+        layer.w_h[:] = _xavier(rng, *layer.w_h.shape)[rows]
+        layer.b[m:2 * m] = 1.0   # forget-gate block, in either gate order
     for w in (p.w1, p.w2, p.w3, p.w4[None, :]):
-        _xavier(rng, w)
+        w[:] = _xavier(rng, *w.shape)
     return p
-
-
-# The kernel runs the gate blocks in the order [i, f, o, g], so that the
-# three sigmoid gates form one block; the parameters keep [i, f, g, o].
-def _copy_gates(dst: np.ndarray, src: np.ndarray, m: int):
-    """Copy the gate-stacked rows of ``src`` into ``dst`` with the last two
-    blocks swapped: from the parameter order to the kernel order, or back."""
-    dst[:2 * m] = src[:2 * m]
-    np.copyto(dst[2 * m:].reshape(2, m, -1), src[2 * m:].reshape(2, m, -1)[::-1])
 
 
 _BPTT_CHUNK = 16   # steps whose gate derivatives the backward pass takes at once
@@ -167,8 +168,8 @@ _BPTT_CHUNK = 16   # steps whose gate derivatives the backward pass takes at onc
 class _LstmTrace:
     """One layer's buffers for one run, all carved from one array: the
     time-major trace, ``steps`` deep (T + 1 steps for training, one step
-    that every time step overwrites for inference), the stacked weights,
-    and for training the backward pass's scratch.
+    that every time step overwrites for inference), and for training the
+    backward pass's scratch. ``w`` is the layer's block itself.
 
     Each step holds one column per window, so that every block the step
     works on is contiguous: ``op[t]`` is the (in + m + 1, B) operand
@@ -181,22 +182,20 @@ class _LstmTrace:
     def __init__(self, layer: LstmLayerParams, steps: int, B: int,
                  train: bool = False, flat=None):
         """Buffers carved from ``flat`` when it is large enough, else from
-        a new array (``self.flat`` either way), with h_{-1} = c_{-1} = 0,
-        the operand's ones row and the layer's weights written; everything
-        else is written before it is read."""
+        a new array (``self.flat`` either way), with h_{-1} = c_{-1} = 0
+        and the operand's ones row written; everything else is written
+        before it is read."""
         m, n_in = layer.m, layer.w_x.shape[1]
-        self.m, self.n_in = m, n_in
+        self.m, self.n_in, self.w = m, n_in, layer.w
         w_op = n_in + m + 1
         fields = [("op", (steps, w_op, B)), ("gate", (steps, 5 * m, B)),
-                  ("tanh_c", (max(steps - 1, 1), m, B)), ("prod", (2 * m, B)),
-                  ("w", (4 * m, w_op))]
+                  ("tanh_c", (max(steps - 1, 1), m, B)), ("prod", (2 * m, B))]
         if train:
             chunk = min(steps - 1, _BPTT_CHUNK)
-            fields += [("w_xh", (n_in + m, 4 * m)), ("acc", (4 * m, w_op)),
-                       ("step_acc", (4 * m, w_op)), ("dxh", (n_in + m, B)),
-                       ("dc", (m, B)), ("deriv", (chunk, 4 * m, B)),
-                       ("dc_dh", (chunk, m, B)), ("dz", (4 * m, B)),
-                       ("tmp", (m, B)), ("dh_sum", (m, B))]
+            fields += [("w_xh", (n_in + m, 4 * m)), ("step_acc", (4 * m, w_op)),
+                       ("dxh", (n_in + m, B)), ("dc", (m, B)),
+                       ("deriv", (chunk, 4 * m, B)), ("dc_dh", (chunk, m, B)),
+                       ("dz", (4 * m, B)), ("tmp", (m, B)), ("dh_sum", (m, B))]
         sizes = [math.prod(shape) for _, shape in fields]
         if flat is None or flat.size < sum(sizes):
             flat = np.empty(sum(sizes))
@@ -208,17 +207,6 @@ class _LstmTrace:
         self.op[:, -1] = 1.0
         self.op[0, n_in:-1] = 0.0
         self.gate[0, 4 * m:] = 0.0
-        self.load(layer)
-
-    def load(self, layer: LstmLayerParams):
-        """Write the layer's [w_x | w_h | b] into ``w`` in kernel order with
-        the i, f and o rows halved: sigmoid(z) = 1/2 + tanh(z/2)/2, so one
-        tanh over the gate block gives every gate."""
-        m, w = self.m, self.w
-        _copy_gates(w[:, :self.n_in], layer.w_x, m)
-        _copy_gates(w[:, self.n_in:-1], layer.w_h, m)
-        _copy_gates(w[:, -1], layer.b, m)
-        w[:3 * m] *= 0.5
 
 
 @dataclass
@@ -263,8 +251,9 @@ def _lstm_step(views: list):
     layer 0's input into the x row of its operand."""
     for w, op, z, s, i_f, g_c, prod, ig, fc, c, tanh_c, o, h, x_next in views:
         np.matmul(w, op, out=z)
+        np.multiply(s, 0.5, out=s)      # sigmoid(z) = 1/2 + tanh(z/2)/2
         np.tanh(z, out=z)
-        np.multiply(s, 0.5, out=s)      # the sigmoids, from the halved rows
+        np.multiply(s, 0.5, out=s)
         np.add(s, 0.5, out=s)
         np.multiply(i_f, g_c, out=prod)
         np.add(ig, fc, out=c)
@@ -280,13 +269,11 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
     ``dh_final`` (B, m) is the upstream gradient on the top layer's last h.
     Arrays hold one column per window, as in the trace.
 
-    The gradient ``dz`` is taken with respect to the halved pre-activation
-    that the forward product computes, so that ``[dx; dh]`` is one product
-    with the forward's stacked weights; its i, f and o rows are twice the
-    gradient with respect to z. Each step adds dz [x; h_prev; 1]^T to the
-    layer's accumulator, which is halved back and scattered into ``grads``
-    (zero on entry) at the end. The activation derivatives
-    (2 sigma (1 - sigma) = 2 (s - s^2) for i, f and o, 1 - g^2 for g) and
+    ``dz`` is the gradient with respect to the pre-activation
+    z = w [x; h_prev; 1]. Each step adds dz [x; h_prev; 1]^T into the
+    layer's block in ``grads`` (zero on entry), and [dx; dh] is one product
+    with the block's transpose. The activation derivatives
+    (sigma (1 - sigma) = s - s^2 for i, f and o, 1 - g^2 for g) and
     o (1 - tanh(c)^2) are taken ``_BPTT_CHUNK`` steps at a time.
     """
     T = len(traces[0].tanh_c)
@@ -294,7 +281,7 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
     chunk = len(traces[0].deriv)
     for tr in traces:
         tr.w_xh[...] = tr.w[:, :-1].T   # contiguous, for a faster product
-        for a in (tr.acc, tr.dxh, tr.dc):
+        for a in (tr.dxh, tr.dc):
             a[...] = 0.0
     traces[-1].dxh[-m:] = dh_final.T   # dh of the (absent) step after the last
     top = len(traces) - 1
@@ -305,14 +292,13 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
                 gate, d, e = tr.gate[t - j:t + 1], tr.deriv[:j + 1], tr.dc_dh[:j + 1]
                 np.multiply(gate[:, :4 * m], gate[:, :4 * m], out=d)
                 np.subtract(gate[:, :3 * m], d[:, :3 * m], out=d[:, :3 * m])
-                np.multiply(d[:, :3 * m], 2.0, out=d[:, :3 * m])
                 np.subtract(1.0, d[:, 3 * m:], out=d[:, 3 * m:])
                 tanh_c = tr.tanh_c[t - j:t + 1]
                 np.multiply(tanh_c, tanh_c, out=e)
                 np.subtract(1.0, e, out=e)
                 np.multiply(e, gate[:, 2 * m:3 * m], out=e)
         for k in range(top, -1, -1):
-            tr = traces[k]
+            tr, gw = traces[k], grads[k].w
             gate, dc, dz, tmp = tr.gate[t], tr.dc, tr.dz, tr.tmp
             dh = tr.dxh[tr.n_in:]
             if k < top:   # plus the gradient on this h as the input above
@@ -327,14 +313,8 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
             np.multiply(dz, tr.deriv[j], out=dz)
             np.multiply(dc, gate[m:2 * m], out=dc)   # dc for step t - 1
             np.matmul(dz, tr.op[t].T, out=tr.step_acc)
-            np.add(tr.acc, tr.step_acc, out=tr.acc)
+            np.add(gw, tr.step_acc, out=gw)
             np.matmul(tr.w_xh, dz, out=tr.dxh)
-    for tr, grad in zip(traces, grads):
-        acc = tr.acc
-        acc[:3 * m] *= 0.5
-        _copy_gates(grad.w_x, acc[:, :tr.n_in], m)
-        _copy_gates(grad.w_h, acc[:, tr.n_in:-1], m)
-        _copy_gates(grad.b, acc[:, -1], m)
 
 
 def _dropout_mask(rng, shape, rate):
@@ -427,15 +407,15 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
 
 
 def _training_traces(layers: list, B: int, T: int, workspace) -> list:
-    """Training traces for B windows of T steps: the workspace's, with the
-    layers' weights loaded, when they have these shapes; otherwise new
-    ones, carved from the workspace's arrays where those are large enough,
-    which the workspace then keeps."""
+    """Training traces for B windows of T steps: the workspace's, pointed
+    at the layers' blocks, when they have these shapes; otherwise new ones,
+    carved from the workspace's arrays where those are large enough, which
+    the workspace then keeps."""
     kept = workspace if workspace and len(workspace) == len(layers) else []
-    if kept and all(tr.op.shape == (T + 1, layer.w_x.shape[1] + layer.m + 1, B)
+    if kept and all(tr.op.shape == (T + 1, layer.w.shape[1], B)
                     for tr, layer in zip(kept, layers)):
         for tr, layer in zip(kept, layers):
-            tr.load(layer)
+            tr.w = layer.w
         return list(kept)
     flats = [tr.flat for tr in kept] or [None] * len(layers)
     traces = [_LstmTrace(layer, T + 1, B, True, flat)
@@ -533,6 +513,7 @@ def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
     newline, one space and "params"."""
     if not np.isfinite(p.vec).all():
         raise ValueError("Out of range float values are not JSON compliant")
+    arrays = p.arrays()
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_type": "powernet",
@@ -540,14 +521,14 @@ def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
         "seed": seed,
         "feature_spec": feature_spec,
         "params": {name: {"shape": list(a.shape), "data": None}
-                   for name, a in p.arrays()},
+                   for name, a in arrays},
         "stack": len(p.lstm),
     }
     text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     before, key, after = text.partition('\n "params": ')
     head, *parts = after.split('"data": null')
     data = ('"data": [\n    ' + ",\n    ".join(map(float.__repr__, a.ravel().tolist()))
-            + "\n   ]" for _, a in sorted(p.arrays(), key=lambda e: e[0]))
+            + "\n   ]" for _, a in sorted(arrays, key=lambda e: e[0]))
     return before + key + head + "".join(d + part for d, part in zip(data, parts))
 
 
@@ -577,16 +558,20 @@ def checkpoint_from_dict(doc: dict):
     if len(shapes) != 3 * stack + 8:
         raise ValueError(f"stack {stack} does not fit {len(shapes)} parameters")
     layout = param_layout(m, d1, d2, d3, stack)
-    expected = {name: shape for name, _, _, shape in layout}
+    # the checkpoint's arrays, each entry the index in ``vec`` it fills
+    index = PowerNetParams(np.arange(layout[-1][2], dtype=np.float64), layout).arrays()
+    expected = {name: a.shape for name, a in index}
     if shapes != expected:
         name = min(set(shapes) ^ set(expected)
                    or {n for n in expected if shapes[n] != expected[n]})
         raise ValueError(f"parameter {name} does not fit a {stack}-layer network "
                          f"with m={m}, d1={d1}, d2={d2}, d3={d3}")
-    for name, start, stop, shape in layout:
-        if len(raw[name]["data"]) != stop - start:
+    for name, a in index:
+        if len(raw[name]["data"]) != a.size:
             raise ValueError(f"checkpoint: params.{name}: data has {len(raw[name]['data'])} "
-                             f"entries, shape {list(shape)} needs {stop - start}")
-    vec = np.concatenate([raw[name]["data"] for name in expected]).astype(np.float64, copy=False)
+                             f"entries, shape {list(a.shape)} needs {a.size}")
+    vec = np.empty(layout[-1][2])
+    vec[np.concatenate([a.ravel() for _, a in index]).astype(np.intp)] = np.concatenate(
+        [raw[name]["data"] for name in expected])
     return (PowerNetParams(vec, layout), doc["hyperparameters"],
             doc["feature_spec"], doc["seed"])

@@ -662,3 +662,35 @@ class TestTargetMagnitude:
         # max|y| is the limit itself: x / max|x| is 1.0 exactly at the largest
         limit = baselines.MAX_TARGET_MASS / len(X)
         assert fit(X, X[:, 0] / np.abs(X[:, 0]).max() * limit) == 0
+
+
+class TestFitGbtInputRange:
+    """The rest of what the target bound assumes: split thresholds stay
+    finite for any finite features, and the learning rate is in (0, 2]
+    (warnings are errors here, so an overflow would raise)."""
+
+    def features(self):
+        return np.random.default_rng(0).normal(size=(50, 3))
+
+    def test_huge_features_give_finite_thresholds(self):
+        X = self.features()
+        model = fit_gbt(X / np.abs(X).max() * 1.5e308, X[:, 0], n_estimators=3)
+
+        def thresholds(node):
+            if node.is_leaf:
+                return []
+            return [node.threshold] + thresholds(node.left) + thresholds(node.right)
+        found = [t for tree in model.trees for t in thresholds(tree)]
+        assert found and np.isfinite(found).all()
+        assert GbtModel.from_dict(json.loads(model.to_json())).trees[0].threshold == found[0]
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, 2.5, float("nan")])
+    def test_learning_rate_outside_the_bound_refused(self, rate):
+        X = self.features()
+        with pytest.raises(BaselineError, match="learning_rate"):
+            fit_gbt(X, X[:, 0], n_estimators=2, learning_rate=rate)
+
+    def test_learning_rate_at_the_bound_accepted(self):
+        X = self.features()
+        model = fit_gbt(X, X[:, 0], n_estimators=3, learning_rate=2.0)
+        assert model.learning_rate == 2.0 and len(model.trees) == 3

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import make_sinusoid_dataset
 from powernet import cli, forecast_anomaly
+from powernet.baselines import BaselineError, persistence_forecast
 from powernet.dataio import dataset_to_json
 from powernet.features import (build_examples, calendar_features,
                                fit_feature_spec, weather_features,
@@ -14,8 +15,7 @@ from powernet.forecast_anomaly import (
     DetectorConfig, ForecastError, ForecastReport, ResidualStats,
     TheftScenario, apply_theft, detect_consumer, detect_substation,
     forecast_recursive, forecast_with_actuals, observed_tl,
-    residual_stats, retraining_analysis, seasonal_tl_predictor,
-    simulate_substation, theft_sweep,
+    residual_stats, retraining_analysis, simulate_substation, theft_sweep,
 )
 from powernet.metrics import error_curve, mape
 from powernet.model import (checkpoint_to_json, forward_batch,
@@ -345,7 +345,7 @@ class TestSubstation:
         master = simulate_substation(consumers, tl_fraction=0.05,
                                      noise_frac=0.002, seed=1)
         tl_clean = observed_tl(master, consumers)
-        tl_pred = seasonal_tl_predictor(tl_clean[:120], 240)
+        tl_pred = persistence_forecast(tl_clean[:120], 240)
         cfg = DetectorConfig(window=24, k=3.0)
         stats = residual_stats(tl_pred[:120], tl_clean[:120], cfg)
         reported = [apply_theft(consumers[0], TheftScenario(0.5, 120, 240))] \
@@ -360,22 +360,23 @@ class TestSubstation:
             detect_substation(np.ones(10), [np.ones(9)], np.ones(10),
                               DetectorConfig(), ResidualStats(0.0, 1.0))
 
+    # the technical-loss model is the seasonal persistence baseline
     def test_seasonal_predictor_repeats_last_period(self):
         history = np.arange(48.0)
-        out = seasonal_tl_predictor(history, 30, period=24)
+        out = persistence_forecast(history, 30, period=24)
         assert np.array_equal(out[:24], history[24:])
         assert out[24] == history[24]
 
     def test_seasonal_predictor_guard(self):
-        with pytest.raises(ForecastError):
-            seasonal_tl_predictor(np.ones(5), 10, period=24)
+        with pytest.raises(BaselineError):
+            persistence_forecast(np.ones(5), 10, period=24)
 
     @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])
     def test_seasonal_predictor_matches_loop_oracle(self, horizon):
         history = np.random.default_rng(0).normal(size=60)
         last = history[-24:]
         expected = np.array([last[h % 24] for h in range(horizon)])
-        out = seasonal_tl_predictor(history, horizon, period=24)
+        out = persistence_forecast(history, horizon, period=24)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from oracles import grad_check, sigmoid
 from powernet.numcore import ShapeError
 from powernet.model import (
     checkpoint_from_dict, checkpoint_from_json, checkpoint_to_json,
-    forward_batch, backward_batch, init_params, param_layout,
+    forward_batch, forward_recursive, backward_batch, init_params, param_layout,
 )
 from powernet.training import loss
 
@@ -23,12 +24,16 @@ def zero_params(m=3, d1=4, d2=3, d3=5):
     return p.from_vector(np.zeros(p.to_vector().size))
 
 
-def reference_lstm_step(x_t, h_prev, c_prev, layer):
-    """Single-example LSTM cell update, the oracle for the batched layer;
-    returns (h_t, c_t)."""
+def reference_lstm_step(x_t, h_prev, c_prev, p, k):
+    """Single-example cell update of LSTM layer k, the oracle for the
+    batched layer; returns (h_t, c_t). It reads the layer as the checkpoint
+    holds it, gate rows [i, f, g, o], so it also pins that order as the one
+    the network computes with."""
     x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
-    z = layer.w_x @ x_t + layer.w_h @ h_prev + layer.b
-    m = layer.m
+    arrays = dict(p.arrays())
+    w_x, w_h, b = (arrays[f"lstm{k}.{part}"] for part in ("w_x", "w_h", "b"))
+    z = w_x @ x_t + w_h @ h_prev + b
+    m = len(h_prev)
     i = sigmoid(z[:m])
     f = sigmoid(z[m:2 * m])
     g = np.tanh(z[2 * m:3 * m])
@@ -83,9 +88,10 @@ class TestLstmStep:
         # h_t = 0.5*tanh(c_t), with c_prev taken from the trace
         p = zero_params()
         m = p.m
-        layer = p.lstm[0]
-        layer.b[2 * m:3 * m] = [1.0, -2.0, 0.5]
-        g = np.tanh(layer.b[2 * m:3 * m])
+        doc = json.loads(checkpoint_to_json(p, {}, {}, seed=0))
+        doc["params"]["lstm0.b"]["data"][2 * m:3 * m] = [1.0, -2.0, 0.5]
+        p = checkpoint_from_dict(doc)[0]
+        g = np.tanh([1.0, -2.0, 0.5])
         _, trace = forward_one([0.7, -0.3, 0.2], np.zeros(13), np.zeros(5), p)
         tr0 = gates(trace.layers[0])
         for t in range(3):
@@ -128,8 +134,8 @@ class TestEncode:
         p = small_params()
         E = np.array([0.4])
         h_final = encode_one(E, p)
-        h1, c1 = reference_lstm_step(E, np.zeros(p.m), np.zeros(p.m), p.lstm[0])
-        h2, _ = reference_lstm_step(h1, np.zeros(p.m), np.zeros(p.m), p.lstm[1])
+        h1, c1 = reference_lstm_step(E, np.zeros(p.m), np.zeros(p.m), p, 0)
+        h2, _ = reference_lstm_step(h1, np.zeros(p.m), np.zeros(p.m), p, 1)
         assert np.allclose(h_final, h2, atol=1e-12)
 
     def test_matches_reference_cell_over_time_and_batch(self):
@@ -140,11 +146,11 @@ class TestEncode:
                                  train=True)
         for b in range(3):
             xs = list(E[b])
-            for layer in p.lstm:
+            for k in range(len(p.lstm)):
                 h, c = np.zeros(p.m), np.zeros(p.m)
                 hs = []
                 for x in xs:
-                    h, c = reference_lstm_step(x, h, c, layer)
+                    h, c = reference_lstm_step(x, h, c, p, k)
                     hs.append(h)
                 xs = hs
             assert np.allclose(h_final(trace)[b], xs[-1], atol=1e-12)
@@ -200,11 +206,11 @@ class TestFusedStep:
         assert np.array_equal(y_infer, forward_batch(E, FW, FC, p, train=True)[0])
         for b in range(B):
             xs = list(E[b])
-            for layer, tr in zip(p.lstm, map(gates, trace.layers)):
+            for k, tr in enumerate(map(gates, trace.layers)):
                 h, c = np.zeros(p.m), np.zeros(p.m)
                 hs = []
                 for t, x in enumerate(xs):
-                    h, c = reference_lstm_step(x, h, c, layer)
+                    h, c = reference_lstm_step(x, h, c, p, k)
                     assert np.allclose(tr.c[t][b], c, rtol=0, atol=1e-12)
                     hs.append(h)
                 xs = hs
@@ -395,6 +401,26 @@ class TestForward:
                 tracemalloc.stop()
         assert peak_bytes(False) < peak_bytes(True) / 10
 
+    def test_inference_holds_no_copy_of_the_weights(self):
+        # the step multiplies each layer's stored block itself, so neither
+        # a recursive forecast nor an inference batch allocates one
+        p = small_params(m=128, d1=32, d2=16, d3=32, seed=22)
+        rng = np.random.default_rng(22)
+        block = 4 * 128 * (2 * 128 + 1) * 8   # layer 1's [w_x | w_h | b], bytes
+
+        def peak_bytes(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        fw, fc = rng.normal(size=(24, 13)), rng.normal(size=(24, 5))
+        assert peak_bytes(lambda: forward_recursive(rng.normal(size=3), fw, fc, p,
+                                                    float)) < block
+        E = rng.normal(size=(8, 24))
+        assert peak_bytes(lambda: forward_batch(E, fw[:8], fc[:8], p)) < block
+
     def test_invalid_dropout(self):
         with pytest.raises(ValueError):
             forward_one(np.zeros(3), np.zeros(13), np.zeros(5), small_params(),
@@ -503,19 +529,29 @@ class TestInitParams:
             xavier(4 * m, m), xavier(4 * m, m), forget,
             xavier(d1, 18), np.zeros(d1), xavier(d2, d1), np.zeros(d2),
             xavier(d3, m + d2), np.zeros(d3), xavier(1, d3), [0.0]])
-        assert np.array_equal(p.to_vector(), expected)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in p.arrays()]),
+                              expected)
 
 
 class TestParamsBuffer:
     def test_views_tile_the_vector(self):
+        # each LSTM layer is one block [w_x | w_h | b], then w1, b1, ..., b4
         p = small_params(stack=3)
+        arrays = dict(p.arrays())
+        views = [layer.w for layer in p.lstm] + [arrays[n] for n, *_ in p.layout[3:]]
         stop = 0
-        for (name, start, stop_, shape), (name_, a) in zip(p.layout, p.arrays()):
-            assert name == name_ and a.shape == shape and start == stop
+        for (name, start, stop_, shape), a in zip(p.layout, views, strict=True):
+            assert a.shape == shape and start == stop
             assert np.shares_memory(a, p.vec)
             assert np.array_equal(a.ravel(), p.vec[start:stop_])
             stop = stop_
         assert stop == p.vec.size
+        for k, layer in enumerate(p.lstm):
+            assert p.layout[k][0] == f"lstm{k}.w"
+            for part in (layer.w_x, layer.w_h, layer.b):
+                assert np.shares_memory(part, layer.w)
+            assert np.array_equal(np.column_stack([layer.w_x, layer.w_h, layer.b]),
+                                  layer.w)
         assert p.layout == param_layout(4, 5, 3, 6, stack=3)
         assert [n for n, *_ in p.layout][-2:] == ["w4", "b4"]
 
@@ -570,6 +606,21 @@ class TestCheckpoint:
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
             checkpoint_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed, stack, digest", [
+        (0, 1, "b06c35dfda428918990ccf52b65d2f29015cac2ea918fcf7857ffac1f89ee44e"),
+        (0, 2, "2205a129115a5b06718690072d22023b2d864296e1105a63d8dc4886fe9708b5"),
+        (0, 3, "2314c2e730ff117b620e485644cea4cb2222e942ca0aba43f77b28dd75eb5928"),
+        (1, 1, "e48af1cea9eaa9c4c0d7e51af28f66193638599f57cafdb7973ef2f16dacde3e"),
+        (1, 2, "782f4a5ba79e4bc089a09f678a987993429741f8678b77c13634ab6c265ef151"),
+        (1, 3, "c11426a0f84f510dd21f03f4436fb8bb1b6e609b3edf93b02f2357b51d9d95bb"),
+    ])
+    def test_initial_checkpoint_bytes_are_pinned(self, seed, stack, digest):
+        # the draws, their order and the checkpoint's names, shapes and
+        # number format; no tanh is involved, so no libm or BLAS either
+        text = checkpoint_to_json(init_params(5, 4, 3, 6, seed=seed, stack=stack),
+                                  {}, {}, seed)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_byte_identical_for_same_params(self):
         p = small_params(seed=5)
