@@ -2,7 +2,8 @@
 
 Subpackages:
 
-- ``numcore``: activations and the rule-table checker for outside documents
+- ``numcore``: activations, ``InputError`` (input the caller must fix) and
+  the rule-table checker for outside documents
 - ``dataio``: CSV ingestion, hourly resampling, aggregation, alignment
 - ``features``: ACF window selection, weather/calendar vectors, example sets
 - ``model``: stacked-LSTM + MLP network with exact hand-derived gradients,

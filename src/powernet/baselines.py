@@ -34,7 +34,7 @@ import numpy as np
 
 from .features import ExampleSet, Split
 from .metrics import mse
-from .numcore import OBJECT, check, finite, integer, items, one_of, real
+from .numcore import OBJECT, InputError, check, finite, integer, items, one_of, real
 
 GBT_FORMAT_VERSION = 1
 
@@ -42,10 +42,6 @@ GBT_FORMAT_VERSION = 1
 DEFAULT_N_ESTIMATORS_GRID = (50, 100, 150, 200, 250, 300, 350, 400, 450, 500)
 DEFAULT_MAX_DEPTH_GRID = (1, 2, 3, 4, 5)
 DEFAULT_LEARNING_RATE_GRID = (0.001, 0.01, 0.1, 1.0)
-
-
-class BaselineError(ValueError):
-    pass
 
 
 #: The largest len(y) * max|y| of a training target. A node score squares a
@@ -58,12 +54,12 @@ MAX_TARGET_MASS = 1e153
 
 def _fit_inputs(X, y):
     """(X, y) as float64 arrays; a NaN or infinity in either, or a y over
-    MAX_TARGET_MASS / len(y) in magnitude, is a BaselineError naming it."""
-    X = finite(np.asarray(X, dtype=np.float64), BaselineError, "X")
-    y = finite(np.asarray(y, dtype=np.float64), BaselineError, "y")
+    MAX_TARGET_MASS / len(y) in magnitude, is an InputError naming it."""
+    X = finite(np.asarray(X, dtype=np.float64), "X")
+    y = finite(np.asarray(y, dtype=np.float64), "y")
     if len(y) and np.abs(y).max() > MAX_TARGET_MASS / len(y):
-        raise BaselineError(f"y exceeds {MAX_TARGET_MASS:g} / len(y) in magnitude: "
-                            "its split scores would overflow")
+        raise InputError(f"y exceeds {MAX_TARGET_MASS:g} / len(y) in magnitude: "
+                         "its split scores would overflow")
     return X, y
 
 
@@ -72,8 +68,8 @@ def persistence_forecast(history, horizon: int, period: int = 24) -> np.ndarray:
     horizons beyond one period; the last period must be finite."""
     values = np.asarray(history, dtype=np.float64)
     if len(values) < period:
-        raise BaselineError(f"need at least {period} history values, have {len(values)}")
-    return np.resize(finite(values[-period:], BaselineError, "history"), horizon)
+        raise InputError(f"need at least {period} history values, have {len(values)}")
+    return np.resize(finite(values[-period:], "history"), horizon)
 
 
 @dataclass
@@ -97,7 +93,7 @@ class TreeNode:
     @classmethod
     def from_dict(cls, d, n_features=math.inf):
         """The tree of nested dict ``d``; a split feature outside
-        [0, n_features) or a non-finite number is a BaselineError naming
+        [0, n_features) or a non-finite number is an InputError naming
         its key and value."""
         leaf = {"value": real()}
         split = {"feature": integer(0, n_features), "threshold": real(),
@@ -105,8 +101,8 @@ class TreeNode:
 
         def node(d):
             if isinstance(d, dict) and "value" in d:
-                return cls(**check(d, leaf, BaselineError, "GBT tree"))
-            f = check(d, split, BaselineError, "GBT tree")
+                return cls(**check(d, leaf, "GBT tree"))
+            f = check(d, split, "GBT tree")
             return cls(f["feature"], f["threshold"], node(f["left"]), node(f["right"]))
         return node(d)
 
@@ -336,7 +332,7 @@ def fit_tree(X, y, max_depth: int) -> TreeNode:
     are refused as fit_gbt refuses them."""
     X, y = _fit_inputs(X, y)
     if len(y) < 1:
-        raise BaselineError("need at least one row")
+        raise InputError("need at least one row")
     return _grow_tree(*_presorted(X), y, max_depth)[0]
 
 
@@ -377,7 +373,7 @@ class GbtModel:
               "max_depth": integer(0), "trees": items(OBJECT)}
 
     def predict(self, X) -> np.ndarray:
-        X = finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), BaselineError, "X")
+        X = finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "X")
         out = np.full(len(X), self.initial_prediction)
         for tree in self.trees:
             out += self.learning_rate * tree_predict(tree, X)
@@ -408,7 +404,7 @@ class GbtModel:
 
     @classmethod
     def from_dict(cls, doc: dict, n_features=math.inf) -> "GbtModel":
-        doc = check(doc, cls.CHECKS, BaselineError, "GBT checkpoint")
+        doc = check(doc, cls.CHECKS, "GBT checkpoint")
         return cls(initial_prediction=float(doc["initial_prediction"]),
                    learning_rate=float(doc["learning_rate"]),
                    max_depth=doc["max_depth"],
@@ -423,13 +419,13 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     ``presorted``, _presorted(X) of this same X, saves the sort when the
     caller fits several models to one matrix, as gbt_grid_search does. A NaN
     or infinity in X or y, or a y over 1e153 / len(y) in magnitude, whose
-    split scores would overflow, is a BaselineError naming it, and so is a
+    split scores would overflow, is an InputError naming it, and so is a
     ``learning_rate`` outside (0, 2], which that bound assumes."""
     if not 0.0 < learning_rate <= 2.0:
-        raise BaselineError(f"learning_rate must be in (0, 2], got {learning_rate}")
+        raise InputError(f"learning_rate must be in (0, 2], got {learning_rate}")
     X, y = _fit_inputs(X, y)
     if len(y) == 0:
-        raise BaselineError("empty training set")
+        raise InputError("empty training set")
     model = GbtModel(initial_prediction=float(y.mean()),
                      learning_rate=learning_rate, max_depth=max_depth)
     pred = np.full(len(y), model.initial_prediction)
@@ -460,10 +456,10 @@ def gbt_grid_search(data: ExampleSet,
     of how many follow.
     """
     if not (n_estimators_grid and max_depth_grid and learning_rate_grid):
-        raise BaselineError("grids must be non-empty")
+        raise InputError("grids must be non-empty")
     X_tr = flatten_features(data.train)
-    X_val = finite(flatten_features(data.validation), BaselineError, "validation X")
-    y_tr, y_val = data.train.y, finite(data.validation.y, BaselineError, "validation y")
+    X_val = finite(flatten_features(data.validation), "validation X")
+    y_tr, y_val = data.train.y, finite(data.validation.y, "validation y")
     presorted = _presorted(np.asarray(X_tr, dtype=np.float64))
     n_grid = sorted(n_estimators_grid)
     cells = []

@@ -1,10 +1,11 @@
 """Command-line surface: ingest, train, grid-search, evaluate, forecast,
 anomaly, synth.
 
-Exit codes: 0 success, 1 internal error, 2 usage/input error. All outputs
-are deterministic for a fixed config, seed and BLAS thread count (at
-memory size 128, one and two OpenBLAS threads train to parameters that
-differ by up to 3.7e-15 relative), and safe to overwrite.
+Exit codes: 0 success; 2 an InputError, input the caller must fix; 1 a
+TrainingError, training that diverged. Either prints one ``error:`` line.
+All outputs are deterministic for a fixed config, seed and BLAS thread
+count (at memory size 128, one and two OpenBLAS threads train to
+parameters that differ by up to 3.7e-15 relative), and safe to overwrite.
 The default output directory can be set via the POWERNET_OUT environment
 variable.
 """
@@ -22,17 +23,15 @@ from dataclasses import asdict
 import numpy as np
 
 from . import baselines, dataio, synth
-from .dataio import DataError
-from .features import (N_AUX_FEATURES, FeatureError, FeatureSpec,
-                       build_examples, fit_feature_spec, tail_splits)
-from .forecast_anomaly import (DetectorConfig, ForecastError, TheftScenario,
-                               apply_theft, detect_consumer,
-                               forecast_recursive, forecast_with_actuals,
-                               residual_stats, retraining_analysis,
-                               theft_sweep)
-from .metrics import MetricError, mape, mse
+from .features import (N_AUX_FEATURES, FeatureSpec, build_examples,
+                       fit_feature_spec, tail_splits)
+from .forecast_anomaly import (DetectorConfig, TheftScenario, apply_theft,
+                               detect_consumer, forecast_recursive,
+                               forecast_with_actuals, residual_stats,
+                               retraining_analysis, theft_sweep)
+from .metrics import mape, mse
 from .model import checkpoint_from_dict, checkpoint_to_json, forward_batch
-from .numcore import Check, check, integer, real
+from .numcore import Check, InputError, check, integer, real
 from .training import TrainConfig, TrainingError, grid_search, train
 
 USAGE_ERROR = 2
@@ -53,10 +52,6 @@ CONFIG_CHECKS = {
     "window_len": Check("null or int >= 1", lambda v: v is None or integer(1).ok(v)),
     "acf_threshold": real(0, 1, strict=True),
 }
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _out_dir(args) -> str:
@@ -93,9 +88,9 @@ def _parse_file(path, what: str, parse):
     try:
         return parse(text)
     except KeyError as exc:
-        raise UsageError(f"malformed {what} {path}: missing key {exc}") from exc
+        raise InputError(f"malformed {what} {path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, RecursionError) as exc:
-        raise UsageError(f"malformed {what} {path}: {exc}") from exc
+        raise InputError(f"malformed {what} {path}: {exc}") from exc
 
 
 def _load_config(args) -> dict:
@@ -110,19 +105,19 @@ def _load_config(args) -> dict:
     if args.config:
         doc = _parse_file(args.config, "config", json.loads)
         if not isinstance(doc, dict):
-            raise UsageError(f"config {args.config} must be a JSON object")
+            raise InputError(f"config {args.config} must be a JSON object")
         unknown = set(doc) - set(CONFIG_CHECKS)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(doc)
     flags = [key for key in vars(args) if key in CONFIG_CHECKS]
     cfg.update((key, getattr(args, key)) for key in flags)
-    cfg = check(cfg, CONFIG_CHECKS, UsageError, "config")
+    cfg = check(cfg, CONFIG_CHECKS, "config")
     gbt = args.model == "gbt"
     unread = "memory_size" if args.grid else "memory_size_grid"
     for key in flags:
         if gbt and key not in EXAMPLE_DEFAULTS or key == unread:
-            raise UsageError(f"--{key.replace('_', '-')} is not used by "
+            raise InputError(f"--{key.replace('_', '-')} is not used by "
                              f"{args.command}{' --model gbt' if gbt else ''}")
     return cfg
 
@@ -140,7 +135,7 @@ def _prepare_examples(d, cfg: dict):
 
 def cmd_synth(args):
     check(vars(args), {"days": integer(1), "apartments": integer(1),
-                       "seed": integer(0)}, UsageError, "synth")
+                       "seed": integer(0)}, "synth")
     out = _out_dir(args)
     synth.write_fixture_dir(out, days=args.days, apartments=args.apartments,
                             seed=args.seed, fmt=args.format)
@@ -150,7 +145,7 @@ def cmd_synth(args):
 
 def cmd_ingest(args):
     if not args.aggregate and len(args.consumption) > 1:
-        raise UsageError("multiple consumption files require --aggregate")
+        raise InputError("multiple consumption files require --aggregate")
     report = dataio.IngestReport()
     series = [dataio.resample_hourly(
                   dataio.load_consumption(p, args.format, report=report))
@@ -233,7 +228,7 @@ def _model_inputs(args):
     kind, model, spec, splits = _parse_file(args.checkpoint, "checkpoint", parse)
     forecasting = hasattr(args, "horizon")
     if forecasting and kind != "powernet":
-        raise UsageError(f"{args.command} requires a powernet checkpoint")
+        raise InputError(f"{args.command} requires a powernet checkpoint")
     d = _load_dataset(args.dataset)
     if forecasting and args.start_row is None:
         args.start_row = len(d) - args.horizon
@@ -250,7 +245,7 @@ def _split_predictions(kind, model, spec, data, split_name):
         pred, _ = forward_batch(split.E, split.FW, split.FC, model)
     actual, pred = spec.denormalize_kw(split.y), np.maximum(spec.denormalize_kw(pred), 0.0)
     if not math.isfinite(mse(actual, pred)):
-        raise UsageError(f"the checkpoint's {split_name} predictions overflow: "
+        raise InputError(f"the checkpoint's {split_name} predictions overflow: "
                          f"squared errors are not finite")
     return actual, pred
 
@@ -258,7 +253,7 @@ def _split_predictions(kind, model, spec, data, split_name):
 def cmd_evaluate(args):
     kind, model, spec, splits, d = _model_inputs(args)
     if splits is None:
-        raise UsageError("checkpoint does not record split boundaries")
+        raise InputError("checkpoint does not record split boundaries")
     data = build_examples(d, spec, splits)
     actual, pred = _split_predictions(kind, model, spec, data, args.split)
     out = _out_dir(args)
@@ -271,7 +266,7 @@ def cmd_evaluate(args):
 
 def cmd_forecast(args):
     if args.thresholds and not all(map(math.isfinite, args.thresholds)):
-        raise UsageError(f"--thresholds must be finite, got {args.thresholds}")
+        raise InputError(f"--thresholds must be finite, got {args.thresholds}")
     _, model, spec, _, d = _model_inputs(args)
     fn = forecast_recursive if args.mode == "recursive" else forecast_with_actuals
     report = fn(model, spec, d, args.start_row, args.horizon)
@@ -427,8 +422,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):   # overflow is checked, not warned
             return args.fn(args)
-    except (UsageError, DataError, FeatureError, MetricError,
-            ForecastError, baselines.BaselineError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except TrainingError as exc:

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .numcore import Check, array, check, integer, items, one_of, real
+from .numcore import Check, InputError, array, check, integer, items, one_of, real
 
 HOUR = 3600
 
@@ -47,28 +47,24 @@ WEATHER_NUMERIC_COLUMNS = [
 WEATHER_COLUMNS = ["time", "summary", "icon"] + WEATHER_NUMERIC_COLUMNS
 
 
-class DataError(ValueError):
-    """Unrecoverable ingestion problem (bad file, misaligned series...)."""
-
-
 def read_text(path, what: str) -> str:
     """The whole text of the input file at ``path``, line endings kept as
-    on disk. An unreadable or undecodable file is a DataError naming
+    on disk. An unreadable or undecodable file is an InputError naming
     ``what``; this is the one place input files are opened."""
     try:
         with open(path, newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _csv_rows(reader, path):
     """The rows of the csv ``reader``; a CSV syntax error (say, a field over
-    the size limit) is a DataError naming ``path`` and the line."""
+    the size limit) is an InputError naming ``path`` and the line."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> int:
@@ -138,7 +134,7 @@ class TimeSeries:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.step <= 0:
-            raise DataError("step must be positive")
+            raise InputError("step must be positive")
 
     def __len__(self):
         return len(self.values)
@@ -172,9 +168,9 @@ class WeatherTable:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.int64)
         if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise DataError("weather timestamps must be strictly increasing")
+            raise InputError("weather timestamps must be strictly increasing")
         if not len(t) == len(self.summary) == len(self.icon) == len(self.numeric):
-            raise DataError("weather columns must have equal length")
+            raise InputError("weather columns must have equal length")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "numeric", np.asarray(self.numeric, dtype=np.float64))
 
@@ -202,9 +198,9 @@ class AlignedDataset:
 
     def __post_init__(self):
         if not (len(self.hours) == len(self.kw) == len(self.weather)):
-            raise DataError("aligned arrays must have equal length")
+            raise InputError("aligned arrays must have equal length")
         if np.isnan(self.kw).any():
-            raise DataError("aligned consumption must be gap-free")
+            raise InputError("aligned consumption must be gap-free")
 
     def __len__(self):
         return len(self.hours)
@@ -247,7 +243,7 @@ DATASET_CHECKS = {
 
 
 def dataset_from_json(text: str) -> AlignedDataset:
-    doc = check(json.loads(text), DATASET_CHECKS, DataError, "dataset")
+    doc = check(json.loads(text), DATASET_CHECKS, "dataset")
     hours = doc["hours"].astype(np.int64, copy=False)
     weather = WeatherTable(times=hours, summary=doc["summary"], icon=doc["icon"],
                            numeric=doc["numeric"])
@@ -265,7 +261,7 @@ def load_consumption(path, fmt: str = "per_minute",
     hard error); negative readings become gaps.
     """
     if fmt not in STEP_OF_FORMAT:
-        raise DataError(f"unknown consumption format {fmt!r}")
+        raise InputError(f"unknown consumption format {fmt!r}")
     step = STEP_OF_FORMAT[fmt]
     text = read_text(path, "consumption CSV")
     rows = [cells for cells in _csv_rows(csv.reader(io.StringIO(text, newline="")), path)
@@ -284,17 +280,17 @@ def load_consumption(path, fmt: str = "per_minute",
         report.rows_duplicate += int(np.count_nonzero(np.diff(ts) == 0))
         report.rows_off_grid += int(np.count_nonzero(ts % step))
     if not len(ts):
-        raise DataError(f"{path}: no parseable rows")
+        raise InputError(f"{path}: no parseable rows")
     if bad > len(stamps) / 2:
-        raise DataError(f"{path}: {bad}/{len(stamps)} rows malformed")
+        raise InputError(f"{path}: {bad}/{len(stamps)} rows malformed")
     start = int(ts[0]) - int(ts[0]) % step
     n = (int(ts[-1]) - start) // step + 1
     # checked before allocating: a mistyped year would ask for the span
     if n > MAX_SLOTS_PER_ROW * len(ts):
         first, last = (_timestamp_text(int(ts[i])) for i in (0, -1))
-        raise DataError(f"{path}: {len(ts)} rows from {first} to {last} "
-                        f"span {n} slots, over {MAX_SLOTS_PER_ROW} per row; "
-                        "is a timestamp mistyped?")
+        raise InputError(f"{path}: {len(ts)} rows from {first} to {last} "
+                         f"span {n} slots, over {MAX_SLOTS_PER_ROW} per row; "
+                         "is a timestamp mistyped?")
     negative = powers < 0
     slots, powers = (ts[~negative] - start) // step, powers[~negative]
     # the last reading of a slot in time order, file order among equal times
@@ -309,7 +305,7 @@ def load_consumption(path, fmt: str = "per_minute",
 def resample_hourly(s: TimeSeries) -> TimeSeries:
     """Mean of present sub-hour values per hour; an all-absent hour is a gap."""
     if HOUR % s.step != 0:
-        raise DataError(f"step {s.step}s does not divide one hour")
+        raise InputError(f"step {s.step}s does not divide one hour")
     if s.step == HOUR:
         return s
     per = HOUR // s.step
@@ -330,11 +326,11 @@ def resample_hourly(s: TimeSeries) -> TimeSeries:
 def aggregate(series: list[TimeSeries]) -> TimeSeries:
     """Pointwise sum; a slot is a gap iff any constituent has a gap there."""
     if not series:
-        raise DataError("nothing to aggregate")
+        raise InputError("nothing to aggregate")
     first = series[0]
     for s in series[1:]:
         if s.start != first.start or s.step != first.step or len(s) != len(first):
-            raise DataError("aggregate inputs must share start/step/length")
+            raise InputError("aggregate inputs must share start/step/length")
     stacked = np.stack([s.values for s in series])
     total = stacked.sum(axis=0)   # NaN propagates through any gap
     return TimeSeries(start=first.start, step=first.step, values=total)
@@ -343,7 +339,7 @@ def aggregate(series: list[TimeSeries]) -> TimeSeries:
 def fill_gaps(s: TimeSeries, max_run: int = 3) -> TimeSeries:
     """Linearly interpolate interior gap runs of length <= max_run."""
     if max_run < 0:
-        raise DataError(f"fill max run must be >= 0, got {max_run}")
+        raise InputError(f"fill max run must be >= 0, got {max_run}")
     values = s.values.copy()
     n = len(values)
     i = 0
@@ -392,10 +388,10 @@ def load_weather(path) -> WeatherTable:
     header = next(lines, [])
     missing = [c for c in WEATHER_COLUMNS if c not in header]
     if missing:
-        raise DataError(f"{path}: missing weather columns {missing}")
+        raise InputError(f"{path}: missing weather columns {missing}")
     numbered = [(reader.line_num, cells) for cells in lines if cells]   # blank lines are skipped
     if not numbered:
-        raise DataError(f"{path}: empty weather file")
+        raise InputError(f"{path}: empty weather file")
     line_nums, rows = zip(*numbered)
     width = len(header)
     rows = [cells if len(cells) >= width else cells + [""] * (width - len(cells))
@@ -410,7 +406,7 @@ def load_weather(path) -> WeatherTable:
     times, ok = parse_timestamps(cells_of_time)
     if not ok.all():
         k = int(np.argmin(ok))
-        raise DataError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
+        raise InputError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
     order = np.argsort(times)
     return WeatherTable(
         times=times[order],
@@ -423,13 +419,13 @@ def load_weather(path) -> WeatherTable:
 def align(c: TimeSeries, w: WeatherTable) -> AlignedDataset:
     """Inner join of hourly consumption with weather rows on the hour."""
     if c.step != HOUR:
-        raise DataError("align expects hourly consumption")
+        raise InputError("align expects hourly consumption")
     cons_hours = c.timestamps
     present = ~np.isnan(c.values)
     common, ci, wi = np.intersect1d(cons_hours[present], w.times,
                                     return_indices=True)
     if len(common) == 0:
-        raise DataError("consumption and weather spans do not overlap")
+        raise InputError("consumption and weather spans do not overlap")
     cons_idx = np.nonzero(present)[0][ci]
     dropped = (len(cons_hours) - len(common)) + (len(w.times) - len(common))
     weather = WeatherTable(

@@ -22,17 +22,13 @@ from .dataio import (
     WEATHER_NUMERIC_COLUMNS,
     AlignedDataset,
 )
-from .numcore import Check, array, check, integer, items, one_of, real
+from .numcore import Check, InputError, array, check, integer, items, one_of, real
 
 N_WEATHER = 13
 #: The weather and calendar features of one example: the fusion MLP's input.
 N_AUX_FEATURES = N_WEATHER + 5
 
 SPEC_FORMAT_VERSION = 1
-
-
-class FeatureError(ValueError):
-    pass
 
 
 _VOCAB = Check("object of ints",
@@ -46,13 +42,13 @@ def acf(x, max_lag: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     if max_lag < 1 or len(x) <= max_lag:
-        raise FeatureError("need length > max_lag >= 1")
+        raise InputError("need length > max_lag >= 1")
     if np.isnan(x).any():
-        raise FeatureError("acf input must be gap-free")
+        raise InputError("acf input must be gap-free")
     centered = x - x.mean()
     denom = float(centered @ centered)
     if denom == 0.0:
-        raise FeatureError("acf undefined for a constant series")
+        raise InputError("acf undefined for a constant series")
     out = np.empty(max_lag)
     for k in range(1, max_lag + 1):
         out[k - 1] = float(centered[:-k] @ centered[k:]) / denom
@@ -65,7 +61,7 @@ def select_window(acf_values, threshold: float = 0.5) -> int:
     Falls back to 1 (with a warning) when even lag 1 is below threshold.
     """
     if not 0.0 < threshold < 1.0:
-        raise FeatureError("threshold must be in (0,1)")
+        raise InputError("threshold must be in (0,1)")
     r = np.asarray(acf_values, dtype=np.float64)
     n = 0
     for value in r:
@@ -120,11 +116,10 @@ class FeatureSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSpec":
         """The spec ``to_dict`` wrote; a value of the wrong type or out of
-        range raises FeatureError naming its key."""
-        fields = check(doc, cls.CHECKS, FeatureError, "feature spec")
+        range raises InputError naming its key."""
+        fields = check(doc, cls.CHECKS, "feature spec")
         del fields["format_version"]
         return cls(**fields)
-
 
 
 def calendar_features(t, spec: FeatureSpec) -> np.ndarray:
@@ -183,12 +178,12 @@ def fit_feature_spec(d: AlignedDataset, train_slice: slice,
     """
     kw = d.kw[train_slice]
     if len(kw) == 0:
-        raise FeatureError("empty training slice")
+        raise InputError("empty training slice")
     if window_len is None:
         window_len = select_window(acf(kw, min(MAX_LAG, len(kw) - 1)), acf_threshold)
     window_len = int(window_len)
     if window_len < 1:
-        raise FeatureError(f"window_len must be >= 1, got {window_len}")
+        raise InputError(f"window_len must be >= 1, got {window_len}")
 
     numeric = d.weather.numeric[train_slice]
     with warnings.catch_warnings():
@@ -273,15 +268,15 @@ def build_examples(d: AlignedDataset, spec: FeatureSpec,
     in dataset row indices, chronological and non-overlapping. Targets whose
     history window crosses a non-contiguous stretch are skipped and counted.
     """
-    check(splits, items(items(integer(), 2), 3), FeatureError, "splits")
+    check(splits, items(items(integer(), 2), 3), "splits")
     (a0, a1), (b0, b1), (c0, c1) = splits
     if not (a0 < a1 <= b0 < b1 <= c0 < c1 <= len(d)):
-        raise FeatureError(f"splits must be chronological and non-overlapping, got {splits}")
+        raise InputError(f"splits must be chronological and non-overlapping, got {splits}")
     train, s1 = _build_split(d, spec, a0, a1)
     val, s2 = _build_split(d, spec, b0, b1)
     test, s3 = _build_split(d, spec, c0, c1)
     if len(train) == 0 or len(val) == 0 or len(test) == 0:
-        raise FeatureError("a split produced no examples")
+        raise InputError("a split produced no examples")
     return ExampleSet(spec=spec, train=train, validation=val, test=test,
                       skipped=s1 + s2 + s3)
 
@@ -292,7 +287,7 @@ def tail_splits(total_rows: int, train_hours: int = 624,
     the end of the dataset so earlier rows serve as window history."""
     need = train_hours + val_hours + test_hours
     if total_rows < need:
-        raise FeatureError(f"need {need} rows, have {total_rows}")
+        raise InputError(f"need {need} rows, have {total_rows}")
     c1 = total_rows
     c0 = c1 - test_hours
     b0 = c0 - val_hours

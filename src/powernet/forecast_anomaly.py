@@ -21,11 +21,7 @@ from .features import (FeatureSpec, calendar_features, weather_features,
                        window_features)
 from .metrics import ErrorCurve, error_curve, mape
 from .model import PowerNetParams, forward_batch, forward_recursive
-from .numcore import check, finite, integer, real
-
-
-class ForecastError(ValueError):
-    pass
+from .numcore import InputError, check, finite, integer, real
 
 
 @dataclass
@@ -48,14 +44,14 @@ def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
     window of history and to form, with it, a contiguous hourly span."""
     n = spec.window_len
     if horizon < 1:
-        raise ForecastError(f"horizon must be >= 1, got {horizon}")
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     if start_row < n:
-        raise ForecastError("history does not cover one window")
+        raise InputError("history does not cover one window")
     if start_row + horizon > len(d):
-        raise ForecastError(what)
+        raise InputError(what)
     lo, hi = start_row - n, start_row + horizon
     if d.hours[hi - 1] - d.hours[lo] != (hi - 1 - lo) * HOUR:
-        raise ForecastError(f"rows {lo}..{hi} are not a contiguous hourly span")
+        raise InputError(f"rows {lo}..{hi} are not a contiguous hourly span")
     return np.arange(start_row, hi)
 
 
@@ -63,10 +59,10 @@ def _report(mode: str, d: AlignedDataset, rows: np.ndarray,
             preds: np.ndarray) -> ForecastReport:
     """The report of ``preds`` for the target rows; predictions whose
     squared errors overflow (their running sum, as the cumulative MSE adds
-    them, is not finite) are a ForecastError."""
+    them, is not finite) are an InputError."""
     actuals = d.kw[rows]
     if not math.isfinite(np.cumsum((actuals - preds) ** 2)[-1]):
-        raise ForecastError(f"{mode} predictions overflow: squared errors are not finite")
+        raise InputError(f"{mode} predictions overflow: squared errors are not finite")
     return ForecastReport(mode=mode, horizon=len(rows), predictions=preds,
                           actuals=actuals, start_ts=int(d.hours[rows[0]]))
 
@@ -131,16 +127,16 @@ class TheftScenario:
     CHECKS = {"theta": real(0, 1), "start_row": integer(0), "end_row": integer(0)}
 
     def __post_init__(self):
-        check(vars(self), self.CHECKS, ForecastError, "theft scenario")
+        check(vars(self), self.CHECKS, "theft scenario")
         if self.end_row < self.start_row:
-            raise ForecastError("empty-backwards theft range")
+            raise InputError("empty-backwards theft range")
 
 
 def apply_theft(values, scenario: TheftScenario) -> np.ndarray:
     """Tamper a kW series; exact outside the range."""
     out = np.asarray(values, dtype=np.float64).copy()
     if scenario.end_row > len(out):
-        raise ForecastError("theft range exceeds the series")
+        raise InputError("theft range exceeds the series")
     out[scenario.start_row:scenario.end_row] *= (1.0 - scenario.theta)
     return out
 
@@ -173,7 +169,7 @@ class DetectorConfig:
     CHECKS = {"window": integer(1), "k": real(0, strict=True)}
 
     def __post_init__(self):
-        check(vars(self), self.CHECKS, ForecastError, "detector config")
+        check(vars(self), self.CHECKS, "detector config")
 
 
 @dataclass
@@ -187,12 +183,12 @@ class ResidualStats:
 
 def _residual_means(predicted, reported, cfg: DetectorConfig) -> np.ndarray:
     """Rolling ``cfg.window`` means of the residual percentages; a
-    non-finite value in either series is a ForecastError naming it."""
-    predicted = finite(np.asarray(predicted, dtype=np.float64), ForecastError, "predicted")
-    reported = finite(np.asarray(reported, dtype=np.float64), ForecastError, "reported")
+    non-finite value in either series is an InputError naming it."""
+    predicted = finite(np.asarray(predicted, dtype=np.float64), "predicted")
+    reported = finite(np.asarray(reported, dtype=np.float64), "reported")
     x = np.abs(reported - predicted) / np.maximum(predicted, cfg.floor_kw)
     if len(x) < cfg.window:
-        raise ForecastError(f"need at least {cfg.window} hours, have {len(x)}")
+        raise InputError(f"need at least {cfg.window} hours, have {len(x)}")
     c = np.concatenate([[0.0], np.cumsum(x)])
     return (c[cfg.window:] - c[:-cfg.window]) / cfg.window
 
@@ -236,6 +232,6 @@ def detect_substation(master, reported: list, tl_predictions,
     master = np.asarray(master, dtype=np.float64)
     lengths = {len(master)} | {len(r) for r in reported} | {len(tl_predictions)}
     if len(lengths) != 1:
-        raise ForecastError(f"misaligned substation inputs: lengths {sorted(lengths)}")
+        raise InputError(f"misaligned substation inputs: lengths {sorted(lengths)}")
     tl_o = observed_tl(master, reported)
     return detect_consumer(tl_predictions, tl_o, cfg, stats)

@@ -2,6 +2,8 @@
 
 Metrics are computed on denormalized kW values; MAPE excludes hours whose
 actual value is at or below a small floor instead of dividing by zero.
+A non-finite actual is an InputError. A non-finite forecast is not: the
+metrics it makes non-finite are the callers' overflow signal.
 """
 
 from __future__ import annotations
@@ -11,21 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .numcore import InputError, finite
+
 
 #: MAPE leaves out the hours whose actual value is at or below this.
 ZERO_FLOOR = 1e-6
-
-
-class MetricError(ValueError):
-    pass
 
 
 def _pair(actual, forecast):
     a = np.asarray(actual, dtype=np.float64)
     f = np.asarray(forecast, dtype=np.float64)
     if a.shape != f.shape or a.ndim != 1 or len(a) == 0:
-        raise MetricError(f"need equal-length non-empty vectors, got {a.shape} and {f.shape}")
-    return a, f
+        raise InputError(f"need equal-length non-empty vectors, got {a.shape} and {f.shape}")
+    return finite(a, "actual"), f
 
 
 def mse(actual, forecast) -> float:
@@ -41,11 +41,11 @@ def mape(actual, forecast, zero_floor: float = ZERO_FLOOR) -> float:
     if nothing remains the statistic is undefined.
     """
     if zero_floor < 0:
-        raise MetricError("zero_floor must be >= 0")
+        raise InputError("zero_floor must be >= 0")
     a, f = _pair(actual, forecast)
     keep = np.abs(a) > zero_floor
     if not keep.any():
-        raise MetricError("all actual values at or below the zero floor")
+        raise InputError("all actual values at or below the zero floor")
     return float(100.0 * np.mean(np.abs((a[keep] - f[keep]) / a[keep])))
 
 
@@ -65,7 +65,7 @@ def error_curve(actual, forecast, window: int = 24) -> ErrorCurve:
     """Cumulative-to-hour and rolling-window MAPE/MSE series; MAPE leaves
     out the hours at or below ZERO_FLOOR."""
     if window < 1:
-        raise MetricError("window must be >= 1")
+        raise InputError("window must be >= 1")
     a, f = _pair(actual, forecast)
     n = len(a)
     sq = (a - f) ** 2

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import N_AUX_FEATURES
-from .numcore import (OBJECT, ShapeError, array, check, integer, items, one_of,
+from .numcore import (OBJECT, InputError, array, check, integer, items, one_of,
                       real, relu, relu_grad)
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -132,7 +132,7 @@ class PowerNetParams:
         """Params with the same layout whose views share ``vec``'s memory."""
         vec = np.ascontiguousarray(vec, dtype=np.float64)
         if vec.shape != self.vec.shape:
-            raise ShapeError(f"vector has shape {vec.shape}, params need {self.vec.shape}")
+            raise InputError(f"vector has shape {vec.shape}, params need {self.vec.shape}")
         return PowerNetParams(vec, self.layout)
 
     def zeros_like(self) -> "PowerNetParams":
@@ -329,7 +329,7 @@ def _fusion(fw, fc, B: int, p: PowerNetParams, mask2=None):
     u = np.concatenate([np.asarray(fw, dtype=np.float64),
                         np.asarray(fc, dtype=np.float64)], axis=1)
     if u.shape != (B, p.w1.shape[1]):
-        raise ShapeError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
+        raise InputError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
     s1 = u @ p.w1.T + p.b1
     a1 = relu(s1)
     a1d = a1 * mask2 if mask2 is not None else a1
@@ -373,14 +373,14 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     workspace.
     """
     if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must be in [0, 1)")
+        raise InputError("dropout_rate must be in [0, 1)")
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2 or E.shape[1] < 1:
-        raise ShapeError(f"E must be (B, T) with T >= 1, got {E.shape}")
+        raise InputError(f"E must be (B, T) with T >= 1, got {E.shape}")
     B = E.shape[0]
     use_dropout = train and dropout_rate > 0.0
     if use_dropout and rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise InputError("train-mode dropout needs an rng")
 
     # masks on the inputs of w2, w3 and w4, drawn in that order
     shapes = ((B, p.w1.shape[0]), (B, p.w3.shape[1]), (B, p.w3.shape[0]))
@@ -548,15 +548,15 @@ _PARAM_CHECKS = {"shape": items(integer(1)), "data": array(real())}
 
 def checkpoint_from_dict(doc: dict):
     """checkpoint_from_json on an already parsed document."""
-    doc = check(doc, CHECKPOINT_CHECKS, ValueError, "checkpoint")
-    raw = {name: check(entry, _PARAM_CHECKS, ValueError, f"checkpoint: params.{name}")
+    doc = check(doc, CHECKPOINT_CHECKS, "checkpoint")
+    raw = {name: check(entry, _PARAM_CHECKS, f"checkpoint: params.{name}")
            for name, entry in doc["params"].items()}
     shapes = {name: entry["shape"] for name, entry in raw.items()}
     _, m = shapes["lstm0.w_h"]
     (d1, _), (d2, _), (d3, _) = shapes["w1"], shapes["w2"], shapes["w3"]
     stack = doc["stack"]
     if len(shapes) != 3 * stack + 8:
-        raise ValueError(f"stack {stack} does not fit {len(shapes)} parameters")
+        raise InputError(f"stack {stack} does not fit {len(shapes)} parameters")
     layout = param_layout(m, d1, d2, d3, stack)
     # the checkpoint's arrays, each entry the index in ``vec`` it fills
     index = PowerNetParams(np.arange(layout[-1][2], dtype=np.float64), layout).arrays()
@@ -564,11 +564,11 @@ def checkpoint_from_dict(doc: dict):
     if shapes != expected:
         name = min(set(shapes) ^ set(expected)
                    or {n for n in expected if shapes[n] != expected[n]})
-        raise ValueError(f"parameter {name} does not fit a {stack}-layer network "
+        raise InputError(f"parameter {name} does not fit a {stack}-layer network "
                          f"with m={m}, d1={d1}, d2={d2}, d3={d3}")
     for name, a in index:
         if len(raw[name]["data"]) != a.size:
-            raise ValueError(f"checkpoint: params.{name}: data has {len(raw[name]['data'])} "
+            raise InputError(f"checkpoint: params.{name}: data has {len(raw[name]['data'])} "
                              f"entries, shape {list(a.shape)} needs {a.size}")
     vec = np.empty(layout[-1][2])
     vec[np.concatenate([a.ravel() for _, a in index]).astype(np.intp)] = np.concatenate(

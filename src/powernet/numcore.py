@@ -1,7 +1,7 @@
-"""ReLU and its gradient, the shape error, ``finite``, which refuses a NaN
-or infinite array in the caller's error class, and ``check``, which every
-reader of a document from outside (config, feature spec, checkpoint,
-dataset) runs on a table of rules.
+"""ReLU and its gradient, ``InputError``, the one error class for input the
+caller must fix, ``finite``, which refuses a NaN or infinite array, and
+``check``, which every reader of a document from outside (config, feature
+spec, checkpoint, dataset) runs on a table of rules.
 (The LSTM computes its sigmoid gates from one tanh in ``model``.)
 
 All numeric state lives in float64 numpy arrays. Functions allocate fresh
@@ -16,8 +16,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible."""
+class InputError(ValueError):
+    """Input the caller must fix: a malformed file, document, flag or
+    argument. Its message is one line, and the CLI prints it as
+    ``error: <message>`` and exits 2."""
 
 
 def relu(x):
@@ -29,11 +31,11 @@ def relu_grad(pre_activation):
     return (np.asarray(pre_activation) > 0.0).astype(np.float64)
 
 
-def finite(a: np.ndarray, error, name: str) -> np.ndarray:
-    """``a``, or ``error("<name> holds a non-finite value")`` if it holds a
-    NaN or an infinity."""
+def finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, or ``InputError("<name> holds a non-finite value")`` if it
+    holds a NaN or an infinity."""
     if not np.isfinite(a).all():
-        raise error(f"{name} holds a non-finite value")
+        raise InputError(f"{name} holds a non-finite value")
     return a
 
 
@@ -56,9 +58,9 @@ class _Mismatch(Exception):
     """([key path parts], kind, value) of the first value that fails."""
 
 
-def check(doc, table, error, what: str):
+def check(doc, table, what: str):
     """``doc`` as ``table`` passes it: a table is a dict of rules, a rule a
-    Check or a nested table. The first value that fails raises ``error``
+    Check or a nested table. The first value that fails raises InputError
     with one line, ``<what>: <key path>: expected <kind>, got <value>``,
     the value's repr cut to 60 characters."""
     try:
@@ -68,7 +70,7 @@ def check(doc, table, error, what: str):
         got = "nothing" if value is ABSENT else repr(value)
         got = got if len(got) <= 60 else got[:57] + "..."
         path = "".join(parts).lstrip(".")
-        raise error(": ".join(filter(None, (what, path)))
+        raise InputError(": ".join(filter(None, (what, path)))
                     + f": expected {kind}, got {got}") from None
 
 

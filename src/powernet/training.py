@@ -16,7 +16,7 @@ import numpy as np
 from .features import ExampleSet, Split
 from .metrics import mse
 from .model import PowerNetParams, backward_batch, forward_batch, init_params
-from .numcore import check, integer, items, real
+from .numcore import InputError, check, integer, items, real
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -24,7 +24,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
-    pass
+    """Training diverged: a loss or validation MSE is not finite."""
 
 
 @dataclass
@@ -51,7 +51,7 @@ class TrainConfig:
                    "d1", "d2", "d3", "stack"), integer(1))}
 
     def __post_init__(self):
-        checked = check(vars(self), self.CHECKS, ValueError, "training config")
+        checked = check(vars(self), self.CHECKS, "training config")
         self.memory_size_grid = checked["memory_size_grid"]   # a tuple
 
     def to_dict(self):
@@ -108,7 +108,7 @@ def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
     """
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
-        raise TrainingError("empty batch")
+        raise InputError("empty batch")
     yhat, trace = forward_batch(E, fw, fc, p, dropout_rate=dropout_rate,
                                 train=True, rng=rng, workspace=workspace)
     resid = yhat - y
@@ -163,7 +163,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
     """
     tr = data.train
     if len(tr) == 0 or len(data.validation) == 0:
-        raise TrainingError("train and validation splits must be non-empty")
+        raise InputError("train and validation splits must be non-empty")
     t0 = time.monotonic()
     rng = np.random.default_rng(cfg.seed)
     p = init_params(cfg.memory_size, cfg.d1, cfg.d2, cfg.d3,

@@ -9,10 +9,10 @@ import numpy as np
 
 from powernet.dataio import (
     DEFAULT_UTC_OFFSET_HOURS, HOUR, MAX_SLOTS_PER_ROW, MAX_VALUE, STEP_OF_FORMAT,
-    WEATHER_COLUMNS, WEATHER_NUMERIC_COLUMNS, AlignedDataset, DataError, TimeSeries,
+    WEATHER_COLUMNS, WEATHER_NUMERIC_COLUMNS, AlignedDataset, TimeSeries,
     WeatherTable, format_timestamp, parse_timestamp, parse_timestamps,
 )
-from powernet.numcore import ShapeError
+from powernet.numcore import InputError
 from powernet.synth import DEFAULT_START, make_weather
 
 
@@ -96,13 +96,13 @@ def load_consumption_rows(path, fmt: str = "per_minute",
         report.rows_duplicate += sum(a[0] == b[0] for a, b in zip(rows, rows[1:]))
         report.rows_off_grid += sum(ts % step != 0 for ts, _ in rows)
     if not rows:
-        raise DataError(f"{path}: no parseable rows")
+        raise InputError(f"{path}: no parseable rows")
     if bad > total / 2:
-        raise DataError(f"{path}: {bad}/{total} rows malformed")
+        raise InputError(f"{path}: {bad}/{total} rows malformed")
     start = rows[0][0] - rows[0][0] % step
     n = (rows[-1][0] - start) // step + 1
     if n > MAX_SLOTS_PER_ROW * len(rows):
-        raise DataError(f"{path}: {len(rows)} rows span {n} slots")
+        raise InputError(f"{path}: {len(rows)} rows span {n} slots")
     values = np.full(n, np.nan)
     negatives = 0
     for ts, power in rows:
@@ -124,7 +124,7 @@ def load_weather_rows(path) -> WeatherTable:
         header = next(reader, [])
         missing = [c for c in WEATHER_COLUMNS if c not in header]
         if missing:
-            raise DataError(f"{path}: missing weather columns {missing}")
+            raise InputError(f"{path}: missing weather columns {missing}")
         cells_of_time, line_nums, summary, icon, numeric = [], [], [], [], []
         for cells in filter(None, reader):
             row = dict(zip_longest(header, cells, fillvalue=""))
@@ -143,9 +143,9 @@ def load_weather_rows(path) -> WeatherTable:
     times, ok = parse_timestamps(cells_of_time)
     if not ok.all():
         k = int(np.argmin(ok))
-        raise DataError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
+        raise InputError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
     if not len(times):
-        raise DataError(f"{path}: empty weather file")
+        raise InputError(f"{path}: empty weather file")
     order = np.argsort(times)
     return WeatherTable(times=times[order], summary=tuple(summary[i] for i in order),
                         icon=tuple(icon[i] for i in order),
@@ -169,7 +169,7 @@ def grad_check(f, p, analytic_grad, eps: float = 1e-5, refine: int = 3) -> float
     p = np.array(p, dtype=np.float64)
     analytic = np.asarray(analytic_grad, dtype=np.float64)
     if p.ndim != 1 or analytic.shape != p.shape:
-        raise ShapeError(f"gradient shape {analytic.shape} != param shape {p.shape}")
+        raise InputError(f"gradient shape {analytic.shape} != param shape {p.shape}")
 
     def probe(i, h):
         orig = p[i]

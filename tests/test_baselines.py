@@ -6,12 +6,13 @@ import pytest
 
 from powernet import baselines
 from powernet.baselines import (
-    BaselineError, GbtModel, TreeNode, _presort, _shortlist, best_split,
+    GbtModel, TreeNode, _presort, _shortlist, best_split,
     fit_gbt, fit_gbt_examples, fit_tree, flatten_features, gbt_grid_search,
     persistence_forecast, tree_predict,
 )
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.metrics import mse
+from powernet.numcore import InputError
 from powernet.synth import make_aligned_dataset
 
 
@@ -227,7 +228,7 @@ class TestPersistence:
         assert out[48] == history[0] and out[49] == history[1]
 
     def test_short_history_rejected(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(InputError):
             persistence_forecast(np.ones(10), 5)
 
     def test_custom_period(self):
@@ -473,11 +474,11 @@ class TestGbt:
         X, y = self.small_problem(seed=5, n=20)
         doc = fit_gbt(X, y, n_estimators=2).to_json().replace(
             '"format_version": 1', '"format_version": 99')
-        with pytest.raises(BaselineError, match="version"):
+        with pytest.raises(InputError, match="version"):
             GbtModel.from_dict(json.loads(doc))
 
     def test_empty_training_set_rejected(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(InputError):
             fit_gbt(np.zeros((0, 2)), np.zeros(0))
 
 
@@ -548,7 +549,7 @@ class TestGridSearch:
             learning_rate=best.learning_rate).to_json()
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(InputError):
             gbt_grid_search(self.data, n_estimators_grid=())
 
 
@@ -571,7 +572,7 @@ class TestFlattenFeatures:
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 class TestNonFiniteInput:
     """A NaN or inf in any array a GBT or persistence call reads is a
-    BaselineError naming the argument, never a NaN model or a warning."""
+    InputError naming the argument, never a NaN model or a warning."""
 
     def problem(self):
         rng = np.random.default_rng(3)
@@ -581,20 +582,20 @@ class TestNonFiniteInput:
     def test_fit_gbt_features(self, bad):
         X, y = self.problem()
         X[7, 1] = bad
-        with pytest.raises(BaselineError, match="X"):
+        with pytest.raises(InputError, match="X"):
             fit_gbt(X, y, n_estimators=2)
 
     def test_fit_gbt_targets(self, bad):
         X, y = self.problem()
         y[4] = bad
-        with pytest.raises(BaselineError, match="y"):
+        with pytest.raises(InputError, match="y"):
             fit_gbt(X, y, n_estimators=2)
 
     def test_predict_features(self, bad):
         X, y = self.problem()
         model = fit_gbt(X, y, n_estimators=2)
         X[0, 2] = bad
-        with pytest.raises(BaselineError, match="X"):
+        with pytest.raises(InputError, match="X"):
             model.predict(X)
 
     def test_persistence_history(self, bad):
@@ -602,24 +603,24 @@ class TestNonFiniteInput:
         history[0] = bad   # before the last period: never repeated
         assert np.array_equal(persistence_forecast(history, 24), np.arange(24.0, 48.0))
         history[30] = bad
-        with pytest.raises(BaselineError, match="history"):
+        with pytest.raises(InputError, match="history"):
             persistence_forecast(history, 24)
 
     def test_split_and_tree_features(self, bad):
         X, y = self.problem()
         X[11, 0] = bad
         for fit in (best_split, lambda X, y: fit_tree(X, y, 2)):
-            with pytest.raises(BaselineError, match="^X holds"):
+            with pytest.raises(InputError, match="^X holds"):
                 fit(X, y)
 
     def test_split_and_tree_targets(self, bad):
         X, y = self.problem()
         y[0] = bad
         for fit in (best_split, lambda X, y: fit_tree(X, y, 2)):
-            with pytest.raises(BaselineError, match="^y holds"):
+            with pytest.raises(InputError, match="^y holds"):
                 fit(X, y)
         # one row never splits, but its target is still read
-        with pytest.raises(BaselineError, match="^y holds"):
+        with pytest.raises(InputError, match="^y holds"):
             best_split(X[:1], y[:1])
 
     @pytest.mark.parametrize("where", ["E", "FW", "FC", "y"])
@@ -631,13 +632,13 @@ class TestNonFiniteInput:
                               bounds)
         getattr(data.validation, where).flat[5] = bad
         name = "validation y" if where == "y" else "validation X"
-        with pytest.raises(BaselineError, match=f"^{name} holds"):
+        with pytest.raises(InputError, match=f"^{name} holds"):
             gbt_grid_search(data, n_estimators_grid=(1,), max_depth_grid=(1,),
                             learning_rate_grid=(0.1,))
 
 
 class TestTargetMagnitude:
-    """A target whose split scores would overflow is a BaselineError naming
+    """A target whose split scores would overflow is an InputError naming
     y; at the bound every score stays finite and the trees still split (the
     tests run with warnings as errors, so an overflow would raise)."""
 
@@ -653,7 +654,7 @@ class TestTargetMagnitude:
     @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
     def test_overflowing_targets_refused(self, fit):
         X = self.features()
-        with pytest.raises(BaselineError, match="^y exceeds"):
+        with pytest.raises(InputError, match="^y exceeds"):
             fit(X, 1e160 * X[:, 0])
 
     @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
@@ -687,7 +688,7 @@ class TestFitGbtInputRange:
     @pytest.mark.parametrize("rate", [0.0, -1.0, 2.5, float("nan")])
     def test_learning_rate_outside_the_bound_refused(self, rate):
         X = self.features()
-        with pytest.raises(BaselineError, match="learning_rate"):
+        with pytest.raises(InputError, match="learning_rate"):
             fit_gbt(X, X[:, 0], n_estimators=2, learning_rate=rate)
 
     def test_learning_rate_at_the_bound_accepted(self):

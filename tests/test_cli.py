@@ -896,12 +896,10 @@ class TestJsonWriters:
     the non-standard tokens NaN or Infinity."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_raises(self, tmp_path, monkeypatch, dataset_path,
-                                     checkpoint_dir, value):
+    def test_non_finite_value_raises(self, tmp_path, value):
         from powernet import cli
         from powernet.baselines import GbtModel
         from powernet.features import fit_feature_spec
-        from powernet.forecast_anomaly import ForecastReport
         from powernet.model import checkpoint_to_json, init_params
         from powernet.training import TrainReport
 
@@ -911,11 +909,6 @@ class TestJsonWriters:
         p = init_params(2, 2, 2, 2)
         p.vec[3] = value
         d.kw[4] = value
-        actual = np.array([1.0, value])
-        report = ForecastReport(mode="recursive", horizon=2,
-                                predictions=np.ones(2), actuals=actual)
-        monkeypatch.setattr(cli, "forecast_recursive", lambda *args: report)
-        out = tmp_path / "fc"
         writers = [
             lambda: cli._write_json(tmp_path / "doc.json", {"a": [1.0, value]}),
             lambda: checkpoint_to_json(p, {}, {}, 0),
@@ -924,14 +917,25 @@ class TestJsonWriters:
             lambda: cli._write_json(tmp_path / "doc.json", TrainReport(
                 train_loss=[value], val_mse=[1.0], best_epoch=0).to_dict()),
             GbtModel(initial_prediction=value).to_json,
-            lambda: main(["forecast", "--checkpoint",
-                          str(checkpoint_dir / "checkpoint.json"),
-                          "--dataset", dataset_path, "--horizon", "2",
-                          "--out", str(out)]),
         ]
         for write in writers:
             with pytest.raises(ValueError, match="JSON compliant"), \
                     np.errstate(invalid="ignore"):
                 write()
         assert not (tmp_path / "doc.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forecast_actual_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                       dataset_path, checkpoint_dir, value):
+        # the metrics refuse the actual before any forecast file is written
+        from powernet import cli
+        from powernet.forecast_anomaly import ForecastReport
+
+        report = ForecastReport(mode="recursive", horizon=2, predictions=np.ones(2),
+                                actuals=np.array([1.0, value]))
+        monkeypatch.setattr(cli, "forecast_recursive", lambda *args: report)
+        out = tmp_path / "fc"
+        rc = main(["forecast", "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--horizon", "2", "--out", str(out)])
+        assert "actual" in assert_usage_error(rc, capsys)
         assert not (out / "forecast_recursive.json").exists()

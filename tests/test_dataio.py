@@ -3,9 +3,10 @@ import pytest
 
 from powernet import dataio
 from powernet.dataio import (
-    HOUR, DataError, TimeSeries, aggregate, align, fill_gaps,
+    HOUR, TimeSeries, aggregate, align, fill_gaps,
     load_consumption, load_weather, parse_timestamp, resample_hourly,
 )
+from powernet.numcore import InputError
 from powernet.synth import make_weather
 
 
@@ -75,11 +76,11 @@ class TestLoadConsumption:
 
     def test_mostly_malformed_is_hard_error(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["x,y", "junk", "0,1.0"])
-        with pytest.raises(DataError, match="malformed"):
+        with pytest.raises(InputError, match="malformed"):
             load_consumption(path, "per_minute")
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(InputError):
             load_consumption(tmp_path / "missing.csv", "per_minute")
 
     @pytest.mark.parametrize("first, last, shown", [
@@ -99,7 +100,7 @@ class TestLoadConsumption:
 
         monkeypatch.setattr(np, "full", small_full)
         path = write_csv(tmp_path / "a.csv", [f"{first},1.0", f"{last},2.0"])
-        with pytest.raises(DataError, match=f"a.csv: 2 rows from .*{shown}"):
+        with pytest.raises(InputError, match=f"a.csv: 2 rows from .*{shown}"):
             load_consumption(path, "per_minute")
 
 
@@ -120,7 +121,7 @@ class TestResampleHourly:
         assert out.values[1] == 2.0
 
     def test_step_must_divide_hour(self):
-        with pytest.raises(DataError):
+        with pytest.raises(InputError):
             resample_hourly(make_series([1, 2], step=1700))
 
     def test_unaligned_start_pads_to_hour_boundary(self):
@@ -149,7 +150,7 @@ class TestAggregate:
         assert np.isnan(out.values[1])
 
     def test_misaligned_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(InputError):
             aggregate([make_series([1, 2]), make_series([1, 2], start=HOUR)])
 
 
@@ -188,7 +189,7 @@ class TestAlign:
 
     def test_disjoint_spans_error(self):
         c = make_series(np.ones(24))
-        with pytest.raises(DataError, match="overlap"):
+        with pytest.raises(InputError, match="overlap"):
             align(c, self.weather(24, start=100 * 24 * HOUR))
 
     def test_consumption_gaps_dropped(self):
@@ -199,7 +200,7 @@ class TestAlign:
         assert not np.isnan(out.kw).any()
 
     def test_requires_hourly(self):
-        with pytest.raises(DataError):
+        with pytest.raises(InputError):
             align(make_series([1, 2], step=900), self.weather(2))
 
 

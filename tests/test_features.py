@@ -8,9 +8,10 @@ import pytest
 from oracles import calendar_rows
 from powernet.dataio import HOUR, parse_timestamp
 from powernet.features import (
-    FeatureError, FeatureSpec, acf, build_examples, calendar_features,
+    FeatureSpec, acf, build_examples, calendar_features,
     fit_feature_spec, select_window, tail_splits, weather_features,
 )
+from powernet.numcore import InputError
 from powernet.synth import make_aligned_dataset
 
 
@@ -53,11 +54,11 @@ class TestAcf:
         assert np.all(np.abs(acf(x, 50)) < 0.05)
 
     def test_constant_series_rejected(self):
-        with pytest.raises(FeatureError, match="constant"):
+        with pytest.raises(InputError, match="constant"):
             acf(np.ones(50), 5)
 
     def test_length_guard(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(InputError):
             acf(np.arange(5.0), 5)
 
 
@@ -70,7 +71,7 @@ class TestSelectWindow:
             assert select_window([0.4, 0.3], 0.5) == 1
 
     def test_threshold_validation(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(InputError):
             select_window([0.9], 1.5)
 
     def test_frozen_window_on_synthetic_aggregate(self):
@@ -346,5 +347,5 @@ class TestBuildExamples:
         assert data.train.t[-1] < data.validation.t[0] < data.test.t[0]
 
     def test_overlapping_splits_rejected(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(InputError):
             build_examples(self.d, self.spec, ((0, 100), (90, 150), (150, 200)))

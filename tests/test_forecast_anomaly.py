@@ -6,18 +6,19 @@ import pytest
 
 from oracles import make_sinusoid_dataset
 from powernet import cli, forecast_anomaly
-from powernet.baselines import BaselineError, persistence_forecast
+from powernet.baselines import persistence_forecast
 from powernet.dataio import dataset_to_json
 from powernet.features import (build_examples, calendar_features,
                                fit_feature_spec, weather_features,
                                window_features)
 from powernet.forecast_anomaly import (
-    DetectorConfig, ForecastError, ForecastReport, ResidualStats,
+    DetectorConfig, ForecastReport, ResidualStats,
     TheftScenario, apply_theft, detect_consumer, detect_substation,
     forecast_recursive, forecast_with_actuals, observed_tl,
     residual_stats, retraining_analysis, simulate_substation, theft_sweep,
 )
 from powernet.metrics import error_curve, mape
+from powernet.numcore import InputError
 from powernet.model import (checkpoint_to_json, forward_batch,
                             forward_recursive, init_params)
 from powernet.synth import make_aligned_dataset
@@ -87,9 +88,9 @@ class TestForecastWithActuals:
 
     def test_guards(self, sinusoid_model):
         p, spec, d, _ = sinusoid_model
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             forecast_with_actuals(p, spec, d, 5, 10)       # no full window
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             forecast_with_actuals(p, spec, d, len(d) - 5, 10)  # beyond data
 
 
@@ -135,13 +136,13 @@ class TestForecastRecursive:
 
     def test_horizon_guard(self, sinusoid_model):
         p, spec, d, _ = sinusoid_model
-        with pytest.raises(ForecastError, match="weather"):
+        with pytest.raises(InputError, match="weather"):
             forecast_recursive(p, spec, d, len(d) - 10, 20)
 
     @pytest.mark.parametrize("fn", [forecast_recursive, forecast_with_actuals])
     def test_empty_horizon_rejected(self, sinusoid_model, fn):
         p, spec, d, bounds = sinusoid_model
-        with pytest.raises(ForecastError, match="horizon"):
+        with pytest.raises(InputError, match="horizon"):
             fn(p, spec, d, bounds[2][0], 0)
 
     @pytest.mark.parametrize("stack", [1, 2, 3])
@@ -215,9 +216,9 @@ class TestRetrainingAnalysis:
 
 class TestTheft:
     def test_scenario_validation(self):
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             TheftScenario(theta=1.0, start_row=0, end_row=1)
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             TheftScenario(theta=0.5, start_row=5, end_row=2)
 
     def test_apply_theft_exact(self):
@@ -227,7 +228,7 @@ class TestTheft:
         assert values[1] == 4.0   # input untouched
 
     def test_range_guard(self):
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             apply_theft(np.ones(3), TheftScenario(theta=0.5, start_row=0, end_row=5))
 
     def test_sweep_strictly_increasing(self, sinusoid_model):
@@ -297,9 +298,9 @@ class TestConsumerDetector:
         assert stats.sigma == pytest.approx(np.std(means), abs=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             DetectorConfig(window=0)
-        with pytest.raises(ForecastError):
+        with pytest.raises(InputError):
             DetectorConfig(k=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -312,13 +313,13 @@ class TestConsumerDetector:
         stats = ResidualStats(mu=0.0, sigma=1.0)
         for call in (lambda: residual_stats(*series.values(), cfg),
                      lambda: detect_consumer(*series.values(), cfg, stats)):
-            with pytest.raises(ForecastError, match=f"^{name} holds a non-finite value$"):
+            with pytest.raises(InputError, match=f"^{name} holds a non-finite value$"):
                 call()
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     def test_non_finite_k_rejected(self, k):
         # a NaN or infinite threshold can never fire an alarm
-        with pytest.raises(ForecastError, match=f"k: expected real > 0, got {k}"):
+        with pytest.raises(InputError, match=f"k: expected real > 0, got {k}"):
             DetectorConfig(k=k)
 
 
@@ -356,7 +357,7 @@ class TestSubstation:
         assert len(clean_alarms) <= 0.05 * (240 - cfg.window + 1)
 
     def test_misaligned_inputs(self):
-        with pytest.raises(ForecastError, match="misaligned"):
+        with pytest.raises(InputError, match="misaligned"):
             detect_substation(np.ones(10), [np.ones(9)], np.ones(10),
                               DetectorConfig(), ResidualStats(0.0, 1.0))
 
@@ -368,7 +369,7 @@ class TestSubstation:
         assert out[24] == history[24]
 
     def test_seasonal_predictor_guard(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(InputError):
             persistence_forecast(np.ones(5), 10, period=24)
 
     @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])

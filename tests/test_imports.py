@@ -4,8 +4,9 @@ named outside the tests, and no module reads another module's private
 names: stdlib-only stand-ins for a linter's unused-import, dead-code and
 private-access rules. Every defaulted parameter of a public function is
 passed by some caller, every function the benchmark tracer wraps exists
-under the name it uses, and files are opened only by the one input reader
-and the artifact writers."""
+under the name it uses, files are opened only by the one input reader
+and the artifact writers, and input the caller must fix is one error
+class, ``numcore.InputError``."""
 
 import ast
 import importlib
@@ -298,16 +299,16 @@ def test_grid_search_calls_fit_gbt_by_its_module_name():
                and node.func.id == "fit_gbt" for node in ast.walk(grid))
 
 
-def open_calls(source: str) -> list:
+def calls_of(source: str, callee: str) -> list:
     """The name of the module-level function or class holding each
-    ``open(...)`` call in ``source``, or ``None`` for a call outside both."""
+    ``callee(...)`` call in ``source``, or ``None`` for a call outside both."""
     found = []
     for node in ast.parse(source).body:
         name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 else None)
         found += [name for sub in ast.walk(node)
                   if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                  and sub.func.id == "open"]
+                  and sub.func.id == callee]
     return found
 
 
@@ -315,7 +316,7 @@ def test_detects_an_open_call():
     source = ("def read(p):\n    with open(p) as fh:\n        return fh.read()\n"
               "class Report:\n    def write(self, p):\n        open(p, 'w')\n"
               "open('x')\n")
-    assert open_calls(source) == ["read", "Report", None]
+    assert calls_of(source, "open") == ["read", "Report", None]
 
 
 def test_files_are_opened_only_by_the_one_reader_and_the_writers():
@@ -325,6 +326,67 @@ def test_files_are_opened_only_by_the_one_reader_and_the_writers():
                ("cli.py", "_write_csv"), ("synth.py", "write_weather_csv"),
                ("synth.py", "write_consumption_csv")}
     found = {(path.name, name) for path in PACKAGE.glob("*.py")
-             for name in open_calls(path.read_text())}
+             for name in calls_of(path.read_text(), "open")}
     assert found <= allowed
     assert ("cli.py", "_write_csv") in found
+
+
+def value_error_classes(sources: dict) -> list:
+    """(module, class) of each class in ``sources`` (module name -> source)
+    that derives from ValueError, directly or through another class found
+    here, named as a base by its name or as an attribute."""
+    classes = [(module, node) for module, source in sources.items()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    found = {"ValueError"}
+    while True:
+        more = {node.name for _, node in classes
+                if {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases} & found}
+        if more <= found:
+            return sorted((module, node.name) for module, node in classes
+                          if node.name in found)
+        found |= more
+
+
+def handled_errors(source: str, function: str) -> list:
+    """The source of what each ``except`` clause of the module-level
+    ``function`` in ``source`` catches, in order."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [ast.unparse(handler.type) for node in ast.walk(body)
+            if isinstance(node, ast.Try) for handler in node.handlers]
+
+
+def test_detects_error_classes_and_handlers():
+    sources = {"a": "class InputError(ValueError):\n    pass\n\n"
+                    "class Bad(InputError):\n    pass\n",
+               "b": "from . import a\n\nclass Worse(a.Bad):\n    pass\n\n"
+                    "class Fine(RuntimeError):\n    pass\n\n"
+                    "def main():\n    try:\n        raise ValueError('x')\n"
+                    "    except (a.InputError, KeyError):\n        pass\n"
+                    "    except Fine:\n        pass\n"}
+    assert value_error_classes(sources) == [("a", "Bad"), ("a", "InputError"),
+                                            ("b", "Worse")]
+    assert calls_of(sources["b"], "ValueError") == ["main"]
+    assert handled_errors(sources["b"], "main") == ["(a.InputError, KeyError)", "Fine"]
+
+
+#: Functions that raise a plain ValueError, each with its reason.
+PLAIN_VALUE_ERRORS = {
+    ("model.py", "checkpoint_to_json"),   # json.dumps's own error for a non-finite float
+}
+
+
+def test_one_input_error_class():
+    # input the caller must fix is a numcore.InputError, the one class
+    # cli.main turns into exit 2; TrainingError, divergence, gives exit 1
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert value_error_classes(sources) == [("numcore.py", "InputError")]
+    assert {(module, holder) for module, source in sources.items()
+            for holder in calls_of(source, "ValueError")} == PLAIN_VALUE_ERRORS
+    assert handled_errors(sources["cli.py"], "main") == ["InputError", "TrainingError"]
+    # the tests name the class where it is defined
+    imports = {(path.name, node.module) for path in (ROOT / "tests").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and "InputError" in {alias.name for alias in node.names}}
+    assert {module for _, module in imports} == {"powernet.numcore"}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from powernet import cli
-from powernet.metrics import ErrorCurve, MetricError, error_curve, mape, mse
+from powernet.metrics import ErrorCurve, error_curve, mape, mse
+from powernet.numcore import InputError
 
 
 def mse_oracle(a, f):
@@ -41,11 +42,11 @@ class TestMse:
         assert mse(a, f) == mse(f, a)
 
     def test_shape_mismatch(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(InputError):
             mse([1, 2], [1, 2, 3])
 
     def test_empty(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(InputError):
             mse([], [])
 
 
@@ -71,12 +72,31 @@ class TestMape:
         assert mape([0.0, 2.0], [1.0, 1.0]) == pytest.approx(50.0, abs=1e-12)
 
     def test_all_zero_actuals_rejected(self):
-        with pytest.raises(MetricError, match="floor"):
+        with pytest.raises(InputError, match="floor"):
             mape([0.0, 0.0], [1.0, 1.0])
 
     def test_negative_floor_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(InputError):
             mape([1.0], [1.0], zero_floor=-1.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFinite:
+    """A non-finite actual is an InputError naming it, never a metric that
+    drops it or a warning; a non-finite forecast gives a non-finite metric,
+    the callers' overflow signal."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [mse, mape, error_curve],
+                             ids=lambda f: f.__name__)
+    def test_actual_rejected(self, metric, bad):
+        with pytest.raises(InputError, match="^actual holds a non-finite value$"):
+            metric([1.0, bad, 2.0], [1.0, 1.0, 1.0])
+
+    def test_infinite_forecast_passes_through(self):
+        assert mse([1.0, 2.0], [1.0, np.inf]) == np.inf
+        assert mape([1.0, 2.0], [1.0, -np.inf]) == np.inf
+        assert np.isinf(error_curve([1.0, 2.0], [1.0, np.inf]).cum_mse[-1])
 
 
 def reference_rolling(a, f, window, zero_floor):
@@ -153,7 +173,7 @@ class TestErrorCurve:
         assert list(c.hours) == [1, 2]
 
     def test_invalid_window(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(InputError):
             error_curve([1.0], [1.0], window=0)
 
     def test_csv_round_trip(self, tmp_path):

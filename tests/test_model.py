@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from oracles import grad_check, sigmoid
-from powernet.numcore import ShapeError
 from powernet.model import (
     checkpoint_from_dict, checkpoint_from_json, checkpoint_to_json,
     forward_batch, forward_recursive, backward_batch, init_params, param_layout,
 )
+from powernet.numcore import InputError
 from powernet.training import loss
 
 
@@ -185,7 +185,7 @@ class TestEncode:
                                    gates(tr2.layers[layer]).c[t])
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             forward_batch(np.zeros((1, 0)), np.zeros((1, 13)), np.zeros((1, 5)),
                           small_params())
 
@@ -272,7 +272,7 @@ class TestFuse:
         assert np.allclose(o, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             forward_one(np.zeros(3), np.zeros(10), np.zeros(5), small_params())
 
 
@@ -422,7 +422,7 @@ class TestForward:
         assert peak_bytes(lambda: forward_batch(E, fw[:8], fc[:8], p)) < block
 
     def test_invalid_dropout(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             forward_one(np.zeros(3), np.zeros(13), np.zeros(5), small_params(),
                         dropout_rate=1.0, train=True, rng=np.random.default_rng(0))
 
@@ -566,7 +566,7 @@ class TestParamsBuffer:
 
     def test_from_vector_size_mismatch(self):
         p = small_params()
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             p.from_vector(np.zeros(p.vec.size + 1))
 
     def test_b4_setter_writes_the_vector(self):
@@ -604,7 +604,7 @@ class TestCheckpoint:
         text = checkpoint_to_json(p, {}, {}, seed=0)
         doc = json.loads(text)
         doc["format_version"] = 99
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(InputError, match="version"):
             checkpoint_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("seed, stack, digest", [
@@ -631,13 +631,13 @@ class TestCheckpoint:
     def test_mis_shaped_parameter_rejected(self):
         doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
         doc["params"]["w1"] = {"shape": [5, 17], "data": [0.0] * 85}
-        with pytest.raises(ValueError, match="w1"):
+        with pytest.raises(InputError, match="w1"):
             checkpoint_from_dict(doc)
 
     def test_stack_must_match_parameters(self):
         doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
         doc["stack"] = 1
-        with pytest.raises(ValueError, match="stack"):
+        with pytest.raises(InputError, match="stack"):
             checkpoint_from_dict(doc)
 
     def test_recorded_shapes_must_agree(self):
@@ -645,11 +645,11 @@ class TestCheckpoint:
         # shape must follow from them
         doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
         doc["params"]["w3"]["shape"] = [6, 8]
-        with pytest.raises(ValueError, match="w3"):
+        with pytest.raises(InputError, match="w3"):
             checkpoint_from_dict(doc)
 
     def test_data_length_must_match_shape(self):
         doc = json.loads(checkpoint_to_json(small_params(), {}, {}, seed=0))
         doc["params"]["b2"]["data"] = [1.0]
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             checkpoint_from_dict(doc)

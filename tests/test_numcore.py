@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import grad_check, sigmoid
-from powernet.numcore import array, check, integer, items, one_of, real, relu
+from powernet.numcore import InputError, array, check, integer, items, one_of, real, relu
 
 
 class TestElementwise:
@@ -65,7 +65,7 @@ class TestCheck:
     GOOD = {"n": 3, "x": 0.5, "pair": [1, 2], "kw": [0.5, 2], "v": 1}
 
     def test_passes_and_converts(self):
-        out = check(self.GOOD, self.TABLE, ValueError, "doc")
+        out = check(self.GOOD, self.TABLE, "doc")
         assert out["pair"] == (1, 2)
         assert isinstance(out["kw"], np.ndarray) and out["kw"].tolist() == [0.5, 2]
 
@@ -87,20 +87,19 @@ class TestCheck:
         ("v", True, "doc: v: expected 1, got True"),
     ])
     def test_message_names_the_key_path_and_the_value(self, key, value, message):
-        with pytest.raises(KeyError) as info:
-            check({**self.GOOD, key: value}, self.TABLE, KeyError, "doc")
+        with pytest.raises(InputError) as info:
+            check({**self.GOOD, key: value}, self.TABLE, "doc")
         assert info.value.args == (message,)
 
     def test_missing_key_and_non_object(self):
-        with pytest.raises(ValueError, match="doc: n: expected int >= 1, got nothing"):
-            check({k: v for k, v in self.GOOD.items() if k != "n"}, self.TABLE,
-                  ValueError, "doc")
-        with pytest.raises(ValueError, match=r"doc: expected object, got \[1\]"):
-            check([1], self.TABLE, ValueError, "doc")
+        with pytest.raises(InputError, match="doc: n: expected int >= 1, got nothing"):
+            check({k: v for k, v in self.GOOD.items() if k != "n"}, self.TABLE, "doc")
+        with pytest.raises(InputError, match=r"doc: expected object, got \[1\]"):
+            check([1], self.TABLE, "doc")
 
     def test_long_value_is_cut_to_one_short_line(self):
-        with pytest.raises(ValueError) as info:
-            check({**self.GOOD, "v": "x\n" * 100}, self.TABLE, ValueError, "doc")
+        with pytest.raises(InputError) as info:
+            check({**self.GOOD, "v": "x\n" * 100}, self.TABLE, "doc")
         got = str(info.value).split("got ")[1]
         assert "\n" not in str(info.value) and len(got) == 60 and got.endswith("...")
 

@@ -10,10 +10,11 @@ import pytest
 
 from oracles import load_consumption_rows, load_weather_rows, write_consumption_rows
 from powernet.dataio import (
-    HOUR, WEATHER_COLUMNS, DataError, IngestReport, TimeSeries, format_timestamp,
+    HOUR, WEATHER_COLUMNS, IngestReport, TimeSeries, format_timestamp,
     load_consumption, load_weather, parse_timestamp, parse_timestamps,
 )
 from powernet.model import checkpoint_to_json, init_params
+from powernet.numcore import InputError
 from powernet.synth import (
     make_aligned_dataset, make_weather, write_consumption_csv, write_fixture_dir,
     write_weather_csv,
@@ -34,11 +35,11 @@ def hourly_series(days, seed):
 
 def loaded(load, path, fmt):
     """(start, step, values bytes, report) of one load, or "error", the
-    first word of the DataError's message after the path, and the report."""
+    first word of the InputError's message after the path, and the report."""
     report = IngestReport()
     try:
         s = load(path, fmt, report=report)
-    except DataError as exc:
+    except InputError as exc:
         return "error", str(exc).split(": ", 1)[1].split(" ")[0], report
     return s.start, s.step, s.values.tobytes(), report
 
@@ -126,10 +127,10 @@ def test_mixed_timestamp_csv_loads_as_the_per_row_oracle(tmp_path, far_years, no
 
 def weather_loaded(load, path):
     """The times, texts and numeric bytes of one weather load, or "error"
-    and the DataError's message."""
+    and the InputError's message."""
     try:
         w = load(path)
-    except DataError as exc:
+    except InputError as exc:
         return "error", str(exc)
     return (w.times.tobytes(), w.summary, w.icon, w.numeric.tobytes(),
             w.numeric.shape, w.numeric.flags.c_contiguous)

@@ -9,6 +9,7 @@ from oracles import make_sinusoid_dataset
 from powernet import cli
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.model import checkpoint_to_json, init_params
+from powernet.numcore import InputError
 from powernet.synth import make_aligned_dataset
 from powernet.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, TrainingError,
@@ -36,6 +37,13 @@ def functional_adam_step(p, grads, state, lr):
     return p.from_vector(p.vec - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
+def without_validation(data):
+    """``data`` with an empty validation split."""
+    v = data.validation
+    return dataclasses.replace(data, validation=dataclasses.replace(
+        v, E=v.E[:0], FW=v.FW[:0], FC=v.FC[:0], y=v.y[:0], t=v.t[:0]))
+
+
 def small_cfg(**kwargs):
     base = dict(memory_size=4, d1=5, d2=4, d3=5, max_epochs=3, patience=2,
                 batch_size=16, dropout_rate=0.0, seed=0)
@@ -45,11 +53,11 @@ def small_cfg(**kwargs):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TrainConfig(patience=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TrainConfig(memory_size_grid=())
 
     @pytest.mark.parametrize("field, value", [
@@ -59,7 +67,7 @@ class TestConfig:
         ("d1", 0), ("d2", 0), ("d3", 0), ("stack", 0),
     ])
     def test_rejects_out_of_range_setting(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(InputError, match=field):
             TrainConfig(**{field: value})
 
     def test_to_dict_round_trips_through_kwargs(self):
@@ -169,7 +177,7 @@ class TestLoss:
         data = small_data()
         tr = data.train
         p = init_params(3, 4, 3, 4, seed=6)
-        with pytest.raises(TrainingError):
+        with pytest.raises(InputError, match="empty batch"):
             loss(tr.E[:0], tr.FW[:0], tr.FC[:0], tr.y[:0], p)
 
 
@@ -246,14 +254,8 @@ class TestTrain:
             train(data, cfg)
 
     def test_empty_split_rejected(self):
-        data = small_data(days=8)
-        empty = dataclasses.replace(
-            data, validation=dataclasses.replace(
-                data.validation, E=data.validation.E[:0],
-                FW=data.validation.FW[:0], FC=data.validation.FC[:0],
-                y=data.validation.y[:0], t=data.validation.t[:0]))
-        with pytest.raises(TrainingError):
-            train(empty, small_cfg())
+        with pytest.raises(InputError, match="validation"):
+            train(without_validation(small_data(days=8)), small_cfg())
 
     def test_learns_sinusoid_quickly(self):
         d = make_sinusoid_dataset(days=10, seed=0)
@@ -298,6 +300,13 @@ class TestGridSearch:
                         learning_rate=1e150)
         with pytest.raises(TrainingError, match="every grid cell"):
             grid_search(data, cfg)
+
+    def test_empty_validation_split_is_not_divergence(self):
+        # an input fault stops the search instead of counting as a cell
+        # that diverged
+        cfg = small_cfg(memory_size_grid=(3, 4), max_epochs=2, patience=2)
+        with pytest.raises(InputError, match="validation"):
+            grid_search(without_validation(small_data(days=9)), cfg)
 
 
 class TestTrainReport:
