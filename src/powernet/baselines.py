@@ -34,7 +34,7 @@ import numpy as np
 
 from .features import ExampleSet, Split
 from .metrics import mse
-from .numcore import OBJECT, InputError, check, finite, integer, items, one_of, real
+from .numcore import OBJECT, Check, InputError, check, finite, integer, items, one_of, real
 
 GBT_FORMAT_VERSION = 1
 
@@ -53,11 +53,13 @@ MAX_TARGET_MASS = 1e153
 
 
 def _fit_inputs(X, y):
-    """(X, y) as float64 arrays; a NaN or infinity in either, or a y over
-    MAX_TARGET_MASS / len(y) in magnitude, is an InputError naming it."""
+    """(X, y) as float64 arrays; no rows, a NaN or infinity in either, or a
+    y over MAX_TARGET_MASS / len(y) in magnitude, is an InputError naming it."""
     X = finite(np.asarray(X, dtype=np.float64), "X")
     y = finite(np.asarray(y, dtype=np.float64), "y")
-    if len(y) and np.abs(y).max() > MAX_TARGET_MASS / len(y):
+    if len(y) == 0:
+        raise InputError("empty training set")
+    if np.abs(y).max() > MAX_TARGET_MASS / len(y):
         raise InputError(f"y exceeds {MAX_TARGET_MASS:g} / len(y) in magnitude: "
                          "its split scores would overflow")
     return X, y
@@ -285,22 +287,32 @@ def best_split(X: np.ndarray, y: np.ndarray):
     return _split_search(y, order, xs, np.arange(len(y)))
 
 
-def _grow_tree(XT, order, xs, y, max_depth: int):
-    """Grow one tree on (XT, order, xs) from _presorted(X); returns (tree,
-    the value of the leaf each training row lands in)."""
+def _grow_tree(XT, order, xs, y, depths):
+    """Grow one tree on (XT, order, xs) from _presorted(X) to the last of
+    the strictly ascending ``depths``; returns its cut at each as (tree, the
+    value of the leaf each training row lands in). A split depends on its
+    node's rows alone, so a cut is the tree grown to that depth, bit for bit."""
+    max_depth = depths[-1]
     n_features = len(order)
-    fitted = np.empty(len(y))
+    fitted = [np.empty(len(y)) for _ in depths]
     go_left = np.zeros(len(y), dtype=bool)
 
-    def grow(order, xs, rows, depth):
+    def grow(order, xs, rows, depth, first):
+        """This node in the cuts at depths[first:], the ones that hold it."""
         split = None
         if depth < max_depth:
             split = _split_search(y, order, xs, rows)
-        if split is None:
+        cut = depths[first] == depth        # the cut at depths[first] ends here
+        leaf = []
+        if split is None or cut:
             # ndarray.mean's sum and divide, without its Python wrapper
             value = float(np.add.reduce(y.take(rows)) / len(rows))
-            fitted[rows] = value
-            return TreeNode(value=value)
+            leaf = [TreeNode(value=value)]
+            if split is None:
+                for f in fitted[first:]:
+                    f[rows] = value
+                return leaf * (len(depths) - first)
+            fitted[first][rows] = value
         j, thr, _ = split
         left = XT[j].take(rows) <= thr
         left_order = left_xs = right_order = right_xs = None
@@ -316,24 +328,22 @@ def _grow_tree(XT, order, xs, y, max_depth: int):
             at = np.logical_not(to_left, out=to_left).nonzero()[0]
             right_order = order.take(at).reshape(n_features, -1)
             right_xs = xs.take(at).reshape(n_features, -1)
-        return TreeNode(feature=j, threshold=thr,
-                        left=grow(left_order, left_xs, rows[left], depth + 1),
-                        right=grow(right_order, right_xs, rows[~left], depth + 1))
+        lefts = grow(left_order, left_xs, rows[left], depth + 1, first + cut)
+        rights = grow(right_order, right_xs, rows[~left], depth + 1, first + cut)
+        return leaf + [TreeNode(j, thr, lo, hi) for lo, hi in zip(lefts, rights)]
 
-    tree = grow(order, xs, np.arange(len(y)), 0)
+    trees = grow(order, xs, np.arange(len(y)), 0, 0)
     # grow's closure refers to itself; breaking that cycle frees the
     # tree's buffers now rather than at the next cyclic collection
     del grow
-    return tree, fitted
+    return list(zip(trees, fitted))
 
 
 def fit_tree(X, y, max_depth: int) -> TreeNode:
     """Greedy CART regression tree on residuals; leaves hold means. X and y
     are refused as fit_gbt refuses them."""
     X, y = _fit_inputs(X, y)
-    if len(y) < 1:
-        raise InputError("need at least one row")
-    return _grow_tree(*_presorted(X), y, max_depth)[0]
+    return _grow_tree(*_presorted(X), y, [max_depth])[0][0]
 
 
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -411,28 +421,36 @@ class GbtModel:
                    trees=[TreeNode.from_dict(t, n_features) for t in doc["trees"]])
 
 
+#: fit_gbt's arguments: a tree count and depth that a GbtModel document
+#: holds, and a learning rate in (0, 2], which MAX_TARGET_MASS assumes.
+FIT_CHECKS = {"n_estimators": integer(1), "max_depth": GbtModel.CHECKS["max_depth"],
+              "learning_rate": Check("real in (0, 2]", lambda v: real().ok(v) and 0 < v <= 2)}
+
+
 def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
-            learning_rate: float = 0.1, *, presorted: tuple | None = None) -> GbtModel:
+            learning_rate: float = 0.1, *, presorted: tuple | None = None,
+            first_tree: tuple | None = None) -> GbtModel:
     """Stage-wise boosting on squared loss: each tree fits the residuals
     of the current ensemble, earlier trees stay unchanged.
 
-    ``presorted``, _presorted(X) of this same X, saves the sort when the
-    caller fits several models to one matrix, as gbt_grid_search does. A NaN
-    or infinity in X or y, or a y over 1e153 / len(y) in magnitude, whose
-    split scores would overflow, is an InputError naming it, and so is a
-    ``learning_rate`` outside (0, 2], which that bound assumes."""
-    if not 0.0 < learning_rate <= 2.0:
-        raise InputError(f"learning_rate must be in (0, 2], got {learning_rate}")
+    ``presorted``, _presorted(X), and ``first_tree``, the (tree, fitted)
+    pair _grow_tree gives for y - y.mean() at ``max_depth``, save the sort
+    and stage 0's growth when the caller fits several models to one X and
+    y, as gbt_grid_search does; stage 0 fits y - y.mean() whatever the
+    rate, so that pair is the tree this call would grow. X and y as
+    _fit_inputs refuses them, or an argument FIT_CHECKS refuses, is an
+    InputError naming it."""
+    check({"n_estimators": n_estimators, "max_depth": max_depth,
+           "learning_rate": learning_rate}, FIT_CHECKS, "fit_gbt")
     X, y = _fit_inputs(X, y)
-    if len(y) == 0:
-        raise InputError("empty training set")
     model = GbtModel(initial_prediction=float(y.mean()),
                      learning_rate=learning_rate, max_depth=max_depth)
     pred = np.full(len(y), model.initial_prediction)
     if presorted is None:
         presorted = _presorted(X)
     for _ in range(n_estimators):
-        tree, fitted = _grow_tree(*presorted, y - pred, max_depth)
+        tree, fitted = first_tree or _grow_tree(*presorted, y - pred, [max_depth])[0]
+        first_tree = None                   # later stages fit later residuals
         pred += learning_rate * fitted
         model.trees.append(tree)
     return model
@@ -446,31 +464,41 @@ def gbt_grid_search(data: ExampleSet,
                     n_estimators_grid=DEFAULT_N_ESTIMATORS_GRID,
                     max_depth_grid=DEFAULT_MAX_DEPTH_GRID,
                     learning_rate_grid=DEFAULT_LEARNING_RATE_GRID):
-    """Exhaustive product search by validation MSE.
+    """Exhaustive product search by validation MSE over grids, each a list
+    or tuple of what FIT_CHECKS accepts, all checked before any work.
 
     Ties prefer fewer trees, then shallower trees, then a smaller learning
     rate. Returns (best model, per-cell report list).
 
-    Only the largest tree count per (depth, lr) pair is actually fitted;
-    smaller counts reuse its prefix, since boosting stages are independent
-    of how many follow.
+    Each (depth, lr) pair is one fit_gbt of the largest tree count, whose
+    prefixes are the smaller counts' models. All fits share one sort, and
+    those at a depth share their first tree and its validation prediction:
+    stage 0 fits y - y.mean() at every rate, and each depth's first tree is
+    a cut of one tree grown to the deepest (see _grow_tree). Every cell is
+    the standalone fit_gbt model, bit for bit.
     """
-    if not (n_estimators_grid and max_depth_grid and learning_rate_grid):
-        raise InputError("grids must be non-empty")
-    X_tr = flatten_features(data.train)
+    check({"n_estimators_grid": n_estimators_grid, "max_depth_grid": max_depth_grid,
+           "learning_rate_grid": learning_rate_grid},
+          {f"{key}_grid": items(rule) for key, rule in FIT_CHECKS.items()},
+          "gbt_grid_search")
     X_val = finite(flatten_features(data.validation), "validation X")
-    y_tr, y_val = data.train.y, finite(data.validation.y, "validation y")
-    presorted = _presorted(np.asarray(X_tr, dtype=np.float64))
+    y_val = finite(data.validation.y, "validation y")
+    X_tr, y_tr = _fit_inputs(flatten_features(data.train), data.train.y)
+    presorted = _presorted(X_tr)
+    depths = sorted(set(max_depth_grid))
+    first = {depth: (pair, tree_predict(pair[0], X_val)) for depth, pair in
+             zip(depths, _grow_tree(*presorted, y_tr - float(y_tr.mean()), depths))}
     n_grid = sorted(n_estimators_grid)
     cells = []
     for depth, lr in product(sorted(max_depth_grid), sorted(learning_rate_grid)):
+        pair, first_val = first[depth]
         full = fit_gbt(X_tr, y_tr, n_estimators=n_grid[-1], max_depth=depth,
-                       learning_rate=lr, presorted=presorted)
+                       learning_rate=lr, presorted=presorted, first_tree=pair)
         pred = np.full(len(y_val), full.initial_prediction)
         k = 0
         for n_est in n_grid:
             while k < n_est:
-                pred += lr * tree_predict(full.trees[k], X_val)
+                pred += lr * (tree_predict(full.trees[k], X_val) if k else first_val)
                 k += 1
             cells.append({"n_estimators": n_est, "max_depth": depth,
                           "learning_rate": lr, "val_mse": mse(y_val, pred),

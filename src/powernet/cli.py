@@ -47,7 +47,7 @@ EXAMPLE_DEFAULTS = {"splits": "624:48:48", "window_len": None,
 CONFIG_CHECKS = {
     **TrainConfig.CHECKS,
     "learning_rate": real(0, 1, strict=True),
-    "splits": Check("TRAIN:VAL:TEST hours", lambda t: len(t) == 3 and min(t) >= 0,
+    "splits": Check("TRAIN:VAL:TEST hours, each >= 1", lambda t: len(t) == 3 and min(t) >= 1,
                     lambda v: tuple(map(int, v.split(":")))),
     "window_len": Check("null or int >= 1", lambda v: v is None or integer(1).ok(v)),
     "acf_threshold": real(0, 1, strict=True),

@@ -89,7 +89,8 @@ def _walk(rule, value, step=""):
                 return kept
         except (AttributeError, TypeError, ValueError, OverflowError):
             pass
-        for i, entry in enumerate(value if rule.entry and isinstance(value, list) else ()):
+        listed = rule.entry and isinstance(value, (list, tuple))
+        for i, entry in enumerate(value if listed else ()):
             _walk(rule.entry, entry, f"[{i}]")
         raise _Mismatch([], rule.kind, value)
     except _Mismatch as exc:

@@ -388,6 +388,19 @@ class TestFitTree:
                 assert (fit_tree(X, y, depth).to_dict()
                         == reference_fit_tree(X, y, depth).to_dict())
 
+    def test_every_cut_equals_direct_growth(self):
+        # one growth to depth 6 cut at 0-6 gives each depth's tree and
+        # leaf values, bit for bit (signed zeros included, through JSON)
+        depths = list(range(7))
+        for X, y in oracle_fixtures():
+            presorted = baselines._presorted(X)
+            cuts = baselines._grow_tree(*presorted, y, depths)
+            assert len(cuts) == len(depths)
+            for depth, (tree, fitted) in zip(depths, cuts):
+                alone, alone_fitted = baselines._grow_tree(*presorted, y, [depth])[0]
+                assert json.dumps(tree.to_dict()) == json.dumps(alone.to_dict())
+                assert fitted.tobytes() == alone_fitted.tobytes()
+
     def test_depth_zero_is_mean_leaf(self):
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -478,8 +491,9 @@ class TestGbt:
             GbtModel.from_dict(json.loads(doc))
 
     def test_empty_training_set_rejected(self):
-        with pytest.raises(InputError):
-            fit_gbt(np.zeros((0, 2)), np.zeros(0))
+        for fit in (fit_gbt, lambda X, y: fit_tree(X, y, 2), best_split):
+            with pytest.raises(InputError, match="^empty training set"):
+                fit(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestGridSearch:
@@ -515,8 +529,8 @@ class TestGridSearch:
         assert len(report) == 4
 
     def test_one_presort_shared_by_every_cell(self, monkeypatch):
-        presort, fit = baselines._presort, baselines.fit_gbt
-        presorts, fits = [], []
+        presort, fit, grow = baselines._presort, baselines.fit_gbt, baselines._grow_tree
+        presorts, fits, growths = [], [], []
 
         def counted_presort(X):
             presorts.append(X.shape)
@@ -526,17 +540,29 @@ class TestGridSearch:
             fits.append(fit(*args, **kwargs))
             return fits[-1]
 
+        def counted_grow(*args):
+            growths.append(list(args[-1]))
+            return grow(*args)
+
         monkeypatch.setattr(baselines, "_presort", counted_presort)
         monkeypatch.setattr(baselines, "fit_gbt", kept_fit)
+        monkeypatch.setattr(baselines, "_grow_tree", counted_grow)
         grid = (3, 6)
-        best, _ = gbt_grid_search(self.data, n_estimators_grid=grid,
-                                  max_depth_grid=(1, 3),
-                                  learning_rate_grid=(0.1, 1.0))
+        best, report = gbt_grid_search(self.data, n_estimators_grid=grid,
+                                       max_depth_grid=(3, 1, 3),
+                                       learning_rate_grid=(1.0, 0.1))
         monkeypatch.undo()
-        assert len(presorts) == 1 and len(fits) == 4
+        # one fit per (depth, rate) pair, repeats included, and one first
+        # tree grown to the deepest depth for all of them
+        assert len(presorts) == 1 and len(fits) == 6
+        assert growths[0] == [1, 3] and growths[1:] == [[f.max_depth] for f in fits
+                                                        for _ in range(5)]
         # each cell's model is its (depth, rate) fit cut to its tree count,
-        # byte for byte what a standalone fit with that count writes
+        # byte for byte what a standalone fit with that count writes, and
+        # its validation MSE is that fit's, bit for bit
         X, y = flatten_features(self.data.train), self.data.train.y
+        X_val, y_val = flatten_features(self.data.validation), self.data.validation.y
+        cells = iter(report)
         for full in fits:
             for n in grid:
                 cell = GbtModel(full.initial_prediction, full.trees[:n],
@@ -544,6 +570,7 @@ class TestGridSearch:
                 alone = fit_gbt(X, y, n_estimators=n, max_depth=full.max_depth,
                                 learning_rate=full.learning_rate)
                 assert cell.to_json() == alone.to_json()
+                assert next(cells)["val_mse"] == mse(y_val, alone.predict(X_val))
         assert best.to_json() == fit_gbt(
             X, y, n_estimators=len(best.trees), max_depth=best.max_depth,
             learning_rate=best.learning_rate).to_json()
@@ -663,6 +690,44 @@ class TestTargetMagnitude:
         # max|y| is the limit itself: x / max|x| is 1.0 exactly at the largest
         limit = baselines.MAX_TARGET_MASS / len(X)
         assert fit(X, X[:, 0] / np.abs(X[:, 0]).max() * limit) == 0
+
+
+BAD_SETTINGS = {"n_estimators": [0, -1, 2.0, True, "3", None],
+                "max_depth": [2.5, -1, True, 3.0, None],
+                "learning_rate": [0.0, -1.0, 2.5, float("nan"), True, "0.1"]}
+BAD_CASES = [(key, bad) for key, values in BAD_SETTINGS.items() for bad in values]
+
+
+@pytest.mark.parametrize("key, bad", BAD_CASES,
+                         ids=[f"{key}={bad!r}" for key, bad in BAD_CASES])
+class TestBadSettings:
+    """fit_gbt refuses a tree count, depth or rate that a GbtModel document
+    could not hold, or the target bound does not cover, with an InputError
+    naming the argument; gbt_grid_search refuses such a grid entry before it
+    sorts or grows anything."""
+
+    def test_fit_gbt_refuses(self, key, bad):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(InputError, match=f"^fit_gbt: {key}: expected"):
+            fit_gbt(X, X[:, 0], **{key: bad})
+
+    def test_grid_search_refuses_before_any_work(self, key, bad, monkeypatch):
+        d = make_aligned_dataset(days=10, seed=6)
+        n = len(d)
+        bounds = ((0, n - 96), (n - 96, n - 48), (n - 48, n))
+        data = build_examples(d, fit_feature_spec(d, slice(*bounds[0]), window_len=12),
+                              bounds)
+
+        def no_work(*args):
+            raise AssertionError("work before the grid check")
+        monkeypatch.setattr(baselines, "_presort", no_work)
+        monkeypatch.setattr(baselines, "_grow_tree", no_work)
+        grids = {"n_estimators_grid": (1, 2), "max_depth_grid": (0, 1),
+                 "learning_rate_grid": (0.1, 2.0)}
+        grids[f"{key}_grid"] = grids[f"{key}_grid"] + (bad,)
+        with pytest.raises(InputError,
+                           match=rf"^gbt_grid_search: {key}_grid\[2\]: expected"):
+            gbt_grid_search(data, **grids)
 
 
 class TestFitGbtInputRange:

@@ -331,6 +331,17 @@ class TestTrain:
                    "--splits", "banana"])
         assert rc == 2
 
+    @pytest.mark.parametrize("splits", ["100:0:10", "0:48:48", "96:48:0"])
+    @pytest.mark.parametrize("command", [["train"], ["grid-search"],
+                                         ["train", "--model", "gbt"]],
+                             ids=["train", "grid_search", "gbt"])
+    def test_zero_hour_split_usage_error(self, dataset_path, tmp_path, capsys,
+                                         command, splits):
+        rc = main(command + ["--dataset", dataset_path, "--out", str(tmp_path),
+                             "--splits", splits])
+        assert (f"splits: expected TRAIN:VAL:TEST hours, each >= 1, got '{splits}'"
+                in assert_usage_error(rc, capsys))
+
     def test_missing_config_file(self, dataset_path, tmp_path, capsys):
         rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path),
                    "--config", str(tmp_path / "nope.json")])
@@ -351,7 +362,7 @@ class TestTrain:
         (["--learning-rate", "inf"], {}, "learning_rate"),
         (["--l2-lambda", "-1"], {}, "l2_lambda"),
         ([], {"d1": 0}, "d1"),
-        ([], {"splits": 5}, "splits: expected TRAIN:VAL:TEST hours, got 5"),
+        ([], {"splits": 5}, "splits: expected TRAIN:VAL:TEST hours, each >= 1, got 5"),
         ([], {"acf_threshold": "x"}, "acf_threshold: expected real in (0, 1), got 'x'"),
         ([], {"max_epochs": 1.5}, "max_epochs: expected int >= 1, got 1.5"),
         ([], {"window_len": True}, "window_len: expected null or int >= 1, got True"),
