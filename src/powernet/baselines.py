@@ -37,6 +37,7 @@ from .metrics import mse
 from .numcore import OBJECT, Check, InputError, check, finite, integer, items, one_of, real
 
 GBT_FORMAT_VERSION = 1
+PERSISTENCE_PERIOD = 24   # hours back that the persistence baseline repeats
 
 # parameter grids used for the tuned baseline comparison
 DEFAULT_N_ESTIMATORS_GRID = (50, 100, 150, 200, 250, 300, 350, 400, 450, 500)
@@ -65,13 +66,14 @@ def _fit_inputs(X, y):
     return X, y
 
 
-def persistence_forecast(history, horizon: int, period: int = 24) -> np.ndarray:
-    """Repeat the value observed one period earlier, recursively for
+def persistence_forecast(history, horizon: int) -> np.ndarray:
+    """Repeat the value PERSISTENCE_PERIOD hours earlier, recursively for
     horizons beyond one period; the last period must be finite."""
     values = np.asarray(history, dtype=np.float64)
-    if len(values) < period:
-        raise InputError(f"need at least {period} history values, have {len(values)}")
-    return np.resize(finite(values[-period:], "history"), horizon)
+    if len(values) < PERSISTENCE_PERIOD:
+        raise InputError(f"need at least {PERSISTENCE_PERIOD} history values, "
+                         f"have {len(values)}")
+    return np.resize(finite(values[-PERSISTENCE_PERIOD:], "history"), horizon)
 
 
 @dataclass
@@ -444,7 +446,7 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
            "learning_rate": learning_rate}, FIT_CHECKS, "fit_gbt")
     X, y = _fit_inputs(X, y)
     model = GbtModel(initial_prediction=float(y.mean()),
-                     learning_rate=learning_rate, max_depth=max_depth)
+                     learning_rate=learning_rate, max_depth=int(max_depth))
     pred = np.full(len(y), model.initial_prediction)
     if presorted is None:
         presorted = _presorted(X)
@@ -468,7 +470,7 @@ def gbt_grid_search(data: ExampleSet,
     or tuple of what FIT_CHECKS accepts, all checked before any work.
 
     Ties prefer fewer trees, then shallower trees, then a smaller learning
-    rate. Returns (best model, per-cell report list).
+    rate. Returns (best model, report list), one cell per distinct grid point.
 
     Each (depth, lr) pair is one fit_gbt of the largest tree count, whose
     prefixes are the smaller counts' models. All fits share one sort, and
@@ -485,12 +487,12 @@ def gbt_grid_search(data: ExampleSet,
     y_val = finite(data.validation.y, "validation y")
     X_tr, y_tr = _fit_inputs(flatten_features(data.train), data.train.y)
     presorted = _presorted(X_tr)
-    depths = sorted(set(max_depth_grid))
+    depths = sorted({int(d) for d in max_depth_grid})   # JSON takes no numpy int
     first = {depth: (pair, tree_predict(pair[0], X_val)) for depth, pair in
              zip(depths, _grow_tree(*presorted, y_tr - float(y_tr.mean()), depths))}
-    n_grid = sorted(n_estimators_grid)
+    n_grid = sorted({int(n) for n in n_estimators_grid})
     cells = []
-    for depth, lr in product(sorted(max_depth_grid), sorted(learning_rate_grid)):
+    for depth, lr in product(depths, sorted(set(learning_rate_grid))):
         pair, first_val = first[depth]
         full = fit_gbt(X_tr, y_tr, n_estimators=n_grid[-1], max_depth=depth,
                        learning_rate=lr, presorted=presorted, first_tree=pair)

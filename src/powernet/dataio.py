@@ -5,8 +5,8 @@ Consumption files are two-column ``timestamp,power_kW`` CSVs at 1-minute or
 represented as NaN in the value array; timestamps are epoch seconds and the
 grid is implied by ``start + i * step``.
 
-Naive timestamps are interpreted in a fixed local offset (default UTC-05:00,
-standard time for the source region, no DST) and stored as UTC epoch seconds.
+Naive timestamps are local time in one fixed zone, UTC_OFFSET_S (UTC-05:00,
+standard time for the source region, no DST), stored as UTC epoch seconds.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .numcore import Check, InputError, array, check, integer, items, one_of, re
 
 HOUR = 3600
 
-#: Fixed local offset applied to naive timestamps (hours east of UTC).
-DEFAULT_UTC_OFFSET_HOURS = -5.0
+#: The zone of naive timestamps, in seconds east of UTC.
+UTC_OFFSET_S = -5 * HOUR
 
 #: A consumption file whose span holds more slots than this per parsed row
 #: is mostly gaps, almost surely a mistyped timestamp.
@@ -67,10 +67,10 @@ def _csv_rows(reader, path):
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> int:
+def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp or epoch seconds to UTC epoch seconds.
 
-    Naive ISO timestamps are treated as local time at ``utc_offset_hours``.
+    Naive ISO timestamps are treated as local time at UTC_OFFSET_S.
     """
     text = text.strip()
     try:
@@ -78,7 +78,7 @@ def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOUR
     except ValueError:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone(timedelta(hours=utc_offset_hours)))
+            dt = dt.replace(tzinfo=timezone(timedelta(seconds=UTC_OFFSET_S)))
         return int(dt.timestamp())
     if not abs(epoch) < 2 ** 63:   # NaN, infinite or past int64
         raise OverflowError(f"epoch seconds {text} out of range")
@@ -89,29 +89,27 @@ def parse_timestamp(text: str, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOUR
 _NAIVE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 
-def parse_timestamps(cells: list, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS):
+def parse_timestamps(cells: list):
     """``parse_timestamp`` of every cell: (int64 epochs, mask of the cells it
     accepts). Naive YYYY-MM-DDTHH:MM:SS cells are parsed in one numpy call
     unless one is not a date; every other cell, one by one."""
     epochs, ok = np.zeros(len(cells), dtype=np.int64), np.ones(len(cells), dtype=bool)
-    try:   # parse_timestamp's zone; an offset of whole seconds shifts exactly
-        shift = timezone(timedelta(hours=utc_offset_hours)).utcoffset(None)
-        bulk = ([i for i, c in enumerate(cells) if _NAIVE.fullmatch(c)]
-                if not shift.microseconds else [])
+    bulk = [i for i, c in enumerate(cells) if _NAIVE.fullmatch(c)]
+    try:
         epochs[bulk] = (np.array([cells[i] for i in bulk], dtype="datetime64[s]")
-                        .astype(np.int64) - shift // timedelta(seconds=1))
-    except (ValueError, OverflowError):   # no such zone, or a naive cell is no date
+                        .astype(np.int64) - UTC_OFFSET_S)
+    except ValueError:   # a naive cell is no date
         bulk = []
     for i in set(range(len(cells))).difference(bulk):
         try:
-            epochs[i] = parse_timestamp(cells[i], utc_offset_hours)
+            epochs[i] = parse_timestamp(cells[i])
         except (ValueError, OverflowError):
             ok[i] = False
     return epochs, ok
 
 
-def format_timestamp(epoch: int, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> str:
-    tz = timezone(timedelta(hours=utc_offset_hours))
+def format_timestamp(epoch: int) -> str:
+    tz = timezone(timedelta(seconds=UTC_OFFSET_S))
     return datetime.fromtimestamp(epoch, tz).strftime("%Y-%m-%dT%H:%M:%S")
 
 
@@ -254,7 +252,7 @@ def dataset_from_json(text: str) -> AlignedDataset:
 def load_consumption(path, fmt: str = "per_minute",
                      report: IngestReport | None = None) -> TimeSeries:
     """Load a two-column ``timestamp,power_kW`` CSV at its native resolution;
-    naive timestamps are read at DEFAULT_UTC_OFFSET_HOURS.
+    naive timestamps are read at UTC_OFFSET_S.
 
     Malformed rows, including readings that are not finite or not below
     MAX_VALUE in magnitude, are counted and skipped (>50% malformed is a

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import (
     HOUR,
-    DEFAULT_UTC_OFFSET_HOURS,
+    UTC_OFFSET_S,
     WEATHER_NUMERIC_COLUMNS,
     AlignedDataset,
 )
@@ -87,7 +87,7 @@ class FeatureSpec:
     cons_mean: float = 0.0
     cons_std: float = 1.0
     daytime_range: tuple = (7, 19)
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS
+    utc_offset_hours: float = UTC_OFFSET_S / HOUR
 
     #: What each key of ``to_dict``'s document holds.
     CHECKS = {"format_version": one_of(SPEC_FORMAT_VERSION), "window_len": integer(1),

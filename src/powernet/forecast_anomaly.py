@@ -23,6 +23,8 @@ from .metrics import ErrorCurve, error_curve, mape
 from .model import PowerNetParams, forward_batch, forward_recursive
 from .numcore import InputError, check, finite, integer, real
 
+SUBSTATION_SEED = 0   # of simulate_substation's metering noise
+
 
 @dataclass
 class ForecastReport:
@@ -210,12 +212,12 @@ def detect_consumer(predicted, reported, cfg: DetectorConfig,
 
 
 def simulate_substation(consumers: list, tl_fraction: float = 0.05,
-                        noise_frac: float = 0.005, seed: int = 0) -> np.ndarray:
+                        noise_frac: float = 0.005) -> np.ndarray:
     """Master-meter series with technical loss: master = sum(consumers) + TL,
-    TL = tl_fraction * master plus zero-mean noise."""
+    TL = tl_fraction * master plus zero-mean noise seeded by SUBSTATION_SEED."""
     total = np.sum([np.asarray(c, dtype=np.float64) for c in consumers], axis=0)
     master = total / (1.0 - tl_fraction)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUBSTATION_SEED)
     return master * (1.0 + rng.normal(0, noise_frac, len(master)))
 
 

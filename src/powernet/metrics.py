@@ -18,6 +18,7 @@ from .numcore import InputError, finite
 
 #: MAPE leaves out the hours whose actual value is at or below this.
 ZERO_FLOOR = 1e-6
+ROLL_WINDOW = 24   # hours in each rolling window of an error curve
 
 
 def _pair(actual, forecast):
@@ -34,16 +35,14 @@ def mse(actual, forecast) -> float:
     return float(np.mean((a - f) ** 2))
 
 
-def mape(actual, forecast, zero_floor: float = ZERO_FLOOR) -> float:
+def mape(actual, forecast) -> float:
     """Mean absolute percentage error, in percent.
 
-    Terms with |A_t| <= zero_floor are excluded and the mean renormalized;
+    Terms with |A_t| <= ZERO_FLOOR are excluded and the mean renormalized;
     if nothing remains the statistic is undefined.
     """
-    if zero_floor < 0:
-        raise InputError("zero_floor must be >= 0")
     a, f = _pair(actual, forecast)
-    keep = np.abs(a) > zero_floor
+    keep = np.abs(a) > ZERO_FLOOR
     if not keep.any():
         raise InputError("all actual values at or below the zero floor")
     return float(100.0 * np.mean(np.abs((a[keep] - f[keep]) / a[keep])))
@@ -58,14 +57,12 @@ class ErrorCurve:
     cum_mse: np.ndarray
     roll_mape: np.ndarray
     roll_mse: np.ndarray
-    window: int
 
 
-def error_curve(actual, forecast, window: int = 24) -> ErrorCurve:
-    """Cumulative-to-hour and rolling-window MAPE/MSE series; MAPE leaves
-    out the hours at or below ZERO_FLOOR."""
-    if window < 1:
-        raise InputError("window must be >= 1")
+def error_curve(actual, forecast) -> ErrorCurve:
+    """Cumulative-to-hour and rolling MAPE/MSE series over windows of
+    ROLL_WINDOW hours; MAPE leaves out the hours at or below ZERO_FLOOR."""
+    window = ROLL_WINDOW
     a, f = _pair(actual, forecast)
     n = len(a)
     sq = (a - f) ** 2
@@ -94,5 +91,4 @@ def error_curve(actual, forecast, window: int = 24) -> ErrorCurve:
         kept = pct[lo:i + 1][keep[lo:i + 1]]
         roll_mape[i] = kept.sum() / len(kept) if len(kept) else np.nan
     return ErrorCurve(hours=np.arange(1, n + 1), cum_mape=cum_mape,
-                      cum_mse=cum_mse, roll_mape=roll_mape, roll_mse=roll_mse,
-                      window=window)
+                      cum_mse=cum_mse, roll_mape=roll_mape, roll_mse=roll_mse)

@@ -14,8 +14,8 @@ import os
 import numpy as np
 
 from .dataio import (
-    DEFAULT_UTC_OFFSET_HOURS,
     HOUR,
+    UTC_OFFSET_S,
     AlignedDataset,
     TimeSeries,
     WeatherTable,
@@ -27,6 +27,7 @@ SUMMARY_BINS = ["Clear", "Partly Cloudy", "Mostly Cloudy", "Overcast", "Rain"]
 ICON_BINS = ["clear-day", "partly-cloudy-day", "cloudy", "rain"]
 
 DEFAULT_START = "2016-04-01T00:00:00"
+CONSUMPTION_NOISE = 0.05   # kW, the sd of each hour's noise innovation
 
 
 def make_weather(hours: np.ndarray, rng) -> WeatherTable:
@@ -68,9 +69,9 @@ def make_weather(hours: np.ndarray, rng) -> WeatherTable:
 
 def make_consumption(hours: np.ndarray, temperature: np.ndarray, rng,
                      base: float = 1.2, daily_amp: float = 0.8,
-                     noise: float = 0.05, trend: float = 0.0015) -> np.ndarray:
-    """Hourly kW with daily/weekly structure, a cooling load, autocorrelated
-    noise and a gentle springtime load-growth trend."""
+                     trend: float = 0.0015) -> np.ndarray:
+    """Hourly kW with daily/weekly structure, a cooling load, AR(1) noise of
+    innovation sd CONSUMPTION_NOISE and a gentle springtime load-growth trend."""
     n = len(hours)
     t_hours = (hours - hours[0]) / HOUR
     day_phase = 2 * np.pi * (t_hours % 24) / 24
@@ -80,7 +81,7 @@ def make_consumption(hours: np.ndarray, temperature: np.ndarray, rng,
                          + 0.4 * np.sin(2 * day_phase - 1.0))
     cooling = 0.03 * np.maximum(temperature - 70.0, 0.0)
     ar = np.zeros(n)
-    eps = rng.normal(0, noise, n)
+    eps = rng.normal(0, CONSUMPTION_NOISE, n)
     for i in range(1, n):
         ar[i] = 0.7 * ar[i - 1] + eps[i]
     kw = base + trend * t_hours + daily + 0.25 * weekend + cooling + ar
@@ -100,7 +101,7 @@ def make_aligned_dataset(days: int, seed: int = 0,
 
 def _local_times(epochs: np.ndarray) -> list:
     """``format_timestamp`` of every epoch, in one numpy call."""
-    local = epochs + round(3600 * DEFAULT_UTC_OFFSET_HOURS)
+    local = epochs + UTC_OFFSET_S
     return np.datetime_as_string(local.astype("datetime64[s]")).tolist()
 
 

@@ -8,9 +8,9 @@ from itertools import zip_longest
 import numpy as np
 
 from powernet.dataio import (
-    DEFAULT_UTC_OFFSET_HOURS, HOUR, MAX_SLOTS_PER_ROW, MAX_VALUE, STEP_OF_FORMAT,
-    WEATHER_COLUMNS, WEATHER_NUMERIC_COLUMNS, AlignedDataset, TimeSeries,
-    WeatherTable, format_timestamp, parse_timestamp, parse_timestamps,
+    HOUR, MAX_SLOTS_PER_ROW, MAX_VALUE, STEP_OF_FORMAT, WEATHER_COLUMNS,
+    WEATHER_NUMERIC_COLUMNS, AlignedDataset, TimeSeries, WeatherTable,
+    format_timestamp, parse_timestamp, parse_timestamps,
 )
 from powernet.numcore import InputError
 from powernet.synth import DEFAULT_START, make_weather
@@ -65,9 +65,7 @@ def write_consumption_rows(path, hourly, fmt: str, rng):
                                  f"{reading:.6f}"])
 
 
-def load_consumption_rows(path, fmt: str = "per_minute",
-                          utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS,
-                          report=None):
+def load_consumption_rows(path, fmt: str = "per_minute", report=None):
     """``dataio.load_consumption`` one row at a time: ``parse_timestamp``
     per row, a stable sort, and each reading written into its slot in time
     order, so the last of a slot wins. Duplicates are counted against the
@@ -80,7 +78,7 @@ def load_consumption_rows(path, fmt: str = "per_minute",
                 continue
             total += 1
             try:
-                ts = parse_timestamp(line[0], utc_offset_hours)
+                ts = parse_timestamp(line[0])
                 power = float(line[1])
             except (ValueError, IndexError, OverflowError):
                 bad += 1

@@ -231,10 +231,6 @@ class TestPersistence:
         with pytest.raises(InputError):
             persistence_forecast(np.ones(10), 5)
 
-    def test_custom_period(self):
-        out = persistence_forecast(np.array([1.0, 2.0, 3.0]), 4, period=2)
-        assert np.array_equal(out, [2, 3, 2, 3])
-
     @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])
     def test_matches_loop_oracle(self, horizon):
         history = np.random.default_rng(0).normal(size=60)
@@ -490,6 +486,11 @@ class TestGbt:
         with pytest.raises(InputError, match="version"):
             GbtModel.from_dict(json.loads(doc))
 
+    def test_numpy_int_settings_write_the_python_int_model(self):
+        X, y = self.small_problem(seed=6, n=30)
+        got = fit_gbt(X, y, n_estimators=np.int64(2), max_depth=np.int64(2))
+        assert got.to_json() == fit_gbt(X, y, n_estimators=2, max_depth=2).to_json()
+
     def test_empty_training_set_rejected(self):
         for fit in (fit_gbt, lambda X, y: fit_tree(X, y, 2), best_split):
             with pytest.raises(InputError, match="^empty training set"):
@@ -552,9 +553,9 @@ class TestGridSearch:
                                        max_depth_grid=(3, 1, 3),
                                        learning_rate_grid=(1.0, 0.1))
         monkeypatch.undo()
-        # one fit per (depth, rate) pair, repeats included, and one first
-        # tree grown to the deepest depth for all of them
-        assert len(presorts) == 1 and len(fits) == 6
+        # one fit per distinct (depth, rate) pair, one first tree grown to
+        # the deepest depth for all of them, one cell per distinct grid point
+        assert len(presorts) == 1 and len(fits) == 4 and len(report) == 8
         assert growths[0] == [1, 3] and growths[1:] == [[f.max_depth] for f in fits
                                                         for _ in range(5)]
         # each cell's model is its (depth, rate) fit cut to its tree count,
@@ -578,6 +579,16 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             gbt_grid_search(self.data, n_estimators_grid=())
+
+    def test_numpy_int_grid_reports_python_ints(self):
+        model, report = gbt_grid_search(self.data,
+                                        n_estimators_grid=(np.int64(2), np.int32(3)),
+                                        max_depth_grid=(np.int64(1), np.uint8(2)),
+                                        learning_rate_grid=(0.1,))
+        assert {(type(c["n_estimators"]), type(c["max_depth"])) for c in report} == {
+            (int, int)}
+        assert json.loads(json.dumps(report)) == report
+        assert type(json.loads(model.to_json())["max_depth"]) is int
 
 
 class TestFlattenFeatures:

@@ -236,7 +236,8 @@ class TestDatasetRoundTrip:
 
 class TestTimestamps:
     def test_iso_and_epoch_agree(self):
-        assert parse_timestamp("1970-01-01T00:00:00", 0.0) == 0
+        # naive times are read at UTC-05:00
+        assert parse_timestamp("1970-01-01T00:00:00") == parse_timestamp("18000") == 18000
         assert parse_timestamp("0") == 0
 
     def test_fixed_offset_round_trip(self):

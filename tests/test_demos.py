@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,39 @@ DEMOS = ("01_ingest_and_features", "02_train_and_compare",
          "03_forecast_horizons", "04_theft_detection")
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo, tmp_path):
-    """Each demo exits 0 and prints its walk-through, on one BLAS thread."""
+def run_python(args: list, cwd):
+    """A fresh interpreter run of ``args`` in ``cwd``, on one BLAS thread
+    and with the package on its path."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    """Each demo exits 0 and prints its walk-through."""
+    done = run_python([str(ROOT / "demos" / f"{demo}.py")], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def python_blocks(markdown: str) -> list:
+    """The source of each ```python fenced block of ``markdown``."""
+    return re.findall(r"^```python\n(.*?)^```$", markdown, re.M | re.S)
+
+
+def test_detects_python_blocks():
+    text = "```python\nx = 1\n```\n```sh\nls\n```\n```python\nprint(x)\ny = 2\n```\n"
+    assert python_blocks(text) == ["x = 1\n", "print(x)\ny = 2\n"]
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Each ```python block of README.md exits 0, so the README cannot show
+    an option or a name the package no longer has."""
+    blocks = python_blocks((ROOT / "README.md").read_text())
+    assert blocks
+    for block in blocks:
+        done = run_python(["-c", block], tmp_path)
+        assert done.returncode == 0, done.stderr

@@ -136,7 +136,7 @@ class TestCalendarFeatures:
                  "2000-02-29", "2000-03-01", "2015-12-31", "2016-02-29",
                  "2016-04-30", "2017-02-28", "2100-02-28", "2100-03-01"]
         t = np.concatenate([
-            parse_timestamp(e + "T00:00:00", 0.0) + np.arange(-48, 48) * 1800
+            parse_timestamp(e + "T00:00:00Z") + np.arange(-48, 48) * 1800
             for e in edges])
         t = np.concatenate([t, np.random.default_rng(0).integers(
             -10 ** 9, 4 * 10 ** 9, 500)])

@@ -343,8 +343,7 @@ class TestSubstation:
         rng = np.random.default_rng(5)
         base = 2.0 + 0.5 * np.sin(2 * np.pi * np.arange(240) / 24)
         consumers = [base * rng.uniform(0.8, 1.2) for _ in range(4)]
-        master = simulate_substation(consumers, tl_fraction=0.05,
-                                     noise_frac=0.002, seed=1)
+        master = simulate_substation(consumers, tl_fraction=0.05, noise_frac=0.002)
         tl_clean = observed_tl(master, consumers)
         tl_pred = persistence_forecast(tl_clean[:120], 240)
         cfg = DetectorConfig(window=24, k=3.0)
@@ -364,20 +363,20 @@ class TestSubstation:
     # the technical-loss model is the seasonal persistence baseline
     def test_seasonal_predictor_repeats_last_period(self):
         history = np.arange(48.0)
-        out = persistence_forecast(history, 30, period=24)
+        out = persistence_forecast(history, 30)
         assert np.array_equal(out[:24], history[24:])
         assert out[24] == history[24]
 
     def test_seasonal_predictor_guard(self):
         with pytest.raises(InputError):
-            persistence_forecast(np.ones(5), 10, period=24)
+            persistence_forecast(np.ones(5), 10)
 
     @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])
     def test_seasonal_predictor_matches_loop_oracle(self, horizon):
         history = np.random.default_rng(0).normal(size=60)
         last = history[-24:]
         expected = np.array([last[h % 24] for h in range(horizon)])
-        out = persistence_forecast(history, horizon, period=24)
+        out = persistence_forecast(history, horizon)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
 

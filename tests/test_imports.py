@@ -3,10 +3,10 @@ function and class is referenced, every public function and class is
 named outside the tests, and no module reads another module's private
 names: stdlib-only stand-ins for a linter's unused-import, dead-code and
 private-access rules. Every defaulted parameter of a public function is
-passed by some caller, every function the benchmark tracer wraps exists
-under the name it uses, files are opened only by the one input reader
-and the artifact writers, and input the caller must fix is one error
-class, ``numcore.InputError``."""
+passed by some caller outside the tests, every function the benchmark
+tracer wraps exists under the name it uses, files are opened only by the
+one input reader and the artifact writers, and input the caller must fix
+is one error class, ``numcore.InputError``."""
 
 import ast
 import importlib
@@ -220,9 +220,10 @@ def test_detects_a_default_no_caller_passes():
 
 
 def test_every_default_is_passed_by_some_caller():
-    # an option no caller sets is a constant in disguise
+    # an option no caller sets is a constant in disguise, and one only the
+    # tests set is too: the tests do not count as callers
     package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    callers = {str(path): path.read_text() for folder in ("src", "bench", "demos", "tests")
+    callers = {str(path): path.read_text() for folder in ("src", "bench", "demos")
                for path in sorted((ROOT / folder).rglob("*.py"))}
     assert unpassed_defaults(package, callers) == []
 

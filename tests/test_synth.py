@@ -40,24 +40,26 @@ class TestGenerators:
         hours = HOUR * np.arange(720, dtype=np.int64)
         temp = np.full(720, 60.0)
         rng = np.random.default_rng(4)
-        kw = make_consumption(hours, temp, rng, noise=0.01, trend=0.002)
+        kw = make_consumption(hours, temp, rng, trend=0.002)
         assert kw[-240:].mean() - kw[:240].mean() > 0.5
 
     def test_zero_trend_is_stationary(self):
         hours = HOUR * np.arange(720, dtype=np.int64)
         temp = np.full(720, 60.0)
         rng = np.random.default_rng(5)
-        kw = make_consumption(hours, temp, rng, noise=0.01, trend=0.0)
+        kw = make_consumption(hours, temp, rng, trend=0.0)
         assert abs(kw[-240:].mean() - kw[:240].mean()) < 0.2
 
     def test_weekend_shift(self):
+        # grids a day apart share the daily cycle and, from one seed, the
+        # noise, so they differ by the weekend shift alone
         hours = HOUR * np.arange(28 * 24, dtype=np.int64)
         temp = np.full(len(hours), 60.0)
-        kw = make_consumption(hours, temp, np.random.default_rng(6),
-                              noise=0.0, trend=0.0)
-        weekday = ((hours // (24 * HOUR)) + 3) % 7
-        assert kw[weekday >= 5].mean() - kw[weekday < 5].mean() == pytest.approx(
-            0.25, abs=0.02)
+        grids = hours, hours + 24 * HOUR
+        kw = [make_consumption(h, temp, np.random.default_rng(6), trend=0.0) for h in grids]
+        weekend = [(((h // (24 * HOUR)) + 3) % 7 >= 5).astype(float) for h in grids]
+        np.testing.assert_allclose(kw[0] - kw[1], 0.25 * (weekend[0] - weekend[1]),
+                                   rtol=0, atol=1e-12)
 
     def test_sinusoid_shape(self):
         d = make_sinusoid_dataset(days=4, seed=7, noise_frac=0.0)
