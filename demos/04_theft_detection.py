@@ -59,7 +59,7 @@ def main():
     rng = np.random.default_rng(0)
     base = d.kw[720:1440]
     consumers = [base * f for f in rng.uniform(0.2, 0.5, 4)]
-    master = simulate_substation(consumers, tl_fraction=0.05, noise_frac=0.002)
+    master = simulate_substation(consumers, noise_frac=0.002)
     tl_clean = observed_tl(master, consumers)
     tl_pred = persistence_forecast(tl_clean[:360], 720)   # the TL model
     stats_s = residual_stats(tl_pred[:360], tl_clean[:360], det)

@@ -445,8 +445,9 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     check({"n_estimators": n_estimators, "max_depth": max_depth,
            "learning_rate": learning_rate}, FIT_CHECKS, "fit_gbt")
     X, y = _fit_inputs(X, y)
-    model = GbtModel(initial_prediction=float(y.mean()),
-                     learning_rate=learning_rate, max_depth=int(max_depth))
+    # Python numbers, which JSON takes, and an int rate stays an int
+    model = GbtModel(initial_prediction=float(y.mean()), max_depth=int(max_depth),
+                     learning_rate=np.asarray(learning_rate).item())
     pred = np.full(len(y), model.initial_prediction)
     if presorted is None:
         presorted = _presorted(X)
@@ -487,12 +488,14 @@ def gbt_grid_search(data: ExampleSet,
     y_val = finite(data.validation.y, "validation y")
     X_tr, y_tr = _fit_inputs(flatten_features(data.train), data.train.y)
     presorted = _presorted(X_tr)
-    depths = sorted({int(d) for d in max_depth_grid})   # JSON takes no numpy int
+    # Python numbers, as in fit_gbt
+    depths = sorted({int(d) for d in max_depth_grid})
+    rates = sorted({np.asarray(r).item() for r in learning_rate_grid})
     first = {depth: (pair, tree_predict(pair[0], X_val)) for depth, pair in
              zip(depths, _grow_tree(*presorted, y_tr - float(y_tr.mean()), depths))}
     n_grid = sorted({int(n) for n in n_estimators_grid})
     cells = []
-    for depth, lr in product(depths, sorted(set(learning_rate_grid))):
+    for depth, lr in product(depths, rates):
         pair, first_val = first[depth]
         full = fit_gbt(X_tr, y_tr, n_estimators=n_grid[-1], max_depth=depth,
                        learning_rate=lr, presorted=presorted, first_tree=pair)

@@ -24,6 +24,7 @@ from .model import PowerNetParams, forward_batch, forward_recursive
 from .numcore import InputError, check, finite, integer, real
 
 SUBSTATION_SEED = 0   # of simulate_substation's metering noise
+TL_FRACTION = 0.05    # simulate_substation's technical loss, a share of the master meter
 
 
 @dataclass
@@ -211,12 +212,11 @@ def detect_consumer(predicted, reported, cfg: DetectorConfig,
             for i, v in enumerate(means) if v > thr]
 
 
-def simulate_substation(consumers: list, tl_fraction: float = 0.05,
-                        noise_frac: float = 0.005) -> np.ndarray:
+def simulate_substation(consumers: list, noise_frac: float = 0.005) -> np.ndarray:
     """Master-meter series with technical loss: master = sum(consumers) + TL,
-    TL = tl_fraction * master plus zero-mean noise seeded by SUBSTATION_SEED."""
+    TL = TL_FRACTION * master plus zero-mean noise seeded by SUBSTATION_SEED."""
     total = np.sum([np.asarray(c, dtype=np.float64) for c in consumers], axis=0)
-    master = total / (1.0 - tl_fraction)
+    master = total / (1.0 - TL_FRACTION)
     rng = np.random.default_rng(SUBSTATION_SEED)
     return master * (1.0 + rng.normal(0, noise_frac, len(master)))
 

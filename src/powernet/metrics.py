@@ -86,9 +86,8 @@ def error_curve(actual, forecast) -> ErrorCurve:
     excluded = np.concatenate([[0], np.cumsum(~keep)])
     for i in np.nonzero(excluded[window:] > excluded[:-window])[0] + window - 1:
         lo = i - window + 1
-        # sum / count is what ndarray.mean computes, without its overhead
-        roll_mse[i] = sq[lo:i + 1].sum() / window
         kept = pct[lo:i + 1][keep[lo:i + 1]]
+        # sum / count is what ndarray.mean computes, without its overhead
         roll_mape[i] = kept.sum() / len(kept) if len(kept) else np.nan
     return ErrorCurve(hours=np.arange(1, n + 1), cum_mape=cum_mape,
                       cum_mse=cum_mse, roll_mape=roll_mape, roll_mse=roll_mse)

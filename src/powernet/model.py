@@ -27,10 +27,9 @@ are then written in place, h straight into the operand of the next step
 and of the layer above.
 
 With ``train=True`` the step records into time-major trace arrays that
-hold every step's operand and gates, and dropout applies; ``train`` keeps
-one set of those arrays, with the backward pass's scratch, and reuses it
-for every batch. ``backward_batch`` makes one product per layer-step for
-[dW_x | dW_h | db], added into the gradient's block, and one for
+hold every step's operand and gates, beside the backward pass's scratch,
+and dropout applies. ``backward_batch`` makes one product per layer-step
+for [dW_x | dW_h | db], added into the gradient's block, and one for
 [dx; dh]. Inference (``train=False``) and ``forward_recursive`` run the
 same step on one step of those arrays, holding only the current state, so
 memory does not grow with the window, and bind that step's views once per
@@ -166,10 +165,10 @@ _BPTT_CHUNK = 16   # steps whose gate derivatives the backward pass takes at onc
 
 
 class _LstmTrace:
-    """One layer's buffers for one run, all carved from one array: the
-    time-major trace, ``steps`` deep (T + 1 steps for training, one step
-    that every time step overwrites for inference), and for training the
-    backward pass's scratch. ``w`` is the layer's block itself.
+    """One layer's buffers for one run: the time-major trace, ``steps``
+    deep (T + 1 steps for training, one step that every time step
+    overwrites for inference), and for training the backward pass's
+    scratch. ``w`` is the layer's block itself.
 
     Each step holds one column per window, so that every block the step
     works on is contiguous: ``op[t]`` is the (in + m + 1, B) operand
@@ -180,11 +179,9 @@ class _LstmTrace:
     """
 
     def __init__(self, layer: LstmLayerParams, steps: int, B: int,
-                 train: bool = False, flat=None):
-        """Buffers carved from ``flat`` when it is large enough, else from
-        a new array (``self.flat`` either way), with h_{-1} = c_{-1} = 0
-        and the operand's ones row written; everything else is written
-        before it is read."""
+                 train: bool = False):
+        """New buffers with h_{-1} = c_{-1} = 0 and the operand's ones row
+        written; everything else is written before it is read."""
         m, n_in = layer.m, layer.w_x.shape[1]
         self.m, self.n_in, self.w = m, n_in, layer.w
         w_op = n_in + m + 1
@@ -196,14 +193,8 @@ class _LstmTrace:
                        ("dxh", (n_in + m, B)), ("dc", (m, B)),
                        ("deriv", (chunk, 4 * m, B)), ("dc_dh", (chunk, m, B)),
                        ("dz", (4 * m, B)), ("tmp", (m, B)), ("dh_sum", (m, B))]
-        sizes = [math.prod(shape) for _, shape in fields]
-        if flat is None or flat.size < sum(sizes):
-            flat = np.empty(sum(sizes))
-        self.flat = flat
-        start = 0
-        for (name, shape), size in zip(fields, sizes):
-            setattr(self, name, flat[start:start + size].reshape(shape))
-            start += size
+        for name, shape in fields:
+            setattr(self, name, np.empty(shape))
         self.op[:, -1] = 1.0
         self.op[0, n_in:-1] = 0.0
         self.gate[0, 4 * m:] = 0.0
@@ -337,26 +328,21 @@ def _fusion(fw, fc, B: int, p: PowerNetParams, mask2=None):
     return u, s1, a1d, s2, relu(s2)
 
 
-def _head(z: np.ndarray, p: PowerNetParams, mask3=None, mask4=None, out=None):
+def _head(z: np.ndarray, p: PowerNetParams, mask3=None, mask4=None):
     """The regression head over z = [h | o], the LSTM state (B, m) beside
     the fusion encoding (B, d2); returns (zd, s3, rd, yhat (B,)).
     ``mask3`` and ``mask4`` are the dropout masks on the inputs of w3 and
-    w4, or None. ``out``, a (B, d3) and a (B,) buffer, takes s3, then
-    relu(s3) in its place, and yhat, for a caller that reads only yhat."""
+    w4, or None."""
     zd = z * mask3 if mask3 is not None else z
-    s3, y = out or (None, None)
-    s3 = np.matmul(zd, p.w3.T, out=s3)
-    s3 += p.b3
-    r = np.maximum(s3, 0.0, out=None if out is None else s3)
+    s3 = zd @ p.w3.T + p.b3
+    r = relu(s3)
     rd = r * mask4 if mask4 is not None else r
-    y = np.matmul(rd, p.w4, out=y)
-    y += p.b4
-    return zd, s3, rd, y
+    return zd, s3, rd, rd @ p.w4 + p.b4
 
 
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
                   p: PowerNetParams, dropout_rate: float = 0.0,
-                  train: bool = False, rng=None, *, workspace: list | None = None):
+                  train: bool = False, rng=None):
     """Batched forward pass; returns (yhat (B,), trace).
 
     ``train=True`` records the ForwardTrace that ``backward_batch`` needs
@@ -365,12 +351,6 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     masks, no rng, no trace (None), and the LSTM keeps only its current
     state. Both modes run the same LSTM step and give bitwise equal
     ``yhat`` at dropout 0.
-
-    ``workspace``, a list owned by the caller, keeps the training trace's
-    memory between calls: the first call fills it, and later calls whose
-    trace fits record into the same arrays instead of allocating new ones.
-    The trace a call returns is valid until the next call that uses the
-    workspace.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise InputError("dropout_rate must be in [0, 1)")
@@ -388,10 +368,9 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
                            if use_dropout else [None] * 3)
     u, s1, a1d, s2, o = _fusion(fw, fc, B, p, mask2)
     T = E.shape[1]
-    if train:   # time step t reads trace step t and writes t + 1: all kept
-        traces = _training_traces(p.lstm, B, T, workspace)
-    else:       # every time step reads and overwrites the one trace step
-        traces = [_LstmTrace(layer, 1, B) for layer in p.lstm]
+    # in training time step t reads trace step t and writes t + 1, so all
+    # are kept; in inference every time step reads and overwrites step 0
+    traces = [_LstmTrace(layer, T + 1 if train else 1, B, train) for layer in p.lstm]
     x, keep = traces[0].op[:, 0], int(train)
     views = None if train else _step_views(traces)
     for t in range(T):
@@ -404,25 +383,6 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
                           s3=s3, rd=rd, mask2=mask2, mask3=mask3, mask4=mask4)
              if train else None)
     return yhat, trace
-
-
-def _training_traces(layers: list, B: int, T: int, workspace) -> list:
-    """Training traces for B windows of T steps: the workspace's, pointed
-    at the layers' blocks, when they have these shapes; otherwise new ones,
-    carved from the workspace's arrays where those are large enough, which
-    the workspace then keeps."""
-    kept = workspace if workspace and len(workspace) == len(layers) else []
-    if kept and all(tr.op.shape == (T + 1, layer.w.shape[1], B)
-                    for tr, layer in zip(kept, layers)):
-        for tr, layer in zip(kept, layers):
-            tr.w = layer.w
-        return list(kept)
-    flats = [tr.flat for tr in kept] or [None] * len(layers)
-    traces = [_LstmTrace(layer, T + 1, B, True, flat)
-              for layer, flat in zip(layers, flats)]
-    if workspace is not None:
-        workspace[:] = traces
-    return traces
 
 
 def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
@@ -444,7 +404,6 @@ def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     n, horizon, m = len(history), len(fw), p.m
     z = np.empty((horizon, m + p.w2.shape[0]))   # [h | o] per hour
     z[:, m:] = _fusion(fw, fc, horizon, p)[-1]
-    out = (np.empty((1, p.w3.shape[0])), np.empty(1))
     yhat = np.empty(horizon)
     ring = min(n, horizon)   # windows j >= horizon are never started
     traces = [_LstmTrace(layer, 1, ring) for layer in p.lstm]
@@ -462,7 +421,7 @@ def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
         done = step - n + 1          # the window that has read n inputs
         if done >= 0:
             z[done, :m] = columns[done % n][-2]   # the top layer's h
-            yhat[done] = _head(z[done:done + 1], p, out=out)[-1][0]
+            yhat[done] = _head(z[done:done + 1], p)[-1][0]
             fed = feed(yhat[done])   # the input of the next step
     return yhat
 

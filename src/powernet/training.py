@@ -98,19 +98,17 @@ class TrainReport:
 
 
 def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
-         dropout_rate: float = 0.0, rng=None, *, workspace: list | None = None):
+         dropout_rate: float = 0.0, rng=None):
     """Batch loss (mean squared error + L2 on the fully-connected weights)
     and its exact parameter gradients.
 
     L2 covers w1..w4 only: the fully-connected layers, not the LSTM weights
-    and not the biases. ``workspace`` is passed to ``forward_batch``, which
-    keeps the training trace's buffers in it between calls.
-    """
+    and not the biases."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise InputError("empty batch")
     yhat, trace = forward_batch(E, fw, fc, p, dropout_rate=dropout_rate,
-                                train=True, rng=rng, workspace=workspace)
+                                train=True, rng=rng)
     resid = yhat - y
     value = float(np.mean(resid ** 2))
     grads = backward_batch(trace, 2.0 * resid / len(y), p)
@@ -169,7 +167,6 @@ def train(data: ExampleSet, cfg: TrainConfig):
     p = init_params(cfg.memory_size, cfg.d1, cfg.d2, cfg.d3,
                     seed=cfg.seed, stack=cfg.stack)
     state = AdamState.for_params(p)
-    workspace = []   # the training trace's buffers, shared by every batch
     report = TrainReport(memory_size=cfg.memory_size)
     best_vec = None   # set at epoch 0: any finite MSE is below inf
     best_mse = np.inf
@@ -182,8 +179,7 @@ def train(data: ExampleSet, cfg: TrainConfig):
             idx = order[lo:lo + cfg.batch_size]
             value, grads = loss(tr.E[idx], tr.FW[idx], tr.FC[idx], tr.y[idx],
                                 p, l2_lambda=cfg.l2_lambda,
-                                dropout_rate=cfg.dropout_rate, rng=rng,
-                                workspace=workspace)
+                                dropout_rate=cfg.dropout_rate, rng=rng)
             if not np.isfinite(value):
                 raise TrainingError(f"training diverged at epoch {epoch} (loss={value})")
             adam_step(p, grads, state, cfg.learning_rate)

@@ -491,6 +491,13 @@ class TestGbt:
         got = fit_gbt(X, y, n_estimators=np.int64(2), max_depth=np.int64(2))
         assert got.to_json() == fit_gbt(X, y, n_estimators=2, max_depth=2).to_json()
 
+    def test_numpy_float_rate_writes_the_python_float_model(self):
+        X, y = self.small_problem(seed=6, n=30)
+        got = fit_gbt(X, y, n_estimators=2, learning_rate=np.float32(0.5))
+        assert got.to_json() == fit_gbt(X, y, n_estimators=2, learning_rate=0.5).to_json()
+        int_rate = fit_gbt(X, y, n_estimators=1, learning_rate=1).to_json()
+        assert '"learning_rate": 1,' in int_rate   # an int rate stays an int
+
     def test_empty_training_set_rejected(self):
         for fit in (fit_gbt, lambda X, y: fit_tree(X, y, 2), best_split):
             with pytest.raises(InputError, match="^empty training set"):
@@ -589,6 +596,14 @@ class TestGridSearch:
             (int, int)}
         assert json.loads(json.dumps(report)) == report
         assert type(json.loads(model.to_json())["max_depth"]) is int
+
+    def test_numpy_float_rate_grid_reports_python_floats(self):
+        model, report = gbt_grid_search(self.data, n_estimators_grid=(2,), max_depth_grid=(1,),
+                                        learning_rate_grid=(np.float32(0.5), np.float64(1.0)))
+        assert [type(c["learning_rate"]) for c in report] == [float, float]
+        assert [c["learning_rate"] for c in report] == [0.5, 1.0]
+        assert json.loads(json.dumps(report)) == report
+        assert type(json.loads(model.to_json())["learning_rate"]) is float
 
 
 class TestFlattenFeatures:

@@ -12,7 +12,7 @@ from powernet.features import (build_examples, calendar_features,
                                fit_feature_spec, weather_features,
                                window_features)
 from powernet.forecast_anomaly import (
-    DetectorConfig, ForecastReport, ResidualStats,
+    TL_FRACTION, DetectorConfig, ForecastReport, ResidualStats,
     TheftScenario, apply_theft, detect_consumer, detect_substation,
     forecast_recursive, forecast_with_actuals, observed_tl,
     residual_stats, retraining_analysis, simulate_substation, theft_sweep,
@@ -326,24 +326,24 @@ class TestConsumerDetector:
 class TestSubstation:
     def test_balance_without_noise(self):
         consumers = [np.full(48, 1.0), np.full(48, 2.0)]
-        master = simulate_substation(consumers, tl_fraction=0.1, noise_frac=0.0)
-        assert np.allclose(master, 3.0 / 0.9, atol=1e-12)
+        master = simulate_substation(consumers, noise_frac=0.0)
+        assert np.allclose(master, 3.0 / (1.0 - TL_FRACTION), atol=1e-12)
         tl = observed_tl(master, consumers)
-        assert np.allclose(tl, 0.1 * master, atol=1e-12)
+        assert np.allclose(tl, TL_FRACTION * master, atol=1e-12)
 
     def test_under_reporting_inflates_observed_tl(self):
         consumers = [np.full(48, 1.0), np.full(48, 2.0)]
-        master = simulate_substation(consumers, tl_fraction=0.1, noise_frac=0.0)
+        master = simulate_substation(consumers, noise_frac=0.0)
         reported = [consumers[0],
                     apply_theft(consumers[1], TheftScenario(0.5, 0, 48))]
         tl = observed_tl(master, reported)
-        assert np.all(tl > 0.1 * master + 0.9)
+        assert np.all(tl > TL_FRACTION * master + 0.9)
 
     def test_detect_substation_flags_theft(self):
         rng = np.random.default_rng(5)
         base = 2.0 + 0.5 * np.sin(2 * np.pi * np.arange(240) / 24)
         consumers = [base * rng.uniform(0.8, 1.2) for _ in range(4)]
-        master = simulate_substation(consumers, tl_fraction=0.05, noise_frac=0.002)
+        master = simulate_substation(consumers, noise_frac=0.002)
         tl_clean = observed_tl(master, consumers)
         tl_pred = persistence_forecast(tl_clean[:120], 240)
         cfg = DetectorConfig(window=24, k=3.0)

@@ -3,10 +3,11 @@ function and class is referenced, every public function and class is
 named outside the tests, and no module reads another module's private
 names: stdlib-only stand-ins for a linter's unused-import, dead-code and
 private-access rules. Every defaulted parameter of a public function is
-passed by some caller outside the tests, every function the benchmark
-tracer wraps exists under the name it uses, files are opened only by the
-one input reader and the artifact writers, and input the caller must fix
-is one error class, ``numcore.InputError``."""
+passed, as something other than its default, by some caller outside the
+tests, every function the benchmark tracer wraps exists under the name it
+uses, files are opened only by the one input reader and the artifact
+writers, and input the caller must fix is one error class,
+``numcore.InputError``."""
 
 import ast
 import importlib
@@ -161,10 +162,11 @@ def test_every_public_name_is_named_outside_the_tests():
 
 
 def defaulted_parameters(tree) -> list:
-    """(function, parameter, position) of each defaulted parameter of the
-    public functions and methods of the public classes in ``tree``. The
-    position counts the caller's positional arguments (a method's first
-    parameter is bound, a static method's is not); None for keyword-only."""
+    """(function, parameter, position, default) of each defaulted parameter
+    of the public functions and methods of the public classes in ``tree``.
+    The position counts the caller's positional arguments (a method's first
+    parameter is bound, a static method's is not); None for keyword-only.
+    The default is its expression's node."""
     found = []
 
     def visit(body, method):
@@ -176,9 +178,9 @@ def defaulted_parameters(tree) -> list:
                                            for d in node.decorator_list)
                 args = node.args.posonlyargs + node.args.args
                 first = len(args) - len(node.args.defaults)
-                found.extend((node.name, arg.arg, i - bound)
-                             for i, arg in enumerate(args[first:], first))
-                found.extend((node.name, arg.arg, None) for arg, default
+                found.extend((node.name, arg.arg, i - bound, default) for i, (arg, default)
+                             in enumerate(zip(args[first:], node.args.defaults), first))
+                found.extend((node.name, arg.arg, None, default) for arg, default
                              in zip(node.args.kwonlyargs, node.args.kw_defaults) if default)
     visit(tree.body, False)
     return found
@@ -188,8 +190,10 @@ def unpassed_defaults(package: dict, callers: dict) -> list:
     """(module, function, parameter) of each defaulted parameter in
     ``package`` (module name -> source) that no call in ``callers`` (the
     sources that count as callers) passes, by keyword, by position, or
-    through ``*`` or ``**`` unpacking. Calls are matched by the called name
-    alone, so a call of another function of that name counts too."""
+    through ``*`` or ``**`` unpacking. A keyword whose value is a literal
+    equal to the default, a literal too, does not count. Calls are matched
+    by the called name alone, so a call of another function of that name
+    counts too."""
     calls = {}
     for source in callers.values():
         for node in ast.walk(ast.parse(source)):
@@ -197,14 +201,23 @@ def unpassed_defaults(package: dict, callers: dict) -> list:
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
 
-    def passed(call, param, position):
-        return (any(k.arg in (param, None) for k in call.keywords)
+    def same(value, default):
+        try:
+            return ast.literal_eval(value) == ast.literal_eval(default)
+        except (ValueError, TypeError):   # either is not a literal
+            return False
+
+    def passed(call, param, position, default):
+        return (any(k.arg is None or k.arg == param and not same(k.value, default)
+                    for k in call.keywords)
                 or position is not None
                 and (len(call.args) > position
                      or any(isinstance(a, ast.Starred) for a in call.args)))
     return sorted((module, function, param) for module, source in package.items()
-                  for function, param, position in defaulted_parameters(ast.parse(source))
-                  if not any(passed(call, param, position) for call in calls.get(function, [])))
+                  for function, param, position, default
+                  in defaulted_parameters(ast.parse(source))
+                  if not any(passed(call, param, position, default)
+                             for call in calls.get(function, [])))
 
 
 def test_detects_a_default_no_caller_passes():
@@ -214,9 +227,13 @@ def test_detects_a_default_no_caller_passes():
                     "def _private(q=1):\n    pass\n\n"
                     "class C:\n    def m(self, p=1, q=2):\n        pass\n\n"
                     "    @staticmethod\n    def s(r=1):\n        pass\n\n"
-                    "class _Hidden:\n    def m2(self, t=1):\n        pass\n"}
-    callers = {"b": "f(0, 5)\ng(*args)\nh(**kw)\nC().m(1)\nC.s(2)\n"}
-    assert unpassed_defaults(package, callers) == [("a", "f", "z"), ("a", "m", "q")]
+                    "class _Hidden:\n    def m2(self, t=1):\n        pass\n\n"
+                    "def k(u=0.05, v=(1, 2), w=DEFAULT):\n    pass\n"}
+    # k passes u only as its default, v as another literal, w as a name
+    callers = {"b": "f(0, 5)\ng(*args)\nh(**kw)\nC().m(1)\nC.s(2)\n"
+                    "k(u=0.05, v=(1, 3), w=DEFAULT)\n"}
+    assert unpassed_defaults(package, callers) == [("a", "f", "z"), ("a", "k", "u"),
+                                                   ("a", "m", "q")]
 
 
 def test_every_default_is_passed_by_some_caller():

@@ -191,7 +191,7 @@ class TestEncode:
 
 
 class TestFusedStep:
-    """The one-tanh gate block, the stacked operand and the reused trace."""
+    """The one-tanh gate block and the stacked operand."""
 
     @pytest.mark.parametrize("stack", [1, 2, 3])
     @pytest.mark.parametrize("B", [1, 3, 32])
@@ -230,21 +230,6 @@ class TestFusedStep:
         for gate in (tr.i, tr.f, tr.o):
             assert np.abs(gate[0][:, 0] - sigmoid(z)).max() <= 1e-15
         assert np.array_equal(tr.g[0][:, 0], np.tanh(z))
-
-    def test_short_batch_in_a_reused_workspace_equals_a_fresh_trace(self):
-        p = small_params(m=5, seed=30)
-        rng = np.random.default_rng(30)
-        E, FW, FC = (rng.normal(size=(32, 24)), rng.normal(size=(32, 13)),
-                     rng.normal(size=(32, 5)))
-        y = rng.normal(size=32)
-        workspace = []
-        loss(E, FW, FC, y, p, workspace=workspace)
-        memory = [tr.flat for tr in workspace]
-        got = loss(E[:16], FW[:16], FC[:16], y[:16], p, workspace=workspace)
-        want = loss(E[:16], FW[:16], FC[:16], y[:16], p)
-        assert all(tr.flat is a for tr, a in zip(workspace, memory))
-        assert got[0] == want[0]
-        assert np.array_equal(got[1].to_vector(), want[1].to_vector())
 
 
 class TestFuse:
