@@ -4,8 +4,7 @@ anomaly, synth.
 Exit codes: 0 success; 2 an InputError, input the caller must fix; 1 a
 TrainingError, training that diverged. Either prints one ``error:`` line.
 All outputs are deterministic for a fixed config, seed and BLAS thread
-count (at memory size 128, one and two OpenBLAS threads train to
-parameters that differ by up to 3.7e-15 relative), and safe to overwrite.
+count (README gives how far thread counts move them), and safe to overwrite.
 The default output directory can be set via the POWERNET_OUT environment
 variable.
 """
@@ -65,10 +64,11 @@ def _write(path, text):
         fh.write(text)
 
 
-def _write_json(path, doc):
-    """Write ``doc`` as JSON; a non-finite float raises ValueError before
-    the file is opened."""
-    _write(path, json.dumps(doc, indent=1, sort_keys=True, allow_nan=False))
+def _json(doc) -> str:
+    """``doc`` as JSON text, keys sorted and indented by one space; a
+    non-finite float raises ValueError, so ``_write(path, _json(doc))``
+    opens no file."""
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
 def _write_csv(path, header, rows):
@@ -162,7 +162,7 @@ def cmd_ingest(args):
         "dropped_hours": aligned.dropped_hours,
         "remaining_gaps": hourly.gap_count(),
     }
-    _write_json(os.path.join(out, "ingest_report.json"), ingest_doc)
+    _write(os.path.join(out, "ingest_report.json"), _json(ingest_doc))
     print(f"aligned {len(aligned)} hours -> {out}/dataset.json")
     return 0
 
@@ -172,46 +172,40 @@ def cmd_train(args):
     tcfg = TrainConfig(**{key: cfg[key] for key in TrainConfig.CHECKS})
     d = _load_dataset(args.dataset)
     data, bounds = _prepare_examples(d, cfg)
+    spec, splits = data.spec.to_dict(), [list(b) for b in bounds]
     out = _out_dir(args)
     if args.model == "gbt":
-        if args.grid:
-            model, report = baselines.gbt_grid_search(data)
-        else:
-            model = baselines.fit_gbt_examples(data)
-            report = []
-        doc = model.to_dict()
-        doc["feature_spec"] = data.spec.to_dict()
-        doc["splits"] = [list(b) for b in bounds]
-        _write_json(os.path.join(out, "checkpoint.json"), doc)
-        _write_json(os.path.join(out, "report.json"), report)
-        print(f"gbt model written to {out}/checkpoint.json")
-        return 0
-    if args.grid:
-        params, report, cell_reports = grid_search(data, tcfg)
-        _write_json(os.path.join(out, "grid_report.json"),
-                    {str(m): (None if r is None else r.to_dict())
-                     for m, r in cell_reports.items()})
-        memory_size = report.memory_size
+        model, report = (baselines.gbt_grid_search(data) if args.grid
+                         else (baselines.fit_gbt_examples(data), []))
+        checkpoint = _json({**model.to_dict(), "feature_spec": spec, "splits": splits})
+        done = "gbt model written to"
     else:
-        memory_size = tcfg.memory_size
-        params, report = train(data, tcfg)
-    hyper = {"memory_size": memory_size, "d1": params.w1.shape[0],
-             "d2": params.w2.shape[0], "d3": params.w3.shape[0],
-             "stack": len(params.lstm),
-             "splits": [list(b) for b in bounds]}
-    _write(os.path.join(out, "checkpoint.json"),
-           checkpoint_to_json(params, hyper, data.spec.to_dict(), cfg["seed"]))
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
-    _write_csv(os.path.join(out, "curves.csv"), ["epoch", "train_loss", "val_mse"],
-               zip(range(len(report.val_mse)), report.train_loss, report.val_mse))
-    print(f"best val MSE {report.best_val_mse:.6g} (epoch {report.best_epoch}) "
-          f"-> {out}/checkpoint.json")
+        if args.grid:
+            params, report, cell_reports = grid_search(data, tcfg)
+            _write(os.path.join(out, "grid_report.json"),
+                   _json({str(m): (None if r is None else r.to_dict())
+                          for m, r in cell_reports.items()}))
+        else:
+            params, report = train(data, tcfg)
+        hyper = {**{key: cfg[key] for key in ("d1", "d2", "d3", "stack")},
+                 "memory_size": report.memory_size, "splits": splits}
+        checkpoint = checkpoint_to_json(params, hyper, spec, cfg["seed"])
+        _write_csv(os.path.join(out, "curves.csv"), ["epoch", "train_loss", "val_mse"],
+                   zip(range(len(report.val_mse)), report.train_loss, report.val_mse))
+        done = f"best val MSE {report.best_val_mse:.6g} (epoch {report.best_epoch}) ->"
+        report = report.to_dict()
+    _write(os.path.join(out, "checkpoint.json"), checkpoint)
+    _write(os.path.join(out, "report.json"), _json(report))
+    print(f"{done} {out}/checkpoint.json")
     return 0
 
 
 def _model_inputs(args):
-    """(kind, model, spec, splits, d) from ``--checkpoint`` and
-    ``--dataset``; ``splits`` is None when the checkpoint records none.
+    """(params, predict, spec, splits, d) from ``--checkpoint`` and
+    ``--dataset``. ``predict(split)`` gives the checkpoint's normalized
+    predictions on a split of examples, for either model kind; ``params``
+    holds the powernet weights and is None for a GBT; ``splits`` is None
+    when the checkpoint records none.
 
     Commands with a ``--horizon`` need a powernet checkpoint, and their
     ``start_row`` defaults to ``len(d) - horizon``."""
@@ -221,45 +215,36 @@ def _model_inputs(args):
         if doc.get("model_type") == "gbt":
             # a GBT row is the window, then the weather/calendar features
             model = baselines.GbtModel.from_dict(doc, spec.window_len + N_AUX_FEATURES)
-            return "gbt", model, spec, doc.get("splits")
+            return (None, lambda s: model.predict(baselines.flatten_features(s)),
+                    spec, doc.get("splits"))
         params, hyper, _, _ = checkpoint_from_dict(doc)
-        return "powernet", params, spec, hyper.get("splits")
+        return (params, lambda s: forward_batch(s.E, s.FW, s.FC, params)[0],
+                spec, hyper.get("splits"))
 
-    kind, model, spec, splits = _parse_file(args.checkpoint, "checkpoint", parse)
+    params, predict, spec, splits = _parse_file(args.checkpoint, "checkpoint", parse)
     forecasting = hasattr(args, "horizon")
-    if forecasting and kind != "powernet":
+    if forecasting and params is None:
         raise InputError(f"{args.command} requires a powernet checkpoint")
     d = _load_dataset(args.dataset)
     if forecasting and args.start_row is None:
         args.start_row = len(d) - args.horizon
-    return kind, model, spec, splits, d
-
-
-def _split_predictions(kind, model, spec, data, split_name):
-    """(actual, predicted) kW on the split; predictions whose squared
-    errors overflow are a usage error."""
-    split = getattr(data, split_name)
-    if kind == "gbt":
-        pred = model.predict(baselines.flatten_features(split))
-    else:
-        pred, _ = forward_batch(split.E, split.FW, split.FC, model)
-    actual, pred = spec.denormalize_kw(split.y), np.maximum(spec.denormalize_kw(pred), 0.0)
-    if not math.isfinite(mse(actual, pred)):
-        raise InputError(f"the checkpoint's {split_name} predictions overflow: "
-                         f"squared errors are not finite")
-    return actual, pred
+    return params, predict, spec, splits, d
 
 
 def cmd_evaluate(args):
-    kind, model, spec, splits, d = _model_inputs(args)
+    _, predict, spec, splits, d = _model_inputs(args)
     if splits is None:
         raise InputError("checkpoint does not record split boundaries")
-    data = build_examples(d, spec, splits)
-    actual, pred = _split_predictions(kind, model, spec, data, args.split)
+    split = getattr(build_examples(d, spec, splits), args.split)
+    actual = spec.denormalize_kw(split.y)
+    pred = np.maximum(spec.denormalize_kw(predict(split)), 0.0)
+    err = mse(actual, pred)
+    if not math.isfinite(err):
+        raise InputError(f"the checkpoint's {args.split} predictions overflow: "
+                         f"squared errors are not finite")
+    doc = {"split": args.split, "mse": err, "mape": mape(actual, pred), "n": len(actual)}
     out = _out_dir(args)
-    doc = {"split": args.split, "mse": mse(actual, pred),
-           "mape": mape(actual, pred), "n": len(actual)}
-    _write_json(os.path.join(out, f"evaluate_{args.split}.json"), doc)
+    _write(os.path.join(out, f"evaluate_{args.split}.json"), _json(doc))
     print(f"{args.split}: MSE {doc['mse']:.6g}  MAPE {doc['mape']:.3f}%")
     return 0
 
@@ -267,9 +252,9 @@ def cmd_evaluate(args):
 def cmd_forecast(args):
     if args.thresholds and not all(map(math.isfinite, args.thresholds)):
         raise InputError(f"--thresholds must be finite, got {args.thresholds}")
-    _, model, spec, _, d = _model_inputs(args)
+    params, _, spec, _, d = _model_inputs(args)
     fn = forecast_recursive if args.mode == "recursive" else forecast_with_actuals
-    report = fn(model, spec, d, args.start_row, args.horizon)
+    report = fn(params, spec, d, args.start_row, args.horizon)
     out = _out_dir(args)
     name = os.path.join(out, f"forecast_{args.mode}")
     c = report.curves
@@ -284,10 +269,10 @@ def cmd_forecast(args):
            "actuals": [repr(float(v)) for v in report.actuals],
            "mse": mse(report.actuals, report.predictions),
            "mape": mape(report.actuals, report.predictions)}
-    _write_json(name + ".json", doc)
+    _write(name + ".json", _json(doc))
     if args.thresholds:
         table = retraining_analysis(report, args.thresholds)
-        _write_json(os.path.join(out, "retraining.json"), table)
+        _write(os.path.join(out, "retraining.json"), _json(table))
     print(f"{args.mode} horizon {args.horizon}: MAPE {doc['mape']:.3f}%")
     return 0
 
@@ -296,14 +281,14 @@ def cmd_anomaly(args):
     detect = args.detect_theta is not None
     if detect:   # detector settings are checked before any work
         cfg = DetectorConfig(window=args.detector_window, k=args.detector_k)
-    _, model, spec, _, d = _model_inputs(args)
+    params, _, spec, _, d = _model_inputs(args)
     horizon, start_row = args.horizon, args.start_row
-    test = forecast_with_actuals(model, spec, d, start_row, horizon)
-    rows = theft_sweep(model, spec, d, start_row, horizon, args.thetas,
+    test = forecast_with_actuals(params, spec, d, start_row, horizon)
+    rows = theft_sweep(params, spec, d, start_row, horizon, args.thetas,
                        clean=test)
     result = {"sweep": rows}
     if detect:
-        clean = forecast_with_actuals(model, spec, d, start_row - horizon, horizon)
+        clean = forecast_with_actuals(params, spec, d, start_row - horizon, horizon)
         stats = residual_stats(clean.predictions, clean.actuals, cfg)
         reported = apply_theft(test.actuals,
                                TheftScenario(args.detect_theta, 0, horizon))
@@ -314,7 +299,7 @@ def cmd_anomaly(args):
     out = _out_dir(args)   # written only once everything is computed
     _write_csv(os.path.join(out, "theft_sweep.csv"), ["theta", "mape"],
                ((r["theta"], r["mape"]) for r in rows))
-    _write_json(os.path.join(out, "anomaly.json"), result)
+    _write(os.path.join(out, "anomaly.json"), _json(result))
     print(f"theft sweep over {len(rows)} thetas -> {out}/theft_sweep.csv")
     return 0
 

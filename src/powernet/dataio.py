@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .numcore import Check, InputError, array, check, integer, items, one_of, real
+from .numcore import Check, InputError, array, check, every, integer, items, one_of, real
 
 HOUR = 3600
 
@@ -234,7 +234,7 @@ DATASET_CHECKS = {
     "kw": array(real(0, MAX_VALUE)), "summary": _TEXTS, "icon": _TEXTS,
     "numeric": Check(f"list of rows of {len(WEATHER_NUMERIC_COLUMNS)} ({_WEATHER.kind})",
                      lambda a: a.shape[1:] == (len(WEATHER_NUMERIC_COLUMNS),)
-                     and _WEATHER.ok(a[~np.isnan(a)]),
+                     and every(_WEATHER, a[~np.isnan(a)]),
                      lambda v: np.asarray([[np.nan if x is None else x for x in row]
                                            for row in v])),
     "dropped_hours": integer(0)}

@@ -98,10 +98,8 @@ def _walk(rule, value, step=""):
         raise
 
 
-def _number(name, types, kinds, lo, hi, strict) -> Check:
-    def ok(v):   # a number, or a numpy array: every entry, by dtype kind and range
-        if isinstance(v, np.ndarray):
-            return v.size == 0 or (v.dtype.kind in kinds and ok(v.min()) and ok(v.max()))
+def _number(name, types, lo, hi, strict) -> Check:
+    def ok(v):   # one number; a numpy array is not one
         return (isinstance(v, types) and not isinstance(v, bool) and math.isfinite(v)
                 and (v > lo if strict else v >= lo) and v < hi)
 
@@ -114,12 +112,12 @@ def _number(name, types, kinds, lo, hi, strict) -> Check:
 
 def integer(lo=-math.inf, hi=math.inf) -> Check:
     """A Python or numpy int, not a bool, in [lo, hi)."""
-    return _number("int", (int, np.integer), "iu", lo, hi, False)
+    return _number("int", (int, np.integer), lo, hi, False)
 
 
 def real(lo=-math.inf, hi=math.inf, *, strict=False) -> Check:
     """A finite int or float, not a bool, in [lo, hi), or (lo, hi) if strict."""
-    return _number("real", (int, float, np.integer, np.floating), "iuf", lo, hi, strict)
+    return _number("real", (int, float, np.integer, np.floating), lo, hi, strict)
 
 
 OBJECT = Check("object", lambda v: isinstance(v, dict))
@@ -145,10 +143,17 @@ def _as_array(v) -> np.ndarray:
     return np.asarray(v)
 
 
+def every(of: Check, a: np.ndarray) -> bool:
+    """Whether each entry of the array ``a`` passes ``of``: a numeric dtype,
+    and its least and greatest entry, as Python numbers, pass."""
+    return a.size == 0 or (a.dtype.kind in "iuf" and of.ok(a.min().item())
+                           and of.ok(a.max().item()))
+
+
 def array(of: Check, n: int | None = None) -> Check:
     """A list of ``n`` numbers, or any number, read as one numpy array and
-    checked whole by ``of``; an entry that fails, a bool among them, is
+    checked whole by ``every``; an entry that fails, a bool among them, is
     named by its index."""
     return Check(f"list of {n or 'any number of'} ({of.kind})",
-                 lambda a: a.ndim == 1 and len(a) == (n or len(a)) and of.ok(a),
+                 lambda a: a.ndim == 1 and len(a) == (n or len(a)) and every(of, a),
                  _as_array, entry=of)

@@ -632,6 +632,22 @@ class TestEvaluate:
         assert rc == 0
         assert json.loads((tmp_path / "evaluate_test.json").read_text())["n"] == 48
 
+    @pytest.mark.parametrize("kind", ["gbt", "powernet"])
+    def test_checkpoint_without_splits_is_usage_error(self, dataset_path, checkpoint_dir,
+                                                      gbt_checkpoint, tmp_path, capsys,
+                                                      kind):
+        if kind == "gbt":
+            doc = {k: v for k, v in gbt_checkpoint.items() if k != "splits"}
+        else:
+            doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+            del doc["hyperparameters"]["splits"]
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--checkpoint", str(path),
+                   "--dataset", dataset_path, "--out", str(tmp_path / "out")])
+        assert "does not record split boundaries" in assert_usage_error(rc, capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case, message", [
         ("feature_999", "feature: expected int in [0, 24), got 999"),
         ("feature_24", "feature: expected int in [0, 24), got 24"),  # window 6 + 18
@@ -750,6 +766,15 @@ class TestForecast:
         assert "--thresholds" in assert_usage_error(rc, capsys)
         assert not list(tmp_path.glob("forecast_*"))
 
+    def test_gbt_checkpoint_rejected(self, dataset_path, gbt_checkpoint, tmp_path, capsys):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(gbt_checkpoint))
+        rc = main(["forecast", "--checkpoint", str(path),
+                   "--dataset", dataset_path, "--out", str(tmp_path / "out")])
+        err = assert_usage_error(rc, capsys)
+        assert "forecast requires a powernet checkpoint" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnomaly:
     def test_sweep_and_detection(self, dataset_path, checkpoint_dir, tmp_path):
@@ -816,13 +841,14 @@ class TestAnomaly:
         assert "history" in assert_usage_error(rc, capsys)
         assert not out.exists()
 
-    def test_gbt_checkpoint_rejected(self, dataset_path, tmp_path):
-        out = tmp_path / "gbt"
-        main(["train", "--dataset", dataset_path, "--model", "gbt",
-              "--out", str(out), "--splits", "96:48:48", "--window-len", "6"])
-        rc = main(["anomaly", "--checkpoint", str(out / "checkpoint.json"),
-                   "--dataset", dataset_path, "--out", str(tmp_path)])
-        assert rc == 2
+    def test_gbt_checkpoint_rejected(self, dataset_path, gbt_checkpoint, tmp_path, capsys):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(gbt_checkpoint))
+        rc = main(["anomaly", "--checkpoint", str(path),
+                   "--dataset", dataset_path, "--out", str(tmp_path / "out")])
+        err = assert_usage_error(rc, capsys)
+        assert "anomaly requires a powernet checkpoint" in err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_detector_k_is_usage_error(self, dataset_path, checkpoint_dir,
                                            tmp_path, capsys):
@@ -921,12 +947,12 @@ class TestJsonWriters:
         p.vec[3] = value
         d.kw[4] = value
         writers = [
-            lambda: cli._write_json(tmp_path / "doc.json", {"a": [1.0, value]}),
+            lambda: cli._write(tmp_path / "doc.json", cli._json({"a": [1.0, value]})),
             lambda: checkpoint_to_json(p, {}, {}, 0),
-            lambda: cli._write_json(tmp_path / "doc.json", spec.to_dict()),
+            lambda: cli._write(tmp_path / "doc.json", cli._json(spec.to_dict())),
             lambda: dataset_to_json(d),
-            lambda: cli._write_json(tmp_path / "doc.json", TrainReport(
-                train_loss=[value], val_mse=[1.0], best_epoch=0).to_dict()),
+            lambda: cli._write(tmp_path / "doc.json", cli._json(TrainReport(
+                train_loss=[value], val_mse=[1.0], best_epoch=0).to_dict())),
             GbtModel(initial_prediction=value).to_json,
         ]
         for write in writers:

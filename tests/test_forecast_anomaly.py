@@ -360,26 +360,6 @@ class TestSubstation:
             detect_substation(np.ones(10), [np.ones(9)], np.ones(10),
                               DetectorConfig(), ResidualStats(0.0, 1.0))
 
-    # the technical-loss model is the seasonal persistence baseline
-    def test_seasonal_predictor_repeats_last_period(self):
-        history = np.arange(48.0)
-        out = persistence_forecast(history, 30)
-        assert np.array_equal(out[:24], history[24:])
-        assert out[24] == history[24]
-
-    def test_seasonal_predictor_guard(self):
-        with pytest.raises(InputError):
-            persistence_forecast(np.ones(5), 10)
-
-    @pytest.mark.parametrize("horizon", [0, 1, 24, 3 * 24 + 5])
-    def test_seasonal_predictor_matches_loop_oracle(self, horizon):
-        history = np.random.default_rng(0).normal(size=60)
-        last = history[-24:]
-        expected = np.array([last[h % 24] for h in range(horizon)])
-        out = persistence_forecast(history, horizon)
-        assert out.dtype == expected.dtype
-        assert np.array_equal(out, expected)
-
 
 def forecast_artifacts(tmp_path, monkeypatch, report) -> dict:
     """The files ``powernet forecast`` writes when the forecast it makes is

@@ -63,8 +63,8 @@ class TestMape:
         rng = np.random.default_rng(2)
         for _ in range(30):
             n = int(rng.integers(1, 200))
-            a = rng.uniform(0.5, 3.0, n)
-            f = a + rng.normal(0, 0.3, n)
+            a = np.append(rng.uniform(0.5, 3.0, n), ZERO_FLOOR)   # at the floor: left out
+            f = a + rng.normal(0, 0.3, n + 1)
             assert mape(a, f) == pytest.approx(mape_oracle(a, f), abs=1e-12)
 
     def test_zero_actuals_excluded(self):
@@ -140,12 +140,13 @@ class TestErrorCurve:
             n = int(rng.integers(1, 120))
             a = rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3, n)
             a[rng.random(n) < rng.choice([0.0, 0.05, 0.5, 1.0])] = 0.0
-            f = a + rng.normal(0, 0.3, n)
+            a = np.append(a, ZERO_FLOOR)   # at the floor: left out
+            f = a + rng.normal(0, 0.3, n + 1)
             c = error_curve(a, f)
             roll_mape, roll_mse = reference_rolling(a, f, window, ZERO_FLOOR)
             # full windows bit for bit; the first window-1 hours are the
             # cumulative curve, whose running sum adds in another order
-            w = min(window - 1, n)
+            w = min(window - 1, len(a))
             assert np.array_equal(c.roll_mse[w:], roll_mse[w:])
             assert np.array_equal(c.roll_mape[w:], roll_mape[w:], equal_nan=True)
             np.testing.assert_allclose(c.roll_mse[:w], roll_mse[:w],

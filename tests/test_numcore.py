@@ -74,6 +74,17 @@ class TestCheck:
         for value in (True, "3", None):
             assert not integer().ok(value) and not real().ok(value)
 
+    def test_an_array_is_not_one_number(self):
+        from powernet.forecast_anomaly import DetectorConfig
+        from powernet.training import TrainConfig
+        for build, key, value in [(TrainConfig, "batch_size", [8, 16]),
+                                  (TrainConfig, "learning_rate", [0.1, 0.2]),
+                                  (DetectorConfig, "window", [3, 4]),
+                                  (DetectorConfig, "k", [1.0, 2.0])]:
+            with pytest.raises(InputError, match=f"{key}: expected .*, got array"):
+                build(**{key: np.array(value)})
+        assert not real().ok(np.array([])) and not integer().ok(np.array(3))
+
     @pytest.mark.parametrize("key, value, message", [
         ("n", 1.5, "doc: n: expected int >= 1, got 1.5"),
         ("n", True, "doc: n: expected int >= 1, got True"),

@@ -310,12 +310,12 @@ class TestGridSearch:
 
 
 class TestTrainReport:
-    """report.json is ``to_dict`` as ``cli._write_json`` writes it."""
+    """report.json is ``to_dict`` as ``cli._json`` writes it."""
 
     def test_json_excludes_wall_clock(self, tmp_path):
         rep = TrainReport(train_loss=[1.0], val_mse=[2.0], best_epoch=0,
                           memory_size=4, wall_seconds=123.0)
-        cli._write_json(tmp_path / "report.json", rep.to_dict())
+        cli._write(tmp_path / "report.json", cli._json(rep.to_dict()))
         text = (tmp_path / "report.json").read_text()
         assert "wall" not in text
         assert "123" not in text
@@ -323,7 +323,7 @@ class TestTrainReport:
     def test_json_is_the_dict(self, tmp_path):
         rep = TrainReport(train_loss=[1.0, 0.25], val_mse=[2.0, 0.1 + 0.2],
                           best_epoch=1, memory_size=4, wall_seconds=1.0)
-        cli._write_json(tmp_path / "report.json", rep.to_dict())
+        cli._write(tmp_path / "report.json", cli._json(rep.to_dict()))
         assert json.loads((tmp_path / "report.json").read_text()) == rep.to_dict()
         assert "wall_seconds" not in rep.to_dict()
 
