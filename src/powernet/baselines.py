@@ -1,6 +1,11 @@
 """Comparison forecasters: a seasonal persistence baseline and from-scratch
 gradient-boosted regression trees over the flattened example features.
 
+A tree is held as the nested dicts its checkpoint stores, a leaf
+``{"value"}`` and a split ``{"feature", "threshold", "left", "right"}``
+(left takes the rows whose feature is <= threshold); GbtModel's node
+tables declare that format, and writing a model converts nothing.
+
 Trees are exact CART: split candidates are midpoints between consecutive
 sorted unique feature values, chosen by summed-squared-error reduction. The
 rows are sorted by every feature once per training matrix (a grid search
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -74,41 +79,6 @@ def persistence_forecast(history, horizon: int) -> np.ndarray:
         raise InputError(f"need at least {PERSISTENCE_PERIOD} history values, "
                          f"have {len(values)}")
     return np.resize(finite(values[-PERSISTENCE_PERIOD:], "history"), horizon)
-
-
-@dataclass
-class TreeNode:
-    feature: int = -1            # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode" = None
-    right: "TreeNode" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self):
-        return self.feature < 0
-
-    def to_dict(self):
-        if self.is_leaf:
-            return {"value": self.value}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d, n_features=math.inf):
-        """The tree of nested dict ``d``; a split feature outside
-        [0, n_features) or a non-finite number is an InputError naming
-        its key and value."""
-        leaf = {"value": real()}
-        split = {"feature": integer(0, n_features), "threshold": real(),
-                 "left": OBJECT, "right": OBJECT}
-
-        def node(d):
-            if isinstance(d, dict) and "value" in d:
-                return cls(**check(d, leaf, "GBT tree"))
-            f = check(d, split, "GBT tree")
-            return cls(f["feature"], f["threshold"], node(f["left"]), node(f["right"]))
-        return node(d)
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -309,7 +279,7 @@ def _grow_tree(XT, order, xs, y, depths):
         if split is None or cut:
             # ndarray.mean's sum and divide, without its Python wrapper
             value = float(np.add.reduce(y.take(rows)) / len(rows))
-            leaf = [TreeNode(value=value)]
+            leaf = [{"value": value}]
             if split is None:
                 for f in fitted[first:]:
                     f[rows] = value
@@ -332,7 +302,8 @@ def _grow_tree(XT, order, xs, y, depths):
             right_xs = xs.take(at).reshape(n_features, -1)
         lefts = grow(left_order, left_xs, rows[left], depth + 1, first + cut)
         rights = grow(right_order, right_xs, rows[~left], depth + 1, first + cut)
-        return leaf + [TreeNode(j, thr, lo, hi) for lo, hi in zip(lefts, rights)]
+        return leaf + [{"feature": j, "threshold": thr, "left": lo, "right": hi}
+                       for lo, hi in zip(lefts, rights)]
 
     trees = grow(order, xs, np.arange(len(y)), 0, 0)
     # grow's closure refers to itself; breaking that cycle frees the
@@ -341,14 +312,14 @@ def _grow_tree(XT, order, xs, y, depths):
     return list(zip(trees, fitted))
 
 
-def fit_tree(X, y, max_depth: int) -> TreeNode:
+def fit_tree(X, y, max_depth: int) -> dict:
     """Greedy CART regression tree on residuals; leaves hold means. X and y
     are refused as fit_gbt refuses them."""
     X, y = _fit_inputs(X, y)
     return _grow_tree(*_presorted(X), y, [max_depth])[0][0]
 
 
-def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
+def tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty(len(X))
     stack = [(node, np.arange(len(X)))]
@@ -356,12 +327,12 @@ def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
         nd, rows = stack.pop()
         if len(rows) == 0:
             continue
-        if nd.is_leaf:
-            out[rows] = nd.value
+        if "value" in nd:
+            out[rows] = nd["value"]
         else:
-            go_left = X[rows, nd.feature] <= nd.threshold
-            stack.append((nd.left, rows[go_left]))
-            stack.append((nd.right, rows[~go_left]))
+            go_left = X[rows, nd["feature"]] <= nd["threshold"]
+            stack.append((nd["left"], rows[go_left]))
+            stack.append((nd["right"], rows[~go_left]))
     return out
 
 
@@ -378,11 +349,16 @@ class GbtModel:
     learning_rate: float = 0.1
     max_depth: int = 3
 
-    #: What each key of ``to_dict``'s document holds; each tree is checked
-    #: by ``TreeNode.from_dict``.
+    #: What each key of ``to_dict``'s document holds. A tree is nested
+    #: dicts, each node a leaf or a split as the two node tables below say;
+    #: they are the node format's one declaration. from_dict bounds a
+    #: split's "feature" by the row width.
     CHECKS = {"format_version": one_of(GBT_FORMAT_VERSION),
               "initial_prediction": real(), "learning_rate": real(),
               "max_depth": integer(0), "trees": items(OBJECT)}
+    LEAF_CHECKS = {"value": real()}
+    SPLIT_CHECKS = {"feature": integer(0), "threshold": real(),
+                    "left": OBJECT, "right": OBJECT}
 
     def predict(self, X) -> np.ndarray:
         X = finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "X")
@@ -401,26 +377,32 @@ class GbtModel:
         return curve
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": GBT_FORMAT_VERSION,
-            "model_type": "gbt",
-            "initial_prediction": self.initial_prediction,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        """The checkpoint document; its trees are the model's own list."""
+        return {"format_version": GBT_FORMAT_VERSION, "model_type": "gbt",
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True,
                           allow_nan=False)
 
     @classmethod
-    def from_dict(cls, doc: dict, n_features=math.inf) -> "GbtModel":
+    def from_dict(cls, doc: dict, n_features: int) -> "GbtModel":
+        """The model of ``doc``, whose rows have ``n_features`` features; a
+        node that neither node table passes, a split feature outside
+        [0, n_features) among them, is an InputError naming its key and
+        value."""
         doc = check(doc, cls.CHECKS, "GBT checkpoint")
+        split = {**cls.SPLIT_CHECKS, "feature": integer(0, n_features)}
+
+        def node(d):
+            if isinstance(d, dict) and "value" in d:
+                return check(d, cls.LEAF_CHECKS, "GBT tree")
+            d = check(d, split, "GBT tree")
+            d["left"], d["right"] = node(d["left"]), node(d["right"])
+            return d
         return cls(initial_prediction=float(doc["initial_prediction"]),
                    learning_rate=float(doc["learning_rate"]),
-                   max_depth=doc["max_depth"],
-                   trees=[TreeNode.from_dict(t, n_features) for t in doc["trees"]])
+                   max_depth=doc["max_depth"], trees=[node(t) for t in doc["trees"]])
 
 
 #: fit_gbt's arguments: a tree count and depth that a GbtModel document

@@ -230,7 +230,8 @@ _WEATHER = real(-MAX_VALUE, MAX_VALUE)
 #: What each key of ``dataset_to_json``'s document holds; a null weather
 #: value is missing.
 DATASET_CHECKS = {
-    "format_version": one_of(DATASET_FORMAT_VERSION), "hours": array(integer()),
+    "format_version": one_of(DATASET_FORMAT_VERSION),
+    "hours": array(integer(-2 ** 63, 2 ** 63)),   # int64, as they are kept
     "kw": array(real(0, MAX_VALUE)), "summary": _TEXTS, "icon": _TEXTS,
     "numeric": Check(f"list of rows of {len(WEATHER_NUMERIC_COLUMNS)} ({_WEATHER.kind})",
                      lambda a: a.shape[1:] == (len(WEATHER_NUMERIC_COLUMNS),)

@@ -99,15 +99,7 @@ class PowerNetParams:
         n = len(self._views) - 8
         self.lstm = [LstmLayerParams(w) for w in self._views[:n]]
         (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4,
-         self._b4) = self._views[n:]
-
-    @property
-    def b4(self) -> float:
-        return float(self._b4[0])
-
-    @b4.setter
-    def b4(self, value: float):
-        self._b4[0] = value
+         self.b4) = self._views[n:]
 
     @property
     def m(self) -> int:
@@ -434,7 +426,7 @@ def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
     grads = p.zeros_like()
 
     grads.w4[:] = trace.rd.T @ dyhat
-    grads.b4 = dyhat.sum()
+    grads.b4[0] = dyhat.sum()
     dr = dyhat[:, None] * p.w4[None, :]
     if trace.mask4 is not None:
         dr = dr * trace.mask4

@@ -6,7 +6,7 @@ import pytest
 
 from powernet import baselines
 from powernet.baselines import (
-    GbtModel, TreeNode, _presort, _shortlist, best_split,
+    GbtModel, _presort, _shortlist, best_split,
     fit_gbt, fit_gbt_examples, fit_tree, flatten_features, gbt_grid_search,
     persistence_forecast, tree_predict,
 )
@@ -90,7 +90,7 @@ def reference_best_split(X: np.ndarray, y: np.ndarray):
     return best
 
 
-def reference_fit_tree(X, y, max_depth: int) -> TreeNode:
+def reference_fit_tree(X, y, max_depth: int) -> dict:
     """Greedy CART on reference_best_split, re-sorting every node."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -98,15 +98,15 @@ def reference_fit_tree(X, y, max_depth: int) -> TreeNode:
     def grow(rows, depth):
         node_y = y[rows]
         if depth >= max_depth or len(rows) < 2:
-            return TreeNode(value=float(node_y.mean()))
+            return {"value": float(node_y.mean())}
         split = reference_best_split(X[rows], node_y)
         if split is None:
-            return TreeNode(value=float(node_y.mean()))
+            return {"value": float(node_y.mean())}
         j, thr, _ = split
         go_left = X[rows, j] <= thr
-        return TreeNode(feature=j, threshold=thr,
-                        left=grow(rows[go_left], depth + 1),
-                        right=grow(rows[~go_left], depth + 1))
+        return {"feature": j, "threshold": thr,
+                "left": grow(rows[go_left], depth + 1),
+                "right": grow(rows[~go_left], depth + 1)}
 
     return grow(np.arange(len(y)), 0)
 
@@ -381,8 +381,7 @@ class TestFitTree:
     def test_equals_scalar_reference(self):
         for X, y in oracle_fixtures():
             for depth in range(1, 7):
-                assert (fit_tree(X, y, depth).to_dict()
-                        == reference_fit_tree(X, y, depth).to_dict())
+                assert fit_tree(X, y, depth) == reference_fit_tree(X, y, depth)
 
     def test_every_cut_equals_direct_growth(self):
         # one growth to depth 6 cut at 0-6 gives each depth's tree and
@@ -394,14 +393,14 @@ class TestFitTree:
             assert len(cuts) == len(depths)
             for depth, (tree, fitted) in zip(depths, cuts):
                 alone, alone_fitted = baselines._grow_tree(*presorted, y, [depth])[0]
-                assert json.dumps(tree.to_dict()) == json.dumps(alone.to_dict())
+                assert json.dumps(tree) == json.dumps(alone)
                 assert fitted.tobytes() == alone_fitted.tobytes()
 
     def test_depth_zero_is_mean_leaf(self):
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         t = fit_tree(X, y, max_depth=0)
-        assert t.is_leaf and t.value == pytest.approx(3.5)
+        assert set(t) == {"value"} and t["value"] == pytest.approx(3.5)
 
     def test_depth_one_perfect_on_step(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -475,7 +474,7 @@ class TestGbt:
     def test_json_round_trip(self):
         X, y = self.small_problem(seed=4, n=30)
         model = fit_gbt(X, y, n_estimators=10, max_depth=3, learning_rate=0.05)
-        back = GbtModel.from_dict(json.loads(model.to_json()))
+        back = GbtModel.from_dict(json.loads(model.to_json()), X.shape[1])
         assert np.allclose(back.predict(X), model.predict(X), atol=0)
         assert back.to_json() == model.to_json()
 
@@ -484,7 +483,7 @@ class TestGbt:
         doc = fit_gbt(X, y, n_estimators=2).to_json().replace(
             '"format_version": 1', '"format_version": 99')
         with pytest.raises(InputError, match="version"):
-            GbtModel.from_dict(json.loads(doc))
+            GbtModel.from_dict(json.loads(doc), X.shape[1])
 
     def test_numpy_int_settings_write_the_python_int_model(self):
         X, y = self.small_problem(seed=6, n=30)
@@ -697,8 +696,8 @@ class TestTargetMagnitude:
 
     #: the feature of the root split, from each of the three fitting calls
     FITS = {"fit_gbt": lambda X, y: fit_gbt(X, y, n_estimators=3,
-                                            learning_rate=1.0).trees[0].feature,
-            "fit_tree": lambda X, y: fit_tree(X, y, 3).feature,
+                                            learning_rate=1.0).trees[0]["feature"],
+            "fit_tree": lambda X, y: fit_tree(X, y, 3)["feature"],
             "best_split": lambda X, y: best_split(X, y)[0]}
 
     def features(self):
@@ -769,12 +768,13 @@ class TestFitGbtInputRange:
         model = fit_gbt(X / np.abs(X).max() * 1.5e308, X[:, 0], n_estimators=3)
 
         def thresholds(node):
-            if node.is_leaf:
+            if "value" in node:
                 return []
-            return [node.threshold] + thresholds(node.left) + thresholds(node.right)
+            return [node["threshold"]] + thresholds(node["left"]) + thresholds(node["right"])
         found = [t for tree in model.trees for t in thresholds(tree)]
         assert found and np.isfinite(found).all()
-        assert GbtModel.from_dict(json.loads(model.to_json())).trees[0].threshold == found[0]
+        back = GbtModel.from_dict(json.loads(model.to_json()), X.shape[1])
+        assert back.trees[0]["threshold"] == found[0]
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, 2.5, float("nan")])
     def test_learning_rate_outside_the_bound_refused(self, rate):

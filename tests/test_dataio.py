@@ -233,6 +233,23 @@ class TestDatasetRoundTrip:
         assert back.weather.summary == d.weather.summary
         assert np.allclose(back.weather.numeric, d.weather.numeric, equal_nan=True)
 
+    def test_hours_beyond_int64_exit_2_naming_hours(self, tmp_path, capsys):
+        # hours in [2**63, 2**64) parse as uint64 and would wrap around to
+        # negative timestamps in the int64 array the dataset keeps
+        import json
+        from powernet import cli
+        from powernet.synth import make_aligned_dataset
+        doc = json.loads(dataio.dataset_to_json(make_aligned_dataset(days=1, seed=1)))
+        doc["hours"] = [h + 2 ** 63 for h in doc["hours"]]
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=r"^dataset: hours\[0\]: expected int in "):
+            dataio.dataset_from_json(path.read_text())
+        rc = cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "hours[0]" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestTimestamps:
     def test_iso_and_epoch_agree(self):

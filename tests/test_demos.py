@@ -1,10 +1,16 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
+
+import powernet
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_ingest_and_features", "02_train_and_compare",
@@ -47,3 +53,47 @@ def test_readme_python_blocks_run(tmp_path):
     for block in blocks:
         done = run_python(["-c", block], tmp_path)
         assert done.returncode == 0, done.stderr
+
+
+def package_roots() -> dict:
+    """By name: the package, each of its modules and each public name of a
+    module that is not itself a module."""
+    roots = {"powernet": powernet}
+    for info in pkgutil.iter_modules(powernet.__path__):
+        module = importlib.import_module(f"powernet.{info.name}")
+        roots.update((name, value) for name, value in vars(module).items()
+                     if not name.startswith("_") and not inspect.ismodule(value))
+        roots[info.name] = module
+    return roots
+
+
+def unresolved_names(markdown: str) -> tuple:
+    """(checked, unresolved): each backticked dotted name ``a.b`` of
+    ``markdown`` (a trailing ``()`` dropped) whose first part is in
+    package_roots, file names (.py, .json, .csv) left out, and those of
+    them that getattr does not resolve."""
+    roots = package_roots()
+    checked = [name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\(\))?`", markdown)
+               if name.split(".")[0] in roots and not name.endswith((".py", ".json", ".csv"))]
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        try:
+            reduce(getattr, rest, roots[first])
+        except AttributeError:
+            return False
+        return True
+    return checked, [name for name in checked if not resolves(name)]
+
+
+def test_detects_unresolved_names():
+    text = ("`model.forward_batch` and `GbtModel.made_up()`, not `cli.py`, "
+            "`report.curves` or `model`\n```python\nmodel.made_up\n```\n")
+    assert unresolved_names(text) == (["model.forward_batch", "GbtModel.made_up"],
+                                      ["GbtModel.made_up"])
+
+
+def test_readme_names_resolve():
+    """Every package name that README.md cites in backticks exists."""
+    checked, unresolved = unresolved_names((ROOT / "README.md").read_text())
+    assert checked and unresolved == []

@@ -155,7 +155,7 @@ class TestForecastRecursive:
         spec = fit_feature_spec(d, slice(0, 96), window_len=window_len)
         p = init_params(6, 5, 4, 5, seed=window_len, stack=stack)
         if clamp is True:
-            p.b4 = -50.0   # every hour clamps, and 0 kW is fed back
+            p.b4[:] = -50.0   # every hour clamps, and 0 kW is fed back
         n = window_len
         for horizon in sorted({1, n - 1, n, 3 * n + 1} - {0}):
             if clamp == "recorded":

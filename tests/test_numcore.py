@@ -120,7 +120,7 @@ def test_every_field_and_written_key_has_one_check():
     # read; each table has one entry per key
     from dataclasses import fields
     from powernet import cli, dataio, model
-    from powernet.baselines import GbtModel
+    from powernet.baselines import GbtModel, fit_tree
     from powernet.features import FeatureSpec
     from powernet.forecast_anomaly import DetectorConfig, TheftScenario
     from powernet.synth import make_aligned_dataset
@@ -132,6 +132,16 @@ def test_every_field_and_written_key_has_one_check():
     spec = FeatureSpec(window_len=1, weather_mean=np.zeros(11), weather_std=np.ones(11))
     assert set(FeatureSpec.CHECKS) == set(spec.to_dict())
     assert set(GbtModel.CHECKS) == set(GbtModel(0.0).to_dict()) - {"model_type"}
+    # every node of a fitted tree holds exactly one node table's keys
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    stack, leaves = [fit_tree(X, X[:, 0] + X[:, 1] ** 2, 3)], []
+    while stack:
+        node = stack.pop()
+        leaves.append("value" in node)
+        table = GbtModel.LEAF_CHECKS if leaves[-1] else GbtModel.SPLIT_CHECKS
+        assert set(node) == set(table)
+        stack += [node[k] for k in ("left", "right") if k in node]
+    assert set(leaves) == {True, False}
     text = model.checkpoint_to_json(model.init_params(2, 2, 2, 2), {}, {}, 0)
     assert set(model.CHECKPOINT_CHECKS) == set(json.loads(text))
     text = dataio.dataset_to_json(make_aligned_dataset(days=1, seed=0))
