@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
 from .features import ExampleSet, Split
 from .metrics import mse
-from .numcore import OBJECT, Check, InputError, check, finite, integer, items, one_of, real
+from .numcore import (OBJECT, Check, InputError, check, finite, integer, items, one_of,
+                      python, real)
 
 GBT_FORMAT_VERSION = 1
 PERSISTENCE_PERIOD = 24   # hours back that the persistence baseline repeats
@@ -360,21 +361,24 @@ class GbtModel:
     SPLIT_CHECKS = {"feature": integer(0), "threshold": real(),
                     "left": OBJECT, "right": OBJECT}
 
-    def predict(self, X) -> np.ndarray:
-        X = finite(np.atleast_2d(np.asarray(X, dtype=np.float64)), "X")
-        out = np.full(len(X), self.initial_prediction)
+    def staged_predict(self, X):
+        """The prediction after each boosting stage, each a new array, from
+        stage 0 (the initial prediction alone) to the last."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        pred = np.full(len(X), self.initial_prediction)
+        yield pred
         for tree in self.trees:
-            out += self.learning_rate * tree_predict(tree, X)
-        return out
+            pred = pred + self.learning_rate * tree_predict(tree, X)
+            yield pred
+
+    def predict(self, X) -> np.ndarray:
+        for pred in self.staged_predict(finite(np.asarray(X, dtype=np.float64), "X")):
+            pass
+        return pred
 
     def staged_train_mse(self, X, y) -> list:
         """Training MSE after each boosting stage (stage 0 = mean only)."""
-        pred = np.full(len(y), self.initial_prediction)
-        curve = [mse(y, pred)]
-        for tree in self.trees:
-            pred = pred + self.learning_rate * tree_predict(tree, X)
-            curve.append(mse(y, pred))
-        return curve
+        return [mse(y, pred) for pred in self.staged_predict(X)]
 
     def to_dict(self) -> dict:
         """The checkpoint document; its trees are the model's own list."""
@@ -408,7 +412,8 @@ class GbtModel:
 #: fit_gbt's arguments: a tree count and depth that a GbtModel document
 #: holds, and a learning rate in (0, 2], which MAX_TARGET_MASS assumes.
 FIT_CHECKS = {"n_estimators": integer(1), "max_depth": GbtModel.CHECKS["max_depth"],
-              "learning_rate": Check("real in (0, 2]", lambda v: real().ok(v) and 0 < v <= 2)}
+              "learning_rate": Check("real in (0, 2]", lambda v: real().ok(v) and 0 < v <= 2,
+                                     python)}
 
 
 def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
@@ -424,12 +429,12 @@ def fit_gbt(X, y, n_estimators: int = 200, max_depth: int = 3,
     rate, so that pair is the tree this call would grow. X and y as
     _fit_inputs refuses them, or an argument FIT_CHECKS refuses, is an
     InputError naming it."""
-    check({"n_estimators": n_estimators, "max_depth": max_depth,
-           "learning_rate": learning_rate}, FIT_CHECKS, "fit_gbt")
+    n_estimators, max_depth, learning_rate = check(
+        {"n_estimators": n_estimators, "max_depth": max_depth,
+         "learning_rate": learning_rate}, FIT_CHECKS, "fit_gbt").values()
     X, y = _fit_inputs(X, y)
-    # Python numbers, which JSON takes, and an int rate stays an int
-    model = GbtModel(initial_prediction=float(y.mean()), max_depth=int(max_depth),
-                     learning_rate=np.asarray(learning_rate).item())
+    model = GbtModel(initial_prediction=float(y.mean()), max_depth=max_depth,
+                     learning_rate=learning_rate)
     pred = np.full(len(y), model.initial_prediction)
     if presorted is None:
         presorted = _presorted(X)
@@ -456,47 +461,32 @@ def gbt_grid_search(data: ExampleSet,
     rate. Returns (best model, report list), one cell per distinct grid point.
 
     Each (depth, lr) pair is one fit_gbt of the largest tree count, whose
-    prefixes are the smaller counts' models. All fits share one sort, and
-    those at a depth share their first tree and its validation prediction:
-    stage 0 fits y - y.mean() at every rate, and each depth's first tree is
-    a cut of one tree grown to the deepest (see _grow_tree). Every cell is
-    the standalone fit_gbt model, bit for bit.
+    prefixes are the smaller counts' models, and its stages are scored on
+    the validation rows through staged_predict. All fits share one sort,
+    and those at a depth share their first tree: stage 0 fits y - y.mean()
+    at every rate, and each depth's first tree is a cut of one tree grown
+    to the deepest (see _grow_tree). Every cell is the standalone fit_gbt
+    model, bit for bit.
     """
-    check({"n_estimators_grid": n_estimators_grid, "max_depth_grid": max_depth_grid,
-           "learning_rate_grid": learning_rate_grid},
-          {f"{key}_grid": items(rule) for key, rule in FIT_CHECKS.items()},
-          "gbt_grid_search")
+    n_grid, depths, rates = (sorted(set(grid)) for grid in check(
+        {"n_estimators_grid": n_estimators_grid, "max_depth_grid": max_depth_grid,
+         "learning_rate_grid": learning_rate_grid},
+        {f"{key}_grid": items(rule) for key, rule in FIT_CHECKS.items()},
+        "gbt_grid_search").values())
     X_val = finite(flatten_features(data.validation), "validation X")
     y_val = finite(data.validation.y, "validation y")
     X_tr, y_tr = _fit_inputs(flatten_features(data.train), data.train.y)
     presorted = _presorted(X_tr)
-    # Python numbers, as in fit_gbt
-    depths = sorted({int(d) for d in max_depth_grid})
-    rates = sorted({np.asarray(r).item() for r in learning_rate_grid})
-    first = {depth: (pair, tree_predict(pair[0], X_val)) for depth, pair in
-             zip(depths, _grow_tree(*presorted, y_tr - float(y_tr.mean()), depths))}
-    n_grid = sorted({int(n) for n in n_estimators_grid})
-    cells = []
+    first = dict(zip(depths, _grow_tree(*presorted, y_tr - float(y_tr.mean()), depths)))
+    cells = []   # (report row, model)
     for depth, lr in product(depths, rates):
-        pair, first_val = first[depth]
         full = fit_gbt(X_tr, y_tr, n_estimators=n_grid[-1], max_depth=depth,
-                       learning_rate=lr, presorted=presorted, first_tree=pair)
-        pred = np.full(len(y_val), full.initial_prediction)
-        k = 0
-        for n_est in n_grid:
-            while k < n_est:
-                pred += lr * (tree_predict(full.trees[k], X_val) if k else first_val)
-                k += 1
-            cells.append({"n_estimators": n_est, "max_depth": depth,
-                          "learning_rate": lr, "val_mse": mse(y_val, pred),
-                          "_trees": full.trees[:n_est],
-                          "_init": full.initial_prediction})
-    best = min(cells, key=lambda c: (c["val_mse"], c["n_estimators"],
-                                     c["max_depth"], c["learning_rate"]))
-    model = GbtModel(initial_prediction=best["_init"], trees=best["_trees"],
-                     learning_rate=best["learning_rate"],
-                     max_depth=best["max_depth"])
-    report = [{key: c[key] for key in ("n_estimators", "max_depth",
-                                       "learning_rate", "val_mse")}
-              for c in cells]
-    return model, report
+                       learning_rate=lr, presorted=presorted, first_tree=first[depth])
+        for n_est, pred in enumerate(full.staged_predict(X_val)):
+            if n_est in n_grid:
+                cells.append(({"n_estimators": n_est, "max_depth": depth,
+                               "learning_rate": lr, "val_mse": mse(y_val, pred)},
+                              replace(full, trees=full.trees[:n_est])))
+    best = min(cells, key=lambda c: (c[0]["val_mse"], c[0]["n_estimators"],
+                                     c[0]["max_depth"], c[0]["learning_rate"]))
+    return best[1], [row for row, _ in cells]

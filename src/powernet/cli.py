@@ -134,8 +134,8 @@ def _prepare_examples(d, cfg: dict):
 
 
 def cmd_synth(args):
-    check(vars(args), {"days": integer(1), "apartments": integer(1),
-                       "seed": integer(0)}, "synth")
+    vars(args).update(check(vars(args), {"days": integer(1), "apartments": integer(1),
+                                         "seed": integer(0)}, "synth"))
     out = _out_dir(args)
     synth.write_fixture_dir(out, days=args.days, apartments=args.apartments,
                             seed=args.seed, fmt=args.format)

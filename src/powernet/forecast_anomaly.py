@@ -130,7 +130,7 @@ class TheftScenario:
     CHECKS = {"theta": real(0, 1), "start_row": integer(0), "end_row": integer(0)}
 
     def __post_init__(self):
-        check(vars(self), self.CHECKS, "theft scenario")
+        vars(self).update(check(vars(self), self.CHECKS, "theft scenario"))
         if self.end_row < self.start_row:
             raise InputError("empty-backwards theft range")
 
@@ -172,7 +172,7 @@ class DetectorConfig:
     CHECKS = {"window": integer(1), "k": real(0, strict=True)}
 
     def __post_init__(self):
-        check(vars(self), self.CHECKS, "detector config")
+        vars(self).update(check(vars(self), self.CHECKS, "detector config"))
 
 
 @dataclass

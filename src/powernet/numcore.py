@@ -107,16 +107,22 @@ def _number(name, types, lo, hi, strict) -> Check:
         name += f" in {'(' if strict else '['}{lo:g}, {hi:g})"
     elif lo > -math.inf:
         name += f" {'>' if strict else '>='} {lo:g}"
-    return Check(name, ok)
+    return Check(name, ok, python)
+
+
+def python(v):
+    """``v`` as a Python number if it is a numpy scalar, else ``v`` itself."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def integer(lo=-math.inf, hi=math.inf) -> Check:
-    """A Python or numpy int, not a bool, in [lo, hi)."""
+    """A Python or numpy int, not a bool, in [lo, hi), kept as a Python int."""
     return _number("int", (int, np.integer), lo, hi, False)
 
 
 def real(lo=-math.inf, hi=math.inf, *, strict=False) -> Check:
-    """A finite int or float, not a bool, in [lo, hi), or (lo, hi) if strict."""
+    """A finite int or float, not a bool, in [lo, hi), or (lo, hi) if strict,
+    kept as a Python number."""
     return _number("real", (int, float, np.integer, np.floating), lo, hi, strict)
 
 
@@ -128,11 +134,13 @@ def one_of(value) -> Check:
 
 
 def items(of: Check, n: int | None = None) -> Check:
-    """A list of ``n`` entries, or one or more, that pass ``of``; a tuple."""
+    """A list of ``n`` entries, or one or more, that pass ``of``; a tuple of
+    the entries as ``of`` keeps them."""
     return Check(f"list of {n or 'one or more'} ({of.kind})",
                  lambda v: (isinstance(v, (list, tuple)) and len(v) == (n or len(v) or 1)
                             and all(map(of.ok, v))),
-                 lambda v: tuple(v) if isinstance(v, list) else v, entry=of)
+                 lambda v: (v if not isinstance(v, (list, tuple)) else
+                            tuple(map(of.convert, v)) if of.convert else tuple(v)), entry=of)
 
 
 def _as_array(v) -> np.ndarray:

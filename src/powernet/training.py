@@ -51,8 +51,7 @@ class TrainConfig:
                    "d1", "d2", "d3", "stack"), integer(1))}
 
     def __post_init__(self):
-        checked = check(vars(self), self.CHECKS, "training config")
-        self.memory_size_grid = checked["memory_size_grid"]   # a tuple
+        vars(self).update(check(vars(self), self.CHECKS, "training config"))
 
     def to_dict(self):
         d = self.__dict__.copy()
@@ -168,9 +167,6 @@ def train(data: ExampleSet, cfg: TrainConfig):
                     seed=cfg.seed, stack=cfg.stack)
     state = AdamState.for_params(p)
     report = TrainReport(memory_size=cfg.memory_size)
-    best_vec = None   # set at epoch 0: any finite MSE is below inf
-    best_mse = np.inf
-    since_best = 0
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(tr))
         epoch_loss = 0.0
@@ -190,29 +186,26 @@ def train(data: ExampleSet, cfg: TrainConfig):
         if not np.isfinite(val):
             raise TrainingError(f"validation diverged at epoch {epoch}")
         report.val_mse.append(val)
-        if val < best_mse:
-            best_mse = val
+        if epoch == 0 or val < report.best_val_mse:
             best_vec = p.to_vector().copy()   # Adam updates p in place
             report.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                report.stopped_early = True
-                break
+        elif epoch - report.best_epoch >= cfg.patience:
+            report.stopped_early = True
+            break
     report.wall_seconds = time.monotonic() - t0
     return p.from_vector(best_vec), report
 
 
 def grid_search(data: ExampleSet, cfg: TrainConfig):
-    """One full training run per memory size in the grid.
+    """One full training run per distinct memory size in the grid, in order
+    of first appearance; the k-th (from 0) is seeded cfg.seed + k.
 
     Returns (best params, best TrainReport, {memory_size: TrainReport}).
-    Divergent cells are skipped; ties go to the smaller memory size.
+    Divergent cells are skipped; ties go to the earlier memory size.
     """
     reports = {}
     best = None
-    for k, m in enumerate(cfg.memory_size_grid):
+    for k, m in enumerate(dict.fromkeys(cfg.memory_size_grid)):
         cell_cfg = replace(cfg, memory_size=m, seed=cfg.seed + k)
         try:
             params, rep = train(data, cell_cfg)

@@ -454,6 +454,23 @@ class TestGbt:
         model = fit_gbt(X, y, n_estimators=5)
         assert model.staged_train_mse(X, y)[0] == pytest.approx(np.var(y), abs=1e-12)
 
+    def test_staged_predict_is_each_prefix_model(self):
+        # each stage is a new array: none changes as later stages are made
+        X, y = self.small_problem(seed=4)
+        model = fit_gbt(X, y, n_estimators=5, max_depth=2, learning_rate=0.3)
+        stages = list(model.staged_predict(X))
+        assert len(stages) == 6 and len({id(s) for s in stages}) == 6
+        summed = np.full(len(X), model.initial_prediction)
+        for k, stage in enumerate(stages):
+            prefix = GbtModel(model.initial_prediction, model.trees[:k],
+                              model.learning_rate, model.max_depth)
+            assert np.array_equal(stage, prefix.predict(X))
+            assert np.array_equal(stage, summed)
+            if k < 5:
+                summed += model.learning_rate * tree_predict(model.trees[k], X)
+        assert np.array_equal(stages[-1], model.predict(X))
+        assert model.staged_train_mse(X, y) == [mse(y, s) for s in stages]
+
     def test_beats_mean_baseline(self):
         X, y = self.small_problem(seed=2)
         model = fit_gbt(X, y, n_estimators=50, max_depth=3, learning_rate=0.1)

@@ -6,8 +6,8 @@ private-access rules. Every defaulted parameter of a public function is
 passed, as something other than its default, by some caller outside the
 tests, every function the benchmark tracer wraps exists under the name it
 uses, files are opened only by the one input reader and the artifact
-writers, and input the caller must fix is one error class,
-``numcore.InputError``."""
+writers, input the caller must fix is one error class,
+``numcore.InputError``, and every ``numcore.check`` call's result is kept."""
 
 import ast
 import importlib
@@ -347,6 +347,32 @@ def test_files_are_opened_only_by_the_one_reader_and_the_writers():
              for name in calls_of(path.read_text(), "open")}
     assert found <= allowed
     assert ("cli.py", "_write_csv") in found
+
+
+def discarded_checks(source: str) -> list:
+    """The line of each ``check(...)`` call in ``source`` that is a bare
+    expression statement, its checked value dropped."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id == "check"]
+
+
+def test_detects_a_discarded_check():
+    source = ("def f(doc, args):\n    check(doc, RULES, 'doc')\n"
+              "    kept = check(doc, RULES, 'doc')\n"
+              "    vars(args).update(check(vars(args), RULES, 'args'))\n"
+              "    if True:\n        check(doc, RULES, 'doc')\n"
+              "    doc.check()\n")
+    assert discarded_checks(source) == [2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_checked_value_is_kept(path):
+    # check returns what it passes as the reader keeps it (a numpy scalar as
+    # a Python number, a list as a tuple); a caller that drops that result
+    # goes on with the value as it came
+    assert discarded_checks(path.read_text()) == []
 
 
 def value_error_classes(sources: dict) -> list:

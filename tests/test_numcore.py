@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import grad_check, sigmoid
-from powernet.numcore import InputError, array, check, integer, items, one_of, real, relu
+from powernet.numcore import (
+    Check, InputError, array, check, integer, items, one_of, real, relu,
+)
 
 
 class TestElementwise:
@@ -84,6 +86,27 @@ class TestCheck:
             with pytest.raises(InputError, match=f"{key}: expected .*, got array"):
                 build(**{key: np.array(value)})
         assert not real().ok(np.array([])) and not integer().ok(np.array(3))
+
+    def test_a_checked_number_is_a_python_number(self):
+        from dataclasses import asdict
+        from powernet.forecast_anomaly import DetectorConfig
+        from powernet.training import TrainConfig
+        out = check({**self.GOOD, "n": np.int64(3), "x": np.float32(0.5),
+                     "pair": [np.int32(1), 2]}, self.TABLE, "doc")
+        assert [type(out[k]) for k in ("n", "x")] == [int, float]
+        assert out["pair"] == (1, 2) and type(out["pair"][0]) is int
+        # a string is one value, not a list of its one-character strings
+        texts = items(Check("string", lambda v: isinstance(v, str)))
+        with pytest.raises(InputError, match="doc: expected list .* got 'ab'"):
+            check("ab", texts, "doc")
+        cfg = TrainConfig(batch_size=np.int64(8), learning_rate=np.float32(0.5),
+                          memory_size_grid=(np.int64(4), 8))
+        assert (type(cfg.batch_size), type(cfg.learning_rate)) == (int, float)
+        assert type(cfg.memory_size_grid[0]) is int
+        json.dumps(cfg.to_dict())
+        det = DetectorConfig(window=np.int16(6), k=np.float64(2.5))
+        assert (type(det.window), type(det.k)) == (int, float)
+        json.dumps(asdict(det))
 
     @pytest.mark.parametrize("key, value, message", [
         ("n", 1.5, "doc: n: expected int >= 1, got 1.5"),

@@ -203,7 +203,9 @@ class TestTrain:
         _, report = train(data, cfg)
         assert report.stopped_early
         assert len(report.val_mse) < 200
-        assert len(report.val_mse) >= report.best_epoch + 1 + 3
+        assert len(report.val_mse) == report.best_epoch + 1 + cfg.patience
+        # the best epoch is the first to reach the minimum: a tie is no new best
+        assert report.best_epoch == report.val_mse.index(min(report.val_mse))
 
     def test_deterministic_given_seed(self):
         data = small_data(days=8)
@@ -284,10 +286,28 @@ class TestGridSearch:
         assert np.array_equal(again.to_vector(), params.to_vector())
         assert rep2.best_val_mse == best_rep.best_val_mse
 
+    def test_repeated_size_is_trained_once(self, monkeypatch):
+        # a repeat would overwrite the first run's entry in the reports,
+        # which then disagree with the returned best
+        from powernet import training
+        seeds = []
+
+        def counting_train(data, cfg):
+            seeds.append((cfg.memory_size, cfg.seed))
+            return train(data, cfg)
+
+        monkeypatch.setattr(training, "train", counting_train)
+        data = small_data(days=9)
+        cfg = small_cfg(memory_size_grid=(4, 8, 4), max_epochs=2, patience=2)
+        _, best_rep, reports = grid_search(data, cfg)
+        assert seeds == [(4, 0), (8, 1)]
+        assert set(reports) == {4, 8}
+        assert reports[best_rep.memory_size] is best_rep
+
     def test_tie_prefers_smaller_memory(self):
         # strict '<' comparison keeps the earlier (smaller) cell on a tie;
-        # identical duplicate sizes share the outcome only if seeds match,
-        # so check the documented ordering property on the report keys
+        # a repeated size is trained once, so check the documented ordering
+        # property on the report keys
         data = small_data(days=9)
         cfg = small_cfg(memory_size_grid=(4, 4), max_epochs=2, patience=2)
         params, best_rep, reports = grid_search(data, cfg)
