@@ -363,8 +363,11 @@ class GbtModel:
 
     def staged_predict(self, X):
         """The prediction after each boosting stage, each a new array, from
-        stage 0 (the initial prediction alone) to the last."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        stage 0 (the initial prediction alone) to the last. X is
+        (rows, features); any other shape is an InputError."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise InputError(f"X must be (rows, features), got shape {X.shape}")
         pred = np.full(len(X), self.initial_prediction)
         yield pred
         for tree in self.trees:
@@ -405,7 +408,7 @@ class GbtModel:
             d["left"], d["right"] = node(d["left"]), node(d["right"])
             return d
         return cls(initial_prediction=float(doc["initial_prediction"]),
-                   learning_rate=float(doc["learning_rate"]),
+                   learning_rate=doc["learning_rate"],
                    max_depth=doc["max_depth"], trees=[node(t) for t in doc["trees"]])
 
 

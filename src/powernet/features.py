@@ -181,9 +181,7 @@ def fit_feature_spec(d: AlignedDataset, train_slice: slice,
         raise InputError("empty training slice")
     if window_len is None:
         window_len = select_window(acf(kw, min(MAX_LAG, len(kw) - 1)), acf_threshold)
-    window_len = int(window_len)
-    if window_len < 1:
-        raise InputError(f"window_len must be >= 1, got {window_len}")
+    window_len = check(window_len, integer(1), "window_len")
 
     numeric = d.weather.numeric[train_slice]
     with warnings.catch_warnings():

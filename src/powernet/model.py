@@ -15,7 +15,10 @@ plain vectors; ``to_vector`` returns the vector itself and ``from_vector``
 wraps a vector without copying, so the new parameters share its memory.
 Only the model's outer boundary sees the paper's gate order [i, f, g, o]:
 ``init_params`` draws in it, and ``PowerNetParams.arrays`` and so the
-checkpoint hold it.
+checkpoint hold it. The four dense layers are two tables of (w, b) views,
+``p.fusion`` = [(w1, b1), (w2, b2)] and ``p.head`` = [(w3, b3), (w4, b4)],
+which one forward rule, ``_dense``, and one backward rule,
+``_dense_backward``, run.
 
 One time-major step, ``_lstm_step``, advances every stacked layer; it is
 the only LSTM recurrence. ``forward_batch`` runs the fusion MLP, that step
@@ -99,7 +102,9 @@ class PowerNetParams:
         n = len(self._views) - 8
         self.lstm = [LstmLayerParams(w) for w in self._views[:n]]
         (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4,
-         self.b4) = self._views[n:]
+         self.b4) = dense = self._views[n:]
+        self.fusion = [(dense[0], dense[1]), (dense[2], dense[3])]
+        self.head = [(dense[4], dense[5]), (dense[6], dense[7])]
 
     @property
     def m(self) -> int:
@@ -197,16 +202,8 @@ class ForwardTrace:
     """Everything the backward pass needs from one forward evaluation."""
 
     layers: list            # _LstmTrace per stacked layer
-    u: np.ndarray           # (B, 18) MLP input
-    s1: np.ndarray
-    a1d: np.ndarray
-    s2: np.ndarray
-    zd: np.ndarray          # (B, m + d2) head input after dropout
-    s3: np.ndarray
-    rd: np.ndarray
-    mask2: np.ndarray | None
-    mask3: np.ndarray | None
-    mask4: np.ndarray | None
+    fusion: list            # _dense's record of the fusion MLP
+    head: list              # and of the head
 
 
 def _step_views(traces: list, t: int = 0, t_next: int = 0) -> list:
@@ -300,36 +297,47 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
             np.matmul(tr.w_xh, dz, out=tr.dxh)
 
 
-def _dropout_mask(rng, shape, rate):
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
-
-
-def _fusion(fw, fc, B: int, p: PowerNetParams, mask2=None):
-    """The MLP over the weather/calendar input ``u``, [fw | fc] checked to
-    be (B, 18); returns (u, s1, a1d, s2, o) with ``o`` its (B, d2)
-    encoding. ``mask2`` is the dropout mask on the input of w2, or None."""
+def _fusion_input(fw, fc, B: int) -> np.ndarray:
+    """The fusion MLP's input u = [fw | fc], checked to be (B, 18)."""
     u = np.concatenate([np.asarray(fw, dtype=np.float64),
                         np.asarray(fc, dtype=np.float64)], axis=1)
-    if u.shape != (B, p.w1.shape[1]):
-        raise InputError(f"fusion input is {u.shape}, expected {(B, p.w1.shape[1])}")
-    s1 = u @ p.w1.T + p.b1
-    a1 = relu(s1)
-    a1d = a1 * mask2 if mask2 is not None else a1
-    s2 = a1d @ p.w2.T + p.b2
-    return u, s1, a1d, s2, relu(s2)
+    if u.shape != (B, N_AUX_FEATURES):
+        raise InputError(f"fusion input is {u.shape}, expected {(B, N_AUX_FEATURES)}")
+    return u
 
 
-def _head(z: np.ndarray, p: PowerNetParams, mask3=None, mask4=None):
-    """The regression head over z = [h | o], the LSTM state (B, m) beside
-    the fusion encoding (B, d2); returns (zd, s3, rd, yhat (B,)).
-    ``mask3`` and ``mask4`` are the dropout masks on the inputs of w3 and
-    w4, or None."""
-    zd = z * mask3 if mask3 is not None else z
-    s3 = zd @ p.w3.T + p.b3
-    r = relu(s3)
-    rd = r * mask4 if mask4 is not None else r
-    return zd, s3, rd, rd @ p.w4 + p.b4
+def _dense(a: np.ndarray, layers: list, rng=None, rate: float = 0.0,
+           drop_first: bool = True):
+    """Run the (w, b) ``layers`` on ``a`` (B, in). Per layer: with ``rng``,
+    inverted dropout at ``rate`` on its input (the first layer's only if
+    ``drop_first``); then s = a w^T + b; then ReLU after a matrix w, not
+    after the vector w4. Returns the output and, per layer, the record
+    (input after dropout, s, mask or None)."""
+    record = []
+    for w, b in layers:
+        mask = None
+        if rng is not None and (record or drop_first):
+            mask = (rng.random(a.shape) >= rate).astype(np.float64) / (1.0 - rate)
+            a = a * mask
+        s = a @ w.T + b
+        record.append((a, s, mask))
+        a = relu(s) if w.ndim == 2 else s
+    return a, record
+
+
+def _dense_backward(d: np.ndarray, layers: list, grads: list, record: list):
+    """The gradients of ``_dense`` from ``d``, the gradient on its output:
+    each layer's (dw, db) is written into the same place of ``grads``, a
+    table like ``layers``. Returns the gradient on the input."""
+    for (w, _), (gw, gb), (a, s, mask) in zip(layers[::-1], grads[::-1], record[::-1]):
+        if w.ndim == 2:
+            d = d * relu_grad(s)
+        gw[:] = d.T @ a
+        gb[:] = d.sum(axis=0)
+        d = d @ w if w.ndim == 2 else d[:, None] * w[None, :]
+        if mask is not None:
+            d = d * mask
+    return d
 
 
 def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
@@ -350,15 +358,10 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     if E.ndim != 2 or E.shape[1] < 1:
         raise InputError(f"E must be (B, T) with T >= 1, got {E.shape}")
     B = E.shape[0]
-    use_dropout = train and dropout_rate > 0.0
-    if use_dropout and rng is None:
+    drop = (rng, dropout_rate) if train and dropout_rate > 0.0 else ()
+    if drop and rng is None:
         raise InputError("train-mode dropout needs an rng")
-
-    # masks on the inputs of w2, w3 and w4, drawn in that order
-    shapes = ((B, p.w1.shape[0]), (B, p.w3.shape[1]), (B, p.w3.shape[0]))
-    mask2, mask3, mask4 = ([_dropout_mask(rng, s, dropout_rate) for s in shapes]
-                           if use_dropout else [None] * 3)
-    u, s1, a1d, s2, o = _fusion(fw, fc, B, p, mask2)
+    o, fusion = _dense(_fusion_input(fw, fc, B), p.fusion, *drop, drop_first=False)
     T = E.shape[1]
     # in training time step t reads trace step t and writes t + 1, so all
     # are kept; in inference every time step reads and overwrites step 0
@@ -370,10 +373,8 @@ def forward_batch(E: np.ndarray, fw: np.ndarray, fc: np.ndarray,
         _lstm_step(views or _step_views(traces, t, t + 1))
     top = traces[-1]
     z = np.concatenate([top.op[keep * T, top.n_in:-1].T, o], axis=1)
-    zd, s3, rd, yhat = _head(z, p, mask3, mask4)
-    trace = (ForwardTrace(layers=traces, u=u, s1=s1, a1d=a1d, s2=s2, zd=zd,
-                          s3=s3, rd=rd, mask2=mask2, mask3=mask3, mask4=mask4)
-             if train else None)
+    yhat, head = _dense(z, p.head, *drop)
+    trace = ForwardTrace(traces, fusion, head) if train else None
     return yhat, trace
 
 
@@ -395,7 +396,7 @@ def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
     """
     n, horizon, m = len(history), len(fw), p.m
     z = np.empty((horizon, m + p.w2.shape[0]))   # [h | o] per hour
-    z[:, m:] = _fusion(fw, fc, horizon, p)[-1]
+    z[:, m:] = _dense(_fusion_input(fw, fc, horizon), p.fusion)[0]
     yhat = np.empty(horizon)
     ring = min(n, horizon)   # windows j >= horizon are never started
     traces = [_LstmTrace(layer, 1, ring) for layer in p.lstm]
@@ -413,7 +414,7 @@ def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
         done = step - n + 1          # the window that has read n inputs
         if done >= 0:
             z[done, :m] = columns[done % n][-2]   # the top layer's h
-            yhat[done] = _head(z[done:done + 1], p)[-1][0]
+            yhat[done] = _dense(z[done:done + 1], p.head)[0][0]
             fed = feed(yhat[done])   # the input of the next step
     return yhat
 
@@ -421,35 +422,11 @@ def forward_recursive(history: np.ndarray, fw: np.ndarray, fc: np.ndarray,
 def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
                    p: PowerNetParams) -> PowerNetParams:
     """Exact gradients of sum_b dyhat_b * yhat_b w.r.t. every parameter."""
-    dyhat = np.asarray(dyhat, dtype=np.float64)
-    m = p.m
     grads = p.zeros_like()
-
-    grads.w4[:] = trace.rd.T @ dyhat
-    grads.b4[0] = dyhat.sum()
-    dr = dyhat[:, None] * p.w4[None, :]
-    if trace.mask4 is not None:
-        dr = dr * trace.mask4
-    ds3 = dr * relu_grad(trace.s3)
-    grads.w3[:] = ds3.T @ trace.zd
-    grads.b3[:] = ds3.sum(axis=0)
-    dz = ds3 @ p.w3
-    if trace.mask3 is not None:
-        dz = dz * trace.mask3
-    dh_final = dz[:, :m]
-    do = dz[:, m:]
-
-    ds2 = do * relu_grad(trace.s2)
-    grads.w2[:] = ds2.T @ trace.a1d
-    grads.b2[:] = ds2.sum(axis=0)
-    da1 = ds2 @ p.w2
-    if trace.mask2 is not None:
-        da1 = da1 * trace.mask2
-    ds1 = da1 * relu_grad(trace.s1)
-    grads.w1[:] = ds1.T @ trace.u
-    grads.b1[:] = ds1.sum(axis=0)
-
-    _lstm_backward(trace.layers, grads.lstm, dh_final)
+    dz = _dense_backward(np.asarray(dyhat, dtype=np.float64), p.head, grads.head,
+                         trace.head)
+    _dense_backward(dz[:, p.m:], p.fusion, grads.fusion, trace.fusion)
+    _lstm_backward(trace.layers, grads.lstm, dz[:, :p.m])
     return grads
 
 

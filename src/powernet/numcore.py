@@ -23,7 +23,7 @@ class InputError(ValueError):
 
 
 def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_grad(pre_activation):

@@ -16,7 +16,7 @@ import numpy as np
 from .features import ExampleSet, Split
 from .metrics import mse
 from .model import PowerNetParams, backward_batch, forward_batch, init_params
-from .numcore import InputError, check, integer, items, real
+from .numcore import InputError, check, finite, integer, items, real
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -112,8 +112,7 @@ def loss(E, fw, fc, y, p: PowerNetParams, l2_lambda: float = 0.0,
     value = float(np.mean(resid ** 2))
     grads = backward_batch(trace, 2.0 * resid / len(y), p)
     if l2_lambda > 0.0:
-        for w, g in ((p.w1, grads.w1), (p.w2, grads.w2), (p.w3, grads.w3),
-                     (p.w4, grads.w4)):
+        for (w, _), (g, _) in zip(p.fusion + p.head, grads.fusion + grads.head):
             value += l2_lambda * float(np.sum(w ** 2))
             g += 2.0 * l2_lambda * w
     return value, grads
@@ -156,11 +155,15 @@ def train(data: ExampleSet, cfg: TrainConfig):
     """Full training loop; returns (best params, TrainReport).
 
     Stops when validation MSE has not improved for cfg.patience epochs and
-    returns the parameters of the best validation epoch.
+    returns the parameters of the best validation epoch. An empty split,
+    or a non-finite value in either split's examples, is an InputError.
     """
     tr = data.train
     if len(tr) == 0 or len(data.validation) == 0:
         raise InputError("train and validation splits must be non-empty")
+    for name, split in (("train", tr), ("validation", data.validation)):
+        for a in (split.E, split.FW, split.FC, split.y):
+            finite(a, f"the {name} split")
     t0 = time.monotonic()
     rng = np.random.default_rng(cfg.seed)
     p = init_params(cfg.memory_size, cfg.d1, cfg.d2, cfg.d3,

@@ -495,6 +495,24 @@ class TestGbt:
         assert np.allclose(back.predict(X), model.predict(X), atol=0)
         assert back.to_json() == model.to_json()
 
+    def test_int_rate_round_trips(self):
+        X, y = self.small_problem(seed=4, n=30)
+        model = fit_gbt(X, y, n_estimators=3, max_depth=2, learning_rate=1)
+        back = GbtModel.from_dict(json.loads(model.to_json()), X.shape[1])
+        assert back.to_json() == model.to_json()
+        assert np.array_equal(back.predict(X), model.predict(X))
+
+    def test_predict_needs_rows_of_features(self):
+        # an empty list is no rows of no features, not one row
+        X, y = self.small_problem(seed=5, n=20)
+        for model in (GbtModel(0.0), fit_gbt(X, y, n_estimators=2)):
+            for bad in ([], X[0], [[[1.0]]]):
+                with pytest.raises(InputError, match="rows, features"):
+                    model.predict(bad)
+                with pytest.raises(InputError, match="rows, features"):
+                    next(model.staged_predict(bad))
+            assert model.predict(np.empty((0, 3))).shape == (0,)
+
     def test_version_guard(self):
         X, y = self.small_problem(seed=5, n=20)
         doc = fit_gbt(X, y, n_estimators=2).to_json().replace(

@@ -233,6 +233,12 @@ class TestFitFeatureSpec:
         raw = d.kw[300:350]
         assert np.allclose(spec.denormalize_kw(spec.normalize_kw(raw)), raw, atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [2.7, "3", 0, True])
+    def test_window_len_must_be_a_positive_int(self, bad):
+        d = make_aligned_dataset(days=30, seed=1)
+        with pytest.raises(InputError, match="^window_len: expected int >= 1"):
+            fit_feature_spec(d, slice(0, 200), window_len=bad)
+
     def test_json_round_trip(self):
         d = make_aligned_dataset(days=30, seed=1)
         spec = fit_feature_spec(d, slice(0, 200))

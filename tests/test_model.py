@@ -78,7 +78,7 @@ def encode_one(E, p):
 def fuse_one(fw, fc, p):
     """Output of the weather/calendar MLP for one example."""
     trace = forward_one(np.zeros(1), fw, fc, p)[1]
-    return trace.zd[0, p.m:]
+    return trace.head[0][0][0, p.m:]   # the head's first input, [h | o]
 
 
 class TestLstmStep:
@@ -285,7 +285,7 @@ class TestPredictHead:
         rng = np.random.default_rng(6)
         y, trace = forward_one(rng.normal(size=4), rng.normal(size=13),
                                rng.normal(size=5), p)
-        z = trace.zd[0]   # no dropout: the head's input itself
+        z = trace.head[0][0][0]   # no dropout: the head's input itself
         assert np.array_equal(z[:p.m], h_final(trace)[0])
         r = [max(sum(p.w3[i, j] * z[j] for j in range(len(z))) + p.b3[i], 0)
              for i in range(p.w3.shape[0])]
@@ -303,10 +303,12 @@ class TestPredictHead:
         y1, tr1 = forward_one(E, fw1, fc, p)
         y2, tr2 = forward_one(E, fw2, fc, p)
         mid, tr_mid = forward_one(E, (fw1 + fw2) / 2, fc, p)
-        for s in ("s1", "s2", "s3"):
-            pattern = getattr(tr1, s) > 0
-            assert np.array_equal(pattern, getattr(tr2, s) > 0)
-            assert np.array_equal(pattern, getattr(tr_mid, s) > 0)
+        def patterns(trace):   # the signs of s1, s2 and s3
+            return [s > 0 for _, s, _ in trace.fusion + trace.head[:1]]
+
+        for pattern, other, middle in zip(patterns(tr1), patterns(tr2), patterns(tr_mid)):
+            assert np.array_equal(pattern, other)
+            assert np.array_equal(pattern, middle)
         assert mid == pytest.approx((y1 + y2) / 2, abs=1e-10)
 
 
@@ -442,6 +444,24 @@ class TestBackward:
         err = grad_check(self.loss_fn(p, E, FW, FC, y, l2=0.01),
                          p.to_vector(), grads.to_vector())
         assert err < 1e-4
+
+    def test_grad_check_with_dropout(self):
+        # a fresh rng per evaluation draws the same masks every time, so
+        # the loss is one fixed function of the parameters
+        rng = np.random.default_rng(17)
+        p = small_params(m=4, d1=5, d2=4, d3=6, seed=17)
+        vec = p.to_vector()
+        p = p.from_vector(vec + 0.01 * rng.normal(size=vec.size))
+        E, FW, FC = (rng.normal(size=(3, n)) for n in (5, 13, 5))
+        y = rng.normal(size=3)
+
+        def f(vec):
+            return loss(E, FW, FC, y, p.from_vector(vec), dropout_rate=0.3,
+                        rng=np.random.default_rng(5))[0]
+
+        _, grads = loss(E, FW, FC, y, p, dropout_rate=0.3,
+                        rng=np.random.default_rng(5))
+        assert grad_check(f, p.to_vector(), grads.to_vector()) < 1e-4
 
     def test_zero_upstream_gradient(self):
         p = small_params()

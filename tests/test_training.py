@@ -259,6 +259,16 @@ class TestTrain:
         with pytest.raises(InputError, match="validation"):
             train(without_validation(small_data(days=8)), small_cfg())
 
+    @pytest.mark.parametrize("split, where, bad", [
+        ("train", "E", np.nan), ("train", "y", np.nan), ("train", "FC", -np.inf),
+        ("validation", "FW", np.inf), ("validation", "y", np.inf)])
+    def test_non_finite_example_is_an_input_error(self, split, where, bad):
+        # an input fault, named by its split, and not a divergence
+        data = small_data(days=8)
+        getattr(getattr(data, split), where).flat[3] = bad
+        with pytest.raises(InputError, match=f"^the {split} split holds a non-finite"):
+            train(data, small_cfg())
+
     def test_learns_sinusoid_quickly(self):
         d = make_sinusoid_dataset(days=10, seed=0)
         n = len(d)
@@ -304,14 +314,20 @@ class TestGridSearch:
         assert set(reports) == {4, 8}
         assert reports[best_rep.memory_size] is best_rep
 
-    def test_tie_prefers_smaller_memory(self):
-        # strict '<' comparison keeps the earlier (smaller) cell on a tie;
-        # a repeated size is trained once, so check the documented ordering
-        # property on the report keys
-        data = small_data(days=9)
-        cfg = small_cfg(memory_size_grid=(4, 4), max_epochs=2, patience=2)
-        params, best_rep, reports = grid_search(data, cfg)
-        assert best_rep.memory_size == 4
+    def test_tie_prefers_earlier_memory_size(self, monkeypatch):
+        # every cell reports the same validation MSE: the earlier size in
+        # the grid wins, even when it is the larger one
+        from powernet import training
+
+        def tied_train(data, cfg):
+            rep = TrainReport(val_mse=[0.5], best_epoch=0, memory_size=cfg.memory_size)
+            return init_params(cfg.memory_size, cfg.d1, cfg.d2, cfg.d3), rep
+
+        monkeypatch.setattr(training, "train", tied_train)
+        cfg = small_cfg(memory_size_grid=(8, 4))
+        params, best_rep, reports = grid_search(small_data(days=9), cfg)
+        assert set(reports) == {8, 4}
+        assert best_rep.memory_size == 8 and params.m == 8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_cell_skipped(self):
