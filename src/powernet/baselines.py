@@ -254,8 +254,6 @@ def best_split(X: np.ndarray, y: np.ndarray):
     not be the lowest feature. X and y are refused as fit_gbt refuses them.
     """
     X, y = _fit_inputs(X, y)
-    if len(y) < 2:
-        return None
     _, order, xs = _presorted(X)
     return _split_search(y, order, xs, np.arange(len(y)))
 

@@ -378,8 +378,9 @@ def load_weather(path) -> WeatherTable:
 
     A cell missing from a short row reads as empty, and a repeated column
     name reads its last column. A ``time`` cell that is not a timestamp is
-    a hard error naming the row; an unparseable numeric cell, or one not
-    below MAX_VALUE in magnitude, is stored as NaN (missing).
+    a hard error naming the row, as is a time that an earlier row has; an
+    unparseable numeric cell, or one not below MAX_VALUE in magnitude, is
+    stored as NaN (missing).
     """
     text = read_text(path, "weather CSV")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -406,9 +407,16 @@ def load_weather(path) -> WeatherTable:
     if not ok.all():
         k = int(np.argmin(ok))
         raise InputError(f"{path}: row {line_nums[k]}: bad time {cells_of_time[k]!r}")
-    order = np.argsort(times)
+    order = np.argsort(times, kind="stable")
+    in_order = times[order]
+    repeats = order[1:][in_order[1:] == in_order[:-1]]
+    if len(repeats):   # name the first row in the file that repeats a time
+        k = int(repeats.min())
+        first = int(np.argmax(times == times[k]))
+        raise InputError(f"{path}: row {line_nums[k]}: time {cells_of_time[k]!r} "
+                         f"repeats row {line_nums[first]}")
     return WeatherTable(
-        times=times[order],
+        times=in_order,
         summary=tuple(summary[i].strip() for i in order.tolist()),
         icon=tuple(icon[i].strip() for i in order.tolist()),
         numeric=numeric[order],

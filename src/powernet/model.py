@@ -31,13 +31,23 @@ and of the layer above.
 
 With ``train=True`` the step records into time-major trace arrays that
 hold every step's operand and gates, beside the backward pass's scratch,
-and dropout applies. ``backward_batch`` makes one product per layer-step
-for [dW_x | dW_h | db], added into the gradient's block, and one for
-[dx; dh]. Inference (``train=False``) and ``forward_recursive`` run the
-same step on one step of those arrays, holding only the current state, so
-memory does not grow with the window, and bind that step's views once per
-call instead of once per step; inference returns ``(yhat, None)``, bitwise
-equal to train mode at dropout 0.
+and dropout applies. ``backward_batch`` computes per layer-step the
+product [dW_x | dW_h | db], added into the gradient's block, and the
+product [dx; dh]. Inference (``train=False``) and ``forward_recursive``
+run the same step on one step of those arrays, holding only the current
+state, so memory does not grow with the window, and bind that step's
+views once per call instead of once per step; inference returns
+``(yhat, None)``, bitwise equal to train mode at dropout 0.
+
+Each LSTM product runs where OpenBLAS is fastest at these sizes. A
+product with M*N*K <= 10^6 takes its small-matrix kernel, which skips the
+packing that dominates a product this small, so one just over that bound
+runs as its two row halves (``_products``; at m=64, the second layer's
+products at B=32 and its forward at B=48). The weight gradient multiplies
+dz by a transposed copy of the operand, an NN product. The blocks are
+chosen where the step's views are bound. Row halves give the same bits as
+the whole product; the NN weight gradient rounds differently, by about
+1e-16 of its largest entry.
 """
 
 from __future__ import annotations
@@ -159,6 +169,18 @@ def init_params(m: int, d1: int, d2: int, d3: int, seed: int = 0,
 
 
 _BPTT_CHUNK = 16   # steps whose gate derivatives the backward pass takes at once
+_SMALL_GEMM = 10 ** 6   # the largest M*N*K OpenBLAS multiplies without packing
+
+
+def _products(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """The (a, b, out) triples whose products write a @ b into ``out``: the
+    whole product, or its two row halves where its M*N*K is over
+    ``_SMALL_GEMM`` and each half's is not."""
+    (M, K), N = a.shape, b.shape[1]
+    h = (M + 1) // 2
+    if M * N * K <= _SMALL_GEMM or h * N * K > _SMALL_GEMM:
+        return [(a, b, out)]
+    return [(a[:h], b, out[:h]), (a[h:], b, out[h:])]
 
 
 class _LstmTrace:
@@ -169,10 +191,13 @@ class _LstmTrace:
 
     Each step holds one column per window, so that every block the step
     works on is contiguous: ``op[t]`` is the (in + m + 1, B) operand
-    [x_t; h_{t-1}; 1] of the step's one product with ``w``, ``gate[t]``
+    [x_t; h_{t-1}; 1] of the step's product with ``w``, ``gate[t]``
     (5m, B) holds the activated gates [i; f; o; g] above c_{t-1}, so that
     i*g and f*c_{t-1} are one product, and ``tanh_c[t]`` is tanh(c_t);
-    ``prod`` is scratch for [i*g; f*c_{t-1}].
+    ``prod`` is scratch for [i*g; f*c_{t-1}]. In training, ``products``
+    are the backward pass's products of each step (``_products``): the
+    weight gradient dz ``op_T``, with ``op_T`` the step's operand
+    transposed, into ``step_acc``, then [dx; dh] = ``w_xh`` dz.
     """
 
     def __init__(self, layer: LstmLayerParams, steps: int, B: int,
@@ -187,11 +212,14 @@ class _LstmTrace:
         if train:
             chunk = min(steps - 1, _BPTT_CHUNK)
             fields += [("w_xh", (n_in + m, 4 * m)), ("step_acc", (4 * m, w_op)),
-                       ("dxh", (n_in + m, B)), ("dc", (m, B)),
+                       ("op_T", (B, w_op)), ("dxh", (n_in + m, B)), ("dc", (m, B)),
                        ("deriv", (chunk, 4 * m, B)), ("dc_dh", (chunk, m, B)),
                        ("dz", (4 * m, B)), ("tmp", (m, B)), ("dh_sum", (m, B))]
         for name, shape in fields:
             setattr(self, name, np.empty(shape))
+        if train:
+            self.products = (_products(self.dz, self.op_T, self.step_acc)
+                             + _products(self.w_xh, self.dz, self.dxh))
         self.op[:, -1] = 1.0
         self.op[0, n_in:-1] = 0.0
         self.gate[0, 4 * m:] = 0.0
@@ -209,15 +237,17 @@ class ForwardTrace:
 def _step_views(traces: list, t: int = 0, t_next: int = 0) -> list:
     """Per layer, the views ``_lstm_step`` works on for one time step that
     reads the operand and gates of step t and writes c_t and h_t into step
-    t_next: the weights, the operand, the gate block and its parts, the
-    prod scratch and its halves, c, tanh(c), o, h, and the x rows of the
-    layer above at step t (None for the top layer). Training binds them
-    for every step with t_next = t + 1 and so keeps every step; inference
-    binds them once with t = t_next = 0 and works in place."""
+    t_next: the ``_products`` of the weights and the operand into the gate
+    block, the gate block and its parts, the prod scratch and its halves,
+    c, tanh(c), o, h, and the x rows of the layer above at step t (None for
+    the top layer). Training binds them for every step with t_next = t + 1
+    and so keeps every step; inference binds them once with t = t_next = 0
+    and works in place."""
     views = []
     for k, tr in enumerate(traces):
         m, gate, prod = tr.m, tr.gate, tr.prod
-        views.append((tr.w, tr.op[t], gate[t, :4 * m], gate[t, :3 * m],
+        views.append((_products(tr.w, tr.op[t], gate[t, :4 * m]),
+                      gate[t, :4 * m], gate[t, :3 * m],
                       gate[t, :2 * m], gate[t, 3 * m:], prod, prod[:m], prod[m:],
                       gate[t_next, 4 * m:], tr.tanh_c[t], gate[t, 2 * m:3 * m],
                       tr.op[t_next, tr.n_in:-1],
@@ -229,8 +259,9 @@ def _lstm_step(views: list):
     """Advance every layer one time step on the views of ``_step_views``,
     writing h into the x rows of the layer above. The caller has written
     layer 0's input into the x row of its operand."""
-    for w, op, z, s, i_f, g_c, prod, ig, fc, c, tanh_c, o, h, x_next in views:
-        np.matmul(w, op, out=z)
+    for products, z, s, i_f, g_c, prod, ig, fc, c, tanh_c, o, h, x_next in views:
+        for a, b, out in products:
+            np.matmul(a, b, out=out)
         np.multiply(s, 0.5, out=s)      # sigmoid(z) = 1/2 + tanh(z/2)/2
         np.tanh(z, out=z)
         np.multiply(s, 0.5, out=s)
@@ -251,8 +282,8 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
 
     ``dz`` is the gradient with respect to the pre-activation
     z = w [x; h_prev; 1]. Each step adds dz [x; h_prev; 1]^T into the
-    layer's block in ``grads`` (zero on entry), and [dx; dh] is one product
-    with the block's transpose. The activation derivatives
+    layer's block in ``grads`` (zero on entry), and [dx; dh] is the product
+    of the block's transpose and dz. The activation derivatives
     (sigma (1 - sigma) = s - s^2 for i, f and o, 1 - g^2 for g) and
     o (1 - tanh(c)^2) are taken ``_BPTT_CHUNK`` steps at a time.
     """
@@ -292,9 +323,10 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
             np.multiply(dc, gate[:m], out=dz[3 * m:])
             np.multiply(dz, tr.deriv[j], out=dz)
             np.multiply(dc, gate[m:2 * m], out=dc)   # dc for step t - 1
-            np.matmul(dz, tr.op[t].T, out=tr.step_acc)
+            tr.op_T[...] = tr.op[t].T
+            for a, b, out in tr.products:
+                np.matmul(a, b, out=out)
             np.add(gw, tr.step_acc, out=gw)
-            np.matmul(tr.w_xh, dz, out=tr.dxh)
 
 
 def _fusion_input(fw, fc, B: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from powernet import cli
 from powernet.cli import main
 from powernet.dataio import dataset_to_json
 from powernet.synth import make_aligned_dataset
+from powernet.training import TrainingError
 
 
 FAST = ["--splits", "96:48:48", "--window-len", "6", "--memory-size", "4",
@@ -130,6 +131,40 @@ class TestSynthIngest:
             del rows[7][3:]
         err = self.ingest_edited_weather(tmp_path, capsys, edit)
         assert "weather.csv" in err and "row 8: bad time ''" in err
+
+    def test_repeated_weather_hour_is_usage_error(self, tmp_path, capsys):
+        def edit(rows):
+            rows[9][0] = rows[7][0]
+        err = self.ingest_edited_weather(tmp_path, capsys, edit)
+        assert err == (f"error: {tmp_path / 'fx' / 'weather.csv'}: row 10: time "
+                       f"'2016-04-01T06:00:00' repeats row 8\n")
+
+    def test_consumption_without_a_parseable_row_is_usage_error(self, tmp_path,
+                                                                capsys):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "2",
+                     "--apartments", "1"]) == 0
+        (fx / "Apt1.csv").write_text("timestamp,power_kW\nsoon,1.5\n")
+        capsys.readouterr()
+        rc = main(["ingest", "--consumption", str(fx / "Apt1.csv"),
+                   "--weather", str(fx / "weather.csv"),
+                   "--out", str(tmp_path / "out")])
+        assert (assert_usage_error(rc, capsys)
+                == f"error: {fx / 'Apt1.csv'}: no parseable rows\n")
+
+    def test_hourly_consumption(self, tmp_path):
+        # the readings on the hour of a quarter-hour fixture, read as hourly
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--days", "3",
+                     "--apartments", "1", "--seed", "1"]) == 0
+        lines = (fx / "Apt1.csv").read_text().splitlines()[::4]
+        (fx / "hourly.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--consumption", str(fx / "hourly.csv"),
+                     "--format", "hourly", "--weather", str(fx / "weather.csv"),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "dataset.json").read_text())
+        assert doc["kw"] == [float(line.split(",")[1]) for line in lines]
 
     @pytest.mark.parametrize("name, cell", [("Apt1.csv", 1),
                                             ("weather.csv", 3)])
@@ -373,12 +408,15 @@ class TestTrain:
         (["--model", "gbt", "--seed", "-1"], {}, "seed: expected int >= 0, got -1"),
         (["--learning-rate", "1e308"], {}, "learning_rate: expected real in (0, 1)"),
         ([], {"l2_lambda": 1e308}, "l2_lambda: expected real in [0, 1)"),
+        ([], [{"memory_size": 4}], "must be a JSON object"),
+        (["--splits", "960:48:48"], {}, "need 1056 rows, have 240"),
     ], ids=["memory_size", "window_len", "stack", "learning_rate_nan",
             "learning_rate_inf", "l2_lambda", "d1", "config_splits_int",
             "config_acf_threshold_text", "config_max_epochs_float",
             "config_window_len_bool", "config_memory_size_text",
             "config_memory_size_grid_text", "seed_flag", "config_seed",
-            "gbt_seed_flag", "learning_rate_huge", "l2_lambda_huge"])
+            "gbt_seed_flag", "learning_rate_huge", "l2_lambda_huge",
+            "config_list", "dataset_shorter_than_splits"])
     def test_bad_training_setting(self, dataset_path, tmp_path, capsys,
                                   flags, config, field):
         cfg = tmp_path / "cfg.json"
@@ -391,6 +429,15 @@ class TestTrain:
                    "--out", str(out)] + fast + flags)
         assert field in assert_usage_error(rc, capsys)
         assert not out.exists()
+
+    def test_diverged_training_is_internal_error(self, dataset_path, tmp_path,
+                                                 capsys, monkeypatch):
+        def diverge(*args):
+            raise TrainingError("loss is nan at epoch 0")
+        monkeypatch.setattr(cli, "train", diverge)
+        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: loss is nan at epoch 0\n"
 
     def test_flag_and_file_fail_alike(self, dataset_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -859,6 +906,17 @@ class TestAnomaly:
                    "--detect-theta", "0.5", "--detector-k", "nan",
                    "--out", str(out)])
         assert "k: expected real > 0, got nan" in assert_usage_error(rc, capsys)
+        assert not out.exists()
+
+    def test_horizon_shorter_than_detector_window_is_usage_error(
+            self, dataset_path, checkpoint_dir, tmp_path, capsys):
+        out = tmp_path / "an"
+        rc = main(["anomaly", "--checkpoint",
+                   str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--horizon", "12",
+                   "--detect-theta", "0.5", "--detector-window", "24",
+                   "--out", str(out)])
+        assert "need at least 24 hours, have 12" in assert_usage_error(rc, capsys)
         assert not out.exists()
 
 

@@ -361,15 +361,17 @@ class TestForward:
 
     @pytest.mark.parametrize("stack", [1, 2, 3])
     def test_inference_bitwise_equals_train_mode(self, stack):
-        p = small_params(stack=stack, seed=stack)
+        # at m=64 the products of the layers above the first run as two row
+        # halves at B=32 and B=48, and as one product at B <= 24
         rng = np.random.default_rng(19)
-        for B in (1, 4):
+        for m, B in ((4, 1), (4, 4), (64, 24), (64, 32), (64, 48)):
+            p = small_params(m=m, stack=stack, seed=stack)
             for T in (1, 5, 24):
                 E = rng.normal(size=(B, T))
                 FW, FC = rng.normal(size=(B, 13)), rng.normal(size=(B, 5))
                 y_train, _ = forward_batch(E, FW, FC, p, train=True)
                 y_infer, _ = forward_batch(E, FW, FC, p, train=False)
-                assert np.array_equal(y_train, y_infer), (B, T)
+                assert np.array_equal(y_train, y_infer), (m, B, T)
 
     def test_inference_memory_is_independent_of_the_window(self):
         # the training trace grows as T*B*m; inference holds one (B, m)
@@ -462,6 +464,33 @@ class TestBackward:
         _, grads = loss(E, FW, FC, y, p, dropout_rate=0.3,
                         rng=np.random.default_rng(5))
         assert grad_check(f, p.to_vector(), grads.to_vector()) < 1e-4
+
+    def test_directional_derivatives_at_training_size(self):
+        # m=64, B=32: the LSTM products run as row halves and the weight
+        # gradient as an NN product; central differences along seeded
+        # directions in each LSTM block and in the whole vector
+        rng = np.random.default_rng(21)
+        p = init_params(64, 32, 16, 32, seed=21)
+        E, FW, FC = (rng.normal(size=(32, n)) for n in (3, 13, 5))
+        y = rng.normal(size=32)
+
+        def f(vec):
+            return loss(E, FW, FC, y, p.from_vector(vec), l2_lambda=1e-4,
+                        dropout_rate=0.1, rng=np.random.default_rng(5))[0]
+
+        vec = p.to_vector()
+        grad = loss(E, FW, FC, y, p, l2_lambda=1e-4, dropout_rate=0.1,
+                    rng=np.random.default_rng(5))[1].to_vector()
+        blocks = [(start, stop) for name, start, stop, _ in p.layout
+                  if name.startswith("lstm")] + [(0, vec.size)]
+        h = 1e-5
+        for start, stop in blocks:
+            for _ in range(2):
+                v = np.zeros(vec.size)
+                v[start:stop] = rng.normal(size=stop - start)
+                v /= np.linalg.norm(v)
+                fd = (f(vec + h * v) - f(vec - h * v)) / (2 * h)
+                assert fd == pytest.approx(grad @ v, rel=1e-6, abs=1e-9), (start, stop)
 
     def test_zero_upstream_gradient(self):
         p = small_params()
