@@ -60,10 +60,14 @@ MAX_TARGET_MASS = 1e153
 
 
 def _fit_inputs(X, y):
-    """(X, y) as float64 arrays; no rows, a NaN or infinity in either, or a
-    y over MAX_TARGET_MASS / len(y) in magnitude, is an InputError naming it."""
+    """(X, y) as float64 arrays; an X that is not 2-D or a y that is not 1-D
+    with one target per row of X, no rows, a NaN or infinity in either, or
+    a y over MAX_TARGET_MASS / len(y) in magnitude, is an InputError naming it."""
     X = finite(np.asarray(X, dtype=np.float64), "X")
     y = finite(np.asarray(y, dtype=np.float64), "y")
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise InputError(f"X must be (rows, features) and y (rows,), "
+                         f"got {X.shape} and {y.shape}")
     if len(y) == 0:
         raise InputError("empty training set")
     if np.abs(y).max() > MAX_TARGET_MASS / len(y):

@@ -126,7 +126,11 @@ def _load_dataset(path):
     return _parse_file(path, "dataset", dataio.dataset_from_json)
 
 
-def _prepare_examples(d, cfg: dict):
+def _prepare_examples(d, cfg: dict, path):
+    need, splits = sum(cfg["splits"]), ":".join(map(str, cfg["splits"]))
+    if need > len(d):
+        raise InputError(f"dataset {path} is too short for --splits {splits}: "
+                         f"need {need} rows, have {len(d)}")
     bounds = tail_splits(len(d), *cfg["splits"])
     spec = fit_feature_spec(d, slice(*bounds[0]), window_len=cfg["window_len"],
                             acf_threshold=cfg["acf_threshold"])
@@ -150,6 +154,12 @@ def cmd_ingest(args):
     series = [dataio.resample_hourly(
                   dataio.load_consumption(p, args.format, report=report))
               for p in args.consumption]
+    for path, s in zip(args.consumption, series):
+        if args.aggregate and (s.start, len(s)) != (series[0].start, len(series[0])):
+            raise InputError(
+                f"--aggregate needs files over the same hours: {path} has {len(s)} hours "
+                f"from {dataio.format_timestamp(s.start)}, {args.consumption[0]} "
+                f"{len(series[0])} hours from {dataio.format_timestamp(series[0].start)}")
     hourly = dataio.aggregate(series) if args.aggregate else series[0]
     hourly = dataio.fill_gaps(hourly, max_run=args.fill_max_run)
     weather = dataio.load_weather(args.weather)
@@ -171,7 +181,7 @@ def cmd_train(args):
     cfg = _load_config(args)
     tcfg = TrainConfig(**{key: cfg[key] for key in TrainConfig.CHECKS})
     d = _load_dataset(args.dataset)
-    data, bounds = _prepare_examples(d, cfg)
+    data, bounds = _prepare_examples(d, cfg, args.dataset)
     spec, splits = data.spec.to_dict(), [list(b) for b in bounds]
     out = _out_dir(args)
     if args.model == "gbt":
@@ -207,8 +217,8 @@ def _model_inputs(args):
     holds the powernet weights and is None for a GBT; ``splits`` is None
     when the checkpoint records none.
 
-    Commands with a ``--horizon`` need a powernet checkpoint, and their
-    ``start_row`` defaults to ``len(d) - horizon``."""
+    Commands with a ``--horizon`` need a powernet checkpoint, and
+    ``_check_horizon`` sets and checks their ``start_row``."""
     def parse(text):
         doc = json.loads(text)
         spec = FeatureSpec.from_dict(doc["feature_spec"])
@@ -226,9 +236,30 @@ def _model_inputs(args):
     if forecasting and params is None:
         raise InputError(f"{args.command} requires a powernet checkpoint")
     d = _load_dataset(args.dataset)
-    if forecasting and args.start_row is None:
-        args.start_row = len(d) - args.horizon
+    if forecasting:
+        _check_horizon(args, spec.window_len, len(d))
     return params, predict, spec, splits, d
+
+
+def _check_horizon(args, window: int, rows: int):
+    """Refuse, before any work, a ``--horizon`` or ``--start-row`` whose
+    hours do not fit in the dataset's ``rows`` after the checkpoint's
+    ``window`` hours of history, and for ``--detect-theta`` as many clean
+    hours again before those; ``--start-row`` defaults to ``rows - horizon``."""
+    h, detect = args.horizon, getattr(args, "detect_theta", None) is not None
+    if h < 1:
+        raise InputError(f"--horizon must be >= 1, got {h}")
+    history = window + h * detect   # rows read before --start-row
+    if args.start_row is None:
+        args.start_row, need = rows - h, f"--horizon {h} needs {history + h} rows"
+    else:
+        need = (f"--start-row {args.start_row} with --horizon {h} needs rows "
+                f"{args.start_row - history}..{args.start_row + h - 1}")
+    if not history <= args.start_row <= rows - h:
+        clean = f" and {h} clean hours for --detect-theta" if detect else ""
+        raise InputError(f"{need} of {args.dataset}, which has {rows} rows: {window} "
+                         f"hours of history (the checkpoint's window){clean} come "
+                         f"before the {h} hours")
 
 
 def cmd_evaluate(args):
@@ -281,6 +312,10 @@ def cmd_anomaly(args):
     detect = args.detect_theta is not None
     if detect:   # detector settings are checked before any work
         cfg = DetectorConfig(window=args.detector_window, k=args.detector_k)
+        if args.horizon < cfg.window:
+            raise InputError(f"--horizon {args.horizon} is shorter than --detector-window "
+                             f"{cfg.window}: need at least {cfg.window} hours, "
+                             f"have {args.horizon}")
     params, _, spec, _, d = _model_inputs(args)
     horizon, start_row = args.horizon, args.start_row
     test = forecast_with_actuals(params, spec, d, start_row, horizon)

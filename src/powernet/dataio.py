@@ -109,14 +109,11 @@ def parse_timestamps(cells: list):
 
 
 def format_timestamp(epoch: int) -> str:
+    """Local time at UTC_OFFSET_S as YYYY-MM-DDTHH:MM:SS, or ``epoch N``
+    outside datetime's range."""
     tz = timezone(timedelta(seconds=UTC_OFFSET_S))
-    return datetime.fromtimestamp(epoch, tz).strftime("%Y-%m-%dT%H:%M:%S")
-
-
-def _timestamp_text(epoch: int) -> str:
-    """format_timestamp, or the epoch seconds outside datetime's range."""
     try:
-        return format_timestamp(epoch)
+        return datetime.fromtimestamp(epoch, tz).strftime("%Y-%m-%dT%H:%M:%S")
     except (OverflowError, OSError, ValueError):
         return f"epoch {epoch}"
 
@@ -185,23 +182,29 @@ class WeatherTable:
 class AlignedDataset:
     """Hour-aligned consumption and weather; no missing values remain.
 
-    Rows carry explicit timestamps because an inner join may drop interior
-    hours; consumers that need contiguity must check hour spacing.
+    A row's hour is its weather row's time: ``hours`` is ``weather.times``,
+    kept once. Rows carry explicit timestamps because an inner join may
+    drop interior hours; consumers that need contiguity must check hour
+    spacing.
     """
 
-    hours: np.ndarray     # int64 epoch seconds per row
     kw: np.ndarray        # float64 consumption, gap-free
     weather: WeatherTable
     dropped_hours: int = 0
 
     def __post_init__(self):
-        if not (len(self.hours) == len(self.kw) == len(self.weather)):
+        if len(self.kw) != len(self.weather):
             raise InputError("aligned arrays must have equal length")
         if np.isnan(self.kw).any():
             raise InputError("aligned consumption must be gap-free")
 
     def __len__(self):
-        return len(self.hours)
+        return len(self.kw)
+
+    @property
+    def hours(self) -> np.ndarray:
+        """int64 epoch seconds per row."""
+        return self.weather.times
 
 
 STEP_OF_FORMAT = {"per_minute": 60, "per_quarter_hour": 900, "hourly": HOUR}
@@ -243,10 +246,9 @@ DATASET_CHECKS = {
 
 def dataset_from_json(text: str) -> AlignedDataset:
     doc = check(json.loads(text), DATASET_CHECKS, "dataset")
-    hours = doc["hours"].astype(np.int64, copy=False)
-    weather = WeatherTable(times=hours, summary=doc["summary"], icon=doc["icon"],
+    weather = WeatherTable(times=doc["hours"], summary=doc["summary"], icon=doc["icon"],
                            numeric=doc["numeric"])
-    return AlignedDataset(hours=hours, kw=doc["kw"].astype(np.float64, copy=False),
+    return AlignedDataset(kw=doc["kw"].astype(np.float64, copy=False),
                           weather=weather, dropped_hours=doc["dropped_hours"])
 
 
@@ -273,11 +275,11 @@ def load_consumption(path, fmt: str = "per_minute",
     order = np.argsort(ts[ok], kind="stable")
     ts, powers = ts[ok][order], powers[ok][order]
     bad = len(stamps) - len(ts)
-    if report is not None:
-        report.rows_parsed += len(ts)
-        report.rows_malformed += bad
-        report.rows_duplicate += int(np.count_nonzero(np.diff(ts) == 0))
-        report.rows_off_grid += int(np.count_nonzero(ts % step))
+    report = IngestReport() if report is None else report
+    report.rows_parsed += len(ts)
+    report.rows_malformed += bad
+    report.rows_duplicate += int(np.count_nonzero(np.diff(ts) == 0))
+    report.rows_off_grid += int(np.count_nonzero(ts % step))
     if not len(ts):
         raise InputError(f"{path}: no parseable rows")
     if bad > len(stamps) / 2:
@@ -286,7 +288,7 @@ def load_consumption(path, fmt: str = "per_minute",
     n = (int(ts[-1]) - start) // step + 1
     # checked before allocating: a mistyped year would ask for the span
     if n > MAX_SLOTS_PER_ROW * len(ts):
-        first, last = (_timestamp_text(int(ts[i])) for i in (0, -1))
+        first, last = (format_timestamp(int(ts[i])) for i in (0, -1))
         raise InputError(f"{path}: {len(ts)} rows from {first} to {last} "
                          f"span {n} slots, over {MAX_SLOTS_PER_ROW} per row; "
                          "is a timestamp mistyped?")
@@ -296,8 +298,7 @@ def load_consumption(path, fmt: str = "per_minute",
     last = np.append(slots[1:] != slots[:-1], True)
     values = np.full(n, np.nan)
     values[slots[last]] = powers[last]
-    if report is not None:
-        report.negatives_dropped += int(negative.sum())
+    report.negatives_dropped += int(negative.sum())
     return TimeSeries(start=int(start), step=step, values=values)
 
 
@@ -308,18 +309,13 @@ def resample_hourly(s: TimeSeries) -> TimeSeries:
     if s.step == HOUR:
         return s
     per = HOUR // s.step
-    # pad to whole hours aligned to the hour boundary
-    lead = (s.start % HOUR) // s.step
-    start = s.start - lead * s.step
-    padded = np.concatenate([np.full(lead, np.nan), s.values])
-    tail = (-len(padded)) % per
-    padded = np.concatenate([padded, np.full(tail, np.nan)])
-    blocks = padded.reshape(-1, per)
-    with np.errstate(invalid="ignore"):
-        sums = np.nansum(blocks, axis=1)
-        counts = np.sum(~np.isnan(blocks), axis=1)
-        hourly = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return TimeSeries(start=int(start), step=HOUR, values=hourly)
+    lead = (s.start % HOUR) // s.step   # slots of the first hour before the series
+    blocks = np.full((-(-(lead + len(s)) // per), per), np.nan)   # whole hours
+    blocks.flat[lead:lead + len(s)] = s.values
+    counts = np.sum(~np.isnan(blocks), axis=1)
+    hourly = np.divide(np.nansum(blocks, axis=1), counts, where=counts > 0,
+                       out=np.full(len(blocks), np.nan))
+    return TimeSeries(start=int(s.start - lead * s.step), step=HOUR, values=hourly)
 
 
 def aggregate(series: list[TimeSeries]) -> TimeSeries:
@@ -340,22 +336,11 @@ def fill_gaps(s: TimeSeries, max_run: int = 3) -> TimeSeries:
     if max_run < 0:
         raise InputError(f"fill max run must be >= 0, got {max_run}")
     values = s.values.copy()
-    n = len(values)
-    i = 0
-    while i < n:
-        if not math.isnan(values[i]):
-            i += 1
-            continue
-        j = i
-        while j < n and math.isnan(values[j]):
-            j += 1
-        run = j - i
-        if run <= max_run and i > 0 and j < n:
+    edges = np.flatnonzero(np.diff(np.isnan(values), prepend=False, append=False))
+    for i, j in zip(edges[::2], edges[1::2]):   # the gap run values[i:j]
+        if j - i <= max_run and i > 0 and j < len(values):
             left, right = values[i - 1], values[j]
-            for k in range(run):
-                frac = (k + 1) / (run + 1)
-                values[i + k] = left + frac * (right - left)
-        i = j
+            values[i:j] = left + np.arange(1, j - i + 1) / (j - i + 1) * (right - left)
     return replace(s, values=values)
 
 
@@ -441,7 +426,5 @@ def align(c: TimeSeries, w: WeatherTable) -> AlignedDataset:
         icon=tuple(w.icon[i] for i in wi),
         numeric=w.numeric[wi],
     )
-    return AlignedDataset(hours=common.astype(np.int64),
-                          kw=c.values[cons_idx],
-                          weather=weather,
+    return AlignedDataset(kw=c.values[cons_idx], weather=weather,
                           dropped_hours=int(dropped))

@@ -199,12 +199,11 @@ def fit_feature_spec(d: AlignedDataset, train_slice: slice,
                 vocab[v] = len(vocab) + 1
         return vocab
 
-    idx = range(*train_slice.indices(len(d)))
     cons_std = float(kw.std())
     return FeatureSpec(
         window_len=window_len,
-        summary_vocab=build_vocab(d.weather.summary[i] for i in idx),
-        icon_vocab=build_vocab(d.weather.icon[i] for i in idx),
+        summary_vocab=build_vocab(d.weather.summary[train_slice]),
+        icon_vocab=build_vocab(d.weather.icon[train_slice]),
         weather_mean=mean,
         weather_std=std,
         cons_mean=float(kw.mean()),
@@ -269,13 +268,15 @@ def build_examples(d: AlignedDataset, spec: FeatureSpec,
     (a0, a1), (b0, b1), (c0, c1) = check(splits, items(items(integer(), 2), 3), "splits")
     if not (a0 < a1 <= b0 < b1 <= c0 < c1 <= len(d)):
         raise InputError(f"splits must be chronological and non-overlapping, got {splits}")
-    train, s1 = _build_split(d, spec, a0, a1)
-    val, s2 = _build_split(d, spec, b0, b1)
-    test, s3 = _build_split(d, spec, c0, c1)
-    if len(train) == 0 or len(val) == 0 or len(test) == 0:
-        raise InputError("a split produced no examples")
-    return ExampleSet(spec=spec, train=train, validation=val, test=test,
-                      skipped=s1 + s2 + s3)
+    built = {name: _build_split(d, spec, lo, hi) for name, (lo, hi)
+             in zip(("train", "validation", "test"), ((a0, a1), (b0, b1), (c0, c1)))}
+    for name, (split, skipped) in built.items():
+        if len(split) == 0:
+            raise InputError(f"the {name} split has no examples: none of its {skipped} "
+                             f"targets has window_len={spec.window_len} contiguous "
+                             "hours before it")
+    return ExampleSet(spec=spec, **{name: split for name, (split, _) in built.items()},
+                      skipped=sum(skipped for _, skipped in built.values()))
 
 
 def tail_splits(total_rows: int, train_hours: int = 624,

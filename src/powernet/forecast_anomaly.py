@@ -17,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataio import HOUR, AlignedDataset
-from .features import (FeatureSpec, calendar_features, weather_features,
-                       window_features)
+from .features import FeatureSpec, window_features
 from .metrics import ErrorCurve, error_curve, mape
 from .model import PowerNetParams, forward_batch, forward_recursive
 from .numcore import InputError, check, finite, integer, real
@@ -79,12 +78,10 @@ def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
     from the target timestamps."""
     rows = _target_rows(spec, d, start_row, horizon,
                         "future weather does not cover the horizon")
-    history = spec.normalize_kw(d.kw[start_row - spec.window_len:start_row])
-    fw = weather_features(d.weather.rows(rows), spec)
-    fc = calendar_features(d.hours[rows], spec)
+    E, fw, fc = window_features(d, spec, rows)   # E[0] is the history window
     mean, std = float(spec.cons_mean), float(spec.cons_std)
     # normalize_kw(max(denormalize_kw(y), 0)): the same IEEE operations on floats
-    yhat = forward_recursive(history, fw, fc, p,
+    yhat = forward_recursive(E[0], fw, fc, p,
                              lambda y: (max(float(y) * std + mean, 0.0) - mean) / std)
     return _report("recursive", d, rows,
                    np.maximum(spec.denormalize_kw(yhat), 0.0))

@@ -15,11 +15,12 @@ import numpy as np
 
 from .dataio import (
     HOUR,
+    STEP_OF_FORMAT,
     UTC_OFFSET_S,
+    WEATHER_COLUMNS,
     AlignedDataset,
     TimeSeries,
     WeatherTable,
-    WEATHER_NUMERIC_COLUMNS,
     parse_timestamp,
 )
 
@@ -96,7 +97,7 @@ def make_aligned_dataset(days: int, seed: int = 0,
     hours = parse_timestamp(DEFAULT_START) + HOUR * np.arange(days * 24, dtype=np.int64)
     weather = make_weather(hours, rng)
     kw = make_consumption(hours, weather.numeric[:, 0], rng, trend=trend)
-    return AlignedDataset(hours=hours, kw=kw, weather=weather)
+    return AlignedDataset(kw=kw, weather=weather)
 
 
 def _local_times(epochs: np.ndarray) -> list:
@@ -108,7 +109,7 @@ def _local_times(epochs: np.ndarray) -> list:
 def write_weather_csv(path, w: WeatherTable):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time", "summary", "icon"] + WEATHER_NUMERIC_COLUMNS)
+        writer.writerow(WEATHER_COLUMNS)
         writer.writerows([t, s, i] + [f"{v:.6g}" for v in row] for t, s, i, row
                          in zip(_local_times(w.times), w.summary, w.icon, w.numeric.tolist()))
 
@@ -120,7 +121,7 @@ def write_consumption_csv(path, hourly: TimeSeries, fmt: str, rng):
     the hourly mean round-trips exactly up to float error. One draw takes
     the jitter of every present hour, in the order of one draw per hour.
     """
-    per = {"per_minute": 60, "per_quarter_hour": 4}[fmt]
+    per = HOUR // STEP_OF_FORMAT[fmt]
     present = np.flatnonzero(~np.isnan(hourly.values))
     value = hourly.values[present]
     # np.where(floor > x, floor, x) is Python's max(x, floor), bit for bit

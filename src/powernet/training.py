@@ -206,18 +206,19 @@ def grid_search(data: ExampleSet, cfg: TrainConfig):
     Returns (best params, best TrainReport, {memory_size: TrainReport}).
     Divergent cells are skipped; ties go to the earlier memory size.
     """
-    reports = {}
-    best = None
-    for k, m in enumerate(dict.fromkeys(cfg.memory_size_grid)):
-        cell_cfg = replace(cfg, memory_size=m, seed=cfg.seed + k)
-        try:
-            params, rep = train(data, cell_cfg)
-        except TrainingError:
-            reports[m] = None
-            continue
-        reports[m] = rep
-        if best is None or rep.best_val_mse < best[1].best_val_mse:
-            best = (params, rep)
+    reports = dict.fromkeys(cfg.memory_size_grid)   # None for a divergent cell
+
+    def cells():
+        for k, m in enumerate(reports):
+            try:
+                params, reports[m] = train(data, replace(cfg, memory_size=m,
+                                                         seed=cfg.seed + k))
+            except TrainingError:
+                continue
+            yield params, reports[m]
+
+    # min keeps one cell at a time and the first of equal ones
+    best = min(cells(), key=lambda cell: cell[1].best_val_mse, default=None)
     if best is None:
         raise TrainingError("every grid cell diverged")
-    return best[0], best[1], reports
+    return (*best, reports)

@@ -2,6 +2,7 @@
 the finite-difference gradient checker, and a test-only dataset."""
 
 import csv
+import math
 from datetime import timedelta
 from itertools import zip_longest
 
@@ -113,6 +114,51 @@ def load_consumption_rows(path, fmt: str = "per_minute", report=None):
     return TimeSeries(start=int(start), step=step, values=values)
 
 
+def fill_gaps_values(s: TimeSeries, max_run: int = 3) -> TimeSeries:
+    """``dataio.fill_gaps`` one value at a time: walk every slot, measure
+    each gap run, and fill an interior run of at most ``max_run`` slots
+    value by value, the k-th at ``left + (k + 1) / (run + 1) * (right - left)``."""
+    values = s.values.copy()
+    n = len(values)
+    i = 0
+    while i < n:
+        if not math.isnan(values[i]):
+            i += 1
+            continue
+        j = i
+        while j < n and math.isnan(values[j]):
+            j += 1
+        run = j - i
+        if run <= max_run and i > 0 and j < n:
+            left, right = values[i - 1], values[j]
+            for k in range(run):
+                frac = (k + 1) / (run + 1)
+                values[i + k] = left + frac * (right - left)
+        i = j
+    return TimeSeries(start=s.start, step=s.step, values=values)
+
+
+def resample_hourly_hours(s: TimeSeries) -> TimeSeries:
+    """``dataio.resample_hourly`` of a series on its step's grid, one hour
+    at a time: each hour's slots from the hour boundary at or before the
+    first sample, NaN where the series has none, added by ``np.nansum``
+    and divided by the count of present ones; an hour with none is NaN."""
+    if s.step == HOUR:
+        return s
+    per, first = HOUR // s.step, s.start - s.start % HOUR
+    end = s.start + len(s) * s.step
+    hourly = []
+    for t in range(first, end, HOUR):
+        block = np.full(per, np.nan)
+        for j in range(per):
+            i = (t + j * s.step - s.start) // s.step
+            if 0 <= i < len(s):
+                block[j] = s.values[i]
+        count = int(np.count_nonzero(~np.isnan(block)))
+        hourly.append(np.nansum(block) / count if count else np.nan)
+    return TimeSeries(start=first, step=HOUR, values=np.array(hourly))
+
+
 def load_weather_rows(path) -> WeatherTable:
     """``dataio.load_weather`` one row at a time: each row a dict of the
     header's names (a short row's missing cells empty, a repeated name's
@@ -205,4 +251,4 @@ def make_sinusoid_dataset(days: int, seed: int = 0, noise_frac: float = 0.05,
     weather = make_weather(hours, rng)
     phase = 2 * np.pi * np.arange(days * 24) / 24
     kw = offset + amplitude * np.sin(phase) + rng.normal(0, noise_frac * amplitude, days * 24)
-    return AlignedDataset(hours=hours, kw=np.maximum(kw, 0.01), weather=weather)
+    return AlignedDataset(kw=np.maximum(kw, 0.01), weather=weather)

@@ -537,6 +537,19 @@ class TestGbt:
             with pytest.raises(InputError, match="^empty training set"):
                 fit(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("X, y", [
+        (np.ones((4, 2)), np.ones(3)),          # one target short
+        (np.ones((4, 2)), np.ones(5)),          # one target over
+        (np.ones(4), np.ones(4)),               # X of one dimension
+        (np.ones((4, 2, 1)), np.ones(4)),       # X of three dimensions
+        (np.ones((4, 2)), np.ones((4, 1))),     # y a column, which broadcasts
+        (np.ones((4, 2)), np.float64(1.0)),     # y one number
+    ], ids=["y_short", "y_long", "X_1d", "X_3d", "y_column", "y_0d"])
+    def test_misshapen_inputs_rejected(self, X, y):
+        for fit in (fit_gbt, lambda X, y: fit_tree(X, y, 2), best_split):
+            with pytest.raises(InputError, match=r"^X must be \(rows, features\) and y"):
+                fit(X, y)
+
 
 class TestGridSearch:
     def setup_method(self):

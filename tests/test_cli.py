@@ -439,6 +439,14 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == "error: loss is nan at epoch 0\n"
 
+    def test_diverged_validation_is_internal_error(self, dataset_path, tmp_path,
+                                                   capsys, monkeypatch):
+        from powernet import training
+        monkeypatch.setattr(training, "_validation_mse", lambda *args: math.nan)
+        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: validation diverged at epoch 0\n"
+
     def test_flag_and_file_fail_alike(self, dataset_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"memory_size": 1.5}))
@@ -879,8 +887,8 @@ class TestAnomaly:
 
     def test_error_after_the_sweep_writes_nothing(self, dataset_path,
                                                   checkpoint_dir, tmp_path, capsys):
-        # the clean window before --start-row lacks history, which shows
-        # only after the sweep has run
+        # the clean window before --start-row lacks history; the CLI
+        # refuses it before the sweep runs
         out = tmp_path / "an"
         rc = main(["anomaly", "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
                    "--dataset", dataset_path, "--horizon", "24", "--start-row", "10",
@@ -918,6 +926,78 @@ class TestAnomaly:
                    "--out", str(out)])
         assert "need at least 24 hours, have 12" in assert_usage_error(rc, capsys)
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory, dataset_path, checkpoint_dir):
+    """The paths the refusal table names: a 288-row dataset, the 240-row
+    one with a one-hour hole ten rows from its end, two consumption files
+    of which the second lacks its last hour, and the window-6 checkpoint."""
+    root = tmp_path_factory.mktemp("refusals")
+    short = root / "short.json"
+    short.write_text(dataset_to_json(make_aligned_dataset(days=12, seed=0)))
+    doc = json.loads(Path(dataset_path).read_text())
+    for key in ("hours", "kw", "summary", "icon", "numeric"):
+        del doc[key][-10]
+    holed = root / "holed.json"
+    holed.write_text(json.dumps(doc))
+    fx = root / "fx"
+    assert main(["synth", "--out", str(fx), "--days", "2", "--apartments", "2"]) == 0
+    lines = (fx / "Apt2.csv").read_text().splitlines(keepends=True)
+    (fx / "Apt2.csv").write_text("".join(lines[:-4]))   # 4 quarter-hours
+    return {"short": str(short), "holed": str(holed),
+            "ckpt": str(checkpoint_dir / "checkpoint.json"), "apt1": str(fx / "Apt1.csv"),
+            "apt2": str(fx / "Apt2.csv"), "weather": str(fx / "weather.csv")}
+
+
+#: (argv, what the one error line names): each refusal names the flag,
+#: config key or file to change, its value and the limit in rows or hours.
+#: ``{name}`` stands for a path of ``refusal_inputs``.
+REFUSALS = {
+    "forecast_default_horizon": (
+        "forecast --checkpoint {ckpt} --dataset {short}",
+        ["--horizon 720", "needs 726 rows", "{short}", "has 288 rows",
+         "6 hours of history (the checkpoint's window) come before the 720 hours"]),
+    "anomaly_default_horizon": (
+        "anomaly --checkpoint {ckpt} --dataset {short}",
+        ["--horizon 336", "needs 342 rows", "{short}", "has 288 rows"]),
+    "anomaly_detection_needs_clean_hours": (
+        "anomaly --checkpoint {ckpt} --dataset {short} --horizon 200 --detect-theta 0.5",
+        ["--horizon 200", "needs 406 rows", "200 clean hours for --detect-theta"]),
+    "start_row_before_the_window": (
+        "forecast --checkpoint {ckpt} --dataset {short} --horizon 24 --start-row 3",
+        ["--start-row 3", "--horizon 24", "rows -3..26", "6 hours of history"]),
+    "start_row_past_the_end": (
+        "forecast --checkpoint {ckpt} --dataset {short} --horizon 24 --start-row 280",
+        ["--start-row 280", "rows 274..303", "{short}", "has 288 rows"]),
+    "train_default_splits": (
+        "train --dataset {short}",
+        ["{short}", "--splits 624:48:48", "need 720 rows, have 288"]),
+    "horizon_below_detector_window": (
+        "anomaly --checkpoint {ckpt} --dataset {short} --horizon 10 --detect-theta 0.5",
+        ["--horizon 10", "--detector-window 24", "need at least 24 hours, have 10"]),
+    "aggregate_unequal_spans": (
+        "ingest --consumption {apt1} {apt2} --weather {weather} --aggregate",
+        ["--aggregate", "{apt2} has 47 hours from 2016-04-01T00:00:00",
+         "{apt1} 48 hours from"]),
+    "split_without_examples": (
+        "train --dataset {short} --splits 10:5:273 --window-len 24",
+        ["the train split has no examples", "10 targets", "window_len=24"]),
+    "forecast_across_a_hole": (
+        "forecast --checkpoint {ckpt} --dataset {holed} --horizon 24 --mode actual",
+        ["rows 209..239 are not a contiguous hourly span"]),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_names_what_to_change(refusal_inputs, tmp_path, capsys, case):
+    argv, names = REFUSALS[case]
+    out = tmp_path / "out"
+    rc = main(argv.format(**refusal_inputs).split() + ["--out", str(out)])
+    err = assert_usage_error(rc, capsys)
+    for name in names:
+        assert name.format(**refusal_inputs) in err
+    assert not out.exists()
 
 
 class TestParser:

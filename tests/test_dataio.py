@@ -7,11 +7,34 @@ from powernet.dataio import (
     load_consumption, load_weather, parse_timestamp, resample_hourly,
 )
 from powernet.numcore import InputError
-from powernet.synth import make_weather
+from powernet.synth import make_aligned_dataset, make_weather
+
+from oracles import fill_gaps_values, resample_hourly_hours
 
 
 def make_series(values, start=0, step=HOUR):
     return TimeSeries(start=start, step=step, values=np.asarray(values, dtype=float))
+
+
+def random_series(rng):
+    """A series on a random step's grid from a random start, with gap runs
+    of random lengths over 0-80% of its slots; a gap is NaN with either
+    sign bit."""
+    step = int(rng.choice([60, 900, 1200, HOUR]))
+    n = int(rng.integers(1, 200))
+    values = rng.uniform(0, 5, n)
+    gap_share, i = rng.uniform(0, 0.8), 0
+    while i < n:
+        run = int(rng.integers(1, 8))
+        if rng.random() < gap_share:
+            values[i:i + run] = rng.choice([np.nan, -np.nan])
+        i += run
+    return make_series(values, start=step * int(rng.integers(0, 10_000)), step=step)
+
+
+def bits(s):
+    """(start, step, the exact bytes of every value, NaN payloads and signs too)."""
+    return s.start, s.step, s.values.tobytes()
 
 
 def write_csv(path, rows):
@@ -124,6 +147,12 @@ class TestResampleHourly:
         with pytest.raises(InputError):
             resample_hourly(make_series([1, 2], step=1700))
 
+    def test_equals_the_per_hour_reference_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for _ in range(600):
+            s = random_series(rng)
+            assert bits(resample_hourly(s)) == bits(resample_hourly_hours(s))
+
     def test_unaligned_start_pads_to_hour_boundary(self):
         s = make_series([3, 3], start=1800, step=900)
         out = resample_hourly(s)
@@ -170,6 +199,17 @@ class TestFillGaps:
     def test_run_of_three_interpolated(self):
         out = fill_gaps(make_series([0, np.nan, np.nan, np.nan, 4]), max_run=3)
         assert np.allclose(out.values, [0, 1, 2, 3, 4])
+
+    def test_equals_the_one_value_reference_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for _ in range(600):
+            s, max_run = random_series(rng), int(rng.integers(0, 6))
+            assert bits(fill_gaps(s, max_run)) == bits(fill_gaps_values(s, max_run))
+
+    def test_gap_at_both_ends_and_all_gaps_unchanged(self):
+        for values in ([np.nan, 1, np.nan], [np.nan] * 3, []):
+            s = make_series(values)
+            assert bits(fill_gaps(s, max_run=5)) == bits(s)
 
 
 class TestAlign:
@@ -222,9 +262,28 @@ class TestProperties:
         assert np.allclose(hourly.values, expected, atol=1e-9)
 
 
+class TestAlignedDataset:
+    def test_hours_are_the_weather_times(self):
+        d = make_aligned_dataset(days=2, seed=1)
+        assert d.hours is d.weather.times
+        back = dataio.dataset_from_json(dataio.dataset_to_json(d))
+        assert back.hours is back.weather.times
+
+    def test_takes_no_hours_of_its_own(self):
+        d = make_aligned_dataset(days=1, seed=1)
+        with pytest.raises(TypeError, match="hours"):
+            dataio.AlignedDataset(hours=d.hours, kw=d.kw, weather=d.weather)
+        with pytest.raises(AttributeError):
+            d.hours = d.hours + HOUR
+
+    def test_kw_and_weather_of_unequal_length_refused(self):
+        d = make_aligned_dataset(days=1, seed=1)
+        with pytest.raises(InputError, match="equal length"):
+            dataio.AlignedDataset(kw=d.kw[:-1], weather=d.weather)
+
+
 class TestDatasetRoundTrip:
     def test_json_round_trip(self):
-        from powernet.synth import make_aligned_dataset
         d = make_aligned_dataset(days=2, seed=1)
         doc = dataio.dataset_to_json(d)
         back = dataio.dataset_from_json(doc)
@@ -238,7 +297,6 @@ class TestDatasetRoundTrip:
         # negative timestamps in the int64 array the dataset keeps
         import json
         from powernet import cli
-        from powernet.synth import make_aligned_dataset
         doc = json.loads(dataio.dataset_to_json(make_aligned_dataset(days=1, seed=1)))
         doc["hours"] = [h + 2 ** 63 for h in doc["hours"]]
         path = tmp_path / "dataset.json"
@@ -263,3 +321,6 @@ class TestTimestamps:
 
     def test_explicit_utc_designator(self):
         assert parse_timestamp("1970-01-01T00:00:00Z") == 0
+
+    def test_format_outside_datetime_range_gives_epoch_seconds(self):
+        assert dataio.format_timestamp(10 ** 15) == "epoch 1000000000000000"

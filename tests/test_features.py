@@ -227,6 +227,18 @@ class TestFitFeatureSpec:
         assert spec.cons_mean == pytest.approx(d.kw[:200].mean())
         assert spec.cons_std == pytest.approx(d.kw[:200].std())
 
+    def test_vocabularies_from_training_slice_only(self):
+        d = make_aligned_dataset(days=30, seed=1)
+        # a summary seen only after the slice, an icon only before it
+        summary = d.weather.summary[:200] + ("Snow",) * (len(d) - 200)
+        icon = ("sleet",) * 100 + d.weather.icon[100:]
+        weather = dataclasses.replace(d.weather, summary=summary, icon=icon)
+        spec = fit_feature_spec(dataclasses.replace(d, weather=weather), slice(100, 200),
+                                window_len=24)
+        assert list(spec.summary_vocab) == list(dict.fromkeys(d.weather.summary[100:200]))
+        assert list(spec.icon_vocab) == list(dict.fromkeys(d.weather.icon[100:200]))
+        assert "Snow" not in spec.summary_vocab and "sleet" not in spec.icon_vocab
+
     def test_denormalize_round_trip(self):
         d = make_aligned_dataset(days=30, seed=1)
         spec = fit_feature_spec(d, slice(0, 200), window_len=24)
@@ -276,7 +288,7 @@ def drop_rows(d, drop):
     keep[drop] = False
     w = d.weather
     return dataclasses.replace(
-        d, hours=d.hours[keep], kw=d.kw[keep],
+        d, kw=d.kw[keep],
         weather=dataclasses.replace(
             w, times=w.times[keep],
             summary=tuple(s for s, k in zip(w.summary, keep) if k),

@@ -7,7 +7,8 @@ passed, as something other than its default, by some caller outside the
 tests, every function the benchmark tracer wraps exists under the name it
 uses, files are opened only by the one input reader and the artifact
 writers, input the caller must fix is one error class,
-``numcore.InputError``, and every ``numcore.check`` call's result is kept."""
+``numcore.InputError``, every ``numcore.check`` call's result is kept, and
+the package stays within its budget of code lines."""
 
 import ast
 import importlib
@@ -373,6 +374,38 @@ def test_every_checked_value_is_kept(path):
     # a Python number, a list as a tuple); a caller that drops that result
     # goes on with the value as it came
     assert discarded_checks(path.read_text()) == []
+
+
+def code_lines(source: str) -> int:
+    """How many lines of ``source`` are code: not blank, not ``#``-only
+    and not part of a module, class or function docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#") and number not in docs)
+
+
+def test_detects_code_lines():
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nimport os  # kept\n\n'
+              'def f():\n    """One line."""\n    x = """not a\n    docstring"""\n'
+              '    return x\n\nclass C:\n    """Doc."""\n    y = 1\n')
+    # import, def, the two lines of x, return, class and y
+    assert code_lines(source) == 7
+
+
+#: The package's size in code lines. A change that adds code raises this
+#: in its own diff, so the growth shows in review.
+CODE_LINE_BUDGET = 1968
+
+
+def test_package_code_lines_within_budget():
+    total = sum(code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert total <= CODE_LINE_BUDGET
 
 
 def value_error_classes(sources: dict) -> list:
