@@ -30,13 +30,13 @@ mathematically may resolve to the higher feature index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
+from .dataio import json_text
 from .features import ExampleSet, Split
 from .metrics import mse
 from .numcore import (OBJECT, Check, InputError, check, finite, integer, items, one_of,
@@ -391,8 +391,7 @@ class GbtModel:
                 **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
-                          allow_nan=False)
+        return json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict, n_features: int) -> "GbtModel":

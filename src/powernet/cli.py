@@ -3,16 +3,22 @@ anomaly, synth.
 
 Exit codes: 0 success; 2 an InputError, input the caller must fix; 1 a
 TrainingError, training that diverged. Either prints one ``error:`` line.
-All outputs are deterministic for a fixed config, seed and BLAS thread
-count (README gives how far thread counts move them), and safe to overwrite.
-The default output directory can be set via the POWERNET_OUT environment
-variable.
+
+A command computes every file it writes before it writes any: ``main``
+then makes the output directory (``--out``, else $POWERNET_OUT, else .),
+writes the files through ``dataio.write_text`` and prints the command's
+summary line, so a command that fails while it computes (exit 1 or 2)
+leaves ``--out`` as it was. An output that cannot be written (``--out`` an
+existing file, or an output name an existing directory) is exit 2 too,
+but only after the work, since the directory is made last; the files
+written before it stay. All outputs are deterministic for a fixed config,
+seed and BLAS thread count (README gives how far thread counts move them),
+and safe to overwrite.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -22,6 +28,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import baselines, dataio, synth
+from .dataio import json_text
 from .features import (N_AUX_FEATURES, FeatureSpec, build_examples,
                        fit_feature_spec, tail_splits)
 from .forecast_anomaly import (DetectorConfig, TheftScenario, apply_theft,
@@ -53,32 +60,11 @@ CONFIG_CHECKS = {
 }
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("POWERNET_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _json(doc) -> str:
-    """``doc`` as JSON text, keys sorted and indented by one space; a
-    non-finite float raises ValueError, so ``_write(path, _json(doc))``
-    opens no file."""
-    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-
-
-def _write_csv(path, header, rows):
-    """Write ``rows`` under ``header`` as CSV: an int as it is, every other
+def _csv(header, rows) -> str:
+    """``rows`` under ``header`` as CSV text: an int as it is, every other
     value as ``repr(float(v))``, which reads back as the same float."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, (int, np.integer)) else repr(float(v))
-                          for v in row] for row in rows)
+    return dataio.csv_text(header, ([v if isinstance(v, (int, np.integer)) else repr(float(v))
+                                     for v in row] for row in rows))
 
 
 def _parse_file(path, what: str, parse):
@@ -140,11 +126,8 @@ def _prepare_examples(d, cfg: dict, path):
 def cmd_synth(args):
     vars(args).update(check(vars(args), {"days": integer(1), "apartments": integer(1),
                                          "seed": integer(0)}, "synth"))
-    out = _out_dir(args)
-    synth.write_fixture_dir(out, days=args.days, apartments=args.apartments,
-                            seed=args.seed, fmt=args.format)
-    print(f"wrote {args.apartments} consumption files + weather.csv to {out}")
-    return 0
+    return (synth.fixture_files(args.days, args.apartments, args.seed, args.format),
+            f"wrote {args.apartments} consumption files + weather.csv to {args.out}")
 
 
 def cmd_ingest(args):
@@ -164,17 +147,15 @@ def cmd_ingest(args):
     hourly = dataio.fill_gaps(hourly, max_run=args.fill_max_run)
     weather = dataio.load_weather(args.weather)
     aligned = dataio.align(hourly, weather)
-    out = _out_dir(args)
-    _write(os.path.join(out, "dataset.json"), dataio.dataset_to_json(aligned))
     ingest_doc = {
         **asdict(report),
         "aligned_hours": len(aligned),
         "dropped_hours": aligned.dropped_hours,
         "remaining_gaps": hourly.gap_count(),
     }
-    _write(os.path.join(out, "ingest_report.json"), _json(ingest_doc))
-    print(f"aligned {len(aligned)} hours -> {out}/dataset.json")
-    return 0
+    return ({"dataset.json": dataio.dataset_to_json(aligned),
+             "ingest_report.json": json_text(ingest_doc)},
+            f"aligned {len(aligned)} hours -> {args.out}/dataset.json")
 
 
 def cmd_train(args):
@@ -183,31 +164,28 @@ def cmd_train(args):
     d = _load_dataset(args.dataset)
     data, bounds = _prepare_examples(d, cfg, args.dataset)
     spec, splits = data.spec.to_dict(), [list(b) for b in bounds]
-    out = _out_dir(args)
+    files = {}
     if args.model == "gbt":
         model, report = (baselines.gbt_grid_search(data) if args.grid
                          else (baselines.fit_gbt_examples(data), []))
-        checkpoint = _json({**model.to_dict(), "feature_spec": spec, "splits": splits})
+        checkpoint = json_text({**model.to_dict(), "feature_spec": spec, "splits": splits})
         done = "gbt model written to"
     else:
         if args.grid:
             params, report, cell_reports = grid_search(data, tcfg)
-            _write(os.path.join(out, "grid_report.json"),
-                   _json({str(m): (None if r is None else r.to_dict())
-                          for m, r in cell_reports.items()}))
+            files["grid_report.json"] = json_text({
+                str(m): None if r is None else r.to_dict() for m, r in cell_reports.items()})
         else:
             params, report = train(data, tcfg)
         hyper = {**{key: cfg[key] for key in ("d1", "d2", "d3", "stack")},
                  "memory_size": report.memory_size, "splits": splits}
         checkpoint = checkpoint_to_json(params, hyper, spec, cfg["seed"])
-        _write_csv(os.path.join(out, "curves.csv"), ["epoch", "train_loss", "val_mse"],
-                   zip(range(len(report.val_mse)), report.train_loss, report.val_mse))
+        files["curves.csv"] = _csv(["epoch", "train_loss", "val_mse"], zip(
+            range(len(report.val_mse)), report.train_loss, report.val_mse))
         done = f"best val MSE {report.best_val_mse:.6g} (epoch {report.best_epoch}) ->"
         report = report.to_dict()
-    _write(os.path.join(out, "checkpoint.json"), checkpoint)
-    _write(os.path.join(out, "report.json"), _json(report))
-    print(f"{done} {out}/checkpoint.json")
-    return 0
+    files.update({"checkpoint.json": checkpoint, "report.json": json_text(report)})
+    return files, f"{done} {args.out}/checkpoint.json"
 
 
 def _model_inputs(args):
@@ -274,10 +252,8 @@ def cmd_evaluate(args):
         raise InputError(f"the checkpoint's {args.split} predictions overflow: "
                          f"squared errors are not finite")
     doc = {"split": args.split, "mse": err, "mape": mape(actual, pred), "n": len(actual)}
-    out = _out_dir(args)
-    _write(os.path.join(out, f"evaluate_{args.split}.json"), _json(doc))
-    print(f"{args.split}: MSE {doc['mse']:.6g}  MAPE {doc['mape']:.3f}%")
-    return 0
+    return ({f"evaluate_{args.split}.json": json_text(doc)},
+            f"{args.split}: MSE {doc['mse']:.6g}  MAPE {doc['mape']:.3f}%")
 
 
 def cmd_forecast(args):
@@ -286,26 +262,22 @@ def cmd_forecast(args):
     params, _, spec, _, d = _model_inputs(args)
     fn = forecast_recursive if args.mode == "recursive" else forecast_with_actuals
     report = fn(params, spec, d, args.start_row, args.horizon)
-    out = _out_dir(args)
-    name = os.path.join(out, f"forecast_{args.mode}")
-    c = report.curves
-    _write_csv(name + ".csv", ["hour", "actual_kw", "predicted_kw"],
-               zip(c.hours, report.actuals, report.predictions))
-    _write_csv(name + "_curve.csv",
-               ["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"],
-               zip(c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse))
+    name, c = f"forecast_{args.mode}", report.curves
     doc = {"mode": report.mode, "horizon": report.horizon,
            "start_ts": report.start_ts,
            "predictions": [repr(float(v)) for v in report.predictions],
            "actuals": [repr(float(v)) for v in report.actuals],
            "mse": mse(report.actuals, report.predictions),
            "mape": mape(report.actuals, report.predictions)}
-    _write(name + ".json", _json(doc))
+    files = {name + ".csv": _csv(["hour", "actual_kw", "predicted_kw"],
+                                 zip(c.hours, report.actuals, report.predictions)),
+             name + "_curve.csv": _csv(
+                 ["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"],
+                 zip(c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse)),
+             name + ".json": json_text(doc)}
     if args.thresholds:
-        table = retraining_analysis(report, args.thresholds)
-        _write(os.path.join(out, "retraining.json"), _json(table))
-    print(f"{args.mode} horizon {args.horizon}: MAPE {doc['mape']:.3f}%")
-    return 0
+        files["retraining.json"] = json_text(retraining_analysis(report, args.thresholds))
+    return files, f"{args.mode} horizon {args.horizon}: MAPE {doc['mape']:.3f}%"
 
 
 def cmd_anomaly(args):
@@ -331,12 +303,10 @@ def cmd_anomaly(args):
         result["detection"] = {"theta": args.detect_theta,
                                "alarms": alarms,
                                "windows": int(horizon - cfg.window + 1)}
-    out = _out_dir(args)   # written only once everything is computed
-    _write_csv(os.path.join(out, "theft_sweep.csv"), ["theta", "mape"],
-               ((r["theta"], r["mape"]) for r in rows))
-    _write(os.path.join(out, "anomaly.json"), _json(result))
-    print(f"theft sweep over {len(rows)} thetas -> {out}/theft_sweep.csv")
-    return 0
+    return ({"theft_sweep.csv": _csv(["theta", "mape"],
+                                     ((r["theta"], r["mape"]) for r in rows)),
+             "anomaly.json": json_text(result)},
+            f"theft sweep over {len(rows)} thetas -> {args.out}/theft_sweep.csv")
 
 
 def _floats(text: str):
@@ -439,15 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.out = args.out or os.environ.get("POWERNET_OUT") or "."
     try:
         with np.errstate(all="ignore"):   # overflow is checked, not warned
-            return args.fn(args)
+            files, summary = args.fn(args)
+        for name, text in files.items():
+            dataio.write_text(os.path.join(args.out, name), text)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -56,6 +57,36 @@ def read_text(path, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path, text: str):
+    """Write ``text`` to the file at ``path`` as it is, line endings too,
+    making its directory first. A directory or file that cannot be made
+    is an InputError naming ``path``; this is the one place output files
+    are opened."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def csv_text(header, rows) -> str:
+    """``rows`` under ``header`` as CSV text, as ``csv.writer`` writes
+    them: each line ends in CRLF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def json_text(doc) -> str:
+    """``doc`` as an artifact's JSON text: keys sorted, indented by one
+    space. A non-finite float raises ValueError rather than being written
+    as the non-standard NaN or Infinity."""
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
 def _csv_rows(reader, path):

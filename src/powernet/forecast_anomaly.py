@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataio import HOUR, AlignedDataset
+from .dataio import HOUR, AlignedDataset, format_timestamp
 from .features import FeatureSpec, window_features
 from .metrics import ErrorCurve, error_curve, mape
 from .model import PowerNetParams, forward_batch, forward_recursive
@@ -53,7 +53,10 @@ def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
         raise InputError(what)
     lo, hi = start_row - n, start_row + horizon
     if d.hours[hi - 1] - d.hours[lo] != (hi - 1 - lo) * HOUR:
-        raise InputError(f"rows {lo}..{hi} are not a contiguous hourly span")
+        row = lo + int(np.flatnonzero(np.diff(d.hours[lo:hi]) != HOUR)[0])
+        raise InputError(f"rows {lo}..{hi} are not a contiguous hourly span: "
+                         f"{format_timestamp(d.hours[row] + HOUR)}, the hour after "
+                         f"row {row}, is missing")
     return np.arange(start_row, hi)
 
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import json_text
 from .features import N_AUX_FEATURES
 from .numcore import (OBJECT, InputError, array, check, integer, items, one_of,
                       real, relu, relu_grad)
@@ -466,11 +467,10 @@ def backward_batch(trace: ForwardTrace, dyhat: np.ndarray,
 
 def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
                        seed: int) -> str:
-    """The checkpoint as ``json.dumps(doc, indent=1, sort_keys=True,
-    allow_nan=False)`` writes it. Each parameter's data is one join of
-    ``float.__repr__`` (json's float format) put in place of a null: the
-    only nulls after the top-level params key, the one line that is a
-    newline, one space and "params"."""
+    """The checkpoint as ``dataio.json_text`` writes it. Each parameter's
+    data is one join of ``float.__repr__`` (json's float format) put in
+    place of a null: the only nulls after the top-level params key, the one
+    line that is a newline, one space and "params"."""
     if not np.isfinite(p.vec).all():
         raise ValueError("Out of range float values are not JSON compliant")
     arrays = p.arrays()
@@ -484,7 +484,7 @@ def checkpoint_to_json(p: PowerNetParams, hyper: dict, feature_spec: dict,
                    for name, a in arrays},
         "stack": len(p.lstm),
     }
-    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    text = json_text(doc)
     before, key, after = text.partition('\n "params": ')
     head, *parts = after.split('"data": null')
     data = ('"data": [\n    ' + ",\n    ".join(map(float.__repr__, a.ravel().tolist()))

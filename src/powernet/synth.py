@@ -8,7 +8,6 @@ every feature the models consume.
 
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
@@ -21,7 +20,9 @@ from .dataio import (
     AlignedDataset,
     TimeSeries,
     WeatherTable,
+    csv_text,
     parse_timestamp,
+    write_text,
 )
 
 SUMMARY_BINS = ["Clear", "Partly Cloudy", "Mostly Cloudy", "Overcast", "Rain"]
@@ -106,16 +107,16 @@ def _local_times(epochs: np.ndarray) -> list:
     return np.datetime_as_string(local.astype("datetime64[s]")).tolist()
 
 
-def write_weather_csv(path, w: WeatherTable):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEATHER_COLUMNS)
-        writer.writerows([t, s, i] + [f"{v:.6g}" for v in row] for t, s, i, row
-                         in zip(_local_times(w.times), w.summary, w.icon, w.numeric.tolist()))
+def weather_csv(w: WeatherTable) -> str:
+    """The text of a weather CSV holding ``w``."""
+    rows = zip(_local_times(w.times), w.summary, w.icon, w.numeric.tolist())
+    return csv_text(WEATHER_COLUMNS, ([t, s, i] + [f"{v:.6g}" for v in row]
+                                      for t, s, i, row in rows))
 
 
-def write_consumption_csv(path, hourly: TimeSeries, fmt: str, rng):
-    """Expand an hourly series to the recording resolution and write it.
+def consumption_csv(hourly: TimeSeries, fmt: str, rng) -> str:
+    """The text of a consumption CSV holding an hourly series expanded to
+    the recording resolution.
 
     Sub-hour readings vary around the hourly value with zero-sum jitter, so
     the hourly mean round-trips exactly up to float error. One draw takes
@@ -131,27 +132,32 @@ def write_consumption_csv(path, hourly: TimeSeries, fmt: str, rng):
     reading = (value[:, None] + jitter).ravel()
     stamps = (hourly.timestamps[present, None] + HOUR // per * np.arange(per)).ravel()
     rows = zip(_local_times(stamps), np.where(0.0 > reading, 0.0, reading).tolist())
-    with open(path, "w", newline="") as fh:   # rows end in \r\n, as csv.writer's
-        fh.write("".join(f"{t},{r:.6f}\r\n" for t, r in rows))
+    return "".join(f"{t},{r:.6f}\r\n" for t, r in rows)   # as csv.writer ends rows
 
 
-def write_fixture_dir(out_dir, days: int, apartments: int = 3, seed: int = 0,
-                      fmt: str = "per_minute"):
-    """Emit per-apartment consumption CSVs plus weather.csv from
-    DEFAULT_START; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
+def fixture_files(days: int, apartments: int, seed: int, fmt: str) -> dict:
+    """{file name: text} of per-apartment consumption CSVs ``Apt<k>.csv``
+    and then ``weather.csv``, from DEFAULT_START."""
     rng = np.random.default_rng(seed)
     hours = parse_timestamp(DEFAULT_START) + HOUR * np.arange(days * 24, dtype=np.int64)
     weather = make_weather(hours, rng)
-    paths = []
+    files = {}
     for a in range(apartments):
         kw = make_consumption(hours, weather.numeric[:, 0], rng,
                               base=rng.uniform(0.8, 1.6),
                               daily_amp=rng.uniform(0.5, 1.0))
         series = TimeSeries(start=int(hours[0]), step=HOUR, values=kw)
-        path = os.path.join(out_dir, f"Apt{a + 1}.csv")
-        write_consumption_csv(path, series, fmt, rng)
-        paths.append(path)
-    weather_path = os.path.join(out_dir, "weather.csv")
-    write_weather_csv(weather_path, weather)
-    return paths, weather_path
+        files[f"Apt{a + 1}.csv"] = consumption_csv(series, fmt, rng)
+    files["weather.csv"] = weather_csv(weather)
+    return files
+
+
+def write_fixture_dir(out_dir, days: int, apartments: int = 3, seed: int = 0,
+                      fmt: str = "per_minute"):
+    """Write ``fixture_files`` to ``out_dir``; returns (consumption paths,
+    weather path)."""
+    paths = []
+    for name, text in fixture_files(days, apartments, seed, fmt).items():
+        paths.append(os.path.join(out_dir, name))
+        write_text(paths[-1], text)
+    return paths[:-1], paths[-1]

@@ -47,9 +47,9 @@ def calendar_rows(t, spec) -> np.ndarray:
 
 
 def write_consumption_rows(path, hourly, fmt: str, rng):
-    """``synth.write_consumption_csv`` one reading at a time: one jitter
-    draw per present hour, one ``format_timestamp`` and one ``csv.writer``
-    row per reading."""
+    """``synth.consumption_csv`` one reading at a time, written to ``path``:
+    one jitter draw per present hour, one ``format_timestamp`` and one
+    ``csv.writer`` row per reading."""
     per = {"per_minute": 60, "per_quarter_hour": 4}[fmt]
     step = HOUR // per
     with open(path, "w", newline="") as fh:

@@ -8,7 +8,7 @@ import pytest
 
 from powernet import cli
 from powernet.cli import main
-from powernet.dataio import dataset_to_json
+from powernet.dataio import dataset_to_json, json_text
 from powernet.synth import make_aligned_dataset
 from powernet.training import TrainingError
 
@@ -435,17 +435,21 @@ class TestTrain:
         def diverge(*args):
             raise TrainingError("loss is nan at epoch 0")
         monkeypatch.setattr(cli, "train", diverge)
-        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path)] + FAST)
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", dataset_path, "--out", str(out)] + FAST)
         assert rc == 1
         assert capsys.readouterr().err == "error: loss is nan at epoch 0\n"
+        assert not out.exists()
 
     def test_diverged_validation_is_internal_error(self, dataset_path, tmp_path,
                                                    capsys, monkeypatch):
         from powernet import training
         monkeypatch.setattr(training, "_validation_mse", lambda *args: math.nan)
-        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path)] + FAST)
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", dataset_path, "--out", str(out)] + FAST)
         assert rc == 1
         assert capsys.readouterr().err == "error: validation diverged at epoch 0\n"
+        assert not out.exists()
 
     def test_flag_and_file_fail_alike(self, dataset_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -601,6 +605,29 @@ class TestEvaluate:
         doc = json.loads((out / "evaluate_test.json").read_text())
         assert doc["n"] == 48
         assert doc["mse"] > 0 and doc["mape"] > 0
+
+    @pytest.mark.parametrize("out, made", [
+        ("file", ["file"]),                                # --out is a file
+        ("file/sub", ["file"]),                            # --out is under a file
+        ("dir", ["dir/", "dir/evaluate_test.json/"]),      # an output name is a directory
+    ])
+    def test_unusable_out_is_usage_error(self, dataset_path, checkpoint_dir, tmp_path,
+                                         capsys, out, made):
+        # the work is done, then the write is refused with one line naming
+        # the path; what was there stays as it was (a directory ends in /)
+        for name in made:
+            if name.endswith("/"):
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text("kept")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
+                   "--dataset", dataset_path, "--out", str(tmp_path / out)])
+        err = assert_usage_error(rc, capsys)
+        assert f"cannot write {tmp_path / out / 'evaluate_test.json'}: " in err
+        assert sorted(p.relative_to(tmp_path).as_posix() + "/" * p.is_dir()
+                      for p in tmp_path.rglob("*")) == made
+        assert all((tmp_path / name).read_text() == "kept"
+                   for name in made if not name.endswith("/"))
 
     def test_missing_checkpoint(self, dataset_path, tmp_path):
         rc = main(["evaluate", "--checkpoint", "nope.json",
@@ -879,10 +906,8 @@ class TestAnomaly:
         p, _, spec_doc, _ = checkpoint_from_json(text)
         spec = FeatureSpec.from_dict(spec_doc)
         rows = fa.theft_sweep(p, spec, d, start, 48, [0.1, 0.5])
-        cli._write_csv(tmp_path / "expected.csv", ["theta", "mape"],
-                       [(r["theta"], r["mape"]) for r in rows])
-        assert ((out / "theft_sweep.csv").read_bytes()
-                == (tmp_path / "expected.csv").read_bytes())
+        expected = cli._csv(["theta", "mape"], [(r["theta"], r["mape"]) for r in rows])
+        assert (out / "theft_sweep.csv").read_bytes() == expected.encode()
         assert json.loads((out / "anomaly.json").read_text())["sweep"] == rows
 
     def test_error_after_the_sweep_writes_nothing(self, dataset_path,
@@ -985,7 +1010,8 @@ REFUSALS = {
         ["the train split has no examples", "10 targets", "window_len=24"]),
     "forecast_across_a_hole": (
         "forecast --checkpoint {ckpt} --dataset {holed} --horizon 24 --mode actual",
-        ["rows 209..239 are not a contiguous hourly span"]),
+        ["rows 209..239 are not a contiguous hourly span: 2016-04-10T14:00:00, "
+         "the hour after row 229, is missing"]),
 }
 
 
@@ -1071,8 +1097,7 @@ class TestJsonWriters:
     the non-standard tokens NaN or Infinity."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_raises(self, tmp_path, value):
-        from powernet import cli
+    def test_non_finite_value_raises(self, value):
         from powernet.baselines import GbtModel
         from powernet.features import fit_feature_spec
         from powernet.model import checkpoint_to_json, init_params
@@ -1085,19 +1110,18 @@ class TestJsonWriters:
         p.vec[3] = value
         d.kw[4] = value
         writers = [
-            lambda: cli._write(tmp_path / "doc.json", cli._json({"a": [1.0, value]})),
+            lambda: json_text({"a": [1.0, value]}),
             lambda: checkpoint_to_json(p, {}, {}, 0),
-            lambda: cli._write(tmp_path / "doc.json", cli._json(spec.to_dict())),
+            lambda: json_text(spec.to_dict()),
             lambda: dataset_to_json(d),
-            lambda: cli._write(tmp_path / "doc.json", cli._json(TrainReport(
-                train_loss=[value], val_mse=[1.0], best_epoch=0).to_dict())),
+            lambda: json_text(TrainReport(
+                train_loss=[value], val_mse=[1.0], best_epoch=0).to_dict()),
             GbtModel(initial_prediction=value).to_json,
         ]
         for write in writers:
             with pytest.raises(ValueError, match="JSON compliant"), \
                     np.errstate(invalid="ignore"):
                 write()
-        assert not (tmp_path / "doc.json").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_forecast_actual_is_usage_error(self, tmp_path, monkeypatch, capsys,
@@ -1113,4 +1137,4 @@ class TestJsonWriters:
         rc = main(["forecast", "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
                    "--dataset", dataset_path, "--horizon", "2", "--out", str(out)])
         assert "actual" in assert_usage_error(rc, capsys)
-        assert not (out / "forecast_recursive.json").exists()
+        assert not out.exists()

@@ -247,10 +247,9 @@ class TestTheft:
             assert mape(reported, actual) == pytest.approx(
                 100 * theta / (1 - theta), rel=1e-12)
 
-    def test_sweep_csv(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        cli._write_csv(path, ["theta", "mape"], [(0.1, 11.0), (0.5, 100.0)])
-        lines = path.read_text().strip().splitlines()
+    def test_sweep_csv(self):
+        text = cli._csv(["theta", "mape"], [(0.1, 11.0), (0.5, 100.0)])
+        lines = text.strip().splitlines()
         assert lines[0] == "theta,mape"
         assert lines[1] == "0.1,11.0"
 

@@ -170,15 +170,14 @@ class TestErrorCurve:
         c = error_curve([1.0, 1.0], [1.0, 1.0])
         assert list(c.hours) == [1, 2]
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(0.5, 3.0, 30)
         f = a + rng.normal(0, 0.2, 30)
         c = error_curve(a, f)
-        path = tmp_path / "curve.csv"
-        cli._write_csv(path, ["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"],
-                       zip(c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse))
-        rows = path.read_text().strip().splitlines()
+        text = cli._csv(["hour", "cum_mape", "cum_mse", "roll_mape", "roll_mse"],
+                        zip(c.hours, c.cum_mape, c.cum_mse, c.roll_mape, c.roll_mse))
+        rows = text.strip().splitlines()
         assert rows[0] == "hour,cum_mape,cum_mse,roll_mape,roll_mse"
         assert len(rows) == 31
         first = rows[1].split(",")

@@ -1,14 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import make_sinusoid_dataset
 from powernet.dataio import (
-    HOUR, aggregate, align, load_consumption, load_weather, resample_hourly,
+    HOUR, aggregate, align, load_consumption, load_weather, resample_hourly, write_text,
 )
 from powernet.features import acf
 from powernet.synth import (
-    make_aligned_dataset, make_consumption, make_weather, write_consumption_csv,
-    write_fixture_dir, write_weather_csv,
+    consumption_csv, fixture_files, make_aligned_dataset, make_consumption, make_weather,
+    weather_csv, write_fixture_dir,
 )
 
 
@@ -72,7 +74,7 @@ class TestCsvFixtures:
         hours = HOUR * np.arange(48, dtype=np.int64)
         w = make_weather(hours, np.random.default_rng(8))
         path = tmp_path / "weather.csv"
-        write_weather_csv(path, w)
+        write_text(path, weather_csv(w))
         back = load_weather(path)
         assert np.array_equal(back.times, w.times)
         assert back.summary == w.summary
@@ -83,10 +85,18 @@ class TestCsvFixtures:
         from powernet.dataio import TimeSeries
         series = TimeSeries(start=int(d.hours[0]), step=HOUR, values=d.kw)
         path = tmp_path / "apt.csv"
-        write_consumption_csv(path, series, "per_quarter_hour",
-                              np.random.default_rng(10))
+        write_text(path, consumption_csv(series, "per_quarter_hour",
+                                         np.random.default_rng(10)))
         hourly = resample_hourly(load_consumption(path, "per_quarter_hour"))
         assert np.allclose(hourly.values, d.kw, atol=1e-5)
+
+    def test_fixture_dir_writes_the_fixture_files(self, tmp_path):
+        paths, weather_path = write_fixture_dir(tmp_path / "fx", days=2, apartments=2,
+                                                seed=4, fmt="per_quarter_hour")
+        files = fixture_files(2, 2, 4, "per_quarter_hour")
+        paths = [Path(p) for p in [*paths, weather_path]]
+        assert [p.name for p in paths] == list(files)
+        assert all(p.read_bytes() == files[p.name].encode() for p in paths)
 
     def test_fixture_dir_end_to_end(self, tmp_path):
         paths, weather_path = write_fixture_dir(tmp_path / "fx", days=3,

@@ -11,13 +11,12 @@ import pytest
 from oracles import load_consumption_rows, load_weather_rows, write_consumption_rows
 from powernet.dataio import (
     HOUR, UTC_OFFSET_S, WEATHER_COLUMNS, IngestReport, TimeSeries, format_timestamp,
-    load_consumption, load_weather, parse_timestamp, parse_timestamps,
+    load_consumption, load_weather, parse_timestamp, parse_timestamps, write_text,
 )
 from powernet.model import checkpoint_to_json, init_params
 from powernet.numcore import InputError
 from powernet.synth import (
-    make_aligned_dataset, make_weather, write_consumption_csv, write_fixture_dir,
-    write_weather_csv,
+    consumption_csv, make_aligned_dataset, make_weather, weather_csv, write_fixture_dir,
 )
 
 FORMATS = ["per_minute", "per_quarter_hour"]
@@ -51,7 +50,7 @@ def test_consumption_csv_bytes_and_series_equal_the_per_row_oracle(
         tmp_path, seed, fmt, days):
     series = hourly_series(days, seed)
     rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-    write_consumption_csv(tmp_path / "bulk.csv", series, fmt, rngs[0])
+    write_text(tmp_path / "bulk.csv", consumption_csv(series, fmt, rngs[0]))
     write_consumption_rows(tmp_path / "rows.csv", series, fmt, rngs[1])
     text = (tmp_path / "bulk.csv").read_bytes()
     assert text == (tmp_path / "rows.csv").read_bytes()
@@ -63,7 +62,7 @@ def test_consumption_csv_bytes_and_series_equal_the_per_row_oracle(
 
 def test_weather_time_column_is_format_timestamp(tmp_path):
     hours = 1459486800 + HOUR * np.arange(50, dtype=np.int64)
-    write_weather_csv(tmp_path / "w.csv", make_weather(hours, np.random.default_rng(3)))
+    write_text(tmp_path / "w.csv", weather_csv(make_weather(hours, np.random.default_rng(3))))
     with open(tmp_path / "w.csv", newline="") as fh:
         times = [row[0] for row in csv.reader(fh)][1:]
     assert times == [format_timestamp(int(t)) for t in hours]

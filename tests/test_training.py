@@ -7,6 +7,7 @@ import pytest
 
 from oracles import make_sinusoid_dataset
 from powernet import cli
+from powernet.dataio import json_text
 from powernet.features import build_examples, fit_feature_spec, tail_splits
 from powernet.model import checkpoint_to_json, init_params
 from powernet.numcore import InputError
@@ -346,27 +347,23 @@ class TestGridSearch:
 
 
 class TestTrainReport:
-    """report.json is ``to_dict`` as ``cli._json`` writes it."""
+    """report.json is ``to_dict`` as ``dataio.json_text`` writes it."""
 
-    def test_json_excludes_wall_clock(self, tmp_path):
+    def test_json_excludes_wall_clock(self):
         rep = TrainReport(train_loss=[1.0], val_mse=[2.0], best_epoch=0,
                           memory_size=4, wall_seconds=123.0)
-        cli._write(tmp_path / "report.json", cli._json(rep.to_dict()))
-        text = (tmp_path / "report.json").read_text()
+        text = json_text(rep.to_dict())
         assert "wall" not in text
         assert "123" not in text
 
-    def test_json_is_the_dict(self, tmp_path):
+    def test_json_is_the_dict(self):
         rep = TrainReport(train_loss=[1.0, 0.25], val_mse=[2.0, 0.1 + 0.2],
                           best_epoch=1, memory_size=4, wall_seconds=1.0)
-        cli._write(tmp_path / "report.json", cli._json(rep.to_dict()))
-        assert json.loads((tmp_path / "report.json").read_text()) == rep.to_dict()
+        assert json.loads(json_text(rep.to_dict())) == rep.to_dict()
         assert "wall_seconds" not in rep.to_dict()
 
-    def test_curves_csv(self, tmp_path):
-        path = tmp_path / "curves.csv"
-        cli._write_csv(path, ["epoch", "train_loss", "val_mse"],
-                       [(0, 1.0, 2.0), (1, 0.5, 1.5)])
-        lines = path.read_text().strip().splitlines()
+    def test_curves_csv(self):
+        text = cli._csv(["epoch", "train_loss", "val_mse"], [(0, 1.0, 2.0), (1, 0.5, 1.5)])
+        lines = text.strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_mse"
         assert lines[2].split(",") == ["1", "0.5", "1.5"]
