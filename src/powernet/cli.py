@@ -3,6 +3,9 @@ anomaly, synth.
 
 Exit codes: 0 success; 2 an InputError, input the caller must fix; 1 a
 TrainingError, training that diverged. Either prints one ``error:`` line.
+Every usage error, argparse's own included, is an InputError that
+``main`` prints before anything is written; only ``--help`` leaves
+through SystemExit(0).
 
 A command computes every file it writes before it writes any: ``main``
 then makes the output directory (``--out``, else $POWERNET_OUT, else .),
@@ -10,10 +13,9 @@ writes the files through ``dataio.write_text`` and prints the command's
 summary line, so a command that fails while it computes (exit 1 or 2)
 leaves ``--out`` as it was. An output that cannot be written (``--out`` an
 existing file, or an output name an existing directory) is exit 2 too,
-but only after the work, since the directory is made last; the files
-written before it stay. All outputs are deterministic for a fixed config,
-seed and BLAS thread count (README gives how far thread counts move them),
-and safe to overwrite.
+refused before the first file is written. All outputs are deterministic
+for a fixed config, seed and BLAS thread count (README gives how far
+thread counts move them), and safe to overwrite.
 """
 
 from __future__ import annotations
@@ -281,8 +283,11 @@ def cmd_forecast(args):
 
 
 def cmd_anomaly(args):
+    theta = TheftScenario.CHECKS["theta"]
+    args.thetas = [check(t, theta, "--thetas") for t in args.thetas]
     detect = args.detect_theta is not None
     if detect:   # detector settings are checked before any work
+        args.detect_theta = check(args.detect_theta, theta, "--detect-theta")
         cfg = DetectorConfig(window=args.detector_window, k=args.detector_k)
         if args.horizon < cfg.window:
             raise InputError(f"--horizon {args.horizon} is shorter than --detector-window "
@@ -290,13 +295,14 @@ def cmd_anomaly(args):
                              f"have {args.horizon}")
     params, _, spec, _, d = _model_inputs(args)
     horizon, start_row = args.horizon, args.start_row
+    if detect:   # a clean span the model cannot read is refused before the sweep
+        clean = forecast_with_actuals(params, spec, d, start_row - horizon, horizon)
+        stats = residual_stats(clean.predictions, clean.actuals, cfg)
     test = forecast_with_actuals(params, spec, d, start_row, horizon)
     rows = theft_sweep(params, spec, d, start_row, horizon, args.thetas,
                        clean=test)
     result = {"sweep": rows}
     if detect:
-        clean = forecast_with_actuals(params, spec, d, start_row - horizon, horizon)
-        stats = residual_stats(clean.predictions, clean.actuals, cfg)
         reported = apply_theft(test.actuals,
                                TheftScenario(args.detect_theta, 0, horizon))
         alarms = detect_consumer(test.predictions, reported, cfg, stats)
@@ -328,8 +334,8 @@ def _config_value(text: str):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """A usage error is one ``error:`` line and exit 2, through SystemExit."""
-        self.exit(USAGE_ERROR, f"error: {message}\n")
+        """argparse's usage error is an InputError, which ``main`` prints."""
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,14 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.out = args.out or os.environ.get("POWERNET_OUT") or "."
     try:
+        args = build_parser().parse_args(argv)
+        args.out = args.out or os.environ.get("POWERNET_OUT") or "."
         with np.errstate(all="ignore"):   # overflow is checked, not warned
             files, summary = args.fn(args)
-        for name, text in files.items():
-            dataio.write_text(os.path.join(args.out, name), text)
+        paths = {os.path.join(args.out, name): text for name, text in files.items()}
+        for path in filter(os.path.isdir, paths):   # before any file is written
+            raise InputError(f"cannot write {path}: it is a directory")
+        for path, text in paths.items():
+            dataio.write_text(path, text)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -265,7 +265,7 @@ def build_examples(d: AlignedDataset, spec: FeatureSpec,
     in dataset row indices, chronological and non-overlapping. Targets whose
     history window crosses a non-contiguous stretch are skipped and counted.
     """
-    (a0, a1), (b0, b1), (c0, c1) = check(splits, items(items(integer(), 2), 3), "splits")
+    (a0, a1), (b0, b1), (c0, c1) = check(splits, items(items(integer(0), 2), 3), "splits")
     if not (a0 < a1 <= b0 < b1 <= c0 < c1 <= len(d)):
         raise InputError(f"splits must be chronological and non-overlapping, got {splits}")
     built = {name: _build_split(d, spec, lo, hi) for name, (lo, hi)

@@ -41,20 +41,19 @@ class ForecastReport:
 
 
 def _target_rows(spec: FeatureSpec, d: AlignedDataset, start_row: int,
-                 horizon: int, what: str) -> np.ndarray:
+                 horizon: int) -> np.ndarray:
     """The rows start_row .. start_row + horizon - 1, checked to have one
     window of history and to form, with it, a contiguous hourly span."""
     n = spec.window_len
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    if start_row < n:
-        raise InputError("history does not cover one window")
-    if start_row + horizon > len(d):
-        raise InputError(what)
     lo, hi = start_row - n, start_row + horizon
+    if lo < 0 or hi > len(d):
+        raise InputError(f"rows {lo}..{hi - 1} ({n} hours of history, then {horizon} hours "
+                         f"from row {start_row}) are not all in the dataset's {len(d)} rows")
     if d.hours[hi - 1] - d.hours[lo] != (hi - 1 - lo) * HOUR:
         row = lo + int(np.flatnonzero(np.diff(d.hours[lo:hi]) != HOUR)[0])
-        raise InputError(f"rows {lo}..{hi} are not a contiguous hourly span: "
+        raise InputError(f"rows {lo}..{hi - 1} are not a contiguous hourly span: "
                          f"{format_timestamp(d.hours[row] + HOUR)}, the hour after "
                          f"row {row}, is missing")
     return np.arange(start_row, hi)
@@ -79,8 +78,7 @@ def forecast_recursive(p: PowerNetParams, spec: FeatureSpec,
     feeding each clamped prediction back as history; weather features come
     from the recorded future rows (perfect weather foresight), calendar
     from the target timestamps."""
-    rows = _target_rows(spec, d, start_row, horizon,
-                        "future weather does not cover the horizon")
+    rows = _target_rows(spec, d, start_row, horizon)
     E, fw, fc = window_features(d, spec, rows)   # E[0] is the history window
     mean, std = float(spec.cons_mean), float(spec.cons_std)
     # normalize_kw(max(denormalize_kw(y), 0)): the same IEEE operations on floats
@@ -95,7 +93,7 @@ def forecast_with_actuals(p: PowerNetParams, spec: FeatureSpec,
                           horizon: int) -> ForecastReport:
     """One-step-ahead prediction for each hour in the range, always using
     the true history (no error accumulation)."""
-    rows = _target_rows(spec, d, start_row, horizon, "range exceeds the dataset")
+    rows = _target_rows(spec, d, start_row, horizon)
     yhat, _ = forward_batch(*window_features(d, spec, rows), p)
     return _report("actual_history", d, rows,
                    np.maximum(spec.denormalize_kw(yhat), 0.0))

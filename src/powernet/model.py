@@ -18,7 +18,8 @@ Only the model's outer boundary sees the paper's gate order [i, f, g, o]:
 checkpoint hold it. The four dense layers are two tables of (w, b) views,
 ``p.fusion`` = [(w1, b1), (w2, b2)] and ``p.head`` = [(w3, b3), (w4, b4)],
 which one forward rule, ``_dense``, and one backward rule,
-``_dense_backward``, run.
+``_dense_backward``, run; ReLU and its gradient live in those two rules,
+as the LSTM's gates live in ``_lstm_step``, so every activation is here.
 
 One time-major step, ``_lstm_step``, advances every stacked layer; it is
 the only LSTM recurrence. ``forward_batch`` runs the fusion MLP, that step
@@ -60,8 +61,7 @@ import numpy as np
 
 from .dataio import json_text
 from .features import N_AUX_FEATURES
-from .numcore import (OBJECT, InputError, array, check, integer, items, one_of,
-                      real, relu, relu_grad)
+from .numcore import OBJECT, InputError, array, check, integer, items, one_of, real
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -215,7 +215,7 @@ class _LstmTrace:
             fields += [("w_xh", (n_in + m, 4 * m)), ("step_acc", (4 * m, w_op)),
                        ("op_T", (B, w_op)), ("dxh", (n_in + m, B)), ("dc", (m, B)),
                        ("deriv", (chunk, 4 * m, B)), ("dc_dh", (chunk, m, B)),
-                       ("dz", (4 * m, B)), ("tmp", (m, B)), ("dh_sum", (m, B))]
+                       ("dz", (4 * m, B))]
         for name, shape in fields:
             setattr(self, name, np.empty(shape))
         if train:
@@ -311,12 +311,12 @@ def _lstm_backward(traces: list, grads: list, dh_final: np.ndarray):
                 np.multiply(e, gate[:, 2 * m:3 * m], out=e)
         for k in range(top, -1, -1):
             tr, gw = traces[k], grads[k].w
-            gate, dc, dz, tmp = tr.gate[t], tr.dc, tr.dz, tr.tmp
-            dh = tr.dxh[tr.n_in:]
+            gate, dc, dz, dc_dh = tr.gate[t], tr.dc, tr.dz, tr.dc_dh[j]
+            dh = tr.dxh[tr.n_in:]   # read only here; this step's product overwrites it
             if k < top:   # plus the gradient on this h as the input above
-                dh = np.add(dh, traces[k + 1].dxh[:m], out=tr.dh_sum)
-            np.multiply(tr.dc_dh[j], dh, out=tmp)
-            np.add(dc, tmp, out=dc)
+                np.add(dh, traces[k + 1].dxh[:m], out=dh)
+            np.multiply(dc_dh, dh, out=dc_dh)   # each step reads its row once
+            np.add(dc, dc_dh, out=dc)
             # [dc g; dc c_prev; dh tanh(c); dc i] times the derivatives
             np.multiply(dc, gate[3 * m:].reshape(2, m, -1),
                         out=dz[:2 * m].reshape(2, m, -1))
@@ -354,7 +354,7 @@ def _dense(a: np.ndarray, layers: list, rng=None, rate: float = 0.0,
             a = a * mask
         s = a @ w.T + b
         record.append((a, s, mask))
-        a = relu(s) if w.ndim == 2 else s
+        a = np.maximum(s, 0.0) if w.ndim == 2 else s
     return a, record
 
 
@@ -363,8 +363,8 @@ def _dense_backward(d: np.ndarray, layers: list, grads: list, record: list):
     each layer's (dw, db) is written into the same place of ``grads``, a
     table like ``layers``. Returns the gradient on the input."""
     for (w, _), (gw, gb), (a, s, mask) in zip(layers[::-1], grads[::-1], record[::-1]):
-        if w.ndim == 2:
-            d = d * relu_grad(s)
+        if w.ndim == 2:   # ReLU's subgradient at exactly 0 is 0, as in _dense
+            d = d * (s > 0.0)
         gw[:] = d.T @ a
         gb[:] = d.sum(axis=0)
         d = d @ w if w.ndim == 2 else d[:, None] * w[None, :]

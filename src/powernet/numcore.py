@@ -1,11 +1,10 @@
-"""ReLU and its gradient, ``InputError``, the one error class for input the
+"""The input contract: ``InputError``, the one error class for input the
 caller must fix, ``finite``, which refuses a NaN or infinite array, and
 ``check``, which every reader of a document from outside (config, feature
-spec, checkpoint, dataset) runs on a table of rules.
-(The LSTM computes its sigmoid gates from one tanh in ``model``.)
+spec, checkpoint, dataset) runs on a table of rules. Every activation,
+ReLU and the LSTM's gates, lives in ``model``.
 
-All numeric state lives in float64 numpy arrays. Functions allocate fresh
-outputs and never mutate their inputs.
+Functions allocate fresh outputs and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -20,15 +19,6 @@ class InputError(ValueError):
     """Input the caller must fix: a malformed file, document, flag or
     argument. Its message is one line, and the CLI prints it as
     ``error: <message>`` and exits 2."""
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(pre_activation):
-    # Subgradient at exactly 0 is taken as 0, matching the forward pass.
-    return (np.asarray(pre_activation) > 0.0).astype(np.float64)
 
 
 def finite(a: np.ndarray, name: str) -> np.ndarray:

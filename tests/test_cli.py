@@ -70,10 +70,12 @@ MALFORMED_INPUTS = (
 
 
 def assert_usage_error(rc, capsys):
-    """Exit 2 with a one-line ``error:`` message and no traceback."""
-    err = capsys.readouterr().err
+    """Exit 2 with a one-line ``error:`` message, no traceback and nothing
+    on stdout."""
+    out, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert out == ""
     return err
 
 
@@ -781,6 +783,20 @@ class TestEvaluate:
         assert key in assert_usage_error(rc, capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_negative_split_bound_is_usage_error(self, dataset_path, checkpoint_dir,
+                                                 tmp_path, capsys):
+        # a train split starting 30 rows before the dataset is refused, not
+        # clamped to the rows that have a window of history
+        doc = json.loads((checkpoint_dir / "checkpoint.json").read_text())
+        doc["hyperparameters"]["splits"][0][0] = -30
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--checkpoint", str(path), "--dataset", dataset_path,
+                   "--split", "train", "--out", str(tmp_path / "out")])
+        err = assert_usage_error(rc, capsys)
+        assert "splits: [0][0]: expected int >= 0, got -30" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["trees", "feature_spec"])
     def test_gbt_checkpoint_missing_key(self, dataset_path, gbt_checkpoint,
                                         tmp_path, capsys, key):
@@ -858,6 +874,21 @@ class TestForecast:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, taken", [
+    (["forecast"], "forecast_recursive.json"),
+    (["anomaly", "--thetas", "0.5"], "anomaly.json")])
+def test_output_name_a_directory_writes_nothing(dataset_path, checkpoint_dir, tmp_path,
+                                                capsys, argv, taken):
+    # the last file of the command's set is an existing directory: the set
+    # is refused before its first file is written
+    (tmp_path / taken).mkdir()
+    rc = main(argv + ["--checkpoint", str(checkpoint_dir / "checkpoint.json"),
+                      "--dataset", dataset_path, "--horizon", "24", "--out", str(tmp_path)])
+    err = assert_usage_error(rc, capsys)
+    assert f"cannot write {tmp_path / taken}: " in err
+    assert os.listdir(tmp_path) == [taken] and not os.listdir(tmp_path / taken)
+
+
 class TestAnomaly:
     def test_sweep_and_detection(self, dataset_path, checkpoint_dir, tmp_path):
         out = tmp_path / "an"
@@ -876,8 +907,8 @@ class TestAnomaly:
     def test_detection_reuses_the_sweep_forecast(self, dataset_path,
                                                  checkpoint_dir, tmp_path,
                                                  monkeypatch):
-        # one forecast of the test window feeds the sweep and the detector;
-        # the other is the clean history before it
+        # one forecast of the clean history comes first; the other, of the
+        # test window, feeds the sweep and the detector
         import powernet.cli as cli
         from powernet import forecast_anomaly as fa
         from powernet.dataio import dataset_from_json
@@ -901,7 +932,7 @@ class TestAnomaly:
         monkeypatch.undo()
         d = dataset_from_json(Path(dataset_path).read_text())
         start = len(d) - 48
-        assert calls == [(start, 48), (start - 48, 48)]
+        assert calls == [(start - 48, 48), (start, 48)]
         text = (checkpoint_dir / "checkpoint.json").read_text()
         p, _, spec_doc, _ = checkpoint_from_json(text)
         spec = FeatureSpec.from_dict(spec_doc)
@@ -920,6 +951,21 @@ class TestAnomaly:
                    "--detect-theta", "0.5", "--out", str(out)])
         assert "history" in assert_usage_error(rc, capsys)
         assert not out.exists()
+
+    def test_hole_in_the_clean_span_is_refused_before_the_sweep(
+            self, refusal_inputs, tmp_path, capsys, monkeypatch):
+        # the holed dataset lacks the hour after row 229: the clean span,
+        # rows 228..235, crosses it and the test span, rows 230..237, does not
+        calls = []
+        monkeypatch.setattr(cli, "theft_sweep", lambda *args, **kw: calls.append(args))
+        out = tmp_path / "an"
+        rc = main(["anomaly", "--checkpoint", refusal_inputs["ckpt"],
+                   "--dataset", refusal_inputs["holed"], "--horizon", "2",
+                   "--start-row", "236", "--detect-theta", "0.5",
+                   "--detector-window", "2", "--out", str(out)])
+        err = assert_usage_error(rc, capsys)
+        assert "rows 228..235 are not a contiguous hourly span" in err
+        assert calls == [] and not out.exists()
 
     def test_gbt_checkpoint_rejected(self, dataset_path, gbt_checkpoint, tmp_path, capsys):
         path = tmp_path / "checkpoint.json"
@@ -1010,8 +1056,15 @@ REFUSALS = {
         ["the train split has no examples", "10 targets", "window_len=24"]),
     "forecast_across_a_hole": (
         "forecast --checkpoint {ckpt} --dataset {holed} --horizon 24 --mode actual",
-        ["rows 209..239 are not a contiguous hourly span: 2016-04-10T14:00:00, "
+        ["rows 209..238 are not a contiguous hourly span: 2016-04-10T14:00:00, "
          "the hour after row 229, is missing"]),
+    # a missing checkpoint: the flag is refused before any file is read
+    "detect_theta_out_of_range": (
+        "anomaly --checkpoint missing.json --dataset {short} --detect-theta 1.5",
+        ["--detect-theta: expected real in [0, 1), got 1.5"]),
+    "thetas_out_of_range": (
+        "anomaly --checkpoint missing.json --dataset {short} --thetas 0.2,1.5",
+        ["--thetas: expected real in [0, 1), got 1.5"]),
 }
 
 
@@ -1027,9 +1080,14 @@ def test_refusal_names_what_to_change(refusal_inputs, tmp_path, capsys, case):
 
 
 class TestParser:
-    def test_missing_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main([])
+    def test_missing_subcommand_exits(self, capsys):
+        assert "required: command" in assert_usage_error(main([]), capsys)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: powernet" in capsys.readouterr().out
 
     def test_every_config_key_is_a_flag(self):
         commands = cli.build_parser()._subparsers._group_actions[0].choices
@@ -1075,13 +1133,7 @@ class TestParser:
     @pytest.mark.parametrize("argv, fault", PARSER_ERRORS,
                              ids=[f"{argv[0]}-{fault}" for argv, fault in PARSER_ERRORS])
     def test_parser_error_is_one_line(self, capsys, argv, fault):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, \
-            captured.err
+        assert_usage_error(main(argv), capsys)
 
     def test_all_subcommands_registered(self):
         from powernet.cli import build_parser

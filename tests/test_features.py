@@ -367,3 +367,10 @@ class TestBuildExamples:
     def test_overlapping_splits_rejected(self):
         with pytest.raises(InputError):
             build_examples(self.d, self.spec, ((0, 100), (90, 150), (150, 200)))
+
+    def test_negative_split_bound_rejected(self):
+        # a row before row 0 does not exist; it is neither an example nor
+        # a skipped target
+        (_, a1), val, test = self.bounds
+        with pytest.raises(InputError, match=r"splits: \[0\]\[0\]: expected int >= 0, got -30"):
+            build_examples(self.d, self.spec, ((-30, a1), val, test))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,8 +137,11 @@ class TestForecastRecursive:
 
     def test_horizon_guard(self, sinusoid_model):
         p, spec, d, _ = sinusoid_model
-        with pytest.raises(InputError, match="weather"):
-            forecast_recursive(p, spec, d, len(d) - 10, 20)
+        n, start = spec.window_len, len(d) - 10
+        refusal = (f"rows {start - n}..{start + 19} ({n} hours of history, then 20 hours "
+                   f"from row {start}) are not all in the dataset's {len(d)} rows")
+        with pytest.raises(InputError, match=re.escape(refusal)):
+            forecast_recursive(p, spec, d, start, 20)
 
     @pytest.mark.parametrize("fn", [forecast_recursive, forecast_with_actuals])
     def test_empty_horizon_rejected(self, sinusoid_model, fn):

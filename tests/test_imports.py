@@ -396,7 +396,7 @@ def test_detects_code_lines():
 
 #: The package's size in code lines. A change that adds code raises this
 #: in its own diff, so the growth shows in review.
-CODE_LINE_BUDGET = 1964
+CODE_LINE_BUDGET = 1963
 
 
 def test_package_code_lines_within_budget():
